@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "cache/cache.h"
-#include "crawl/engine.h"
 #include "dns/name.h"
 #include "dns/rr.h"
 #include "par/pool.h"
@@ -250,34 +249,6 @@ inline QuickMetric bench_heap_dense(std::uint64_t total_events) {
   return detail::finish("sched_heap_dense", "events/sec", fired, start);
 }
 
-/// Crawl-driver duel: the nested-call reference driver (one full recursive
-/// resolution per record type, fresh resolver state each fetch) against
-/// the bulk resolution engine (resumable tasks, batch scheduler) on the
-/// same list and RNG fork.  Two metrics from one input, so the ratio in
-/// the BENCH_*.json trajectory IS the engine's speedup.
-inline std::vector<QuickMetric> bench_crawl_duel(std::size_t domains) {
-  const auto params = crawl::alexa_params(domains);
-  const sim::Rng list_rng = sim::Rng(7).fork(0);
-
-  auto nested_start = std::chrono::steady_clock::now();
-  const auto nested = crawl::crawl_nested(params, list_rng);
-  auto nested_metric = detail::finish("crawl_nested", "domains/sec", domains,
-                                      nested_start);
-
-  crawl::EngineOptions options;  // jobs = 1: measures the scheduler, not
-  options.jobs = 1;              // the thread pool
-  auto engine_start = std::chrono::steady_clock::now();
-  const auto engine = crawl::crawl_engine(params, list_rng, options);
-  auto engine_metric = detail::finish("crawl_engine", "domains/sec", domains,
-                                      engine_start);
-  if (nested.harvest_mismatches != 0 ||
-      nested.report.responsive != engine.report.responsive ||
-      engine.stats.resolutions != domains) {
-    engine_metric.name = "crawl_engine_BROKEN";  // drivers diverged
-  }
-  return {nested_metric, engine_metric};
-}
-
 /// Name parsing throughput (every query/record construction pays this).
 inline QuickMetric bench_name_parse(std::uint64_t total_parses) {
   const std::string inputs[4] = {
@@ -314,9 +285,6 @@ inline std::vector<QuickMetric> run_quick_suite(double scale) {
   metrics.push_back(bench_cache_lookup(n(8'000'000)));
   metrics.push_back(bench_cache_churn(n(2'000'000)));
   metrics.push_back(bench_name_parse(n(4'000'000)));
-  for (auto& metric : bench_crawl_duel(n(20'000))) {
-    metrics.push_back(std::move(metric));
-  }
   return metrics;
 }
 

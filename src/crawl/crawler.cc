@@ -1,11 +1,9 @@
 #include "crawl/crawler.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 
 #include "crawl/tabulate.h"
-#include "par/pool.h"
 
 namespace dnsttl::crawl {
 
@@ -17,20 +15,7 @@ bool ends_with(const std::string& value, const std::string& suffix) {
              0;
 }
 
-PartialCrawl tabulate_slice(const std::vector<GeneratedDomain>& population,
-                            std::size_t begin, std::size_t end) {
-  PartialCrawl partial;
-  for (std::size_t i = begin; i < end; ++i) {
-    tabulate_domain(population[i], partial);
-  }
-  return partial;
-}
-
 }  // namespace
-
-void tabulate_domain(const GeneratedDomain& domain, PartialCrawl& partial) {
-  tabulate_domain(domain, domain.records, partial);
-}
 
 void tabulate_domain(const GeneratedDomain& domain,
                      const std::vector<HarvestedRecord>& harvested,
@@ -144,60 +129,43 @@ int classify_bailiwick(const GeneratedDomain& domain) {
   return any_in ? 1 : 0;
 }
 
-CrawlReport crawl(const std::string& list,
-                  const std::vector<GeneratedDomain>& population) {
-  return crawl_sharded(list, population, 1, 1);
-}
-
-CrawlReport crawl_sharded(const std::string& list,
-                          const std::vector<GeneratedDomain>& population,
-                          std::size_t shard_count, std::size_t jobs) {
-  if (shard_count == 0) shard_count = 1;
-  if (shard_count > population.size()) {
-    shard_count = population.size() == 0 ? 1 : population.size();
+void tabulate_parent_child(const GeneratedDomain& domain,
+                           ParentChildReport& report) {
+  if (!domain.responsive || domain.ns_answer != NsAnswerKind::kNsRecords) {
+    return;
   }
-
-  // Contiguous slices, so folding the partials in shard order visits the
-  // domains exactly as a serial pass would.
-  const std::size_t chunk = (population.size() + shard_count - 1) / shard_count;
-  auto partials =
-      par::map_shards(shard_count, jobs, [&](std::size_t shard) {
-        std::size_t begin = shard * chunk;
-        std::size_t end = std::min(begin + chunk, population.size());
-        return tabulate_slice(population, std::min(begin, end), end);
-      });
-  return finalize_crawl(list, population.size(), std::move(partials));
+  std::optional<dns::Ttl> child_ttl;
+  for (const auto& record : domain.records) {
+    if (record.type == dns::RRType::kNS) {
+      child_ttl = record.ttl;
+      break;
+    }
+  }
+  if (!child_ttl || domain.parent_ns_ttl == dns::Ttl{}) {
+    return;
+  }
+  ++report.compared;
+  if (*child_ttl < domain.parent_ns_ttl) {
+    ++report.child_shorter;
+  } else if (*child_ttl == domain.parent_ns_ttl) {
+    ++report.equal;
+  } else {
+    ++report.child_longer;
+  }
+  report.child_over_parent_ratio.add(
+      static_cast<double>(child_ttl->value()) /
+      static_cast<double>(domain.parent_ns_ttl.value()));
 }
 
-ParentChildReport compare_parent_child(
-    const std::vector<GeneratedDomain>& population) {
+ParentChildReport compare_parent_child(const ListParams& params,
+                                       const sim::Rng& list_rng) {
   ParentChildReport report;
-  for (const auto& domain : population) {
-    if (!domain.responsive ||
-        domain.ns_answer != NsAnswerKind::kNsRecords) {
-      continue;
-    }
-    std::optional<dns::Ttl> child_ttl;
-    for (const auto& record : domain.records) {
-      if (record.type == dns::RRType::kNS) {
-        child_ttl = record.ttl;
-        break;
-      }
-    }
-    if (!child_ttl || domain.parent_ns_ttl == dns::Ttl{}) {
-      continue;
-    }
-    ++report.compared;
-    if (*child_ttl < domain.parent_ns_ttl) {
-      ++report.child_shorter;
-    } else if (*child_ttl == domain.parent_ns_ttl) {
-      ++report.equal;
-    } else {
-      ++report.child_longer;
-    }
-    report.child_over_parent_ratio.add(
-        static_cast<double>(child_ttl->value()) /
-        static_cast<double>(domain.parent_ns_ttl.value()));
+  const std::string suffix = list_suffix(params);
+  GeneratedDomain domain;
+  for (std::size_t i = 0; i < params.domains; ++i) {
+    sim::Rng domain_rng = list_rng.fork(i);
+    generate_domain(params, suffix, i, domain_rng, domain);
+    tabulate_parent_child(domain, report);
   }
   return report;
 }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "crawl/population_generator.h"
 #include "stats/cdf.h"
@@ -154,21 +153,6 @@ struct CrawlReport {
   }
 };
 
-/// Tabulates a generated population exactly as the paper's crawler
-/// tabulated its DNS harvest: counts, unique values, TTL CDFs, TTL=0
-/// domains, and the bailiwick configuration of each domain's NS set.
-CrawlReport crawl(const std::string& list,
-                  const std::vector<GeneratedDomain>& population);
-
-/// Sharded crawl: tabulates @p shard_count contiguous slices of the
-/// population concurrently (at most @p jobs threads) and folds the partial
-/// tallies in shard order.  Unique-value counting keeps per-shard sets that
-/// are unioned at the fold, so every report field matches crawl() exactly
-/// for any shard/job split.
-CrawlReport crawl_sharded(const std::string& list,
-                          const std::vector<GeneratedDomain>& population,
-                          std::size_t shard_count, std::size_t jobs);
-
 /// Classifies one domain's NS targets against its own name:
 /// 0 = out-of-bailiwick only, 1 = in-bailiwick only, 2 = mixed.
 int classify_bailiwick(const GeneratedDomain& domain);
@@ -190,8 +174,17 @@ struct ParentChildReport {
   }
 };
 
-ParentChildReport compare_parent_child(
-    const std::vector<GeneratedDomain>& population);
+/// Folds one domain into @p report: NS-responding domains whose child NS
+/// TTL and parent copy are both known are compared; the rest are skipped.
+void tabulate_parent_child(const GeneratedDomain& domain,
+                           ParentChildReport& report);
+
+/// Streams the list described by @p params through tabulate_parent_child():
+/// domain i is drawn from `list_rng.fork(i)` into one reused buffer, so the
+/// population is never materialized and matches what crawl_engine() crawls
+/// on the same (params, list_rng).
+ParentChildReport compare_parent_child(const ListParams& params,
+                                       const sim::Rng& list_rng);
 
 }  // namespace dnsttl::crawl
 

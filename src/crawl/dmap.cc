@@ -1,7 +1,5 @@
 #include "crawl/dmap.h"
 
-#include "stats/cdf.h"
-
 namespace dnsttl::crawl {
 
 std::size_t DmapReport::total_classified() const {
@@ -12,27 +10,6 @@ std::size_t DmapReport::total_classified() const {
     }
   }
   return total;
-}
-
-DmapReport classify_content(const std::vector<GeneratedDomain>& population) {
-  DmapReport report;
-  std::map<std::pair<ContentClass, dns::RRType>, stats::Cdf> ttls;
-
-  for (const auto& domain : population) {
-    if (!domain.responsive) continue;
-    ++report.class_counts[domain.content];
-    if (domain.content == ContentClass::kUnclassified) continue;
-    for (const auto& record : domain.records) {
-      ttls[{domain.content, record.type}].add(static_cast<double>(record.ttl.value()));
-    }
-  }
-
-  for (const auto& [key, cdf] : ttls) {
-    if (!cdf.empty()) {
-      report.median_ttl_hours[key] = cdf.median() / 3600.0;
-    }
-  }
-  return report;
 }
 
 }  // namespace dnsttl::crawl

@@ -2,8 +2,6 @@
 #define DNSTTL_CRAWL_DMAP_H
 
 #include <map>
-#include <string>
-#include <vector>
 
 #include "crawl/population_generator.h"
 
@@ -11,7 +9,8 @@ namespace dnsttl::crawl {
 
 /// DMap-style content analysis of a `.nl`-like population (§5.1.1):
 /// how many domains fall in each web-content class, and the median TTL per
-/// class and record type (Tables 6 and 7).
+/// class and record type (Tables 6 and 7).  Produced by crawl_engine() with
+/// EngineOptions::collect_content set.
 struct DmapReport {
   std::map<ContentClass, std::size_t> class_counts;
   /// median TTL in hours per (class, type) — Table 7's cells.
@@ -19,8 +18,6 @@ struct DmapReport {
 
   std::size_t total_classified() const;
 };
-
-DmapReport classify_content(const std::vector<GeneratedDomain>& population);
 
 }  // namespace dnsttl::crawl
 

@@ -281,8 +281,7 @@ EngineResult crawl_engine(const ListParams& params, const sim::Rng& list_rng,
 
 NestedResult crawl_nested(const ListParams& params, const sim::Rng& list_rng,
                           bool collect_content) {
-  sim::Rng rng = list_rng;
-  auto population = generate_population_forked(params, rng);
+  const auto population = generate_population(params, list_rng);
 
   NestedResult out;
   PartialCrawl partial;
@@ -339,11 +338,11 @@ NestedResult crawl_nested(const ListParams& params, const sim::Rng& list_rng,
         auto outcome = resolver.resolve(
             dns::Question{owner, record.type, dns::RClass::kIN},
             sim::Time{});
-        out.queries += static_cast<std::size_t>(outcome.upstream_queries);
 
         // Tabulate the collapsed harvest, verified against the resolved
         // answer: it must carry exactly one RRset member per collapsed
-        // record, at the record's TTL.
+        // record, at the record's TTL, with the rdata that record
+        // materializes to.
         const std::size_t before = harvest.size();
         collapse_type(domain, record.type, harvest);
         std::size_t wire = 0;
@@ -352,6 +351,11 @@ NestedResult crawl_nested(const ListParams& params, const sim::Rng& list_rng,
           if (rr.type() != record.type) continue;
           ++wire;
           if (rr.ttl != record.ttl) bad = true;
+          bool matched = false;
+          for (std::size_t i = before; i < harvest.size() && !matched; ++i) {
+            matched = rr.rdata == materialize(harvest[i]);
+          }
+          if (!matched) bad = true;
         }
         if (wire != harvest.size() - before) bad = true;
         if (bad) ++out.harvest_mismatches;

@@ -13,8 +13,7 @@
 
 namespace dnsttl::crawl {
 
-/// Counters the bulk resolution engine (and its nested reference driver)
-/// report alongside the crawl itself — BENCH_crawl_engine.json's columns.
+/// Counters the bulk resolution engine reports alongside the crawl itself.
 struct EngineStats {
   std::size_t resolutions = 0;  ///< domains fully resolved (incl. dead ones)
   std::size_t queries = 0;      ///< per-type harvest queries answered
@@ -52,26 +51,27 @@ struct EngineResult {
 EngineResult crawl_engine(const ListParams& params, const sim::Rng& list_rng,
                           const EngineOptions& options = {});
 
-/// What the nested reference driver measured while harvesting.
+/// What the nested test oracle measured while harvesting.
 struct NestedResult {
   CrawlReport report;
   DmapReport dmap;  ///< populated only when @p collect_content
-  std::size_t queries = 0;
-  /// Wire answers that disagreed with the collapsed tabulation input —
-  /// must be zero; non-zero means the drivers' collapse semantics diverged
-  /// from the authoritative RRset semantics.
+  /// Wire answers that disagreed with the collapsed tabulation input (in
+  /// rcode, member count, TTL, or rdata) — must be zero; non-zero means the
+  /// drivers' collapse semantics diverged from the authoritative RRset
+  /// semantics.
   std::size_t harvest_mismatches = 0;
 };
 
-/// Nested reference driver: materializes the same forked population
-/// (generate_population_forked over a copy of @p list_rng), then crawls it
-/// the pre-engine way — each domain is stood up as a zone on a live
-/// authoritative server and every record type is fetched with a
-/// dns::Message through the simulator's network, wire codec round-trip
-/// included (the harvest path verify_population_live() uses).  The
-/// verified harvest is tabulated through the same collapse rule as the
-/// engine, so reports are field-identical on the same (params, list_rng);
-/// the engine's speedup is measured against this driver.
+/// Nested test oracle for the engine: materializes the same forked
+/// population (generate_population over @p list_rng), then crawls it the
+/// pre-engine way — each domain is stood up as a zone on a live
+/// authoritative server and every record type is fetched by a full
+/// recursive resolution through the simulator's network, wire codec
+/// round-trip included.  Every answered RR is checked against the collapsed
+/// harvest (count, TTL, and rdata equal to materialize() of a collapsed
+/// record), and the harvest is tabulated through the same collapse rule as
+/// the engine, so reports are field-identical on the same
+/// (params, list_rng).  Only tests call it.
 NestedResult crawl_nested(const ListParams& params, const sim::Rng& list_rng,
                           bool collect_content = false);
 

@@ -13,9 +13,8 @@
 namespace dnsttl::crawl {
 
 /// Deterministic value→address mappings so every consumer of generated
-/// crawl data (live checks, the nested bulk-crawl driver, the engine's
-/// wire-collapse rule) derives addresses from the same opaque record
-/// values.
+/// crawl data (the nested test oracle, the engine's wire-collapse rule)
+/// derives addresses from the same opaque record values.
 inline dns::Ipv4 ipv4_for(const std::string& value) {
   auto h = static_cast<std::uint32_t>(std::hash<std::string>{}(value));
   return dns::Ipv4{0x0a000000u | (h & 0x00ffffffu)};  // 10.x.y.z

@@ -375,28 +375,12 @@ void generate_domain(const ListParams& params, const std::string& suffix,
 }
 
 std::vector<GeneratedDomain> generate_population(const ListParams& params,
-                                                 sim::Rng& rng) {
-  std::vector<GeneratedDomain> population;
-  population.reserve(params.domains);
+                                                 const sim::Rng& list_rng) {
+  std::vector<GeneratedDomain> population(params.domains);
   const std::string suffix = list_suffix(params);
   for (std::size_t d = 0; d < params.domains; ++d) {
-    GeneratedDomain domain;
-    generate_domain(params, suffix, d, rng, domain);
-    population.push_back(std::move(domain));
-  }
-  return population;
-}
-
-std::vector<GeneratedDomain> generate_population_forked(
-    const ListParams& params, sim::Rng& rng) {
-  std::vector<GeneratedDomain> population;
-  population.reserve(params.domains);
-  const std::string suffix = list_suffix(params);
-  for (std::size_t d = 0; d < params.domains; ++d) {
-    sim::Rng domain_rng = rng.fork(static_cast<std::uint64_t>(d));
-    GeneratedDomain domain;
-    generate_domain(params, suffix, d, domain_rng, domain);
-    population.push_back(std::move(domain));
+    sim::Rng domain_rng = list_rng.fork(d);
+    generate_domain(params, suffix, d, domain_rng, population[d]);
   }
   return population;
 }

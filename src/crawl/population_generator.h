@@ -139,28 +139,20 @@ ListParams root_params();  ///< 1535 responsive TLDs, fixed small size
 std::string list_suffix(const ListParams& params);
 
 /// Generates domain @p index of the list into @p domain (which is reset
-/// first, retaining its buffers), consuming draws from @p rng in the exact
-/// order the serial generator always has.  With the shared list stream this
-/// reproduces generate_population() element-for-element; with a per-domain
-/// forked stream (`rng.fork(index)`) the domain becomes a pure function of
-/// (params, seed, index), which is what lets the bulk resolution engine
-/// generate shards independently and stream populations it never
-/// materializes.
+/// first, retaining its buffers), consuming draws from @p rng.  Every crawl
+/// passes the domain's own stream `list_rng.fork(index)`, so the domain is a
+/// pure function of (params, seed, index): that is what lets the bulk
+/// resolution engine generate shards independently and stream populations
+/// it never materializes.
 void generate_domain(const ListParams& params, const std::string& suffix,
                      std::size_t index, sim::Rng& rng,
                      GeneratedDomain& domain);
 
-/// Generates the synthetic population for one list.
+/// Materializes the population for one list, domain i drawn from
+/// `list_rng.fork(i)` — element-for-element the domains crawl_engine()
+/// streams on the same (params, list_rng).
 std::vector<GeneratedDomain> generate_population(const ListParams& params,
-                                                 sim::Rng& rng);
-
-/// Forked-stream variant: domain i is drawn from `rng.fork(i)`, so any
-/// contiguous slice can be regenerated independently of the rest of the
-/// list.  This is the population discipline of the bulk resolution engine;
-/// it draws different (equally calibrated) populations than the serial
-/// shared-stream generator.
-std::vector<GeneratedDomain> generate_population_forked(
-    const ListParams& params, sim::Rng& rng);
+                                                 const sim::Rng& list_rng);
 
 }  // namespace dnsttl::crawl
 

@@ -12,23 +12,20 @@ namespace dnsttl::crawl {
 
 /// One slice's tallies before unique-value counting: the report plus the
 /// raw per-type value sets (sets must survive the fold so cross-shard
-/// duplicates collapse exactly as in a serial crawl).  Shared between the
-/// slice-based crawl_sharded() driver and the bulk resolution engine: both
-/// fold partials in shard order through finalize_crawl(), which is what
-/// makes their reports comparable field-for-field.
+/// duplicates collapse exactly as in a serial crawl).  The bulk resolution
+/// engine and its nested test oracle both fold partials in shard order
+/// through finalize_crawl(), which is what makes their reports comparable
+/// field-for-field.
 struct PartialCrawl {
   CrawlReport report;
   std::array<std::unordered_set<std::string>, TypeTallyTable::kSlots.size()>
       uniques;
 };
 
-/// Tabulates one domain into @p partial: responsiveness, NS answer
-/// behavior, bailiwick class, per-type record/TTL/unique tallies.
-void tabulate_domain(const GeneratedDomain& domain, PartialCrawl& partial);
-
-/// Same fold, but tabulating @p harvested instead of the domain's raw
-/// record list.  Both bulk-crawl drivers feed their (wire-collapsed)
-/// harvest through this overload, so their reports agree record for
+/// Tabulates one domain's @p harvested records into @p partial:
+/// responsiveness, NS answer behavior, bailiwick class, per-type
+/// record/TTL/unique tallies.  Both crawl drivers feed their
+/// (wire-collapsed) harvest through here, so their reports agree record for
 /// record; bailiwick classification still reads the domain itself, which
 /// collapse cannot change.
 void tabulate_domain(const GeneratedDomain& domain,

@@ -17,8 +17,7 @@
 #include "atlas/platform.h"
 #include "core/sharded.h"
 #include "core/world.h"
-#include "crawl/crawler.h"
-#include "crawl/population_generator.h"
+#include "crawl/engine.h"
 #include "par/pool.h"
 #include "sim/rng.h"
 
@@ -258,13 +257,19 @@ void expect_same_report(const crawl::CrawlReport& a,
 }
 
 TEST(ShardedDeterminismTest, CrawlIdenticalAtJobs1And4AndMatchesSerial) {
-  sim::Rng rng(1);
-  auto population = crawl::generate_population(crawl::alexa_params(3000), rng);
-  auto serial = crawl::crawl("alexa", population);
-  auto sharded_j1 = crawl::crawl_sharded("alexa", population, 4, 1);
-  auto sharded_j4 = crawl::crawl_sharded("alexa", population, 4, 4);
+  const auto params = crawl::alexa_params(3000);
+  const sim::Rng list_rng = sim::Rng(1).fork(0);
+  crawl::EngineOptions options;
+  options.shard_count = 4;
+  options.jobs = 1;
+  auto sharded_j1 = crawl::crawl_engine(params, list_rng, options).report;
+  options.jobs = 4;
+  auto sharded_j4 = crawl::crawl_engine(params, list_rng, options).report;
   expect_same_report(sharded_j1, sharded_j4);
-  // Contiguous slices + ordered fold reproduce the serial tabulation too.
+  // Contiguous slices + ordered fold reproduce the one-shard crawl too.
+  options.shard_count = 1;
+  options.jobs = 1;
+  auto serial = crawl::crawl_engine(params, list_rng, options).report;
   expect_same_report(serial, sharded_j4);
 }
 

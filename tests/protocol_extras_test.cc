@@ -138,6 +138,15 @@ TEST(AnswerRotationTest, DisabledByDefault) {
 
 // ----------------------------------------------------------- parent/child
 
+crawl::ParentChildReport tabulate_all(
+    const std::vector<crawl::GeneratedDomain>& population) {
+  crawl::ParentChildReport report;
+  for (const auto& domain : population) {
+    crawl::tabulate_parent_child(domain, report);
+  }
+  return report;
+}
+
 TEST(ParentChildTest, ComparesAgainstRegistryTtl) {
   std::vector<crawl::GeneratedDomain> population(3);
   population[0].parent_ns_ttl = dns::Ttl{172800};
@@ -147,7 +156,7 @@ TEST(ParentChildTest, ComparesAgainstRegistryTtl) {
   population[2].parent_ns_ttl = dns::Ttl{172800};
   population[2].records = {{RRType::kNS, dns::Ttl{345600}, "ns1.z.example"}};
 
-  auto report = crawl::compare_parent_child(population);
+  auto report = tabulate_all(population);
   EXPECT_EQ(report.compared, 3u);
   EXPECT_EQ(report.child_shorter, 1u);
   EXPECT_EQ(report.equal, 1u);
@@ -159,15 +168,35 @@ TEST(ParentChildTest, SkipsUnresponsiveAndNsLess) {
   std::vector<crawl::GeneratedDomain> population(2);
   population[0].responsive = false;
   population[1].ns_answer = crawl::NsAnswerKind::kCname;
-  auto report = crawl::compare_parent_child(population);
+  auto report = tabulate_all(population);
   EXPECT_EQ(report.compared, 0u);
 }
 
+TEST(ParentChildTest, StreamingFoldMatchesMaterializedPopulation) {
+  // The streaming comparison never builds the population, yet must see
+  // exactly the domains generate_population() materializes from the same
+  // list stream.
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const auto& params :
+         {crawl::alexa_params(3000), crawl::nl_params(5000)}) {
+      const sim::Rng list_rng = sim::Rng(seed).fork(7);
+      auto streamed = crawl::compare_parent_child(params, list_rng);
+      auto folded =
+          tabulate_all(crawl::generate_population(params, list_rng));
+      EXPECT_GT(streamed.compared, 0u) << params.name << " seed " << seed;
+      EXPECT_EQ(streamed.compared, folded.compared);
+      EXPECT_EQ(streamed.child_shorter, folded.child_shorter);
+      EXPECT_EQ(streamed.equal, folded.equal);
+      EXPECT_EQ(streamed.child_longer, folded.child_longer);
+      EXPECT_EQ(streamed.child_over_parent_ratio.sorted_samples(),
+                folded.child_over_parent_ratio.sorted_samples());
+    }
+  }
+}
+
 TEST(ParentChildTest, NlPopulationMatchesPaperFraction) {
-  sim::Rng rng(3);
-  auto population =
-      crawl::generate_population(crawl::nl_params(40000), rng);
-  auto report = crawl::compare_parent_child(population);
+  auto report = crawl::compare_parent_child(crawl::nl_params(40000),
+                                            sim::Rng(3));
   // Paper §5.1: ~40% of .nl children are shorter than the 1-hour parent.
   EXPECT_GT(report.child_shorter_fraction(), 0.20);
   EXPECT_LT(report.child_shorter_fraction(), 0.50);
