@@ -44,16 +44,13 @@ FileResult analyze_one(const std::string& rel, const std::string& source) {
   return out;
 }
 
-/// The stale-suppression audit: every allow comment naming a registered
-/// rule must have a finding of that rule (visible or silenced — silenced
-/// is the normal case) on one of its covered lines; otherwise the allow
-/// is dead weight and gets its own finding.  Runs after phase 2 so an
-/// allow justified by an interprocedural finding counts as used.
+/// Suppression hygiene, after phase 2 so an allow justified by an
+/// interprocedural finding counts as used.  Every allow comment must say
+/// why (bare-suppression) and must name a rule that fires on one of its
+/// covered lines, visible or silenced — silenced is the normal case
+/// (stale-suppression).  A misspelled rule never fires, so it is stale.
 void audit_suppressions(const std::vector<FileSummary>& summaries,
                         const Findings& all_would_fire, Findings& out) {
-  std::set<std::string> registered;
-  for (const RuleInfo& info : rule_infos()) registered.insert(info.name);
-
   // (file, rule, line) lookup over every finding either emitted or
   // suppressed anywhere in the run.
   std::set<std::string> fired;
@@ -63,31 +60,28 @@ void audit_suppressions(const std::vector<FileSummary>& summaries,
 
   for (const FileSummary& file : summaries) {
     for (const AllowSite& site : file.allow_sites) {
-      if (registered.count(site.rule) == 0) continue;  // lint.py-owned etc.
-      bool used = false;
-      for (std::size_t line : site.covered_lines) {
-        if (fired.count(file.path + "\x1f" + site.rule + "\x1f" +
-                        std::to_string(line)) != 0) {
-          used = true;
-          break;
-        }
+      const std::string excerpt = "allow(" + site.rule + ")";
+      if (!site.justified) {
+        out.push_back({"bare-suppression", file.path, site.comment_line,
+                       "suppression names '" + site.rule + "' without a "
+                       "justification; say after the closing parenthesis "
+                       "why the finding is acceptable",
+                       excerpt});
       }
-      if (used) continue;
-      // The stale finding itself honours the suppression table (an allow
-      // comment can whitelist its own audit: `lint:allow(x,
-      // stale-suppression)` keeps a deliberately pre-emptive allow).
-      auto it = file.allow_lines.find(site.comment_line);
-      if (it != file.allow_lines.end() &&
-          (it->second.count("stale-suppression") != 0 ||
-           it->second.count("*") != 0)) {
-        continue;
+      const bool used = std::any_of(
+          site.covered_lines.begin(), site.covered_lines.end(),
+          [&](std::size_t line) {
+            return fired.count(file.path + "\x1f" + site.rule + "\x1f" +
+                               std::to_string(line)) != 0;
+          });
+      if (!used) {
+        out.push_back(
+            {"stale-suppression", file.path, site.comment_line,
+             "suppression names '" + site.rule + "' but that rule does not "
+             "fire on the covered line; delete the dead allow comment (or "
+             "fix the rule name)",
+             excerpt});
       }
-      out.push_back(
-          {"stale-suppression", file.path, site.comment_line,
-           "suppression names '" + site.rule + "' but that rule no longer "
-           "fires on the covered line; delete the dead allow comment (or "
-           "fix the rule name)",
-           "allow(" + site.rule + ")"});
     }
   }
 }

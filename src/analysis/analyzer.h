@@ -20,7 +20,7 @@ using SourceFile = std::pair<std::string, std::string>;
 /// extraction.  Phase 2 (whole-repo, serial): link the summaries into a
 /// call graph, run the interprocedural dataflow rules, then audit every
 /// `lint:allow`/`analyze:allow` comment against the complete finding set
-/// (stale-suppression).  Findings come back in deterministic order.
+/// (stale- and bare-suppression).  Findings come back in deterministic order.
 Findings analyze_sources(const std::vector<SourceFile>& sources,
                          std::size_t jobs = 1);
 

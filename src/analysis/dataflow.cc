@@ -17,8 +17,7 @@ bool unit_type_name(const std::string& s) {
 bool allow_covers(const FileSummary& file, std::size_t line,
                   const std::string& rule) {
   auto it = file.allow_lines.find(line);
-  if (it == file.allow_lines.end()) return false;
-  return it->second.count(rule) != 0 || it->second.count("*") != 0;
+  return it != file.allow_lines.end() && it->second.count(rule) != 0;
 }
 
 class Dataflow {

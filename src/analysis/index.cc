@@ -442,14 +442,20 @@ std::vector<Param> FileIndex::parse_params(std::size_t open) const {
 }
 
 void FileIndex::build_suppressions(const TokenList& all) {
-  auto harvest = [](const std::string& text, std::set<std::string>& rules) {
+  // rule -> whether a justification follows the closing parenthesis (up
+  // to a further `//` or the `*/` of a block comment).
+  auto harvest = [](const std::string& text,
+                    std::map<std::string, bool>& rules) {
     for (const char* prefix : {"lint:allow(", "analyze:allow("}) {
       std::size_t at = 0;
       while ((at = text.find(prefix, at)) != std::string::npos) {
         std::size_t open = at + std::string(prefix).size();
         std::size_t close = text.find(')', open);
         if (close == std::string::npos) break;
-        rules.insert(text.substr(open, close - open));
+        const std::string why =
+            text.substr(close + 1, text.find("//", close) - close - 1);
+        rules.emplace(text.substr(open, close - open),
+                      why.find_first_not_of(" \t*/") != std::string::npos);
         at = close;
       }
     }
@@ -462,22 +468,21 @@ void FileIndex::build_suppressions(const TokenList& all) {
       if (t.kind != TokenKind::kPreproc) last_code_line = t.line;
       continue;
     }
-    std::set<std::string> rules;
+    std::map<std::string, bool> rules;
     harvest(t.text, rules);
     if (rules.empty()) continue;
-    allow_[t.line].insert(rules.begin(), rules.end());
     std::vector<std::size_t> covered = {t.line};
     if (last_code_line != t.line) {
       // Comment-only line: the allow also covers the next code line.
       for (std::size_t n = i + 1; n < all.size(); ++n) {
         if (all[n].kind == TokenKind::kComment) continue;
-        allow_[all[n].line].insert(rules.begin(), rules.end());
         covered.push_back(all[n].line);
         break;
       }
     }
-    for (const std::string& rule : rules) {
-      allow_sites_.push_back({t.line, rule, covered});
+    for (const auto& [rule, justified] : rules) {
+      for (std::size_t line : covered) allow_[line].insert(rule);
+      allow_sites_.push_back({t.line, rule, covered, justified});
     }
   }
 }

@@ -90,8 +90,8 @@ class FileIndex {
   /// Parse the parameter list whose '(' sits at code-token index open.
   std::vector<Param> parse_params(std::size_t open) const;
 
-  /// True when `rule` is suppressed on `line` via `// lint:allow(rule)` or
-  /// `// analyze:allow(rule)` on that line or a comment line directly above.
+  /// True when an allow comment (`lint:allow` or `analyze:allow` naming
+  /// `rule`) sits on `line` or on a comment line directly above.
   bool suppressed(std::size_t line, std::string_view rule) const;
 
   /// The whole suppression table (line -> allowed rules) and the allow

@@ -38,8 +38,8 @@ BaselineDiff diff_against_baseline(const Findings& current,
 std::string findings_to_sarif(const Findings& findings);
 
 /// Rewrites the baseline file at `path` from `findings` (sorted, stable
-/// key order — exactly the findings_to_json format, so --write-baseline,
-/// --update-baseline, and the gate all read/write one representation).
+/// key order — exactly the findings_to_json format, so --write-baseline
+/// and the gate read and write one representation).
 /// Returns false and sets `error` on IO failure.
 bool update_baseline_file(const std::string& path, const Findings& findings,
                           std::string* error);

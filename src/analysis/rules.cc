@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -302,27 +303,33 @@ void rule_raw_time_param(const FileIndex& ix, const std::string& rel,
 
 // ------------------------------------------------------- unit-float-cast
 
+/// Unit-typed names in the file -> the unit their raw escape hatch leaks
+/// ("us" for Duration/SimTime, "s" for Ttl): local/namespace declarations
+/// plus every unit-typed function/lambda parameter.  Built once per file
+/// for unit-float-cast and unit-arith.
+std::map<std::string, std::string> unit_typed_names(const FileIndex& ix) {
+  std::map<std::string, std::string> names = ix.unit_typed();
+  for (const Scope& s : ix.scopes()) {
+    if (s.params_open == kNpos) continue;
+    for (const Param& p : ix.parse_params(s.params_open)) {
+      if (!p.name.empty() && unit_type_text(p.type_text)) {
+        names.emplace(p.name, p.type_text.find("Ttl") != std::string::npos
+                                  ? "s"
+                                  : "us");
+      }
+    }
+  }
+  return names;
+}
+
 void rule_unit_float_cast(const FileIndex& ix, const std::string& rel,
+                          const std::map<std::string, std::string>& units,
                           const Sink& sink) {
   if (path_has_component(rel, "stats")) return;  // sanctioned float layer
   static const std::set<std::string> kEscapes = {
       "count",      "value",           "ticks",
       "to_seconds", "to_milliseconds", "approx_seconds",
       "approx_milliseconds", "approx_scale"};
-  // Unit-typed names: local/namespace declarations plus every unit-typed
-  // function/lambda parameter in the file.
-  std::set<std::string> unit_names;
-  for (const auto& [name, unit] : ix.unit_typed()) {
-    unit_names.insert(name);
-  }
-  for (const Scope& s : ix.scopes()) {
-    if (s.params_open == kNpos) continue;
-    for (const Param& p : ix.parse_params(s.params_open)) {
-      if (!p.name.empty() && unit_type_text(p.type_text)) {
-        unit_names.insert(p.name);
-      }
-    }
-  }
   const TokenList& code = ix.code();
   for (size_t i = 0; i + 3 < code.size(); ++i) {
     if (!code[i].ident("static_cast") || !code[i + 1].punct("<")) continue;
@@ -353,7 +360,7 @@ void rule_unit_float_cast(const FileIndex& ix, const std::string& rel,
       const Token& t = code[j];
       if (t.kind != TokenKind::kIdentifier) continue;
       if (kEscapes.count(t.text) != 0) has_escape = true;
-      if (unit_names.count(t.text) != 0) {
+      if (units.count(t.text) != 0) {
         has_unit = true;
         unit_name = t.text;
       }
@@ -372,6 +379,48 @@ void rule_unit_float_cast(const FileIndex& ix, const std::string& rel,
                    "stats layer",
                make_excerpt(ix, i, close + 1));
     }
+  }
+}
+
+// ------------------------------------------------------------ unit-arith
+
+/// The unit a raw escape hatch `<name> . value|count|ticks ( )` starting
+/// at code-token i leaks: a Ttl's value() is seconds, a Duration's or
+/// SimTime's count()/ticks() is microseconds; "" for anything else.
+std::string escape_unit(const TokenList& code, size_t i,
+                        const std::map<std::string, std::string>& units) {
+  if (i + 4 >= code.size() || !is_member_access(code[i + 1]) ||
+      !code[i + 3].punct("(") || !code[i + 4].punct(")")) {
+    return "";
+  }
+  const auto it = units.find(code[i].text);
+  if (it == units.end()) return "";
+  const std::string& member = code[i + 2].text;
+  if (it->second == "s" && member == "value") return "s";
+  if (it->second == "us" && (member == "count" || member == "ticks")) {
+    return "us";
+  }
+  return "";
+}
+
+void rule_unit_arith(const FileIndex& ix,
+                     const std::map<std::string, std::string>& units,
+                     const Sink& sink) {
+  const TokenList& code = ix.code();
+  for (size_t i = 5; i + 1 < code.size(); ++i) {
+    const Token& op = code[i];
+    if (!(op.punct("+") || op.punct("-") || op.punct("*") || op.punct("/") ||
+          op.punct("%"))) {
+      continue;
+    }
+    const std::string left = escape_unit(code, i - 5, units);
+    const std::string right = escape_unit(code, i + 1, units);
+    if (left.empty() || right.empty() || left == right) continue;
+    sink.add("unit-arith", op.line,
+             "arithmetic mixes raw " + left + " and raw " + right +
+                 " escape-hatch values; convert explicitly (e.g. "
+                 "sim::seconds(ttl.value())) before mixing",
+             make_excerpt(ix, i - 5, i + 6));
   }
 }
 
@@ -525,6 +574,136 @@ void rule_task_state_escape(const FileIndex& ix, const Sink& sink) {
   }
 }
 
+// --------------------------------------------------------- pointer-print
+
+/// True when a string literal holds a printf pointer conversion: an odd
+/// run of '%' (an even run is literal percents), then flags, width and
+/// precision, then 'p'.
+bool has_pointer_conversion(const std::string& literal) {
+  size_t i = 0;
+  while ((i = literal.find('%', i)) != std::string::npos) {
+    const size_t run = literal.find_first_not_of('%', i);
+    if (run == std::string::npos) return false;
+    if ((run - i) % 2 == 1) {
+      const size_t k = literal.find_first_not_of("-+#0123456789.*", run);
+      if (k != std::string::npos && literal[k] == 'p') return true;
+    }
+    i = run;
+  }
+  return false;
+}
+
+void rule_pointer_print(const FileIndex& ix, const Sink& sink) {
+  for (const Token& t : ix.code()) {
+    if (t.kind != TokenKind::kString || !has_pointer_conversion(t.text)) {
+      continue;
+    }
+    sink.add("pointer-print", t.line,
+             "printf's pointer conversion prints an address, which differs "
+             "run to run under ASLR and breaks the byte-identical-output "
+             "contract",
+             t.text);
+  }
+}
+
+// --------------------------------------------------------------- raw-new
+
+void rule_raw_new(const FileIndex& ix, const Sink& sink) {
+  const TokenList& code = ix.code();
+  for (size_t i = 1; i + 1 < code.size(); ++i) {
+    const bool is_new = code[i].ident("new");
+    if (!is_new && !code[i].ident("delete")) continue;
+    if (code[i - 1].ident("operator")) continue;
+    // `= delete` deletes a function; placement `new (` constructs into
+    // storage something else owns.
+    if (is_new ? code[i + 1].punct("(") : code[i - 1].punct("=")) continue;
+    sink.add("raw-new", code[i].line,
+             "raw `" + code[i].text + "`: ownership goes through containers "
+             "or smart pointers (placement new is allowed)",
+             make_excerpt(ix, i, i + 3));
+  }
+}
+
+// ----------------------------------------------------------- std-map-hot
+
+void rule_std_map_hot(const FileIndex& ix, const Sink& sink) {
+  const TokenList& code = ix.code();
+  for (size_t i = 0; i + 3 < code.size(); ++i) {
+    if (!code[i].ident("std") || !code[i + 1].punct("::") ||
+        !(code[i + 2].ident("map") || code[i + 2].ident("multimap")) ||
+        !code[i + 3].punct("<")) {
+      continue;
+    }
+    sink.add("std-map-hot", code[i].line,
+             "`std::" + code[i + 2].text + "` on a hot path: src/cache and "
+             "src/sim use the open-addressing table and the slab heap by "
+             "design",
+             make_excerpt(ix, i, i + 4));
+  }
+}
+
+// --------------------------------------------------- nodiscard-validator
+
+bool in_check_namespace(const FileIndex& ix, size_t i) {
+  for (const Scope& s : ix.scopes()) {
+    if (s.kind == ScopeKind::kNamespace && s.open < i &&
+        (s.close == kNpos || i < s.close) &&
+        ("::" + s.name + "::").find("::check::") != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// A free function `validate*`/`check_*` declared in namespace check:
+/// dropping its result silently disables an audit, so unless it returns
+/// void it must be [[nodiscard]].  Member functions are out of scope.
+void rule_nodiscard_validator(const FileIndex& ix, const Sink& sink) {
+  const TokenList& code = ix.code();
+  for (size_t i = 1; i + 1 < code.size(); ++i) {
+    const Token& name = code[i];
+    if (name.kind != TokenKind::kIdentifier || !code[i + 1].punct("(") ||
+        !(name.text.rfind("validate", 0) == 0 ||
+          name.text.rfind("check_", 0) == 0) ||
+        code[i - 1].ident("void") || code[i - 1].punct("::") ||
+        ix.scope_kind_at(i) != ScopeKind::kNamespace ||
+        !in_check_namespace(ix, i)) {
+      continue;
+    }
+    // Walk the declaration back to the statement start: it needs a return
+    // type (else the name is called, not declared) and may carry
+    // [[nodiscard]] among its attributes.
+    bool has_type = false;
+    bool nodiscard = false;
+    size_t k = i;
+    while (k > 0) {
+      const Token& t = code[k - 1];
+      if (t.punct(";") || t.punct("{") || t.punct("}")) break;
+      const size_t attr = t.punct("]") ? ix.match(k - 1) : kNpos;
+      if (attr != kNpos) {
+        for (size_t a = attr; a < k; ++a) {
+          if (code[a].ident("nodiscard")) nodiscard = true;
+        }
+        k = attr;
+        continue;
+      }
+      if (t.kind != TokenKind::kIdentifier && !t.punct("::") &&
+          !t.punct("<") && !t.punct(">") && !t.punct("*") && !t.punct("&") &&
+          !t.punct(",")) {
+        has_type = false;  // an expression, not a declaration
+        break;
+      }
+      if (t.kind == TokenKind::kIdentifier) has_type = true;
+      --k;
+    }
+    if (!has_type || nodiscard) continue;
+    sink.add("nodiscard-validator", name.line,
+             "check:: validator `" + name.text + "` is missing "
+             "[[nodiscard]]; a dropped result silently disables the audit",
+             make_excerpt(ix, k, i + 1));
+  }
+}
+
 }  // namespace
 
 const std::vector<RuleInfo>& rule_infos() {
@@ -560,6 +739,9 @@ const std::vector<RuleInfo>& rule_infos() {
       {"wall-clock", "determinism",
        "no wall-clock reads; simulated time comes from "
        "sim::Simulation::now()"},
+      {"pointer-print", "determinism",
+       "no printf pointer conversions in src/: addresses differ run to "
+       "run under ASLR"},
       {"raw-time-param", "unit-safety",
        "public-header parameters carry time as sim::Duration/sim::Time/"
        "dns::Ttl, not raw integers"},
@@ -568,9 +750,21 @@ const std::vector<RuleInfo>& rule_infos() {
        "Duration/Ttl construction site (interprocedural)"},
       {"unit-float-cast", "unit-safety",
        "no float casts of unit-typed values outside src/stats/"},
+      {"unit-arith", "unit-safety",
+       "no arithmetic between a Ttl's raw seconds (.value()) and a "
+       "Duration/SimTime's raw microseconds (.count()/.ticks())"},
+      {"nodiscard-validator", "audit",
+       "non-void check:: validators (validate*/check_*) are [[nodiscard]]"},
+      {"raw-new", "style",
+       "no raw new/delete in src/; placement new is allowed"},
+      {"std-map-hot", "style",
+       "no std::map/std::multimap in the src/cache and src/sim hot paths"},
       {"stale-suppression", "hygiene",
-       "every lint:allow/analyze:allow names a rule that still fires on "
-       "the covered line; dead allows must be deleted"},
+       "every allow comment names a rule that still fires on the covered "
+       "line; dead or misspelled allows must be deleted"},
+      {"bare-suppression", "hygiene",
+       "every allow comment says after the rule name why the finding is "
+       "acceptable"},
   };
   return kInfos;
 }
@@ -584,10 +778,21 @@ Findings run_rules(const FileIndex& ix, const std::string& rel_path,
   rule_unordered_output_flow(ix, sink);
   rule_shared_mutable(ix, sink);
   rule_raw_time_param(ix, rel_path, sink);
-  rule_unit_float_cast(ix, rel_path, sink);
+  const std::map<std::string, std::string> units = unit_typed_names(ix);
+  rule_unit_float_cast(ix, rel_path, units, sink);
+  rule_unit_arith(ix, units, sink);
   rule_rng_gated_draw(ix, sink);
   rule_rng_fork_in_shard(ix, sink);
   rule_task_state_escape(ix, sink);
+  rule_nodiscard_validator(ix, sink);
+  if (rel_path.rfind("src/", 0) == 0) {
+    rule_pointer_print(ix, sink);
+    rule_raw_new(ix, sink);
+  }
+  if (rel_path.rfind("src/cache/", 0) == 0 ||
+      rel_path.rfind("src/sim/", 0) == 0) {
+    rule_std_map_hot(ix, sink);
+  }
   return out;
 }
 

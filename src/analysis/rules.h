@@ -9,7 +9,8 @@
 
 namespace dnsttl::analysis {
 
-/// Rule metadata for --list-rules and the analyze.py delegation handshake.
+/// Rule metadata for --list-rules, the SARIF report and the fixture
+/// corpus completeness test.
 struct RuleInfo {
   const char* name;
   const char* contract;  // which repo contract the rule enforces
@@ -20,11 +21,12 @@ const std::vector<RuleInfo>& rule_infos();
 
 /// Runs every intraprocedural rule over one indexed file.  `rel_path` is
 /// the repo-relative path with forward slashes; path-scoped rules
-/// (raw-time-param headers only, unit-float-cast stats exemption) key on
-/// it.  Suppressions (`lint:allow`/`analyze:allow`) are already applied:
-/// suppressed findings never come back — but when `suppressed` is non-null
-/// the silenced findings are appended there, so the stale-suppression
-/// audit can tell a used allow from a dead one.
+/// (raw-time-param headers only, unit-float-cast stats exemption,
+/// pointer-print and raw-new src/ only, std-map-hot src/cache and src/sim)
+/// key on it.  Suppressions (`lint:allow`/`analyze:allow`) are already
+/// applied: suppressed findings never come back — but when `suppressed` is
+/// non-null the silenced findings are appended there, so the
+/// stale-suppression audit can tell a used allow from a dead one.
 Findings run_rules(const FileIndex& index, const std::string& rel_path,
                    Findings* suppressed = nullptr);
 

@@ -332,11 +332,11 @@ const std::vector<Case>& cases() {
        "// analyze:allow(wall-clock) leftover from an old refactor\n"
        "int f() { return 1; }\n",
        {"stale-suppression"}},
-      {"stale-suppression ignores rules owned by other tools",
+      {"stale-suppression fires on an allow naming an unknown rule",
        "src/core/x.cc",
-       "// lint:allow(raw-new) lint.py owns this rule\n"
-       "int f() { return 1; }\n",
-       {}},
+       "// lint:allow(raw-news) misspelled rule name\n"
+       "int* f() { return new int(1); }\n",
+       {"stale-suppression", "raw-new"}},
   };
   return kCases;
 }

@@ -86,11 +86,13 @@ struct FunctionSummary {
 };
 
 /// One `lint:allow`/`analyze:allow` comment, with the lines it covers —
-/// the stale-suppression rule audits these after all findings are known.
+/// the stale- and bare-suppression audits check these after all findings
+/// are known.
 struct AllowSite {
   std::size_t comment_line = 0;
   std::string rule;
   std::vector<std::size_t> covered_lines;
+  bool justified = true;  // words follow the closing parenthesis
 };
 
 /// Everything phase 2 needs from one file: the function summaries plus the

@@ -1,8 +1,8 @@
 // analyze-as: src/core/stale_suppression.cc
 // Suppression hygiene: an allow comment whose rule no longer fires on the
-// covered line is itself flagged, a suppression that still earns its keep
-// is not, and allows naming rules outside this analyzer (lint.py's
-// raw-new) are ignored entirely.
+// covered line is itself flagged, and so is one naming no rule at all (a
+// misspelled rule never fires); a suppression that still earns its keep
+// is not.
 
 namespace dnsttl::core {
 
@@ -12,7 +12,10 @@ inline int answer() { return 42; }
 // lint:allow(shared-mutable-in-shard) documented debt, still real
 unsigned long g_live_tally = 0;
 
-// lint:allow(raw-new) audited by lint.py, not dnsttl_analyze
+// lint:allow(raw-news) misspelled rule name  // expect: stale-suppression
 inline int other() { return 7; }
+
+// lint:allow(raw-new) the caller adopts the block into a unique_ptr
+inline int* adopt() { return new int(7); }
 
 }  // namespace dnsttl::core

@@ -29,7 +29,13 @@ the default `--quick` when the committed baseline was recorded at a
 different scale (the load-curve gate passes `--full` so current and
 baseline measure the same population).
 
-Exit codes: 0 ok, 1 regression/missing metric, 2 usage or I/O error.
+The two reports must describe the same run configuration: when their
+`jobs`, `scale` or `seed` differ, the tool exits 2 instead of scoring
+them (at more jobs every shard builds its own replica, so peak RSS and
+throughput are not comparable).
+
+Exit codes: 0 ok, 1 regression/missing metric, 2 usage or I/O error, or
+mismatched run configuration.
 """
 
 from __future__ import annotations
@@ -77,8 +83,20 @@ def compare_rss(baseline: dict, current: dict, rss_tolerance: float) -> int:
     return 1 if grew else 0
 
 
+CONFIG_KEYS = ("jobs", "scale", "seed")
+
+
 def compare(baseline: dict, current: dict, tolerance: float,
             rss_tolerance: float = 0.25) -> int:
+    mismatched = [key for key in CONFIG_KEYS
+                  if baseline.get(key) != current.get(key)]
+    if mismatched:
+        for key in mismatched:
+            print(f"bench_compare: {key} differs: baseline "
+                  f"{baseline.get(key)}, current {current.get(key)}")
+        print("bench_compare: refusing to compare runs of different "
+              "configurations; rerun at the baseline's settings")
+        return 2
     base = metric_map(baseline)
     cur = metric_map(current)
     failures = 0

@@ -1,16 +1,15 @@
 // dnsttl_analyze — self-hosted contract analyzer for the dnsttl tree.
 //
 // Lexes + indexes C++ sources (no compiler, no libclang) and enforces the
-// repo's determinism, RNG-stream, shard-purity, and unit-safety contracts.
-// Runs on every container the build runs on, which is the whole point: the
-// AST layer (tools/analyze.py) SKIPs where clang is absent; this binary
-// never does.
+// repo's determinism, RNG-stream, shard-purity, unit-safety, audit, style
+// and suppression-hygiene contracts.  It is the repo's only static
+// analyzer, and it runs on every container the build runs on: it needs
+// nothing beyond the C++ toolchain that builds the simulator.
 //
 // Usage:
 //   dnsttl_analyze [--root DIR] [paths...]      analyze (default: src)
 //                  [--baseline FILE]            fail only on NEW findings
 //                  [--write-baseline FILE]      snapshot current findings
-//                  [--update-baseline]          rewrite tools/analysis_baseline.json
 //                  [--json FILE|-]              machine-readable findings
 //                  [--sarif FILE|-]             SARIF 2.1.0 (CI annotations)
 //                  [--jobs N]                   phase-1 worker threads
@@ -42,7 +41,7 @@ using dnsttl::analysis::Findings;
 
 int usage(std::ostream& out, int code) {
   out << "usage: dnsttl_analyze [--root DIR] [paths...] [--baseline FILE]\n"
-         "                      [--write-baseline FILE] [--update-baseline]\n"
+         "                      [--write-baseline FILE]\n"
          "                      [--json FILE|-] [--sarif FILE|-] [--jobs N]\n"
          "                      [--selftest] [--list-rules]\n";
   return code;
@@ -80,7 +79,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string sarif_path;
   std::size_t jobs = dnsttl::par::default_jobs();
-  bool update_baseline = false;
   bool run_selftest = false;
   bool list_rules = false;
   std::vector<std::string> paths;
@@ -124,8 +122,6 @@ int main(int argc, char** argv) {
         return usage(std::cerr, 2);
       }
       jobs = static_cast<std::size_t>(parsed);
-    } else if (arg == "--update-baseline") {
-      update_baseline = true;
     } else if (arg == "--selftest") {
       run_selftest = true;
     } else if (arg == "--list-rules") {
@@ -186,19 +182,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (update_baseline) {
-    const std::string path = root + "/tools/analysis_baseline.json";
-    if (!dnsttl::analysis::update_baseline_file(path, findings, &error)) {
-      std::cerr << "dnsttl_analyze: " << error << "\n";
-      return 2;
-    }
-    std::cout << "dnsttl_analyze: rewrote baseline (" << findings.size()
-              << " findings) at " << path << "\n";
-    return 0;
-  }
   if (!write_baseline_path.empty()) {
-    const std::string json = dnsttl::analysis::findings_to_json(findings);
-    if (!write_file(write_baseline_path, json, &error)) {
+    if (!dnsttl::analysis::update_baseline_file(write_baseline_path, findings,
+                                                &error)) {
       std::cerr << "dnsttl_analyze: " << error << "\n";
       return 2;
     }
