@@ -4,12 +4,14 @@
 // client demand for a single record while the TTL sweeps the paper's range;
 // the simulation must track the closed form λT/(1+λT).
 
+#include <array>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/hit_rate_model.h"
 #include "core/world.h"
 #include "dns/rr.h"
+#include "par/pool.h"
 #include "resolver/recursive_resolver.h"
 #include "stats/table.h"
 
@@ -31,51 +33,60 @@ int main(int argc, char** argv) {
                              "hit rate (Jung model)", "auth q/h (sim)",
                              "auth q/h (model)"});
 
+  // Each TTL is one independent grid point with its own world and demand.
+  const auto points = par::map_grid(
+      args.jobs,
+      [&](dns::Ttl ttl) {
+        core::World world{core::World::Options{args.seed, 0.0, {}}};
+        auto zone = world.add_tld("shop", "ns1", dns::kTtl2Days,
+                                  dns::kTtl2Days, dns::kTtl2Days,
+                                  net::Location{net::Region::kNA, 1.0});
+        zone->add(dns::make_a(dns::Name::from_string("www.shop"), ttl,
+                              dns::Ipv4(10, 1, 0, 1)));
+
+        resolver::RecursiveResolver resolver("shared",
+                                             resolver::child_centric_config(),
+                                             world.network(), world.hints());
+        net::Location eu{net::Region::kEU, 1.0};
+        resolver.set_node_ref(
+            net::NodeRef{world.network().attach(resolver, eu), eu});
+
+        // Poisson arrivals over the duration.
+        sim::Rng demand = world.rng().fork(ttl.value());
+        dns::Question question{dns::Name::from_string("www.shop"),
+                               dns::RRType::kA, dns::RClass::kIN};
+        std::uint64_t queries = 0;
+        std::uint64_t hits = 0;
+        sim::Time t =
+            sim::at(sim::approx_seconds(demand.exponential(1.0 / lambda)));
+        while (t < sim::at(duration)) {
+          auto result = resolver.resolve(question, t);
+          ++queries;
+          if (result.answered_from_cache) ++hits;
+          t += sim::approx_seconds(demand.exponential(1.0 / lambda));
+        }
+
+        double hit_rate = queries == 0
+                              ? 0.0
+                              : static_cast<double>(hits) /
+                                    static_cast<double>(queries);
+        double model = core::poisson_hit_rate(lambda, ttl);
+        // The record's misses at the authoritative; NS/A infra fetches
+        // excluded by counting only the www.shop queries.
+        double hours = sim::to_seconds(duration) / 3600.0;
+        double sim_auth = static_cast<double>(queries - hits) / hours;
+        double model_auth = core::authoritative_rate(lambda, ttl) * 3600.0;
+        return std::array{hit_rate, model, sim_auth, model_auth};
+      },
+      ttls);
+
   double worst_gap = 0.0;
-  for (dns::Ttl ttl : ttls) {
-    core::World world{core::World::Options{args.seed, 0.0, {}}};
-    auto zone = world.add_tld("shop", "ns1", dns::kTtl2Days, dns::kTtl2Days,
-                              dns::kTtl2Days,
-                              net::Location{net::Region::kNA, 1.0});
-    zone->add(dns::make_a(dns::Name::from_string("www.shop"), ttl,
-                          dns::Ipv4(10, 1, 0, 1)));
-
-    resolver::RecursiveResolver resolver("shared",
-                                         resolver::child_centric_config(),
-                                         world.network(), world.hints());
-    net::Location eu{net::Region::kEU, 1.0};
-    resolver.set_node_ref(
-        net::NodeRef{world.network().attach(resolver, eu), eu});
-
-    // Poisson arrivals over the duration.
-    sim::Rng demand = world.rng().fork(ttl.value());
-    dns::Question question{dns::Name::from_string("www.shop"),
-                           dns::RRType::kA, dns::RClass::kIN};
-    std::uint64_t queries = 0;
-    std::uint64_t hits = 0;
-    sim::Time t =
-        sim::at(sim::approx_seconds(demand.exponential(1.0 / lambda)));
-    while (t < sim::at(duration)) {
-      auto result = resolver.resolve(question, t);
-      ++queries;
-      if (result.answered_from_cache) ++hits;
-      t += sim::approx_seconds(demand.exponential(1.0 / lambda));
-    }
-
-    double hit_rate = queries == 0
-                          ? 0.0
-                          : static_cast<double>(hits) /
-                                static_cast<double>(queries);
-    double model = core::poisson_hit_rate(lambda, ttl);
+  for (std::size_t i = 0; i < ttls.size(); ++i) {
+    const auto [hit_rate, model, sim_auth, model_auth] = points[i];
     worst_gap = std::max(worst_gap, std::abs(hit_rate - model));
-    // The record's misses at the authoritative; NS/A infra fetches excluded
-    // by counting only the www.shop queries.
-    world.server("ns1.shop.").set_logging(false);
-    double hours = sim::to_seconds(duration) / 3600.0;
-    double sim_auth = static_cast<double>(queries - hits) / hours;
-    double model_auth = core::authoritative_rate(lambda, ttl) * 3600.0;
-    table.add_row({std::to_string(ttl.value()), stats::fmt("%.3f", hit_rate),
-                   stats::fmt("%.3f", model), stats::fmt("%.1f", sim_auth),
+    table.add_row({std::to_string(ttls[i].value()),
+                   stats::fmt("%.3f", hit_rate), stats::fmt("%.3f", model),
+                   stats::fmt("%.1f", sim_auth),
                    stats::fmt("%.1f", model_auth)});
   }
 

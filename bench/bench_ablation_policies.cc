@@ -6,11 +6,13 @@
 // 2-hour NS measurement and reports what the knob changes: the observed
 // TTL, client latency, and upstream/authoritative load.
 
+#include <functional>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/centricity_experiment.h"
 #include "dns/dnssec.h"
+#include "par/pool.h"
 #include "stats/table.h"
 
 using namespace dnsttl;
@@ -77,6 +79,56 @@ std::vector<Variant> variants() {
   return out;
 }
 
+/// Runs the 2-hour NS measurement for one variant in its own world and
+/// returns its table row.
+std::vector<std::string> measure(const bench::BenchArgs& args,
+                                 const Variant& variant) {
+  core::World world{core::World::Options{args.seed, 0.002, {}}};
+  auto uy_zone = world.add_tld("uy", "a.nic", dns::kTtl2Days, dns::kTtl5Min,
+                               dns::Ttl{120},
+                               net::Location{net::Region::kSA, 1.0});
+  // The zone is signed so the validation variant has signatures to check.
+  dns::sign_zone(*uy_zone, dns::make_zone_key(dns::Name::from_string("uy")));
+
+  atlas::PlatformSpec spec;
+  spec.probe_count = std::max<std::size_t>(
+      60, static_cast<std::size_t>(1200 * args.scale));
+  spec.resolver_count = std::max<std::size_t>(
+      40, static_cast<std::size_t>(800 * args.scale));
+  spec.public_resolver_fraction = 0.0;
+  spec.forwarder_fraction = 0.0;
+  spec.profiles = {{"variant", variant.config, 1.0}};
+  auto platform = atlas::Platform::build(world.network(), world.hints(),
+                                         world.root_zone(), spec,
+                                         world.rng());
+
+  core::CentricitySetup setup;
+  setup.name = variant.name;
+  setup.qname = dns::Name::from_string("uy");
+  setup.qtype = dns::RRType::kNS;
+  setup.parent_ttl = dns::kTtl2Days;
+  setup.child_ttl = dns::kTtl5Min;
+  setup.duration = 2 * sim::kHour;
+  auto result = core::run_centricity(world, platform, setup);
+
+  std::uint64_t upstream = 0;
+  std::uint64_t clients = 0;
+  for (const auto& member : platform.resolver_population().members()) {
+    upstream += member.resolver->stats().upstream_queries;
+    clients += member.resolver->stats().client_queries;
+  }
+  auto ttl_cdf = result.run.ttl_cdf();
+  auto rtt_cdf = result.run.rtt_cdf_ms();
+  return {variant.name,
+          ttl_cdf.empty() ? "-" : stats::fmt("%.0f s", ttl_cdf.median()),
+          ttl_cdf.empty() ? "-" : stats::fmt("%.0f s", ttl_cdf.quantile(0.9)),
+          rtt_cdf.empty() ? "-" : stats::fmt("%.1f ms", rtt_cdf.median()),
+          clients == 0 ? "-"
+                       : stats::fmt("%.2f", static_cast<double>(upstream) /
+                                                static_cast<double>(clients)),
+          std::to_string(world.server("a.nic.uy.").queries_answered())};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,52 +139,9 @@ int main(int argc, char** argv) {
                              "median RTT", "upstream q / client q",
                              "auth queries"});
 
-  for (const auto& variant : variants()) {
-    core::World world{core::World::Options{args.seed, 0.002, {}}};
-    auto uy_zone = world.add_tld("uy", "a.nic", dns::kTtl2Days,
-                                 dns::kTtl5Min, dns::Ttl{120},
-                                 net::Location{net::Region::kSA, 1.0});
-    // The zone is signed so the validation variant has signatures to check.
-    dns::sign_zone(*uy_zone, dns::make_zone_key(dns::Name::from_string("uy")));
-
-    atlas::PlatformSpec spec;
-    spec.probe_count = std::max<std::size_t>(
-        60, static_cast<std::size_t>(1200 * args.scale));
-    spec.resolver_count = std::max<std::size_t>(
-        40, static_cast<std::size_t>(800 * args.scale));
-    spec.public_resolver_fraction = 0.0;
-    spec.forwarder_fraction = 0.0;
-    spec.profiles = {{"variant", variant.config, 1.0}};
-    auto platform = atlas::Platform::build(world.network(), world.hints(),
-                                           world.root_zone(), spec,
-                                           world.rng());
-
-    core::CentricitySetup setup;
-    setup.name = variant.name;
-    setup.qname = dns::Name::from_string("uy");
-    setup.qtype = dns::RRType::kNS;
-    setup.parent_ttl = dns::kTtl2Days;
-    setup.child_ttl = dns::kTtl5Min;
-    setup.duration = 2 * sim::kHour;
-    auto result = core::run_centricity(world, platform, setup);
-
-    std::uint64_t upstream = 0;
-    std::uint64_t clients = 0;
-    for (const auto& member : platform.resolver_population().members()) {
-      upstream += member.resolver->stats().upstream_queries;
-      clients += member.resolver->stats().client_queries;
-    }
-    auto ttl_cdf = result.run.ttl_cdf();
-    auto rtt_cdf = result.run.rtt_cdf_ms();
-    table.add_row(
-        {variant.name,
-         ttl_cdf.empty() ? "-" : stats::fmt("%.0f s", ttl_cdf.median()),
-         ttl_cdf.empty() ? "-" : stats::fmt("%.0f s", ttl_cdf.quantile(0.9)),
-         rtt_cdf.empty() ? "-" : stats::fmt("%.1f ms", rtt_cdf.median()),
-         clients == 0 ? "-"
-                      : stats::fmt("%.2f", static_cast<double>(upstream) /
-                                               static_cast<double>(clients)),
-         std::to_string(world.server("a.nic.uy.").queries_answered())});
+  for (auto& row : par::map_grid(args.jobs, std::bind_front(measure, args),
+                                 variants())) {
+    table.add_row(std::move(row));
   }
 
   std::printf("%s\n", table.render().c_str());

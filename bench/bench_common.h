@@ -206,16 +206,13 @@ class JsonReport {
         scale_(args.scale),
         jobs_(args.jobs) {}
 
+  /// Records @p ops operations over @p wall_seconds; ops_per_sec is derived
+  /// (0 when no time elapsed).
   void add_metric(const std::string& name, const std::string& unit,
-                  std::uint64_t ops, double wall_seconds,
-                  double ops_per_sec) {
-    metrics_.push_back(Metric{name, unit, ops, wall_seconds, ops_per_sec});
-  }
-
-  /// Per-shard wall times of the parallel section (index = shard index).
-  /// Timing noise only — never part of the byte-identical stdout.
-  void set_shard_walls(std::vector<double> walls) {
-    shard_walls_ = std::move(walls);
+                  std::uint64_t ops, double wall_seconds) {
+    metrics_.push_back(Metric{
+        name, unit, ops, wall_seconds,
+        wall_seconds > 0 ? static_cast<double>(ops) / wall_seconds : 0.0});
   }
 
   /// Writes the report; returns false (with a message on stderr) on I/O
@@ -234,11 +231,6 @@ class JsonReport {
     std::fprintf(out, "  \"scale\": %g,\n", scale_);
     std::fprintf(out, "  \"jobs\": %zu,\n", jobs_);
     std::fprintf(out, "  \"wall_seconds_total\": %.6f,\n", total_wall_seconds);
-    std::fprintf(out, "  \"shard_wall_seconds\": [");
-    for (std::size_t i = 0; i < shard_walls_.size(); ++i) {
-      std::fprintf(out, "%s%.6f", i == 0 ? "" : ", ", shard_walls_[i]);
-    }
-    std::fprintf(out, "],\n");
     std::fprintf(out, "  \"peak_rss_bytes\": %llu,\n",
                  static_cast<unsigned long long>(peak_rss_bytes()));
     std::fprintf(out, "  \"metrics\": [\n");
@@ -269,7 +261,6 @@ class JsonReport {
   std::uint64_t seed_ = 1;
   double scale_ = 1.0;
   std::size_t jobs_ = 1;
-  std::vector<double> shard_walls_;
   std::vector<Metric> metrics_;
 };
 

@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
   if (!args.json_path.empty()) {
     bench::JsonReport report("micro_library", args);
     for (const auto& m : metrics) {
-      report.add_metric(m.name, m.unit, m.ops, m.wall_seconds, m.ops_per_sec);
+      report.add_metric(m.name, m.unit, m.ops, m.wall_seconds);
     }
     if (!report.write(args.json_path, total_wall)) {
       return 1;

@@ -4,10 +4,10 @@
 // service at TTL 60 — measured both from the clients (latency CDFs) and at
 // the authoritative (query volume).
 //
-// Parallel (PR 4): the five configurations are independent experiments
-// (the paper ran them on separate days), so each gets its own fresh
-// world + platform and they run concurrently at --jobs; results keep
-// config order, so output is byte-identical for any --jobs value.
+// The five configurations are independent experiments (the paper ran
+// them on separate days), so each is one par::map_grid point with its own
+// fresh world + platform; results keep config order, so output is
+// byte-identical for any --jobs value.
 
 #include <chrono>
 #include <vector>
@@ -61,29 +61,20 @@ int main(int argc, char** argv) {
     configs.push_back(c);
   }
 
-  std::vector<double> shard_walls(configs.size());
-  auto results =
-      par::map_shards(configs.size(), args.jobs, [&](std::size_t index) {
-        auto shard_start = std::chrono::steady_clock::now();
+  auto results = par::map_grid(
+      args.jobs,
+      [&](const core::ControlledTtlConfig& config) {
         auto env = factory();  // a fresh world per config: separate days
-        auto result =
-            core::run_controlled_ttl(*env.world, *env.platform, configs[index]);
-        shard_walls[index] = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - shard_start)
-                                 .count();
-        return result;
-      });
-  json.set_shard_walls(shard_walls);
+        return core::run_controlled_ttl(*env.world, *env.platform, config);
+      },
+      configs);
   double parallel_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
   for (std::size_t i = 0; i < results.size(); ++i) {
-    auto queries = static_cast<std::uint64_t>(results[i].run.query_count());
-    json.add_metric(configs[i].name, "queries/sec", queries, parallel_wall,
-                    parallel_wall > 0
-                        ? static_cast<double>(queries) / parallel_wall
-                        : 0);
+    json.add_metric(configs[i].name, "queries/sec",
+                    results[i].run.query_count(), parallel_wall);
   }
 
   // ---- Table 10 ----
@@ -115,31 +106,20 @@ int main(int argc, char** argv) {
               table.render().c_str());
 
   // ---- Figure 11 ----
+  const auto print_cdf = [&](std::size_t i) {
+    std::printf("%s\n", results[i]
+                            .run.rtt_cdf_ms()
+                            .render({5, 10, 25, 50, 100, 200, 500},
+                                    configs[i].name)
+                            .c_str());
+  };
   std::printf("Figure 11a — latency CDF, unique query names:\n");
-  std::printf("%s\n", results[0]
-                          .run.rtt_cdf_ms()
-                          .render({5, 10, 25, 50, 100, 200, 500}, "TTL60-u")
-                          .c_str());
-  std::printf("%s\n", results[1]
-                          .run.rtt_cdf_ms()
-                          .render({5, 10, 25, 50, 100, 200, 500},
-                                  "TTL86400-u")
-                          .c_str());
+  print_cdf(0);
+  print_cdf(1);
   std::printf("Figure 11b — latency CDF, shared query names (+anycast):\n");
-  std::printf("%s\n", results[2]
-                          .run.rtt_cdf_ms()
-                          .render({5, 10, 25, 50, 100, 200, 500}, "TTL60-s")
-                          .c_str());
-  std::printf("%s\n", results[3]
-                          .run.rtt_cdf_ms()
-                          .render({5, 10, 25, 50, 100, 200, 500},
-                                  "TTL86400-s")
-                          .c_str());
-  std::printf("%s\n", results[4]
-                          .run.rtt_cdf_ms()
-                          .render({5, 10, 25, 50, 100, 200, 500},
-                                  "TTL60-s-anycast")
-                          .c_str());
+  for (std::size_t i = 2; i < results.size(); ++i) {
+    print_cdf(i);
+  }
 
   double load_drop_u = 100.0 * (1.0 - static_cast<double>(results[1].auth_queries) /
                                           static_cast<double>(results[0].auth_queries));

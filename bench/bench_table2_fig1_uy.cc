@@ -92,11 +92,9 @@ int main(int argc, char** argv) {
   new_setup.name = "uy-NS-new";
   new_setup.child_ttl = dns::kTtl1Day;
 
-  std::vector<double> shard_walls(shards);
   auto runs = core::run_sharded_script(
       factory, shards, args.jobs,
       [&](core::ShardEnv& env, std::size_t shard, std::size_t count) {
-        auto shard_start = std::chrono::steady_clock::now();
         std::vector<atlas::MeasurementRun> phases;
 
         core::CentricitySetup s1 = ns_setup;
@@ -125,23 +123,16 @@ int main(int argc, char** argv) {
         phases.push_back(std::move(
             core::run_centricity(*env.world, *env.platform, s3).run));
 
-        shard_walls[shard] = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - shard_start)
-                                 .count();
         return phases;
       });
   double parallel_wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  json.set_shard_walls(shard_walls);
   auto record_phase = [&](const char* name,
                           const core::CentricityResult& result) {
-    auto queries = static_cast<std::uint64_t>(result.run.query_count());
-    json.add_metric(name, "queries/sec", queries, parallel_wall,
-                    parallel_wall > 0
-                        ? static_cast<double>(queries) / parallel_wall
-                        : 0);
+    json.add_metric(name, "queries/sec", result.run.query_count(),
+                    parallel_wall);
   };
 
   auto ns_result = core::classify_centricity(std::move(runs[0]), ns_setup);

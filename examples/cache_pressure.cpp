@@ -60,14 +60,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(evictions));
 
   if (!args.json_path.empty()) {
-    json.add_metric("queries", "queries/sec", queries, wall,
-                    wall > 0 ? static_cast<double>(queries) / wall : 0);
-    json.add_metric("hits", "hits/sec", hits, wall,
-                    wall > 0 ? static_cast<double>(hits) / wall : 0);
-    json.add_metric("auth_queries", "queries/sec", auth_queries, wall,
-                    wall > 0 ? static_cast<double>(auth_queries) / wall : 0);
-    json.add_metric("evictions", "evictions/sec", evictions, wall,
-                    wall > 0 ? static_cast<double>(evictions) / wall : 0);
+    json.add_metric("queries", "queries/sec", queries, wall);
+    json.add_metric("hits", "hits/sec", hits, wall);
+    json.add_metric("auth_queries", "queries/sec", auth_queries, wall);
+    json.add_metric("evictions", "evictions/sec", evictions, wall);
     if (!json.write(args.json_path, wall)) {
       return 1;
     }

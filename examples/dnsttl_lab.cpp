@@ -6,7 +6,7 @@
 //   dnsttl_lab bailiwick [--in|--out] [--ns-ttl 3600] [--a-ttl 7200]
 //       § 4-style renumbering study: when do resolvers let go of the old
 //       server?
-//   dnsttl_lab latency --ttl 300 --ttl 86400 ...
+//   dnsttl_lab latency --ttl 300 --ttl 86400 ... [--jobs N]
 //       § 5.3-style RTT comparison across child NS TTL choices.
 //   dnsttl_lab advise [--cdn|--ddos|--registry|--general]
 //       § 6.3 recommendations with reasoning.
@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "bench_quick_suite.h"
 #include "core/advisor.h"
 #include "core/bailiwick_experiment.h"
@@ -65,15 +66,25 @@ struct Args {
 
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const {
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stoull(it->second);
+    if (it == flags.end()) return fallback;
+    return bench::BenchArgs::parse_u64("dnsttl_lab", "--" + key, it->second);
+  }
+  std::size_t jobs() const {  // --jobs 0 means hardware threads
+    const std::size_t jobs = u64("jobs", par::default_jobs());
+    return jobs == 0 ? par::hardware_jobs() : jobs;
   }
   bool has(const std::string& key) const { return flags.contains(key); }
 };
 
-atlas::Platform make_platform(core::World& world, const Args& args) {
+atlas::PlatformSpec platform_spec(const Args& args) {
   atlas::PlatformSpec spec;
   spec.probe_count = args.u64("probes", 2000);
   spec.resolver_count = args.u64("resolvers", spec.probe_count * 2 / 3);
+  return spec;
+}
+
+atlas::Platform make_platform(core::World& world,
+                              const atlas::PlatformSpec& spec) {
   return atlas::Platform::build(world.network(), world.hints(),
                                 world.root_zone(), spec, world.rng());
 }
@@ -84,7 +95,7 @@ int cmd_centricity(const Args& args) {
   core::World world{core::World::Options{args.u64("seed", 1), 0.002, {}}};
   world.add_tld("example", "a.nic", parent, child, child,
                 net::Location{net::Region::kEU, 1.0});
-  auto platform = make_platform(world, args);
+  auto platform = make_platform(world, platform_spec(args));
 
   core::CentricitySetup setup;
   setup.name = "lab";
@@ -108,7 +119,7 @@ int cmd_centricity(const Args& args) {
 
 int cmd_bailiwick(const Args& args) {
   core::World world{core::World::Options{args.u64("seed", 1), 0.002, {}}};
-  auto platform = make_platform(world, args);
+  auto platform = make_platform(world, platform_spec(args));
   core::BailiwickConfig config;
   config.in_bailiwick = !args.has("out");
   config.ns_ttl = dns::Ttl::of_seconds(static_cast<std::int64_t>(args.u64("ns-ttl", 3600)));
@@ -129,30 +140,42 @@ int cmd_bailiwick(const Args& args) {
 int cmd_latency(const Args& args) {
   std::vector<dns::Ttl> ttls;
   for (const auto& text : args.repeated_ttls) {
-    ttls.push_back(dns::Ttl::of_seconds(static_cast<std::int64_t>(std::stoul(text))));
+    ttls.push_back(dns::Ttl::of_seconds(static_cast<std::int64_t>(
+        bench::BenchArgs::parse_u64("dnsttl_lab", "--ttl", text))));
   }
   if (ttls.empty()) {
     ttls = {dns::Ttl{300}, dns::Ttl{86400}};
   }
 
+  // Flags are parsed here, not in the workers: a bad value exits.
+  const std::uint64_t seed = args.u64("seed", 1);
+  const auto duration = args.u64("hours", 2) * sim::kHour;
+  const atlas::PlatformSpec probes = platform_spec(args);
+  // Each TTL is one independent grid point with its own world + platform.
+  const auto rows = par::map_grid(
+      args.jobs(),
+      [&](dns::Ttl ttl) -> std::vector<std::string> {
+        core::World world{core::World::Options{seed, 0.002, {}}};
+        world.add_tld("example", "a.nic", dns::kTtl2Days, ttl, ttl,
+                      net::Location{net::Region::kSA, 1.0});
+        auto platform = make_platform(world, probes);
+        atlas::MeasurementSpec spec;
+        spec.name = "latency";
+        spec.qname = dns::Name::from_string("example");
+        spec.qtype = dns::RRType::kNS;
+        spec.duration = duration;
+        auto run = atlas::MeasurementRun::execute(
+            world.simulation(), world.network(), platform, spec, world.rng());
+        auto cdf = run.rtt_cdf_ms();
+        return {std::to_string(ttl.value()) + " s",
+                stats::fmt("%.1f ms", cdf.median()),
+                stats::fmt("%.1f ms", cdf.quantile(0.75)),
+                stats::fmt("%.1f ms", cdf.quantile(0.95))};
+      },
+      ttls);
   stats::TablePrinter table({"child NS TTL", "median RTT", "p75", "p95"});
-  for (dns::Ttl ttl : ttls) {
-    core::World world{core::World::Options{args.u64("seed", 1), 0.002, {}}};
-    world.add_tld("example", "a.nic", dns::kTtl2Days, ttl, ttl,
-                  net::Location{net::Region::kSA, 1.0});
-    auto platform = make_platform(world, args);
-    atlas::MeasurementSpec spec;
-    spec.name = "latency";
-    spec.qname = dns::Name::from_string("example");
-    spec.qtype = dns::RRType::kNS;
-    spec.duration = args.u64("hours", 2) * sim::kHour;
-    auto run = atlas::MeasurementRun::execute(
-        world.simulation(), world.network(), platform, spec, world.rng());
-    auto cdf = run.rtt_cdf_ms();
-    table.add_row({std::to_string(ttl.value()) + " s",
-                   stats::fmt("%.1f ms", cdf.median()),
-                   stats::fmt("%.1f ms", cdf.quantile(0.75)),
-                   stats::fmt("%.1f ms", cdf.quantile(0.95))});
+  for (const auto& row : rows) {
+    table.add_row(row);
   }
   std::printf("%s", table.render().c_str());
   return 0;
@@ -189,10 +212,7 @@ int cmd_suite(const Args& args, const std::string& argv0) {
     std::string self_dir = slash == std::string::npos ? "." : argv0.substr(0, slash);
     bin_dir = self_dir + "/../bench";
   }
-  std::size_t jobs = args.u64("jobs", par::default_jobs());
-  if (jobs == 0) {
-    jobs = par::hardware_jobs();
-  }
+  const std::size_t jobs = args.jobs();
   std::string child_flags = "--seed " + std::to_string(args.u64("seed", 1));
   if (!args.has("full")) {
     child_flags += " --quick";
@@ -310,10 +330,10 @@ int main(int argc, char** argv) {
         "[flags]\n"
         "  centricity --parent T --child T [--probes N] [--hours H]\n"
         "  bailiwick  [--out] [--ns-ttl T] [--a-ttl T] [--probes N]\n"
-        "  latency    --ttl T [--ttl T ...] [--probes N]\n"
+        "  latency    --ttl T [--ttl T ...] [--probes N] [--jobs N]\n"
         "  advise     [--cdn|--ddos|--registry] [--metered]\n"
         "  suite      [--jobs N] [--bin-dir DIR] [--json PATH] [--full]\n"
-        "  (all: --seed N; suite default jobs: hardware threads or "
+        "  (all: --seed N; latency/suite default jobs: hardware threads or "
         "$DNSTTL_JOBS)\n");
     return 1;
   }

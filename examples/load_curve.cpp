@@ -56,10 +56,8 @@ int main(int argc, char** argv) {
               result.points.size());
 
   if (!args.json_path.empty()) {
-    json.add_metric("client_queries", "queries/sec", client_queries, wall,
-                    wall > 0 ? static_cast<double>(client_queries) / wall : 0);
-    json.add_metric("auth_queries", "queries/sec", auth_queries, wall,
-                    wall > 0 ? static_cast<double>(auth_queries) / wall : 0);
+    json.add_metric("client_queries", "queries/sec", client_queries, wall);
+    json.add_metric("auth_queries", "queries/sec", auth_queries, wall);
     if (!json.write(args.json_path, wall)) {
       return 1;
     }

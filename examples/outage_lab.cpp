@@ -56,14 +56,10 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(injected_faults));
 
   if (!args.json_path.empty()) {
-    json.add_metric("client_queries", "queries/sec", client_queries, wall,
-                    wall > 0 ? static_cast<double>(client_queries) / wall : 0);
-    json.add_metric("auth_queries", "queries/sec", auth_queries, wall,
-                    wall > 0 ? static_cast<double>(auth_queries) / wall : 0);
-    json.add_metric("stale_answers", "answers/sec", stale_answers, wall,
-                    wall > 0 ? static_cast<double>(stale_answers) / wall : 0);
-    json.add_metric("injected_faults", "faults/sec", injected_faults, wall,
-                    wall > 0 ? static_cast<double>(injected_faults) / wall : 0);
+    json.add_metric("client_queries", "queries/sec", client_queries, wall);
+    json.add_metric("auth_queries", "queries/sec", auth_queries, wall);
+    json.add_metric("stale_answers", "answers/sec", stale_answers, wall);
+    json.add_metric("injected_faults", "faults/sec", injected_faults, wall);
     if (!json.write(args.json_path, wall)) {
       return 1;
     }

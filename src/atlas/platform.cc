@@ -1,5 +1,6 @@
 #include "atlas/platform.h"
 
+#include <stdexcept>
 #include <unordered_map>
 
 #include "check/audit.h"
@@ -59,6 +60,9 @@ Platform Platform::build(net::Network& network,
                          const resolver::RootHints& hints,
                          std::shared_ptr<const dns::Zone> root_mirror,
                          const PlatformSpec& spec, sim::Rng& rng) {
+  if (spec.resolver_count == 0) {
+    throw std::invalid_argument("platform needs at least one resolver");
+  }
   Platform platform;
 
   platform.population_ = resolver::ResolverPopulation::build(

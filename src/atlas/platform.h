@@ -96,6 +96,8 @@ class VpPool {
 /// and an OpenDNS-like parent-centric/local-root one).
 class Platform {
  public:
+  /// Throws std::invalid_argument when spec.resolver_count is 0: every
+  /// probe needs a local resolver to pick.
   static Platform build(net::Network& network,
                         const resolver::RootHints& hints,
                         std::shared_ptr<const dns::Zone> root_mirror,

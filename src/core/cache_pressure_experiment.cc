@@ -1,13 +1,14 @@
 #include "core/cache_pressure_experiment.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "dns/name.h"
 #include "dns/rr.h"
 #include "par/pool.h"
 #include "sim/rng.h"
+#include "stats/table.h"
 
 namespace dnsttl::core {
 
@@ -78,8 +79,7 @@ dns::RRset make_answer(const dns::Name& name, dns::Ttl ttl, std::size_t idx) {
   return set;
 }
 
-/// Drives @p cache with @p count queries from @p demand; counts hits and
-/// misses (a miss inserts fresh data, modeling one authoritative fetch).
+/// Hit/miss counts of one demand stream against one cache.
 struct DriveTally {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -87,6 +87,33 @@ struct DriveTally {
   std::uint64_t negative_misses = 0;
 };
 
+/// Serves one query from @p cache: a hit is counted, a miss inserts fresh
+/// data (modeling one authoritative fetch).
+void serve(cache::Cache& cache, const Demand& d,
+           const std::vector<dns::Name>& catalog, dns::Ttl ttl,
+           DriveTally& tally) {
+  const dns::Name& name = catalog[d.idx];
+  if (d.negative) {
+    if (cache.lookup_negative(name, dns::RRType::kAAAA, d.at)) {
+      ++tally.negative_hits;
+    } else {
+      ++tally.negative_misses;
+      cache.insert_negative(name, dns::RRType::kAAAA, dns::Rcode::kNXDomain,
+                            ttl, d.at);
+    }
+  } else {
+    if (cache.lookup(name, dns::RRType::kA, d.at)) {
+      ++tally.hits;
+    } else {
+      ++tally.misses;
+      cache.insert(make_answer(name, ttl, d.idx),
+                   cache::Credibility::kAuthAnswer, d.at);
+    }
+  }
+}
+
+/// Drives @p cache with @p count queries from @p demand, sweeping expired
+/// entries every @p purge_every queries.
 DriveTally drive(cache::Cache& cache, DemandStream& demand,
                  const std::vector<dns::Name>& catalog, dns::Ttl ttl,
                  std::uint64_t count, std::uint64_t purge_every) {
@@ -96,24 +123,7 @@ DriveTally drive(cache::Cache& cache, DemandStream& demand,
     if (purge_every != 0 && (q + 1) % purge_every == 0) {
       cache.purge_expired(d.at);
     }
-    const dns::Name& name = catalog[d.idx];
-    if (d.negative) {
-      if (cache.lookup_negative(name, dns::RRType::kAAAA, d.at)) {
-        ++tally.negative_hits;
-      } else {
-        ++tally.negative_misses;
-        cache.insert_negative(name, dns::RRType::kAAAA,
-                              dns::Rcode::kNXDomain, ttl, d.at);
-      }
-    } else {
-      if (cache.lookup(name, dns::RRType::kA, d.at)) {
-        ++tally.hits;
-      } else {
-        ++tally.misses;
-        cache.insert(make_answer(name, ttl, d.idx),
-                     cache::Credibility::kAuthAnswer, d.at);
-      }
-    }
+    serve(cache, d, catalog, ttl, tally);
   }
   return tally;
 }
@@ -191,24 +201,7 @@ CacheRestartPoint run_cache_restart_point(const CachePressureConfig& config,
   const auto replay = [&](cache::Cache& cache) {
     DriveTally tally;
     for (const Demand& d : measured) {
-      const dns::Name& name = catalog[d.idx];
-      if (d.negative) {
-        if (cache.lookup_negative(name, dns::RRType::kAAAA, d.at)) {
-          ++tally.negative_hits;
-        } else {
-          ++tally.negative_misses;
-          cache.insert_negative(name, dns::RRType::kAAAA,
-                                dns::Rcode::kNXDomain, ttl, d.at);
-        }
-      } else {
-        if (cache.lookup(name, dns::RRType::kA, d.at)) {
-          ++tally.hits;
-        } else {
-          ++tally.misses;
-          cache.insert(make_answer(name, ttl, d.idx),
-                       cache::Credibility::kAuthAnswer, d.at);
-        }
-      }
+      serve(cache, d, catalog, ttl, tally);
     }
     return tally;
   };
@@ -234,98 +227,63 @@ CacheRestartPoint run_cache_restart_point(const CachePressureConfig& config,
 
 CachePressureResult run_cache_pressure_experiment(
     const CachePressureConfig& config, std::size_t jobs) {
-  struct GridPoint {
-    dns::Ttl ttl;
-    std::size_t max_entries;
-    cache::EvictionPolicy policy;
-  };
-  std::vector<GridPoint> grid;
-  for (cache::EvictionPolicy policy : config.policies) {
-    for (std::size_t max_entries : config.capacities) {
-      for (dns::Ttl ttl : config.ttls) {
-        grid.push_back(GridPoint{ttl, max_entries, policy});
-      }
-    }
-  }
-
   CachePressureResult result;
   result.config = config;
-  result.points = par::map_shards(grid.size(), jobs, [&](std::size_t i) {
-    return run_cache_pressure_point(config, grid[i].ttl, grid[i].max_entries,
-                                    grid[i].policy);
-  });
-  result.restarts =
-      par::map_shards(config.policies.size(), jobs, [&](std::size_t i) {
-        return run_cache_restart_point(config, config.policies[i]);
-      });
+  result.points = par::map_grid(
+      jobs,
+      [&](cache::EvictionPolicy policy, std::size_t max_entries,
+          dns::Ttl ttl) {
+        return run_cache_pressure_point(config, ttl, max_entries, policy);
+      },
+      config.policies, config.capacities, config.ttls);
+  result.restarts = par::map_grid(
+      jobs,
+      [&](cache::EvictionPolicy policy) {
+        return run_cache_restart_point(config, policy);
+      },
+      config.policies);
   return result;
 }
 
 std::string CachePressureResult::render() const {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof line,
-                "cache pressure: catalog=%llu queries=%llu purge_every=%llu "
-                "seed=%llu\n",
-                static_cast<unsigned long long>(config.names),
-                static_cast<unsigned long long>(config.queries),
-                static_cast<unsigned long long>(config.purge_every),
-                static_cast<unsigned long long>(config.seed));
-  out += line;
-  std::snprintf(line, sizeof line,
-                "%6s %6s %10s %8s %8s %8s %8s %8s %8s %7s %7s %8s %8s\n",
-                "ttl", "cap", "policy", "queries", "hits", "miss", "neg_hit",
-                "neg_mis", "evict", "ev_pos", "ev_neg", "hiwater", "resid");
-  out += line;
+  std::string out = stats::fmt(
+      "cache pressure: catalog=%zu queries=%llu purge_every=%llu seed=%llu\n",
+      config.names, static_cast<unsigned long long>(config.queries),
+      static_cast<unsigned long long>(config.purge_every),
+      static_cast<unsigned long long>(config.seed));
+  stats::TablePrinter grid({"ttl", "cap", "policy", "queries", "hits", "miss",
+                            "neg_hit", "neg_mis", "evict", "ev_pos", "ev_neg",
+                            "hiwater", "resid"});
   for (const CachePressurePoint& p : points) {
-    const auto policy = cache::to_string(p.policy);
-    std::snprintf(line, sizeof line,
-                  "%6u %6llu %10.*s %8llu %8llu %8llu %8llu %8llu %8llu "
-                  "%7llu %7llu %8llu %8llu\n",
-                  p.ttl.value(),
-                  static_cast<unsigned long long>(p.max_entries),
-                  static_cast<int>(policy.size()), policy.data(),
-                  static_cast<unsigned long long>(p.queries),
-                  static_cast<unsigned long long>(p.hits),
-                  static_cast<unsigned long long>(p.misses),
-                  static_cast<unsigned long long>(p.negative_hits),
-                  static_cast<unsigned long long>(p.negative_misses),
-                  static_cast<unsigned long long>(p.evictions),
-                  static_cast<unsigned long long>(p.evicted_positive),
-                  static_cast<unsigned long long>(p.evicted_negative),
-                  static_cast<unsigned long long>(p.high_water),
-                  static_cast<unsigned long long>(p.resident));
-    out += line;
+    grid.add_row({std::to_string(p.ttl.value()), std::to_string(p.max_entries),
+                  std::string(cache::to_string(p.policy)),
+                  std::to_string(p.queries), std::to_string(p.hits),
+                  std::to_string(p.misses), std::to_string(p.negative_hits),
+                  std::to_string(p.negative_misses),
+                  std::to_string(p.evictions),
+                  std::to_string(p.evicted_positive),
+                  std::to_string(p.evicted_negative),
+                  std::to_string(p.high_water), std::to_string(p.resident)});
   }
-  if (!restarts.empty()) {
-    const dns::Ttl ttl = config.ttls.back();
-    const std::size_t cap = config.capacities.front();
-    std::snprintf(line, sizeof line,
-                  "warm vs cold restart: ttl=%u cap=%llu warmup=%llu "
-                  "measured=%llu\n",
-                  ttl.value(), static_cast<unsigned long long>(cap),
-                  static_cast<unsigned long long>(config.warm_queries),
-                  static_cast<unsigned long long>(config.warm_queries));
-    out += line;
-    std::snprintf(line, sizeof line, "%10s %10s %9s %9s %9s %9s %10s\n",
-                  "policy", "snap_byte", "restored", "warm_hit", "warm_auth",
-                  "cold_hit", "cold_auth");
-    out += line;
-    for (const CacheRestartPoint& p : restarts) {
-      const auto policy = cache::to_string(p.policy);
-      std::snprintf(line, sizeof line,
-                    "%10.*s %10llu %9llu %9llu %9llu %9llu %10llu\n",
-                    static_cast<int>(policy.size()), policy.data(),
-                    static_cast<unsigned long long>(p.snapshot_bytes),
-                    static_cast<unsigned long long>(p.restored),
-                    static_cast<unsigned long long>(p.warm_hits),
-                    static_cast<unsigned long long>(p.warm_auth),
-                    static_cast<unsigned long long>(p.cold_hits),
-                    static_cast<unsigned long long>(p.cold_auth));
-      out += line;
-    }
+  out += grid.render();
+  if (restarts.empty()) {
+    return out;
   }
-  return out;
+  out += stats::fmt(
+      "warm vs cold restart: ttl=%u cap=%zu warmup=%llu measured=%llu\n",
+      config.ttls.back().value(), config.capacities.front(),
+      static_cast<unsigned long long>(config.warm_queries),
+      static_cast<unsigned long long>(config.warm_queries));
+  stats::TablePrinter restart({"policy", "snap_byte", "restored", "warm_hit",
+                               "warm_auth", "cold_hit", "cold_auth"});
+  for (const CacheRestartPoint& p : restarts) {
+    restart.add_row({std::string(cache::to_string(p.policy)),
+                     std::to_string(p.snapshot_bytes),
+                     std::to_string(p.restored), std::to_string(p.warm_hits),
+                     std::to_string(p.warm_auth), std::to_string(p.cold_hits),
+                     std::to_string(p.cold_auth)});
+  }
+  return out + restart.render();
 }
 
 }  // namespace dnsttl::core

@@ -84,8 +84,8 @@ struct CachePressureResult {
   std::vector<CachePressurePoint> points;  ///< policy / capacity / TTL major
   std::vector<CacheRestartPoint> restarts;  ///< one per policy
 
-  /// Fixed-format integer table — byte-identical across --jobs values and
-  /// build trees; deliberately free of floats and timing.
+  /// Integer table (stats::TablePrinter layout) — byte-identical across
+  /// --jobs values and build trees; deliberately free of floats and timing.
   std::string render() const;
 };
 
@@ -100,9 +100,10 @@ CachePressurePoint run_cache_pressure_point(const CachePressureConfig& config,
 CacheRestartPoint run_cache_restart_point(const CachePressureConfig& config,
                                           cache::EvictionPolicy policy);
 
-/// Runs the whole grid plus the restart scenario, up to @p jobs points
-/// concurrently.  Each point owns its cache and regenerates its own demand
-/// stream, so the merged result is byte-identical at any job count.
+/// Runs the whole grid plus the restart scenario through par::map_grid, up
+/// to @p jobs points concurrently.  Each point owns its cache and
+/// regenerates its own demand stream, so the merged result is
+/// byte-identical at any job count.
 CachePressureResult run_cache_pressure_experiment(
     const CachePressureConfig& config, std::size_t jobs);
 

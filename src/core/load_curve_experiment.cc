@@ -1,13 +1,14 @@
 #include "core/load_curve_experiment.h"
 
 #include <cmath>
-#include <cstdio>
+#include <string>
 
 #include "check/audit.h"
 #include "core/hit_rate_model.h"
 #include "par/pool.h"
 #include "sim/rng.h"
 #include "sim/timer_wheel.h"
+#include "stats/table.h"
 
 namespace dnsttl::core {
 namespace {
@@ -254,39 +255,30 @@ long long err_permille(std::uint64_t measured, std::uint64_t predicted) {
 }  // namespace
 
 std::string LoadCurveResult::render() const {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof line,
-                ".nl passive: %zu resolvers, %llds horizon, %llu client "
-                "queries\n",
-                config.nl_resolver_count, whole_seconds(config.nl_duration),
-                static_cast<unsigned long long>(nl_client_queries));
-  out += line;
-  std::snprintf(line, sizeof line,
-                "atlas stubs: %zu stubs via %zu caches, %llds horizon, "
-                "%llu client queries\n",
-                config.stub_count, config.stub_resolver_count,
-                whole_seconds(config.stub_duration),
-                static_cast<unsigned long long>(stub_client_queries));
-  out += line;
-  std::snprintf(line, sizeof line, "%8s %10s %10s %6s %10s %10s %6s\n",
-                "ttl", "nl_auth", "nl_pred", "err%o", "stub_auth",
-                "stub_pred", "err%o");
-  out += line;
+  std::string out = stats::fmt(
+      ".nl passive: %zu resolvers, %llds horizon, %llu client queries\n",
+      config.nl_resolver_count, whole_seconds(config.nl_duration),
+      static_cast<unsigned long long>(nl_client_queries));
+  out += stats::fmt(
+      "atlas stubs: %zu stubs via %zu caches, %llds horizon, %llu client "
+      "queries\n",
+      config.stub_count, config.stub_resolver_count,
+      whole_seconds(config.stub_duration),
+      static_cast<unsigned long long>(stub_client_queries));
+  stats::TablePrinter table({"ttl", "nl_auth", "nl_pred", "err%o",
+                             "stub_auth", "stub_pred", "err%o"});
   for (const LoadCurvePointResult& p : points) {
-    std::snprintf(line, sizeof line,
-                  "%8u %10llu %10llu %+6lld %10llu %10llu %+6lld\n",
-                  p.ttl.value(),
-                  static_cast<unsigned long long>(p.nl_auth_queries),
-                  static_cast<unsigned long long>(p.nl_predicted_queries),
-                  err_permille(p.nl_auth_queries, p.nl_predicted_queries),
-                  static_cast<unsigned long long>(p.stub_auth_queries),
-                  static_cast<unsigned long long>(p.stub_predicted_queries),
-                  err_permille(p.stub_auth_queries,
-                               p.stub_predicted_queries));
-    out += line;
+    table.add_row(
+        {std::to_string(p.ttl.value()), std::to_string(p.nl_auth_queries),
+         std::to_string(p.nl_predicted_queries),
+         stats::fmt("%+lld",
+                    err_permille(p.nl_auth_queries, p.nl_predicted_queries)),
+         std::to_string(p.stub_auth_queries),
+         std::to_string(p.stub_predicted_queries),
+         stats::fmt("%+lld", err_permille(p.stub_auth_queries,
+                                          p.stub_predicted_queries))});
   }
-  return out;
+  return out + table.render();
 }
 
 }  // namespace dnsttl::core

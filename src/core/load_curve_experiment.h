@@ -77,8 +77,8 @@ struct LoadCurveResult {
   std::uint64_t stub_client_queries = 0;  ///< TTL-independent demand
   std::vector<LoadCurvePointResult> points;  ///< config.ttls order
 
-  /// Fixed-format integer table — the byte-identical golden output the
-  /// load-curve-smoke ctest compares across --jobs values.
+  /// Integer table (stats::TablePrinter layout) — the byte-identical
+  /// golden output the load-curve-smoke ctest compares across --jobs values.
   std::string render() const;
 };
 

@@ -1,13 +1,13 @@
 #include "core/outage_experiment.h"
 
-#include <cstdio>
 #include <memory>
-#include <vector>
+#include <string>
 
 #include "dns/rr.h"
 #include "par/pool.h"
 #include "resolver/config.h"
 #include "resolver/recursive_resolver.h"
+#include "stats/table.h"
 
 namespace dnsttl::core {
 
@@ -103,62 +103,39 @@ OutagePointResult run_outage_point(const OutageConfig& config, dns::Ttl ttl,
 
 OutageResult run_outage_experiment(const OutageConfig& config,
                                    std::size_t jobs) {
-  struct Point {
-    dns::Ttl ttl;
-    bool serve_stale;
-  };
-  std::vector<Point> grid;
-  for (bool stale : config.serve_stale_variants) {
-    for (dns::Ttl ttl : config.ttls) {
-      grid.push_back(Point{ttl, stale});
-    }
-  }
-
   OutageResult result;
   result.config = config;
-  result.points = par::map_shards(grid.size(), jobs, [&](std::size_t i) {
-    return run_outage_point(config, grid[i].ttl, grid[i].serve_stale);
-  });
+  result.points = par::map_grid(
+      jobs,
+      [&](bool serve_stale, dns::Ttl ttl) {
+        return run_outage_point(config, ttl, serve_stale);
+      },
+      config.serve_stale_variants, config.ttls);
   return result;
 }
 
 std::string OutageResult::render() const {
-  std::string out;
-  char line[256];
   const auto kind = fault::to_string(config.window_kind);
-  std::snprintf(line, sizeof line,
-                "fault window: %.*s %llds..%llds (horizon %llds, query every "
-                "%llds)\n",
-                static_cast<int>(kind.size()), kind.data(),
-                whole_seconds(config.outage_start),
-                whole_seconds(config.outage_start + config.outage_duration),
-                whole_seconds(config.horizon),
-                whole_seconds(config.query_interval));
-  out += line;
-  std::snprintf(line, sizeof line,
-                "%8s %6s %8s %8s %6s %6s %8s %8s %7s %7s %8s %7s\n", "ttl",
-                "stale", "queries", "ok", "fail", "sstale", "win_fail",
-                "win_stale", "auth_q", "resurr", "backoff", "faults");
-  out += line;
+  std::string out = stats::fmt(
+      "fault window: %.*s %llds..%llds (horizon %llds, query every %llds)\n",
+      static_cast<int>(kind.size()), kind.data(),
+      whole_seconds(config.outage_start),
+      whole_seconds(config.outage_start + config.outage_duration),
+      whole_seconds(config.horizon), whole_seconds(config.query_interval));
+  stats::TablePrinter table({"ttl", "stale", "queries", "ok", "fail",
+                             "sstale", "win_fail", "win_stale", "auth_q",
+                             "resurr", "backoff", "faults"});
   for (const OutagePointResult& p : points) {
-    std::snprintf(
-        line, sizeof line,
-        "%8u %6s %8llu %8llu %6llu %6llu %8llu %9llu %7llu %7llu %8llu "
-        "%7llu\n",
-        p.ttl.value(), p.serve_stale ? "on" : "off",
-        static_cast<unsigned long long>(p.queries),
-        static_cast<unsigned long long>(p.answered),
-        static_cast<unsigned long long>(p.failed),
-        static_cast<unsigned long long>(p.stale_answers),
-        static_cast<unsigned long long>(p.window_failed),
-        static_cast<unsigned long long>(p.window_stale),
-        static_cast<unsigned long long>(p.auth_queries),
-        static_cast<unsigned long long>(p.resurrections),
-        static_cast<unsigned long long>(p.backoffs),
-        static_cast<unsigned long long>(p.injected_faults));
-    out += line;
+    table.add_row({std::to_string(p.ttl.value()), p.serve_stale ? "on" : "off",
+                   std::to_string(p.queries), std::to_string(p.answered),
+                   std::to_string(p.failed), std::to_string(p.stale_answers),
+                   std::to_string(p.window_failed),
+                   std::to_string(p.window_stale),
+                   std::to_string(p.auth_queries),
+                   std::to_string(p.resurrections), std::to_string(p.backoffs),
+                   std::to_string(p.injected_faults)});
   }
-  return out;
+  return out + table.render();
 }
 
 }  // namespace dnsttl::core

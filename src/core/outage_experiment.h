@@ -70,9 +70,9 @@ struct OutageResult {
   OutageConfig config;
   std::vector<OutagePointResult> points;  ///< serve-stale major, TTL minor
 
-  /// Fixed-format integer table — the byte-identical golden output that
-  /// the chaos regression tier compares across --jobs values and build
-  /// trees.  Deliberately free of floats and timing.
+  /// Integer table (stats::TablePrinter layout) — the byte-identical
+  /// golden output that the chaos regression tier compares across --jobs
+  /// values and build trees.  Deliberately free of floats and timing.
   std::string render() const;
 };
 
@@ -81,8 +81,9 @@ struct OutageResult {
 OutagePointResult run_outage_point(const OutageConfig& config, dns::Ttl ttl,
                                    bool serve_stale);
 
-/// Runs the whole grid, up to @p jobs points concurrently.  Each point owns
-/// its World, so the merged result is byte-identical at any job count.
+/// Runs the whole grid through par::map_grid, up to @p jobs points
+/// concurrently.  Each point owns its World, so the merged result is
+/// byte-identical at any job count.
 OutageResult run_outage_experiment(const OutageConfig& config,
                                    std::size_t jobs);
 

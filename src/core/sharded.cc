@@ -80,13 +80,4 @@ BailiwickResult run_bailiwick_sharded(const EnvFactory& factory,
   return merged;
 }
 
-std::vector<ControlledTtlResult> run_controlled_ttl_set(
-    const EnvFactory& factory, const std::vector<ControlledTtlConfig>& configs,
-    std::size_t jobs) {
-  return par::map_shards(configs.size(), jobs, [&](std::size_t index) {
-    ShardEnv env = factory();
-    return run_controlled_ttl(*env.world, *env.platform, configs[index]);
-  });
-}
-
 }  // namespace dnsttl::core

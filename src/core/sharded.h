@@ -9,7 +9,6 @@
 #include "atlas/measurement.h"
 #include "atlas/platform.h"
 #include "core/bailiwick_experiment.h"
-#include "core/latency_experiment.h"
 #include "core/world.h"
 
 namespace dnsttl::core {
@@ -58,13 +57,6 @@ BailiwickResult run_bailiwick_sharded(const EnvFactory& factory,
                                       const BailiwickConfig& config,
                                       std::size_t shard_count,
                                       std::size_t jobs);
-
-/// Config-level parallelism for the §6.2 controlled experiments: each
-/// configuration gets its own fresh world+platform and they run
-/// concurrently; results come back in config order.
-std::vector<ControlledTtlResult> run_controlled_ttl_set(
-    const EnvFactory& factory, const std::vector<ControlledTtlConfig>& configs,
-    std::size_t jobs);
 
 }  // namespace dnsttl::core
 

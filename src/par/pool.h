@@ -1,6 +1,7 @@
 #ifndef DNSTTL_PAR_POOL_H
 #define DNSTTL_PAR_POOL_H
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -35,8 +36,8 @@ std::size_t shard_count_for(std::size_t items,
 ///
 /// Tasks are dequeued in submission order (which worker runs a given task
 /// is of course scheduling-dependent — determinism comes from
-/// parallel_for_shards / ordered_reduce, which assign work per shard and
-/// merge results in shard-index order, not from the pool itself).
+/// parallel_for_shards / map_shards / map_grid, which assign work per shard
+/// and return results in shard-index order, not from the pool itself).
 class Pool {
  public:
   /// Spawns @p workers threads (at least one).
@@ -97,18 +98,31 @@ auto map_shards(std::size_t shards, std::size_t jobs, MapFn map)
   return results;
 }
 
-/// Deterministic ordered reduction: maps every shard in parallel, then
-/// folds the results STRICTLY in shard-index order on the calling thread.
-/// reduce(shard, result) sees shard 0 first, then 1, ... regardless of
-/// completion order, so any fold — even a non-commutative one — produces
-/// the same value at any job count.
-template <typename MapFn, typename ReduceFn>
-void ordered_reduce(std::size_t shards, std::size_t jobs, MapFn map,
-                    ReduceFn reduce) {
-  auto results = map_shards(shards, jobs, std::move(map));
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    reduce(shard, std::move(results[shard]));
+/// Deterministic parallel grid: calls fn(a, b, ...) once per point of the
+/// cartesian product of @p axes (each a vector or array), first axis
+/// slowest, on up to @p jobs threads, and returns the results in that
+/// row-major order.  The contract is map_shards': each point must own its
+/// World, cache and RNG fork, so the result is byte-identical at any job
+/// count, and the exception of the lowest-indexed failing point is
+/// rethrown.  An empty axis yields an empty result.
+template <typename Fn, typename... Axes>
+auto map_grid(std::size_t jobs, Fn fn, const Axes&... axes) {
+  static_assert(sizeof...(Axes) > 0, "map_grid needs at least one axis");
+  const std::array<std::size_t, sizeof...(Axes)> sizes{axes.size()...};
+  std::size_t points = 1;
+  for (std::size_t size : sizes) {
+    points *= size;
   }
+  return map_shards(points, jobs, [&](std::size_t point) {
+    std::array<std::size_t, sizeof...(Axes)> index{};
+    for (std::size_t axis = sizes.size(); axis-- > 0;) {
+      index[axis] = point % sizes[axis];
+      point /= sizes[axis];
+    }
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+      return fn(axes[index[I]]...);
+    }(std::index_sequence_for<Axes...>{});
+  });
 }
 
 }  // namespace dnsttl::par

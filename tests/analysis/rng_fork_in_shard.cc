@@ -1,7 +1,7 @@
 // analyze-as: src/core/fixture.cc
 // True positives: par:: shard bodies drawing from captured streams — the
-// result then depends on shard scheduling.  Both a direct captured draw and
-// a renamed local copy (no fork) are violations.
+// result then depends on shard scheduling.  A direct captured draw, a
+// renamed local copy (no fork) and a map_grid point body are violations.
 
 namespace dnsttl::core {
 
@@ -17,6 +17,16 @@ void unforked_copy(const sim::Rng& nl_src, std::size_t shards,
     sim::Rng bad = nl_src;
     return bad.uniform();  // expect: rng-fork-in-shard
   });
+}
+
+void captured_draw_in_grid(sim::Rng& rng, const std::vector<int>& ttls,
+                           std::size_t jobs) {
+  par::map_grid(
+      jobs,
+      [&](int ttl) {
+        return ttl * rng.uniform();  // expect: rng-fork-in-shard
+      },
+      ttls);
 }
 
 // True negatives: fork at the shard boundary, or a stream threaded through

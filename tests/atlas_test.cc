@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "atlas/measurement.h"
 #include "atlas/platform.h"
 #include "core/world.h"
 #include "dns/rr.h"
+#include "sim/rng.h"
 
 namespace dnsttl::atlas {
 namespace {
@@ -40,6 +42,17 @@ TEST(PlatformTest, EveryProbeHasAtLeastOneResolver) {
       EXPECT_TRUE(world.network().is_attached(resolver));
     }
   }
+}
+
+TEST(PlatformTest, RejectsEmptyResolverPopulationBeforeAnyDraw) {
+  core::World world;
+  PlatformSpec spec = small_spec();
+  spec.resolver_count = 0;  // used to index past an empty population
+  sim::Rng untouched = world.rng();
+  EXPECT_THROW((void)Platform::build(world.network(), world.hints(),
+                                     world.root_zone(), spec, world.rng()),
+               std::invalid_argument);
+  EXPECT_EQ(world.rng().next(), untouched.next());
 }
 
 TEST(PlatformTest, PublicServicesAreAnycast) {

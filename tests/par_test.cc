@@ -1,8 +1,8 @@
 // Tests for the deterministic parallel execution layer (src/par) and the
 // sharded experiment harness built on it (src/core/sharded.h): pool FIFO
-// and exception semantics, ordered reduction, Rng::fork stream
-// independence, and — the contract everything else rests on — byte-
-// identical experiment output at --jobs 1 and --jobs 4.
+// and exception semantics, map_shards / map_grid result order, Rng::fork
+// stream independence, and — the contract everything else rests on —
+// byte-identical experiment output at --jobs 1 and --jobs 4.
 
 #include <atomic>
 #include <cmath>
@@ -105,17 +105,60 @@ TEST(ParallelForShardsTest, MapShardsReturnsResultsInShardOrder) {
   }
 }
 
-TEST(ParallelForShardsTest, OrderedReduceIsStableForNonCommutativeFolds) {
-  auto fold_at = [](std::size_t jobs) {
-    std::string folded;
-    par::ordered_reduce(
-        10, jobs,
-        [](std::size_t shard) { return std::to_string(shard); },
-        [&folded](std::size_t, std::string part) { folded += part + ","; });
-    return folded;
+// ---------------------------------------------------------------- map_grid
+
+TEST(MapGridTest, MatchesTheHandNestedLoopAtAnyJobs) {
+  const std::vector<int> ttls = {60, 300, 3600};
+  const std::vector<bool> stale = {false, true};
+  const std::vector<std::string> policies = {"lru", "lfu", "ttl", "fifo"};
+  const auto point = [](int ttl, bool serve_stale, const std::string& policy) {
+    return std::to_string(ttl) + (serve_stale ? "+" : "-") + policy;
   };
-  EXPECT_EQ(fold_at(1), "0,1,2,3,4,5,6,7,8,9,");
-  EXPECT_EQ(fold_at(4), fold_at(1));
+  std::vector<std::string> nested;
+  for (int ttl : ttls) {
+    for (bool serve_stale : stale) {
+      for (const std::string& policy : policies) {
+        nested.push_back(point(ttl, serve_stale, policy));
+      }
+    }
+  }
+  ASSERT_EQ(nested.size(), 24u);
+  EXPECT_EQ(par::map_grid(1, point, ttls, stale, policies), nested);
+  EXPECT_EQ(par::map_grid(4, point, ttls, stale, policies), nested);
+}
+
+TEST(MapGridTest, EmptyAxisYieldsAnEmptyResult) {
+  std::atomic<int> calls{0};
+  const auto count = [&calls](int, int) { return calls.fetch_add(1); };
+  EXPECT_TRUE(par::map_grid(4, count, std::vector<int>{1, 2, 3},
+                            std::vector<int>{})
+                  .empty());
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(MapGridTest, RethrowsLowestIndexedFailingPoint) {
+  const std::vector<int> rows = {0, 1, 2};
+  const std::vector<int> cols = {0, 1, 2, 3};
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    std::atomic<int> ran{0};
+    try {
+      par::map_grid(
+          jobs,
+          [&](int row, int col) {
+            ran.fetch_add(1);
+            if ((row == 1 && col == 2) || (row == 2 && col == 0)) {
+              throw std::runtime_error(std::to_string(row) + "," +
+                                       std::to_string(col));
+            }
+            return row * 10 + col;
+          },
+          rows, cols);
+      FAIL() << "expected a rethrow";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "1,2");  // point 6 precedes point 8
+    }
+    EXPECT_EQ(ran.load(), 12);
+  }
 }
 
 TEST(ShardCountTest, IsAPureFunctionOfTheWorkload) {
