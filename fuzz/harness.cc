@@ -37,6 +37,9 @@ void run_message_input(const std::uint8_t* data, std::size_t size) {
   // accepted, so failures are codec bugs, not input errors.
   try {
     const std::vector<std::uint8_t> wire = dns::encode(message);
+    if (dns::encoded_size(message) != wire.size()) {
+      throw std::logic_error("encoded_size disagrees with encode().size()");
+    }
     const dns::Message reparsed = dns::decode(wire);
     if (!(reparsed == message)) {
       throw std::logic_error("encode/decode round trip changed the message");
@@ -57,11 +60,12 @@ void run_master_file_input(const std::uint8_t* data, std::size_t size) {
     return;  // malformed zone text correctly rejected
   }
   try {
+    zone.validate();
     const std::string rendered = dns::render_master_file(zone);
     (void)dns::parse_master_file(rendered, zone.origin());
   } catch (const std::exception& error) {
-    harness_violation("fuzz_master_file", "render/re-parse of accepted zone",
-                      error);
+    harness_violation("fuzz_master_file",
+                      "audit/render/re-parse of accepted zone", error);
   }
 }
 

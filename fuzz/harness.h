@@ -7,7 +7,8 @@
 namespace dnsttl::fuzz {
 
 /// One fuzz iteration against the RFC 1035 wire codec.  Feeds @p data to
-/// dns::decode; on a successful parse, re-encodes and re-decodes and
+/// dns::decode; on a successful parse, re-encodes, requires
+/// dns::encoded_size to count exactly the encoded bytes, re-decodes and
 /// requires the round trip to reproduce the message, and renders it to
 /// text.  dns::WireError is the codec's documented rejection channel and is
 /// swallowed; any other escape (unexpected exception type, assertion,
@@ -15,9 +16,9 @@ namespace dnsttl::fuzz {
 void run_message_input(const std::uint8_t* data, std::size_t size);
 
 /// One fuzz iteration against the RFC 1035 §5 master-file parser.  Parses
-/// @p data as zone text; on success, renders the zone back to text and
-/// requires the render output to re-parse (the codec's documented
-/// round-trip guarantee).  dns::MasterFileError is the parser's rejection
+/// @p data as zone text; on success, runs the zone's structural audit,
+/// renders the zone back to text and requires the render output to
+/// re-parse (the codec's documented round-trip guarantee).  dns::MasterFileError is the parser's rejection
 /// channel and is swallowed; anything else is a finding.
 void run_master_file_input(const std::uint8_t* data, std::size_t size);
 

@@ -31,313 +31,6 @@ std::string_view to_string(EvictionPolicy policy) {
   return "policy?";
 }
 
-// ------------------------------------------------------------------ Table
-
-template <typename V>
-std::size_t Cache::Table<V>::probe(std::uint64_t hash, const dns::Name& name,
-                                   dns::RRType type, bool& found) const {
-  // Capacity is a power of two; linear probing terminates because load is
-  // kept below 7/8 so an empty slot always exists.
-  std::size_t mask = items_.size() - 1;
-  std::size_t index = static_cast<std::size_t>(hash) & mask;
-  std::size_t first_tombstone = items_.size();
-  for (;;) {
-    std::uint8_t state = ctrl_[index];
-    if (state == kEmpty) {
-      found = false;
-      return first_tombstone < items_.size() ? first_tombstone : index;
-    }
-    if (state == kTombstone) {
-      if (first_tombstone == items_.size()) {
-        first_tombstone = index;
-      }
-    } else if (items_[index].hash == hash && items_[index].type == type &&
-               items_[index].name == name) {
-      found = true;
-      return index;
-    }
-    index = (index + 1) & mask;
-  }
-}
-
-template <typename V>
-V* Cache::Table<V>::find(std::uint64_t hash, const dns::Name& name,
-                         dns::RRType type) {
-  if (size_ == 0) {
-    return nullptr;
-  }
-  bool found = false;
-  std::size_t index = probe(hash, name, type, found);
-  return found ? &items_[index].value : nullptr;
-}
-
-template <typename V>
-const V* Cache::Table<V>::find(std::uint64_t hash, const dns::Name& name,
-                               dns::RRType type) const {
-  if (size_ == 0) {
-    return nullptr;
-  }
-  bool found = false;
-  std::size_t index = probe(hash, name, type, found);
-  return found ? &items_[index].value : nullptr;
-}
-
-template <typename V>
-std::size_t Cache::Table<V>::find_slot(std::uint64_t hash,
-                                       const dns::Name& name,
-                                       dns::RRType type) const {
-  if (size_ == 0) {
-    return kNil;
-  }
-  bool found = false;
-  std::size_t index = probe(hash, name, type, found);
-  return found ? index : kNil;
-}
-
-template <typename V>
-void Cache::Table<V>::link_front(std::size_t slot) {
-  chain_prev_[slot] = kNil;
-  chain_next_[slot] = head_;
-  if (head_ != kNil) {
-    chain_prev_[head_] = slot;
-  }
-  head_ = slot;
-  if (tail_ == kNil) {
-    tail_ = slot;
-  }
-}
-
-template <typename V>
-void Cache::Table<V>::link_back(std::size_t slot) {
-  chain_next_[slot] = kNil;
-  chain_prev_[slot] = tail_;
-  if (tail_ != kNil) {
-    chain_next_[tail_] = slot;
-  }
-  tail_ = slot;
-  if (head_ == kNil) {
-    head_ = slot;
-  }
-}
-
-template <typename V>
-void Cache::Table<V>::unlink(std::size_t slot) {
-  std::size_t toward_head = chain_prev_[slot];
-  std::size_t toward_tail = chain_next_[slot];
-  if (toward_head != kNil) {
-    chain_next_[toward_head] = toward_tail;
-  } else {
-    head_ = toward_tail;
-  }
-  if (toward_tail != kNil) {
-    chain_prev_[toward_tail] = toward_head;
-  } else {
-    tail_ = toward_head;
-  }
-  chain_prev_[slot] = kNil;
-  chain_next_[slot] = kNil;
-}
-
-template <typename V>
-void Cache::Table<V>::touch(std::size_t slot) {
-  if (head_ == slot) {
-    return;
-  }
-  unlink(slot);
-  link_front(slot);
-}
-
-template <typename V>
-void Cache::Table<V>::grow() {
-  std::size_t new_capacity = items_.empty() ? 16 : items_.size() * 2;
-  // If growth is driven by tombstones rather than live items, rehashing in
-  // place (same capacity) is enough; avoid doubling forever.
-  if (size_ * 4 < new_capacity) {
-    new_capacity = std::max<std::size_t>(16, items_.size());
-  }
-  std::vector<Item> old_items = std::move(items_);
-  std::vector<std::uint8_t> old_ctrl = std::move(ctrl_);
-  std::vector<std::size_t> old_next = std::move(chain_next_);
-  std::size_t old_head = head_;
-  items_.clear();
-  items_.resize(new_capacity);
-  ctrl_.assign(new_capacity, kEmpty);
-  chain_prev_.assign(new_capacity, kNil);
-  chain_next_.assign(new_capacity, kNil);
-  head_ = kNil;
-  tail_ = kNil;
-  used_ = size_;
-  std::size_t mask = new_capacity - 1;
-  // Rehash, remembering where each old slot landed so the recency chain can
-  // be rebuilt in its exact pre-rehash order.
-  std::vector<std::size_t> relocated(old_items.size(), kNil);
-  for (std::size_t i = 0; i < old_items.size(); ++i) {
-    if (old_ctrl[i] != kFull) {
-      continue;
-    }
-    std::size_t index = static_cast<std::size_t>(old_items[i].hash) & mask;
-    while (ctrl_[index] == kFull) {
-      index = (index + 1) & mask;
-    }
-    items_[index] = std::move(old_items[i]);
-    ctrl_[index] = kFull;
-    relocated[i] = index;
-  }
-  for (std::size_t i = old_head; i != kNil; i = old_next[i]) {
-    link_back(relocated[i]);
-  }
-}
-
-template <typename V>
-std::size_t Cache::Table<V>::put(std::uint64_t hash, const dns::Name& name,
-                                 dns::RRType type, V value) {
-  if (items_.empty() || (used_ + 1) * 8 > items_.size() * 7) {
-    grow();
-  }
-  bool found = false;
-  std::size_t index = probe(hash, name, type, found);
-  Item& item = items_[index];
-  if (!found) {
-    if (ctrl_[index] == kEmpty) {
-      ++used_;
-    }
-    ++size_;
-    ctrl_[index] = kFull;
-    item.hash = hash;
-    item.name = name;
-    item.type = type;
-    link_front(index);
-  } else {
-    touch(index);
-  }
-  item.value = std::move(value);
-  return index;
-}
-
-template <typename V>
-bool Cache::Table<V>::erase(std::uint64_t hash, const dns::Name& name,
-                            dns::RRType type) {
-  if (size_ == 0) {
-    return false;
-  }
-  bool found = false;
-  std::size_t index = probe(hash, name, type, found);
-  if (!found) {
-    return false;
-  }
-  unlink(index);
-  items_[index] = Item{};  // release Name/RRset memory now
-  ctrl_[index] = kTombstone;
-  --size_;
-  return true;
-}
-
-template <typename V>
-void Cache::Table<V>::clear() {
-  items_.clear();
-  ctrl_.clear();
-  chain_prev_.clear();
-  chain_next_.clear();
-  head_ = kNil;
-  tail_ = kNil;
-  size_ = 0;
-  used_ = 0;
-}
-
-template <typename V>
-void Cache::Table<V>::validate(const char* what) const {
-  DNSTTL_AUDIT_CHECK(what, ctrl_.size() == items_.size(),
-                     "control array and item array sizes disagree");
-  const std::size_t capacity = items_.size();
-  DNSTTL_AUDIT_CHECK(what, (capacity & (capacity - 1)) == 0,
-                     "capacity " + std::to_string(capacity) +
-                         " is not a power of two");
-  std::size_t full = 0;
-  std::size_t tombstones = 0;
-  for (std::size_t i = 0; i < capacity; ++i) {
-    DNSTTL_AUDIT_CHECK(what, ctrl_[i] <= kFull,
-                       "control byte out of range at slot " +
-                           std::to_string(i));
-    if (ctrl_[i] == kFull) {
-      ++full;
-    } else if (ctrl_[i] == kTombstone) {
-      ++tombstones;
-    }
-  }
-  DNSTTL_AUDIT_CHECK(what, full == size_,
-                     "live-entry accounting: " + std::to_string(full) +
-                         " full slots vs size_ = " + std::to_string(size_));
-  DNSTTL_AUDIT_CHECK(what, full + tombstones == used_,
-                     "used-slot accounting: " +
-                         std::to_string(full + tombstones) +
-                         " full+tombstone slots vs used_ = " +
-                         std::to_string(used_));
-  // Probe termination requires a genuinely empty slot somewhere.
-  DNSTTL_AUDIT_CHECK(what, capacity == 0 || used_ < capacity,
-                     "table has no empty slot; probing cannot terminate");
-  for (std::size_t i = 0; i < capacity; ++i) {
-    if (ctrl_[i] != kFull) {
-      continue;
-    }
-    const Item& item = items_[i];
-    item.name.validate();
-    DNSTTL_AUDIT_CHECK(what, key_hash(item.name, item.type) == item.hash,
-                       "stored hash disagrees with key_hash for " +
-                           item.name.to_string());
-    // Probe-chain/tombstone agreement: the item must be reachable from its
-    // home slot, i.e. a lookup for its key finds this exact slot.
-    bool found = false;
-    std::size_t at = probe(item.hash, item.name, item.type, found);
-    DNSTTL_AUDIT_CHECK(what, found && at == i,
-                       "item at slot " + std::to_string(i) + " (" +
-                           item.name.to_string() +
-                           ") unreachable by probing (probe returned " +
-                           std::to_string(at) + ")");
-  }
-  // Recency chain <-> slot consistency: the chain visits every live slot
-  // exactly once, links are symmetric, and dead slots are unlinked.
-  DNSTTL_AUDIT_CHECK(what,
-                     chain_prev_.size() == capacity &&
-                         chain_next_.size() == capacity,
-                     "recency chain arrays out of step with capacity");
-  DNSTTL_AUDIT_CHECK(what, (head_ == kNil) == (size_ == 0),
-                     "chain head/emptiness disagreement");
-  DNSTTL_AUDIT_CHECK(what, (tail_ == kNil) == (size_ == 0),
-                     "chain tail/emptiness disagreement");
-  std::vector<std::uint8_t> seen(capacity, 0);
-  std::size_t visited = 0;
-  std::size_t prev = kNil;
-  for (std::size_t i = head_; i != kNil; i = chain_next_[i]) {
-    DNSTTL_AUDIT_CHECK(what, i < capacity,
-                       "recency chain index out of range: " +
-                           std::to_string(i));
-    DNSTTL_AUDIT_CHECK(what, ctrl_[i] == kFull,
-                       "recency chain visits dead slot " + std::to_string(i));
-    DNSTTL_AUDIT_CHECK(what, seen[i] == 0,
-                       "recency chain visits slot " + std::to_string(i) +
-                           " twice (cycle)");
-    seen[i] = 1;
-    DNSTTL_AUDIT_CHECK(what, chain_prev_[i] == prev,
-                       "recency chain prev/next asymmetry at slot " +
-                           std::to_string(i));
-    prev = i;
-    ++visited;
-  }
-  DNSTTL_AUDIT_CHECK(what, tail_ == prev,
-                     "recency chain tail does not terminate the walk");
-  DNSTTL_AUDIT_CHECK(what, visited == size_,
-                     "recency chain covers " + std::to_string(visited) +
-                         " slots vs " + std::to_string(size_) + " live items");
-  for (std::size_t i = 0; i < capacity; ++i) {
-    if (ctrl_[i] != kFull) {
-      DNSTTL_AUDIT_CHECK(what,
-                         chain_prev_[i] == kNil && chain_next_[i] == kNil,
-                         "dead slot " + std::to_string(i) +
-                             " still linked into the recency chain");
-    }
-  }
-}
-
 // ------------------------------------------------------------------ Cache
 
 void Cache::validate() const {
@@ -367,7 +60,7 @@ void Cache::validate() const {
     DNSTTL_AUDIT_CHECK(kWhat, entry.rrset.name() == item.name,
                        "entry RRset owner disagrees with index key " +
                            item.name.to_string());
-    DNSTTL_AUDIT_CHECK(kWhat, entry.rrset.type() == item.type,
+    DNSTTL_AUDIT_CHECK(kWhat, entry.rrset.type() == item.tag,
                        "entry RRset type disagrees with index key for " +
                            item.name.to_string());
     DNSTTL_AUDIT_CHECK(kWhat, entry.rrset.ttl() >= lo && entry.rrset.ttl() <= hi,
@@ -381,7 +74,7 @@ void Cache::validate() const {
     DNSTTL_AUDIT_CHECK(
         kWhat,
         std::binary_search(positive_recs.begin(), positive_recs.end(),
-                           std::make_tuple(key_hash(item.name, item.type),
+                           std::make_tuple(key_hash(item.name, item.tag),
                                            entry.expires, entry.stamp)),
         "no expiry-heap record covers " + item.name.to_string());
   });
@@ -389,7 +82,7 @@ void Cache::validate() const {
     DNSTTL_AUDIT_CHECK(
         kWhat,
         std::binary_search(negative_recs.begin(), negative_recs.end(),
-                           std::make_tuple(key_hash(item.name, item.type),
+                           std::make_tuple(key_hash(item.name, item.tag),
                                            item.value.expires,
                                            item.value.stamp)),
         "no negative-expiry record covers " + item.name.to_string());
@@ -468,7 +161,7 @@ void Cache::compact_heap(ExpiryHeap& heap, const Table<V>& table) {
   std::vector<ExpiryRec> recs;
   recs.reserve(table.size());
   table.for_each([&recs](const auto& item) {
-    recs.push_back(ExpiryRec{item.value.expires, item.name, item.type,
+    recs.push_back(ExpiryRec{item.value.expires, item.name, item.tag,
                              item.value.stamp});
   });
   heap = ExpiryHeap(LaterExpiry{}, std::move(recs));
@@ -523,10 +216,10 @@ void Cache::evict_one() {
                                          negatives_.at(n).value.last_touch);
       if (from_positive) {
         victim_name = entries_.at(p).name;
-        victim_type = entries_.at(p).type;
+        victim_type = entries_.at(p).tag;
       } else {
         victim_name = negatives_.at(n).name;
-        victim_type = negatives_.at(n).type;
+        victim_type = negatives_.at(n).tag;
       }
       break;
     }
@@ -568,10 +261,10 @@ void Cache::evict_one() {
       }
       if (from_positive) {
         victim_name = entries_.at(p).name;
-        victim_type = entries_.at(p).type;
+        victim_type = entries_.at(p).tag;
       } else {
         victim_name = negatives_.at(n).name;
-        victim_type = negatives_.at(n).type;
+        victim_type = negatives_.at(n).tag;
       }
       break;
     }
@@ -884,7 +577,7 @@ std::string Cache::dump(sim::Time now) const {
   live.reserve(entries_.size());
   entries_.for_each([&](const auto& item) {
     if (entry_live(item.value, now)) {
-      live.push_back(PositiveRef{&item.name, item.type, &item.value});
+      live.push_back(PositiveRef{&item.name, item.tag, &item.value});
     }
   });
   std::sort(live.begin(), live.end(),
@@ -922,7 +615,7 @@ std::string Cache::dump(sim::Time now) const {
   negatives.reserve(negatives_.size());
   negatives_.for_each([&](const auto& item) {
     if (item.value.expires > now) {
-      negatives.push_back(NegativeRef{&item.name, item.type, &item.value});
+      negatives.push_back(NegativeRef{&item.name, item.tag, &item.value});
     }
   });
   std::sort(negatives.begin(), negatives.end(),
@@ -950,10 +643,5 @@ std::optional<dns::Ttl> Cache::remaining_ttl(const dns::Name& name,
   }
   return hit->rrset.ttl();
 }
-
-// The table's out-of-line members live in this TU; snapshot.cc links
-// against these instantiations.
-template class Cache::Table<Cache::Entry>;
-template class Cache::Table<Cache::NegativeEntry>;
 
 }  // namespace dnsttl::cache

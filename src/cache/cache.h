@@ -11,6 +11,7 @@
 
 #include "check/audit.h"
 #include "dns/name.h"
+#include "dns/name_table.h"
 #include "dns/rr.h"
 #include "dns/types.h"
 #include "sim/time.h"
@@ -73,12 +74,11 @@ struct NegativeHit {
 /// NS-linked glue expiry, optional serve-stale, optional capacity bounds
 /// with pluggable eviction, and deterministic snapshot/restore.
 ///
-/// The index is an open-addressing hash table keyed on the Name's cached
-/// 64-bit hash mixed with the record type — a probe is a couple of integer
-/// compares plus one flat-buffer memcmp, where the previous std::map walked
-/// a red-black tree doing label-by-label canonical comparisons at every
-/// node.  Expiry is tracked lazily in a min-heap so purge_expired() costs
-/// O(expired · log n) instead of a full O(entries) sweep.
+/// The index is dns::NameTable, keyed on the Name's cached 64-bit hash
+/// mixed with the record type — a probe is a couple of integer compares
+/// plus one flat-buffer memcmp.  Expiry is tracked lazily in a min-heap so
+/// purge_expired() costs O(expired · log n) instead of a full O(entries)
+/// sweep.
 ///
 /// Capacity: when config.max_entries > 0 the positive and negative tables
 /// share one budget; any insert that pushes the combined population over
@@ -225,7 +225,7 @@ class Cache {
 
  private:
   /// Sentinel slot index ("no slot" / chain end).
-  static constexpr std::size_t kNil = static_cast<std::size_t>(-1);
+  static constexpr std::size_t kNil = dns::kNoSlot;
 
   struct Entry {
     dns::RRset rrset;
@@ -254,115 +254,14 @@ class Cache {
     std::uint8_t freq = 1;
   };
 
-  /// Mixes the Name's cached hash with the record type into a table hash.
+  /// The cache's index: dns::NameTable keyed on (owner, record type).
+  template <typename V>
+  using Table = dns::NameTable<dns::RRType, V>;
+
   static std::uint64_t key_hash(const dns::Name& name,
                                 dns::RRType type) noexcept {
-    std::uint64_t h =
-        name.hash() ^ (static_cast<std::uint64_t>(type) * 0x9e3779b97f4a7c15ULL);
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    h ^= h >> 33;
-    return h;
+    return Table<Entry>::key_hash(name, type);
   }
-
-  /// Open-addressing hash table from (Name, RRType) to V with linear
-  /// probing and tombstone deletion.  Keys carry their full 64-bit hash so
-  /// probes compare integers before touching the Name bytes, and rehashing
-  /// never recomputes a hash.
-  ///
-  /// A doubly-linked recency chain is threaded through the slots (parallel
-  /// prev/next index arrays): head = most recently touched, tail = least.
-  /// put() links/moves the slot to the head, erase() unlinks, grow()
-  /// preserves the order across the rehash.  When the cache is unbounded
-  /// the chain is maintained but never observed.
-  template <typename V>
-  class Table {
-   public:
-    struct Item {
-      std::uint64_t hash = 0;
-      dns::Name name;
-      dns::RRType type{};
-      V value{};
-    };
-
-    V* find(std::uint64_t hash, const dns::Name& name, dns::RRType type);
-    const V* find(std::uint64_t hash, const dns::Name& name,
-                  dns::RRType type) const;
-    /// Slot of the live item for the key, or kNil.
-    std::size_t find_slot(std::uint64_t hash, const dns::Name& name,
-                          dns::RRType type) const;
-    /// Inserts or overwrites, moving the slot to the chain head; returns
-    /// the slot index.
-    std::size_t put(std::uint64_t hash, const dns::Name& name, dns::RRType type,
-                    V value);
-    bool erase(std::uint64_t hash, const dns::Name& name, dns::RRType type);
-    void clear();
-    std::size_t size() const noexcept { return size_; }
-
-    Item& at(std::size_t slot) noexcept { return items_[slot]; }
-    const Item& at(std::size_t slot) const noexcept { return items_[slot]; }
-
-    /// Recency chain access: head = most recent, tail = least recent.
-    std::size_t head() const noexcept { return head_; }
-    std::size_t tail() const noexcept { return tail_; }
-    std::size_t more_recent(std::size_t slot) const noexcept {
-      return chain_prev_[slot];
-    }
-    std::size_t less_recent(std::size_t slot) const noexcept {
-      return chain_next_[slot];
-    }
-    /// Moves @p slot to the chain head (most recent).
-    void touch(std::size_t slot);
-
-    /// Structural audit of the open-addressing layout: control bytes vs
-    /// live/used accounting, power-of-two capacity with a guaranteed empty
-    /// slot, stored-hash agreement with key_hash, Name integrity,
-    /// probe-chain reachability of every live item across tombstones, and
-    /// recency-chain <-> slot consistency (every live slot on the chain
-    /// exactly once, links symmetric, dead slots unlinked).
-    void validate(const char* what) const;
-
-    /// Invokes @p fn for every live item, in unspecified order.
-    template <typename Fn>
-    void for_each(Fn&& fn) const {
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (ctrl_[i] == kFull) {
-          fn(items_[i]);
-        }
-      }
-    }
-
-    /// Mutable variant (LFU halving), same unspecified order.
-    template <typename Fn>
-    void for_each_mut(Fn&& fn) {
-      for (std::size_t i = 0; i < items_.size(); ++i) {
-        if (ctrl_[i] == kFull) {
-          fn(items_[i]);
-        }
-      }
-    }
-
-   private:
-    enum : std::uint8_t { kEmpty = 0, kTombstone = 1, kFull = 2 };
-
-    std::size_t probe(std::uint64_t hash, const dns::Name& name,
-                      dns::RRType type, bool& found) const;
-    void grow();
-    void link_front(std::size_t slot);
-    void link_back(std::size_t slot);
-    void unlink(std::size_t slot);
-
-    std::vector<std::uint8_t> ctrl_;
-    std::vector<Item> items_;
-    /// Intrusive recency chain, parallel to items_: toward the head (more
-    /// recent) and toward the tail (less recent); kNil-terminated.
-    std::vector<std::size_t> chain_prev_;
-    std::vector<std::size_t> chain_next_;
-    std::size_t head_ = kNil;
-    std::size_t tail_ = kNil;
-    std::size_t size_ = 0;  ///< live items
-    std::size_t used_ = 0;  ///< live items + tombstones
-  };
 
   /// One pending expiry deadline; stale records (entry refreshed, evicted
   /// or already purged) are skipped when popped.  The stamp ties a record

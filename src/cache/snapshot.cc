@@ -260,7 +260,7 @@ std::vector<std::uint8_t> Cache::snapshot() const {
     put_u8(out, static_cast<std::uint8_t>(entry.rcode));
     put_i64(out, entry.expires.ticks());
     put_name(out, item.name);
-    put_u16(out, static_cast<std::uint16_t>(item.type));
+    put_u16(out, static_cast<std::uint16_t>(item.tag));
   }
 
   put_u64(out, fnv1a(out));

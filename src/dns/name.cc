@@ -112,27 +112,29 @@ Name Name::from_string(std::string_view text) {
   return name;
 }
 
-Name Name::from_tail(std::string_view tail, std::size_t count) {
-  Name name;
-  name.data_.assign(tail);
-  name.label_count_ = static_cast<std::uint8_t>(count);
+std::uint64_t Name::hash_labels(std::string_view labels) noexcept {
   std::uint64_t h = kHashBasis;
   std::size_t pos = 0;
-  while (pos < tail.size()) {
-    std::size_t len = static_cast<unsigned char>(tail[pos]);
+  while (pos < labels.size()) {
+    std::size_t len = static_cast<unsigned char>(labels[pos]);
     for (std::size_t i = 0; i < len; ++i) {
-      h ^= static_cast<unsigned char>(tail[pos + 1 + i]);
+      h ^= static_cast<unsigned char>(labels[pos + 1 + i]);
       h *= kFnvPrime;
     }
     h ^= 0xffULL;
     h *= kFnvPrime;
     pos += 1 + len;
   }
-  name.hash_ = h;
+  return h;
+}
+
+Name::Name(NameView view)
+    : data_(view.labels()),
+      hash_(view.hash()),
+      label_count_(static_cast<std::uint8_t>(view.label_count())) {
   if constexpr (check::kAuditEnabled) {
-    name.validate();
+    validate();
   }
-  return name;
 }
 
 void Name::validate() const {
@@ -223,15 +225,21 @@ Name Name::parent() const {
   return suffix(label_count_ - 1u);
 }
 
-Name Name::suffix(std::size_t count) const {
-  if (count >= label_count_) {
-    return *this;
-  }
+std::size_t Name::tail_offset(std::size_t count) const noexcept {
   std::size_t pos = 0;
   for (std::size_t skip = label_count_ - count; skip > 0; --skip) {
     pos += 1 + static_cast<unsigned char>(data_[pos]);
   }
-  return from_tail(std::string_view(data_).substr(pos), count);
+  return pos;
+}
+
+NameView Name::suffix_view(std::size_t count) const noexcept {
+  if (count >= label_count_) {
+    return view();
+  }
+  const std::string_view tail =
+      std::string_view(data_).substr(tail_offset(count));
+  return NameView(tail, hash_labels(tail), count);
 }
 
 Name Name::prepend(std::string_view label) const {
@@ -268,12 +276,8 @@ bool Name::is_subdomain_of(const Name& ancestor) const noexcept {
   // The trailing labels of the flat buffer are exactly the ancestor's whole
   // buffer when the relation holds; walking the length prefixes keeps the
   // comparison aligned on label boundaries.
-  std::size_t pos = 0;
-  for (std::size_t skip = label_count_ - ancestor.label_count_; skip > 0;
-       --skip) {
-    pos += 1 + static_cast<unsigned char>(data_[pos]);
-  }
-  return std::string_view(data_).substr(pos) == ancestor.data_;
+  return std::string_view(data_).substr(tail_offset(ancestor.label_count_)) ==
+         ancestor.data_;
 }
 
 bool Name::is_strict_subdomain_of(const Name& ancestor) const noexcept {

@@ -12,6 +12,29 @@
 
 namespace dnsttl::dns {
 
+/// A borrowed run of a Name's trailing labels: the tail of its flat
+/// length-prefixed buffer, plus the hash a Name of exactly those labels
+/// carries.  Lets hash indexes and the wire encoder probe every ancestor of
+/// a name without allocating one.  Valid while the Name it came from lives
+/// unchanged.
+class NameView {
+ public:
+  NameView(std::string_view labels, std::uint64_t hash,
+           std::size_t label_count) noexcept
+      : labels_(labels), hash_(hash), label_count_(label_count) {}
+
+  /// Length-prefixed labels, no root octet (the uncompressed wire form
+  /// minus its terminating zero).
+  std::string_view labels() const noexcept { return labels_; }
+  std::uint64_t hash() const noexcept { return hash_; }
+  std::size_t label_count() const noexcept { return label_count_; }
+
+ private:
+  std::string_view labels_;
+  std::uint64_t hash_;
+  std::size_t label_count_;
+};
+
 /// A fully-qualified DNS domain name.
 ///
 /// Labels are stored in presentation order (leftmost / most specific first),
@@ -38,6 +61,9 @@ class Name {
   /// Throws std::invalid_argument on label/name length violations.
   explicit Name(const std::vector<std::string>& labels);
 
+  /// Copies the labels a view borrows (reusing its hash).
+  explicit Name(NameView view);
+
   /// Parses presentation format ("www.example.org", trailing dot optional,
   /// "." is the root).  Throws std::invalid_argument on malformed input.
   static Name from_string(std::string_view text);
@@ -62,7 +88,16 @@ class Name {
   /// The trailing @p count labels as a Name (count >= label_count() returns
   /// a copy of *this).  Single tail-copy of the flat buffer: O(size), no
   /// per-label allocation.
-  Name suffix(std::size_t count) const;
+  Name suffix(std::size_t count) const { return Name(suffix_view(count)); }
+
+  /// The whole name as a view (its cached hash, no copy).
+  NameView view() const noexcept {
+    return NameView(data_, hash_, label_count_);
+  }
+
+  /// The trailing @p count labels as a view (count >= label_count() is the
+  /// whole name).  Hashes the tail; allocates nothing.
+  NameView suffix_view(std::size_t count) const noexcept;
 
   /// New name @p label + "." + *this.  Throws on invalid label.
   Name prepend(std::string_view label) const;
@@ -105,6 +140,9 @@ class Name {
   bool operator==(const Name& other) const noexcept {
     return hash_ == other.hash_ && data_ == other.data_;
   }
+  bool operator==(const NameView& other) const noexcept {
+    return hash_ == other.hash() && data_ == other.labels();
+  }
 
  private:
   friend class NameBuilder;
@@ -113,8 +151,11 @@ class Name {
   void append_label(std::string_view label);
   /// Enforces the 255-octet wire limit after all labels are appended.
   void check_total_length() const;
-  /// Builds a Name from a trailing slice of an existing flat buffer.
-  static Name from_tail(std::string_view tail, std::size_t count);
+  /// FNV-1a over a flat buffer slice, the hash a Name of it carries.
+  static std::uint64_t hash_labels(std::string_view labels) noexcept;
+  /// Byte offset where the trailing @p count labels start
+  /// (count <= label_count()).
+  std::size_t tail_offset(std::size_t count) const noexcept;
 
   static constexpr std::uint64_t kHashBasis = 0xcbf29ce484222325ULL;
 

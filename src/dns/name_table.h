@@ -1,0 +1,402 @@
+#ifndef DNSTTL_DNS_NAME_TABLE_H
+#define DNSTTL_DNS_NAME_TABLE_H
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "check/audit.h"
+#include "dns/name.h"
+
+namespace dnsttl::dns {
+
+/// Sentinel slot index ("no slot" / chain end).
+inline constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+/// Key part for a table holding one item per Name.
+struct NoTag {
+  bool operator==(const NoTag&) const = default;
+};
+
+/// Open-addressing hash table from (Name, Tag) to V with linear probing and
+/// tombstone deletion — the one Name index of the library: the cache keys
+/// it on (owner, record type), the zone on the owner alone (Tag = NoTag).
+/// Items carry their full 64-bit hash (the Name's cached FNV hash mixed
+/// with the tag), so probes compare integers before touching Name bytes,
+/// and rehashing never recomputes a hash.  Lookups accept a Name or a
+/// NameView, so a caller can probe every ancestor of a name without
+/// allocating one.
+///
+/// A doubly-linked recency chain is threaded through the slots (prev/next
+/// slot indices stored in each slot): head = most recently put or touched,
+/// tail = least.  put() links/moves the slot to the head, erase() unlinks,
+/// grow() preserves the order across the rehash.  Users that never read it
+/// (the zone, an unbounded cache) pay a few index writes per put.
+template <typename Tag, typename V>
+class NameTable {
+ public:
+  static constexpr std::size_t kNil = kNoSlot;
+
+  struct Item {
+    std::uint64_t hash = 0;
+    Name name;
+    [[no_unique_address]] Tag tag{};
+    V value{};
+  };
+
+  /// The table hash of (name, tag): the MurmurHash3 finalizer over the
+  /// Name's FNV hash (xor the tag times the golden ratio, when there is a
+  /// tag), so the low bits that pick a slot depend on every input bit.
+  template <typename N>
+  static std::uint64_t key_hash(const N& name, Tag tag) noexcept {
+    std::uint64_t h = name.hash();
+    if constexpr (!std::is_empty_v<Tag>) {
+      h ^= static_cast<std::uint64_t>(tag) * 0x9e3779b97f4a7c15ULL;
+    }
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    return h;
+  }
+
+  /// Slot of the live item for the key, or kNil.  @p N is Name or NameView.
+  template <typename N>
+  std::size_t find_slot(std::uint64_t hash, const N& name, Tag tag) const {
+    if (size_ == 0) {
+      return kNil;
+    }
+    bool found = false;
+    std::size_t index = probe(hash, name, tag, found);
+    return found ? index : kNil;
+  }
+  template <typename N>
+  V* find(std::uint64_t hash, const N& name, Tag tag) {
+    const std::size_t slot = find_slot(hash, name, tag);
+    return slot == kNil ? nullptr : &slots_[slot].item.value;
+  }
+  template <typename N>
+  const V* find(std::uint64_t hash, const N& name, Tag tag) const {
+    const std::size_t slot = find_slot(hash, name, tag);
+    return slot == kNil ? nullptr : &slots_[slot].item.value;
+  }
+
+  /// Inserts or overwrites, moving the slot to the chain head; returns the
+  /// slot index (valid until the next put()).  @p name (a Name, copied or
+  /// moved in) is stored only when the key is new.
+  template <typename N>
+  std::size_t put(std::uint64_t hash, N&& name, Tag tag, V value) {
+    if (slots_.empty() || (used_ + 1) * 8 > slots_.size() * 7) {
+      grow();
+    }
+    bool found = false;
+    std::size_t index = probe(hash, name, tag, found);
+    Item& item = slots_[index].item;
+    if (!found) {
+      if (slots_[index].state == kEmpty) {
+        ++used_;
+      }
+      ++size_;
+      slots_[index].state = kFull;
+      item.hash = hash;
+      item.name = std::forward<N>(name);
+      item.tag = tag;
+      link_front(index);
+    } else {
+      touch(index);
+    }
+    item.value = std::move(value);
+    return index;
+  }
+
+  /// Removes the item in @p slot (a live slot from find_slot()).
+  void erase_slot(std::size_t slot) {
+    unlink(slot);
+    slots_[slot].item = Item{};  // release Name/value memory now
+    slots_[slot].state = kTombstone;
+    --size_;
+  }
+  template <typename N>
+  bool erase(std::uint64_t hash, const N& name, Tag tag) {
+    const std::size_t slot = find_slot(hash, name, tag);
+    if (slot == kNil) {
+      return false;
+    }
+    erase_slot(slot);
+    return true;
+  }
+
+  void clear() {
+    slots_.clear();
+    head_ = kNil;
+    tail_ = kNil;
+    size_ = 0;
+    used_ = 0;
+  }
+  std::size_t size() const noexcept { return size_; }
+
+  Item& at(std::size_t slot) noexcept { return slots_[slot].item; }
+  const Item& at(std::size_t slot) const noexcept { return slots_[slot].item; }
+
+  /// Recency chain access: head = most recent, tail = least recent.
+  std::size_t head() const noexcept { return head_; }
+  std::size_t tail() const noexcept { return tail_; }
+  std::size_t more_recent(std::size_t slot) const noexcept {
+    return slots_[slot].prev;
+  }
+  std::size_t less_recent(std::size_t slot) const noexcept {
+    return slots_[slot].next;
+  }
+  /// Moves @p slot to the chain head (most recent).
+  void touch(std::size_t slot) {
+    if (head_ == slot) {
+      return;
+    }
+    unlink(slot);
+    link_front(slot);
+  }
+
+  /// Invokes @p fn for every live item, in unspecified order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.state == kFull) {
+        fn(slot.item);
+      }
+    }
+  }
+
+  /// Mutable variant, same unspecified order.
+  template <typename Fn>
+  void for_each_mut(Fn&& fn) {
+    for (Slot& slot : slots_) {
+      if (slot.state == kFull) {
+        fn(slot.item);
+      }
+    }
+  }
+
+  /// Structural audit of the open-addressing layout: control bytes vs
+  /// live/used accounting, power-of-two capacity with a guaranteed empty
+  /// slot, stored-hash agreement with key_hash, Name integrity,
+  /// probe-chain reachability of every live item across tombstones, and
+  /// recency-chain <-> slot consistency (every live slot on the chain
+  /// exactly once, links symmetric, dead slots unlinked).  @p what names
+  /// the owning structure in the AuditError.
+  void validate(const char* what) const;
+
+ private:
+  enum : std::uint8_t { kEmpty = 0, kTombstone = 1, kFull = 2 };
+
+  /// One slot: the item, its recency-chain links (toward the head = more
+  /// recent, toward the tail = less recent; kNil-terminated) and its state.
+  /// One array holds all of it, so a table costs one allocation.
+  struct Slot {
+    Item item;
+    std::size_t prev = kNil;
+    std::size_t next = kNil;
+    std::uint8_t state = kEmpty;
+  };
+
+  template <typename N>
+  std::size_t probe(std::uint64_t hash, const N& name, Tag tag,
+                    bool& found) const {
+    // Capacity is a power of two; linear probing terminates because load
+    // is kept below 7/8 so an empty slot always exists.
+    std::size_t mask = slots_.size() - 1;
+    std::size_t index = static_cast<std::size_t>(hash) & mask;
+    std::size_t first_tombstone = kNil;
+    for (;;) {
+      const Slot& slot = slots_[index];
+      if (slot.state == kEmpty) {
+        found = false;
+        return first_tombstone != kNil ? first_tombstone : index;
+      }
+      if (slot.state == kTombstone) {
+        if (first_tombstone == kNil) {
+          first_tombstone = index;
+        }
+      } else if (slot.item.hash == hash && slot.item.tag == tag &&
+                 slot.item.name == name) {
+        found = true;
+        return index;
+      }
+      index = (index + 1) & mask;
+    }
+  }
+
+  void grow();
+
+  void link_front(std::size_t slot) {
+    slots_[slot].prev = kNil;
+    slots_[slot].next = head_;
+    if (head_ != kNil) {
+      slots_[head_].prev = slot;
+    }
+    head_ = slot;
+    if (tail_ == kNil) {
+      tail_ = slot;
+    }
+  }
+  void link_back(std::size_t slot) {
+    slots_[slot].next = kNil;
+    slots_[slot].prev = tail_;
+    if (tail_ != kNil) {
+      slots_[tail_].next = slot;
+    }
+    tail_ = slot;
+    if (head_ == kNil) {
+      head_ = slot;
+    }
+  }
+  void unlink(std::size_t slot) {
+    std::size_t toward_head = slots_[slot].prev;
+    std::size_t toward_tail = slots_[slot].next;
+    if (toward_head != kNil) {
+      slots_[toward_head].next = toward_tail;
+    } else {
+      head_ = toward_tail;
+    }
+    if (toward_tail != kNil) {
+      slots_[toward_tail].prev = toward_head;
+    } else {
+      tail_ = toward_head;
+    }
+    slots_[slot].prev = kNil;
+    slots_[slot].next = kNil;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t head_ = kNil;
+  std::size_t tail_ = kNil;
+  std::size_t size_ = 0;  ///< live items
+  std::size_t used_ = 0;  ///< live items + tombstones
+};
+
+template <typename Tag, typename V>
+void NameTable<Tag, V>::grow() {
+  std::size_t new_capacity = slots_.empty() ? 4 : slots_.size() * 2;
+  // If growth is driven by tombstones rather than live items, rehashing in
+  // place (same capacity) is enough; avoid doubling forever.
+  if (size_ * 4 < new_capacity) {
+    new_capacity = std::max<std::size_t>(4, slots_.size());
+  }
+  std::vector<Slot> old = std::move(slots_);
+  const std::size_t old_head = head_;
+  slots_.clear();
+  slots_.resize(new_capacity);
+  head_ = kNil;
+  tail_ = kNil;
+  used_ = size_;
+  const std::size_t mask = new_capacity - 1;
+  // Rehash.  Each old slot's `prev` is then free to remember where its
+  // item landed, so the recency chain is rebuilt in its exact order.
+  for (Slot& from : old) {
+    if (from.state != kFull) {
+      continue;
+    }
+    std::size_t index = static_cast<std::size_t>(from.item.hash) & mask;
+    while (slots_[index].state == kFull) {
+      index = (index + 1) & mask;
+    }
+    slots_[index].item = std::move(from.item);
+    slots_[index].state = kFull;
+    from.prev = index;
+  }
+  for (std::size_t i = old_head; i != kNil; i = old[i].next) {
+    link_back(old[i].prev);
+  }
+}
+
+template <typename Tag, typename V>
+void NameTable<Tag, V>::validate(const char* what) const {
+  const std::size_t capacity = slots_.size();
+  DNSTTL_AUDIT_CHECK(what, (capacity & (capacity - 1)) == 0,
+                     "capacity " + std::to_string(capacity) +
+                         " is not a power of two");
+  std::size_t full = 0;
+  std::size_t tombstones = 0;
+  for (std::size_t i = 0; i < capacity; ++i) {
+    DNSTTL_AUDIT_CHECK(what, slots_[i].state <= kFull,
+                       "slot state out of range at slot " + std::to_string(i));
+    if (slots_[i].state == kFull) {
+      ++full;
+    } else if (slots_[i].state == kTombstone) {
+      ++tombstones;
+    }
+  }
+  DNSTTL_AUDIT_CHECK(what, full == size_,
+                     "live-entry accounting: " + std::to_string(full) +
+                         " full slots vs size_ = " + std::to_string(size_));
+  DNSTTL_AUDIT_CHECK(what, full + tombstones == used_,
+                     "used-slot accounting: " +
+                         std::to_string(full + tombstones) +
+                         " full+tombstone slots vs used_ = " +
+                         std::to_string(used_));
+  // Probe termination requires a genuinely empty slot somewhere.
+  DNSTTL_AUDIT_CHECK(what, capacity == 0 || used_ < capacity,
+                     "table has no empty slot; probing cannot terminate");
+  for (std::size_t i = 0; i < capacity; ++i) {
+    if (slots_[i].state != kFull) {
+      continue;
+    }
+    const Item& item = slots_[i].item;
+    item.name.validate();
+    DNSTTL_AUDIT_CHECK(what, key_hash(item.name, item.tag) == item.hash,
+                       "stored hash disagrees with key_hash for " +
+                           item.name.to_string());
+    // Probe-chain/tombstone agreement: the item must be reachable from its
+    // home slot, i.e. a lookup for its key finds this exact slot.
+    bool found = false;
+    std::size_t at = probe(item.hash, item.name, item.tag, found);
+    DNSTTL_AUDIT_CHECK(what, found && at == i,
+                       "item at slot " + std::to_string(i) + " (" +
+                           item.name.to_string() +
+                           ") unreachable by probing (probe returned " +
+                           std::to_string(at) + ")");
+  }
+  // Recency chain <-> slot consistency: the chain visits every live slot
+  // exactly once, links are symmetric, and dead slots are unlinked.
+  DNSTTL_AUDIT_CHECK(what, (head_ == kNil) == (size_ == 0),
+                     "chain head/emptiness disagreement");
+  DNSTTL_AUDIT_CHECK(what, (tail_ == kNil) == (size_ == 0),
+                     "chain tail/emptiness disagreement");
+  std::vector<std::uint8_t> seen(capacity, 0);
+  std::size_t visited = 0;
+  std::size_t prev = kNil;
+  for (std::size_t i = head_; i != kNil; i = slots_[i].next) {
+    DNSTTL_AUDIT_CHECK(what, i < capacity,
+                       "recency chain index out of range: " +
+                           std::to_string(i));
+    DNSTTL_AUDIT_CHECK(what, slots_[i].state == kFull,
+                       "recency chain visits dead slot " + std::to_string(i));
+    DNSTTL_AUDIT_CHECK(what, seen[i] == 0,
+                       "recency chain visits slot " + std::to_string(i) +
+                           " twice (cycle)");
+    seen[i] = 1;
+    DNSTTL_AUDIT_CHECK(what, slots_[i].prev == prev,
+                       "recency chain prev/next asymmetry at slot " +
+                           std::to_string(i));
+    prev = i;
+    ++visited;
+  }
+  DNSTTL_AUDIT_CHECK(what, tail_ == prev,
+                     "recency chain tail does not terminate the walk");
+  DNSTTL_AUDIT_CHECK(what, visited == size_,
+                     "recency chain covers " + std::to_string(visited) +
+                         " slots vs " + std::to_string(size_) + " live items");
+  for (std::size_t i = 0; i < capacity; ++i) {
+    if (slots_[i].state != kFull) {
+      DNSTTL_AUDIT_CHECK(what,
+                         slots_[i].prev == kNil && slots_[i].next == kNil,
+                         "dead slot " + std::to_string(i) +
+                             " still linked into the recency chain");
+    }
+  }
+}
+
+}  // namespace dnsttl::dns
+
+#endif  // DNSTTL_DNS_NAME_TABLE_H

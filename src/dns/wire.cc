@@ -1,6 +1,10 @@
 #include "dns/wire.h"
 
+#include <array>
 #include <cstring>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
 
 namespace dnsttl::dns {
 
@@ -8,66 +12,157 @@ namespace {
 
 constexpr std::uint16_t kPointerMask = 0xc000;
 constexpr std::size_t kMaxPointerTarget = 0x3fff;
+constexpr std::size_t kMaxRdataLength = 0xffff;
+
+/// Encoder sink that keeps the bytes (encode()).
+class ByteSink {
+ public:
+  void put(std::uint8_t byte) { bytes_.push_back(byte); }
+  void put(std::string_view data) {
+    bytes_.insert(bytes_.end(), data.begin(), data.end());
+  }
+  void patch_u16(std::size_t offset, std::uint16_t value) {
+    bytes_[offset] = static_cast<std::uint8_t>(value >> 8);
+    bytes_[offset + 1] = static_cast<std::uint8_t>(value & 0xff);
+  }
+  std::size_t size() const noexcept { return bytes_.size(); }
+  std::vector<std::uint8_t> take() && { return std::move(bytes_); }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+};
+
+/// Encoder sink that only counts the bytes (encoded_size()).
+class CountingSink {
+ public:
+  void put(std::uint8_t) { ++size_; }
+  void put(std::string_view data) { size_ += data.size(); }
+  void patch_u16(std::size_t, std::uint16_t) {}
+  std::size_t size() const noexcept { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
+/// Name suffixes already written and their offsets: the RFC 1035 §4.1.4
+/// pointer targets.  A suffix is a view of the trailing labels of a Name
+/// in the message being encoded (Name's flat buffer is the uncompressed
+/// wire form), so keys cost no copy.  The first kInline suffixes live in
+/// place and are scanned; a message with more spills into a hash map.
+class CompressionTargets {
+ public:
+  std::optional<std::uint16_t> find(std::string_view labels) const {
+    for (std::size_t i = 0; i < count_; ++i) {
+      if (std::string_view(inline_[i].data, inline_[i].size) == labels) {
+        return inline_[i].offset;
+      }
+    }
+    if (!spill_.empty()) {
+      if (auto it = spill_.find(labels); it != spill_.end()) {
+        return it->second;
+      }
+    }
+    return std::nullopt;
+  }
+
+  void remember(std::string_view labels, std::uint16_t offset) {
+    if (count_ < kInline) {
+      inline_[count_++] = Target{labels.data(), labels.size(), offset};
+    } else {
+      spill_.emplace(labels, offset);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kInline = 64;
+  /// Trivially constructible, so the array costs nothing until filled.
+  struct Target {
+    const char* data;
+    std::size_t size;
+    std::uint16_t offset;
+  };
+
+  std::array<Target, kInline> inline_;
+  std::size_t count_ = 0;
+  std::unordered_map<std::string_view, std::uint16_t> spill_;
+};
+
+/// Serializes DNS data into RFC 1035 wire format with name compression.
+/// One writer encodes one message: the Names it is given must outlive it,
+/// because the compression targets view their labels.
+template <typename Sink>
+class Writer {
+ public:
+  void u8(std::uint8_t value) { sink_.put(value); }
+  void u16(std::uint16_t value) {
+    sink_.put(static_cast<std::uint8_t>(value >> 8));
+    sink_.put(static_cast<std::uint8_t>(value & 0xff));
+  }
+  void u32(std::uint32_t value) {
+    u16(static_cast<std::uint16_t>(value >> 16));
+    u16(static_cast<std::uint16_t>(value & 0xffff));
+  }
+  void bytes(std::string_view data) { sink_.put(data); }
+  void bytes(std::span<const std::uint8_t> data) {
+    sink_.put(std::string_view(reinterpret_cast<const char*>(data.data()),
+                               data.size()));
+  }
+
+  /// Writes @p name, ending in a compression pointer at the longest suffix
+  /// already written, and remembers each suffix it writes out in full.
+  void name(const Name& name) {
+    std::string_view labels = name.view().labels();
+    while (!labels.empty()) {
+      if (auto target = targets_.find(labels)) {
+        u16(static_cast<std::uint16_t>(kPointerMask | *target));
+        return;
+      }
+      if (size() <= kMaxPointerTarget) {
+        targets_.remember(labels, static_cast<std::uint16_t>(size()));
+      }
+      const std::size_t label_size =
+          1 + static_cast<unsigned char>(labels.front());
+      bytes(labels.substr(0, label_size));
+      labels.remove_prefix(label_size);
+    }
+    u8(0);  // root label
+  }
+
+  /// Writes @p name without compression and without remembering it
+  /// (required inside RDATA of types not in the RFC 3597 compression list;
+  /// we compress only NS/CNAME/SOA/MX/PTR targets, like BIND).
+  void name_uncompressed(const Name& name) {
+    bytes(name.view().labels());
+    u8(0);
+  }
+
+  /// Writes a u16 RDLENGTH placeholder and returns its offset.
+  std::size_t begin_rdata() {
+    const std::size_t at = size();
+    u16(0);
+    return at;
+  }
+  /// Back-fills the RDLENGTH at @p at with the octets of @p rdata
+  /// written since.
+  void end_rdata(std::size_t at, const Rdata& rdata) {
+    const std::size_t length = size() - at - 2;
+    if (length > kMaxRdataLength) {
+      throw WireError("RDATA of " + std::string(to_string(rdata_type(rdata))) +
+                      " is " + std::to_string(length) +
+                      " octets; RDLENGTH holds at most 65535");
+    }
+    sink_.patch_u16(at, static_cast<std::uint16_t>(length));
+  }
+
+  std::size_t size() const noexcept { return sink_.size(); }
+  Sink& sink() noexcept { return sink_; }
+
+ private:
+  Sink sink_;
+  CompressionTargets targets_;
+};
 
 }  // namespace
-
-// ---------------------------------------------------------------- WireWriter
-
-void WireWriter::u8(std::uint8_t value) { buffer_.push_back(value); }
-
-void WireWriter::u16(std::uint16_t value) {
-  buffer_.push_back(static_cast<std::uint8_t>(value >> 8));
-  buffer_.push_back(static_cast<std::uint8_t>(value & 0xff));
-}
-
-void WireWriter::u32(std::uint32_t value) {
-  u16(static_cast<std::uint16_t>(value >> 16));
-  u16(static_cast<std::uint16_t>(value & 0xffff));
-}
-
-void WireWriter::bytes(std::span<const std::uint8_t> data) {
-  buffer_.insert(buffer_.end(), data.begin(), data.end());
-}
-
-void WireWriter::patch_u16(std::size_t offset, std::uint16_t value) {
-  buffer_.at(offset) = static_cast<std::uint8_t>(value >> 8);
-  buffer_.at(offset + 1) = static_cast<std::uint8_t>(value & 0xff);
-}
-
-void WireWriter::name(const Name& n) {
-  // Emit labels until a known suffix allows a compression pointer.  Each
-  // suffix in presentation form is a trailing substring of the full
-  // presentation string, so one to_string() serves every map key.
-  std::string full = n.to_string();
-  std::size_t pos = 0;
-  for (std::size_t i = 0; i < n.label_count(); ++i) {
-    std::string key = full.substr(pos);
-    if (auto it = offsets_.find(key); it != offsets_.end()) {
-      u16(static_cast<std::uint16_t>(kPointerMask | it->second));
-      return;
-    }
-    if (buffer_.size() <= kMaxPointerTarget) {
-      offsets_.emplace(std::move(key),
-                       static_cast<std::uint16_t>(buffer_.size()));
-    }
-    std::string_view label = n.label(i);
-    u8(static_cast<std::uint8_t>(label.size()));
-    bytes(std::span(reinterpret_cast<const std::uint8_t*>(label.data()),
-                    label.size()));
-    pos += label.size() + 1;
-  }
-  u8(0);  // root label
-}
-
-void WireWriter::name_uncompressed(const Name& n) {
-  for (std::size_t i = 0; i < n.label_count(); ++i) {
-    std::string_view label = n.label(i);
-    u8(static_cast<std::uint8_t>(label.size()));
-    bytes(std::span(reinterpret_cast<const std::uint8_t*>(label.data()),
-                    label.size()));
-  }
-  u8(0);
-}
 
 // ---------------------------------------------------------------- WireReader
 
@@ -181,10 +276,9 @@ Name WireReader::name() {
 
 namespace {
 
-void encode_rdata(WireWriter& w, const Rdata& rdata) {
-  std::size_t len_at = w.size();
-  w.u16(0);  // RDLENGTH back-filled below
-  std::size_t start = w.size();
+template <typename Sink>
+void encode_rdata(Writer<Sink>& w, const Rdata& rdata) {
+  const std::size_t rdlength_at = w.begin_rdata();
 
   std::visit(
       [&w](const auto& v) {
@@ -215,9 +309,7 @@ void encode_rdata(WireWriter& w, const Rdata& rdata) {
             std::string_view chunk = rest.substr(0, 255);
             rest.remove_prefix(chunk.size());
             w.u8(static_cast<std::uint8_t>(chunk.size()));
-            w.bytes(std::span(
-                reinterpret_cast<const std::uint8_t*>(chunk.data()),
-                chunk.size()));
+            w.bytes(chunk);
           } while (!rest.empty());
         } else if constexpr (std::is_same_v<T, PtrRdata>) {
           w.name(v.target);
@@ -230,9 +322,7 @@ void encode_rdata(WireWriter& w, const Rdata& rdata) {
           w.u16(v.flags);
           w.u8(v.protocol);
           w.u8(v.algorithm);
-          w.bytes(std::span(
-              reinterpret_cast<const std::uint8_t*>(v.public_key.data()),
-              v.public_key.size()));
+          w.bytes(v.public_key);
         } else if constexpr (std::is_same_v<T, RrsigRdata>) {
           w.u16(static_cast<std::uint16_t>(v.type_covered));
           w.u8(v.algorithm);
@@ -242,16 +332,14 @@ void encode_rdata(WireWriter& w, const Rdata& rdata) {
           w.u32(v.inception);
           w.u16(v.key_tag);
           w.name_uncompressed(v.signer);  // RFC 4034 §3.1.7: no compression
-          w.bytes(std::span(
-              reinterpret_cast<const std::uint8_t*>(v.signature.data()),
-              v.signature.size()));
+          w.bytes(v.signature);
         } else if constexpr (std::is_same_v<T, OptRdata>) {
           // OPT carries its payload size in the CLASS field; RDATA empty.
         }
       },
       rdata);
 
-  w.patch_u16(len_at, static_cast<std::uint16_t>(w.size() - start));
+  w.end_rdata(rdlength_at, rdata);
 }
 
 // Bytes left before @p end; throws if earlier fields already overran the
@@ -370,7 +458,8 @@ Rdata decode_rdata(WireReader& r, RRType type, std::size_t rdlength) {
   return out;
 }
 
-void encode_rr(WireWriter& w, const ResourceRecord& rr) {
+template <typename Sink>
+void encode_rr(Writer<Sink>& w, const ResourceRecord& rr) {
   w.name(rr.name);
   w.u16(static_cast<std::uint16_t>(rr.type()));
   w.u16(static_cast<std::uint16_t>(rr.rclass));
@@ -393,8 +482,10 @@ ResourceRecord decode_rr(WireReader& r) {
 
 // ------------------------------------------------------------ full message
 
-std::vector<std::uint8_t> encode(const Message& m) {
-  WireWriter w;
+namespace {
+
+template <typename Sink>
+void encode_message(Writer<Sink>& w, const Message& m) {
   w.u16(m.id);
 
   std::uint16_t flags = 0;
@@ -421,7 +512,20 @@ std::vector<std::uint8_t> encode(const Message& m) {
   for (const auto& rr : m.answers) encode_rr(w, rr);
   for (const auto& rr : m.authorities) encode_rr(w, rr);
   for (const auto& rr : m.additionals) encode_rr(w, rr);
-  return std::move(w).take();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode(const Message& message) {
+  Writer<ByteSink> w;
+  encode_message(w, message);
+  return std::move(w.sink()).take();
+}
+
+std::size_t encoded_size(const Message& message) {
+  Writer<CountingSink> w;
+  encode_message(w, message);
+  return w.size();
 }
 
 Message decode(std::span<const std::uint8_t> wire) {
@@ -453,10 +557,6 @@ Message decode(std::span<const std::uint8_t> wire) {
   for (std::uint16_t i = 0; i < ns; ++i) m.authorities.push_back(decode_rr(r));
   for (std::uint16_t i = 0; i < ar; ++i) m.additionals.push_back(decode_rr(r));
   return m;
-}
-
-std::size_t encoded_size(const Message& message) {
-  return encode(message).size();
 }
 
 }  // namespace dnsttl::dns

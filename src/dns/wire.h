@@ -5,7 +5,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/message.h"
@@ -13,42 +12,11 @@
 
 namespace dnsttl::dns {
 
-/// Thrown on malformed wire data (truncation, bad pointers, bad lengths).
+/// Thrown on malformed wire data (truncation, bad pointers, bad lengths),
+/// and by the encoder on a record the wire format cannot carry.
 class WireError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
-};
-
-/// Serializes DNS data into RFC 1035 wire format with name compression
-/// (§4.1.4).  Compression targets are remembered for every name written
-/// whose offset fits in the 14-bit pointer space.
-class WireWriter {
- public:
-  void u8(std::uint8_t value);
-  void u16(std::uint16_t value);
-  void u32(std::uint32_t value);
-  void bytes(std::span<const std::uint8_t> data);
-
-  /// Writes @p name using compression pointers where a suffix was already
-  /// emitted.
-  void name(const Name& name);
-
-  /// Writes @p name without compression and without registering it
-  /// (required inside RDATA of types not in the RFC 3597 compression list;
-  /// we compress only NS/CNAME/SOA/MX targets, like BIND).
-  void name_uncompressed(const Name& name);
-
-  std::size_t size() const noexcept { return buffer_.size(); }
-  const std::vector<std::uint8_t>& data() const noexcept { return buffer_; }
-  std::vector<std::uint8_t> take() && { return std::move(buffer_); }
-
-  /// Patches a previously written u16 at @p offset (for RDLENGTH back-fill).
-  void patch_u16(std::size_t offset, std::uint16_t value);
-
- private:
-  std::vector<std::uint8_t> buffer_;
-  // Maps a name suffix (presentation form) to its first wire offset.
-  std::unordered_map<std::string, std::uint16_t> offsets_;
 };
 
 /// Reads RFC 1035 wire format; bounds-checked, loop-safe pointer chasing.
@@ -76,13 +44,18 @@ class WireReader {
   std::size_t offset_ = 0;
 };
 
-/// Encodes a full message into wire format.
+/// Encodes a full message into RFC 1035 wire format, compressing names
+/// (§4.1.4) against every suffix already written whose offset fits the
+/// 14-bit pointer space.  Throws WireError when one record's RDATA exceeds
+/// the 65535 octets RDLENGTH can state.
 std::vector<std::uint8_t> encode(const Message& message);
 
 /// Decodes a full message; throws WireError on malformed input.
 Message decode(std::span<const std::uint8_t> wire);
 
-/// Wire size of the encoded message (convenience; encodes internally).
+/// encode(message).size(), computed by the same encoder writing into a
+/// counter instead of a buffer: no bytes stored, and for messages with up
+/// to 64 distinct name suffixes, no allocation.  Throws as encode() does.
 std::size_t encoded_size(const Message& message);
 
 }  // namespace dnsttl::dns

@@ -1,8 +1,38 @@
 #include "dns/zone.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
+
+#include "check/audit.h"
 
 namespace dnsttl::dns {
+
+namespace {
+
+void append_records(const RRset& rrset, std::vector<ResourceRecord>& out) {
+  for (const auto& rdata : rrset.rdatas()) {
+    out.push_back(ResourceRecord{rrset.name(), rrset.rclass(), rrset.ttl(),
+                                 rdata});
+  }
+}
+
+/// Position of @p type in an owner's type-ordered RRsets: the set of that
+/// type, or where it would be inserted.
+template <typename Sets>
+auto type_position(Sets& rrsets, RRType type) {
+  return std::find_if(rrsets.begin(), rrsets.end(), [type](const RRset& set) {
+    return !(set.type() < type);
+  });
+}
+
+template <typename Sets>
+auto* rrset_of(Sets& rrsets, RRType type) {
+  auto it = type_position(rrsets, type);
+  return it != rrsets.end() && it->type() == type ? &*it : nullptr;
+}
+
+}  // namespace
 
 void Zone::add(const ResourceRecord& rr) {
   if (!rr.name.is_subdomain_of(origin_)) {
@@ -10,11 +40,12 @@ void Zone::add(const ResourceRecord& rr) {
                                 " not under zone origin " +
                                 origin_.to_string());
   }
-  auto& by_type = nodes_[rr.name];
-  auto [it, inserted] =
-      by_type.try_emplace(rr.type(), rr.name, rr.rclass, rr.ttl);
-  it->second.set_ttl(rr.ttl);
-  it->second.add(rr.rdata);
+  RRset& rrset = rrset_for(rr.name, rr.type(), rr.rclass, rr.ttl);
+  rrset.set_ttl(rr.ttl);
+  rrset.add(rr.rdata);
+  if constexpr (check::kAuditEnabled) {
+    validate();
+  }
 }
 
 void Zone::replace(const RRset& rrset) {
@@ -24,88 +55,159 @@ void Zone::replace(const RRset& rrset) {
   if (!rrset.name().is_subdomain_of(origin_)) {
     throw std::invalid_argument("RRset not under zone origin");
   }
-  nodes_[rrset.name()][rrset.type()] = rrset;
+  rrset_for(rrset.name(), rrset.type(), rrset.rclass(), rrset.ttl()) = rrset;
+  if constexpr (check::kAuditEnabled) {
+    validate();
+  }
+}
+
+RRset& Zone::rrset_for(const Name& name, RRType type, RClass rclass,
+                       Ttl ttl) {
+  const std::uint64_t hash = Nodes::key_hash(name, NoTag{});
+  std::size_t slot = nodes_.find_slot(hash, name, NoTag{});
+  if (slot == Nodes::kNil) {
+    // A new owner is one more child of its parent, which is created first
+    // (as an empty non-terminal) when it is new too, and so on upward.
+    for (std::size_t depth = name.label_count();
+         depth > origin_.label_count(); --depth) {
+      const NameView parent = ancestor(name, depth - 1);
+      const std::uint64_t parent_hash = Nodes::key_hash(parent, NoTag{});
+      if (Node* node = nodes_.find(parent_hash, parent, NoTag{})) {
+        ++node->children;
+        break;
+      }
+      nodes_.put(parent_hash, Name(parent), NoTag{}, Node{{}, 1});
+    }
+    slot = nodes_.put(hash, name, NoTag{}, Node{});
+  }
+  std::vector<RRset>& rrsets = nodes_.at(slot).value.rrsets;
+  auto it = type_position(rrsets, type);
+  if (it == rrsets.end() || it->type() != type) {
+    it = rrsets.emplace(it, name, rclass, ttl);
+    ++rrset_count_;
+  }
+  return *it;
+}
+
+void Zone::prune(std::size_t slot) {
+  // Parents are erased before the slot itself, so `name` stays alive.
+  const Name& name = nodes_.at(slot).name;
+  for (std::size_t depth = name.label_count(); depth > origin_.label_count();
+       --depth) {
+    const std::size_t up = slot_of(ancestor(name, depth - 1));
+    Node& node = nodes_.at(up).value;
+    if (--node.children > 0 || !node.rrsets.empty()) {
+      break;
+    }
+    nodes_.erase_slot(up);
+  }
+  nodes_.erase_slot(slot);
 }
 
 bool Zone::remove(const Name& name, RRType type) {
-  auto node = nodes_.find(name);
-  if (node == nodes_.end()) {
+  const std::size_t slot = slot_of(name);
+  if (slot == Nodes::kNil) {
     return false;
   }
-  bool erased = node->second.erase(type) > 0;
-  if (node->second.empty()) {
-    nodes_.erase(node);
+  Node& node = nodes_.at(slot).value;
+  auto it = type_position(node.rrsets, type);
+  if (it == node.rrsets.end() || it->type() != type) {
+    return false;
   }
-  return erased;
+  node.rrsets.erase(it);
+  --rrset_count_;
+  if (node.rrsets.empty() && node.children == 0) {
+    prune(slot);
+  }
+  if constexpr (check::kAuditEnabled) {
+    validate();
+  }
+  return true;
 }
 
 bool Zone::set_ttl(const Name& name, RRType type, Ttl ttl) {
-  auto node = nodes_.find(name);
-  if (node == nodes_.end()) {
+  RRset* rrset = find_rrset(name, type);
+  if (rrset == nullptr) {
     return false;
   }
-  auto it = node->second.find(type);
-  if (it == node->second.end()) {
+  rrset->set_ttl(ttl);
+  if constexpr (check::kAuditEnabled) {
+    validate();
+  }
+  return true;
+}
+
+bool Zone::renumber(const Name& name, Rdata address) {
+  RRset* rrset = find_rrset(name, rdata_type(address));
+  if (rrset == nullptr) {
     return false;
   }
-  it->second.set_ttl(ttl);
+  RRset fresh(name, rrset->rclass(), rrset->ttl());
+  fresh.add(std::move(address));
+  *rrset = std::move(fresh);
+  if constexpr (check::kAuditEnabled) {
+    validate();
+  }
   return true;
 }
 
 bool Zone::renumber_a(const Name& name, Ipv4 address) {
-  auto existing = find(name, RRType::kA);
-  if (!existing) {
-    return false;
-  }
-  RRset fresh(name, existing->rclass(), existing->ttl());
-  fresh.add(ARdata{address});
-  replace(fresh);
-  return true;
+  return renumber(name, ARdata{address});
 }
 
 bool Zone::renumber_aaaa(const Name& name, Ipv6 address) {
-  auto existing = find(name, RRType::kAAAA);
-  if (!existing) {
-    return false;
-  }
-  RRset fresh(name, existing->rclass(), existing->ttl());
-  fresh.add(AaaaRdata{address});
-  replace(fresh);
-  return true;
+  return renumber(name, AaaaRdata{address});
+}
+
+const RRset* Zone::find_rrset(const Name& name, RRType type) const {
+  const Node* node = find_node(name);
+  return node == nullptr ? nullptr : rrset_of(node->rrsets, type);
+}
+
+RRset* Zone::find_rrset(const Name& name, RRType type) {
+  const std::size_t slot = slot_of(name);
+  return slot == Nodes::kNil ? nullptr
+                             : rrset_of(nodes_.at(slot).value.rrsets, type);
 }
 
 std::optional<RRset> Zone::find(const Name& name, RRType type) const {
-  auto node = nodes_.find(name);
-  if (node == nodes_.end()) {
-    return std::nullopt;
-  }
-  auto it = node->second.find(type);
-  if (it == node->second.end()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
-bool Zone::has_node(const Name& name) const { return nodes_.contains(name); }
-
-std::optional<Name> Zone::find_zone_cut(const Name& name) const {
-  // Walk from just below the origin down to the name itself, looking for a
-  // node with an NS RRset (a delegation).  The apex NS set is not a cut.
-  std::size_t origin_depth = origin_.label_count();
-  std::size_t name_depth = name.label_count();
-  for (std::size_t depth = origin_depth + 1; depth <= name_depth; ++depth) {
-    // Ancestor of `name` with `depth` labels.
-    Name ancestor = name.suffix(depth);
-    auto node = nodes_.find(ancestor);
-    if (node != nodes_.end() && node->second.contains(RRType::kNS)) {
-      return ancestor;
-    }
+  if (const RRset* rrset = find_rrset(name, type)) {
+    return *rrset;
   }
   return std::nullopt;
 }
 
+bool Zone::has_node(const Name& name) const {
+  const Node* node = find_node(name);
+  return node != nullptr && !node->rrsets.empty();
+}
+
+const RRset* Zone::find_zone_cut(const Name& name, const Node** node) const {
+  // Walk from just below the origin down to the name itself; the apex NS
+  // set is not a cut.  Every ancestor of an entry is an entry, so once a
+  // name on the way is missing, nothing exists at or below it.
+  const std::size_t apex = origin_.label_count();
+  const Node* at = nullptr;
+  for (std::size_t depth = std::min(apex + 1, name.label_count());
+       depth <= name.label_count(); ++depth) {
+    at = find_node(name.suffix_view(depth));
+    if (at == nullptr) {
+      break;
+    }
+    if (depth > apex) {
+      if (const RRset* ns = rrset_of(at->rrsets, RRType::kNS)) {
+        return ns;
+      }
+    }
+  }
+  if (node != nullptr) {
+    *node = at;
+  }
+  return nullptr;
+}
+
 bool Zone::is_delegated(const Name& name) const {
-  return name.is_subdomain_of(origin_) && find_zone_cut(name).has_value();
+  return name.is_subdomain_of(origin_) && find_zone_cut(name) != nullptr;
 }
 
 void Zone::attach_glue(const std::vector<ResourceRecord>& ns_records,
@@ -119,9 +221,8 @@ void Zone::attach_glue(const std::vector<ResourceRecord>& ns_records,
       continue;  // out-of-bailiwick: no glue available in this zone
     }
     for (RRType type : {RRType::kA, RRType::kAAAA}) {
-      if (auto glue = find(target, type)) {
-        auto records = glue->to_records();
-        additionals.insert(additionals.end(), records.begin(), records.end());
+      if (const RRset* glue = find_rrset(target, type)) {
+        append_records(*glue, additionals);
       }
     }
   }
@@ -129,7 +230,7 @@ void Zone::attach_glue(const std::vector<ResourceRecord>& ns_records,
 
 void Zone::append_soa_to(std::vector<ResourceRecord>& authorities) const {
   if (auto soa_rr = soa()) {
-    authorities.push_back(*soa_rr);
+    authorities.push_back(std::move(*soa_rr));
   }
 }
 
@@ -143,157 +244,197 @@ LookupResult Zone::lookup_internal(const Name& qname, RRType qtype,
 
   // Delegation check: a zone cut strictly above or at qname ends our
   // authority (RFC 1034 §4.3.2 step 3b).
-  if (auto cut = find_zone_cut(qname)) {
-    const auto ns_set = find(*cut, RRType::kNS);
+  const Node* node = nullptr;
+  if (const RRset* cut = find_zone_cut(qname, &node)) {
     result.kind = LookupResult::Kind::kDelegation;
     result.authoritative = false;
-    result.authorities = ns_set->to_records();
+    append_records(*cut, result.authorities);
     attach_glue(result.authorities, result.additionals);
     return result;
   }
 
-  auto node = nodes_.find(qname);
-  if (node != nodes_.end()) {
-    // CNAME takes over unless the query asked for CNAME/ANY (RFC 1034
-    // §4.3.2 step 3a).
-    if (qtype != RRType::kCNAME && qtype != RRType::kANY) {
-      if (auto cname = node->second.find(RRType::kCNAME);
-          cname != node->second.end()) {
-        result.kind = LookupResult::Kind::kAnswer;
-        result.authoritative = true;
-        auto records = cname->second.to_records();
-        result.answers.insert(result.answers.end(), records.begin(),
-                              records.end());
-        // Chase the chain inside this zone where possible; bounded depth
-        // guards against CNAME loops (RFC 1034 warns of them).
-        const auto& target = std::get<CnameRdata>(records.front().rdata).target;
-        if (cname_depth < 8 && target.is_subdomain_of(origin_) &&
-            target != qname) {
-          auto chased = lookup_internal(target, qtype, cname_depth + 1);
-          result.answers.insert(result.answers.end(), chased.answers.begin(),
-                                chased.answers.end());
-        }
-        return result;
-      }
-    }
-
-    if (qtype == RRType::kANY) {
-      result.kind = LookupResult::Kind::kAnswer;
-      result.authoritative = true;
-      for (const auto& [type, rrset] : node->second) {
-        auto records = rrset.to_records();
-        result.answers.insert(result.answers.end(), records.begin(),
-                              records.end());
-      }
-      return result;
-    }
-
-    if (auto it = node->second.find(qtype); it != node->second.end()) {
-      result.kind = LookupResult::Kind::kAnswer;
-      result.authoritative = true;
-      result.answers = it->second.to_records();
-      // Covering RRSIGs ride along with signed answers (DNSSEC-lite).
-      if (qtype != RRType::kRRSIG) {
-        if (auto sigs = node->second.find(RRType::kRRSIG);
-            sigs != node->second.end()) {
-          for (const auto& rdata : sigs->second.rdatas()) {
-            if (std::get<RrsigRdata>(rdata).type_covered == qtype) {
-              result.answers.push_back(ResourceRecord{
-                  qname, sigs->second.rclass(), sigs->second.ttl(), rdata});
-            }
-          }
-        }
-      }
-      // Helpful additionals, as real servers send them: addresses for NS/MX
-      // targets inside the zone (the paper's Table 1 "Add." rows).
-      if (qtype == RRType::kNS) {
-        attach_glue(result.answers, result.additionals);
-      } else if (qtype == RRType::kMX) {
-        for (const auto& rr : result.answers) {
-          if (rr.type() != RRType::kMX) {
-            continue;
-          }
-          const auto& exchange = std::get<MxRdata>(rr.rdata).exchange;
-          if (!exchange.is_subdomain_of(origin_)) {
-            continue;
-          }
-          for (RRType type : {RRType::kA, RRType::kAAAA}) {
-            if (auto addr = find(exchange, type)) {
-              auto records = addr->to_records();
-              result.additionals.insert(result.additionals.end(),
-                                        records.begin(), records.end());
-            }
-          }
-        }
-      }
-      return result;
-    }
-
-    // Node exists but not this type: NODATA.
-    result.kind = LookupResult::Kind::kNoData;
+  // No entry: nothing exists at or below qname.  An entry without RRsets
+  // is an empty non-terminal: the name exists (RFC 8020), with no data.
+  if (node == nullptr || node->rrsets.empty()) {
+    result.kind = node == nullptr ? LookupResult::Kind::kNxDomain
+                                  : LookupResult::Kind::kNoData;
     result.authoritative = true;
     append_soa_to(result.authorities);
     return result;
   }
 
-  // Empty non-terminal check: a name exists implicitly if anything lives
-  // below it (RFC 8020).  Canonical ordering places all subdomains of qname
-  // in a contiguous range immediately after it, so one probe suffices.
-  if (auto it = nodes_.upper_bound(qname);
-      it != nodes_.end() && it->first.is_strict_subdomain_of(qname)) {
-    result.kind = LookupResult::Kind::kNoData;
+  // CNAME takes over unless the query asked for CNAME/ANY (RFC 1034
+  // §4.3.2 step 3a).
+  if (qtype != RRType::kCNAME && qtype != RRType::kANY) {
+    if (const RRset* cname = rrset_of(node->rrsets, RRType::kCNAME)) {
+      result.kind = LookupResult::Kind::kAnswer;
+      result.authoritative = true;
+      append_records(*cname, result.answers);
+      // Chase the chain inside this zone where possible; bounded depth
+      // guards against CNAME loops (RFC 1034 warns of them).
+      const auto& target =
+          std::get<CnameRdata>(cname->rdatas().front()).target;
+      if (cname_depth < 8 && target.is_subdomain_of(origin_) &&
+          target != qname) {
+        auto chased = lookup_internal(target, qtype, cname_depth + 1);
+        result.answers.insert(result.answers.end(), chased.answers.begin(),
+                              chased.answers.end());
+      }
+      return result;
+    }
+  }
+
+  if (qtype == RRType::kANY) {
+    result.kind = LookupResult::Kind::kAnswer;
     result.authoritative = true;
-    append_soa_to(result.authorities);
+    for (const auto& rrset : node->rrsets) {
+      append_records(rrset, result.answers);
+    }
     return result;
   }
 
-  result.kind = LookupResult::Kind::kNxDomain;
+  if (const RRset* rrset = rrset_of(node->rrsets, qtype)) {
+    result.kind = LookupResult::Kind::kAnswer;
+    result.authoritative = true;
+    append_records(*rrset, result.answers);
+    // Covering RRSIGs ride along with signed answers (DNSSEC-lite).
+    if (qtype != RRType::kRRSIG) {
+      if (const RRset* sigs = rrset_of(node->rrsets, RRType::kRRSIG)) {
+        for (const auto& rdata : sigs->rdatas()) {
+          if (std::get<RrsigRdata>(rdata).type_covered == qtype) {
+            result.answers.push_back(
+                ResourceRecord{qname, sigs->rclass(), sigs->ttl(), rdata});
+          }
+        }
+      }
+    }
+    // Helpful additionals, as real servers send them: addresses for NS/MX
+    // targets inside the zone (the paper's Table 1 "Add." rows).
+    if (qtype == RRType::kNS) {
+      attach_glue(result.answers, result.additionals);
+    } else if (qtype == RRType::kMX) {
+      for (const auto& rr : result.answers) {
+        if (rr.type() != RRType::kMX) {
+          continue;
+        }
+        const auto& exchange = std::get<MxRdata>(rr.rdata).exchange;
+        if (!exchange.is_subdomain_of(origin_)) {
+          continue;
+        }
+        for (RRType type : {RRType::kA, RRType::kAAAA}) {
+          if (const RRset* addr = find_rrset(exchange, type)) {
+            append_records(*addr, result.additionals);
+          }
+        }
+      }
+    }
+    return result;
+  }
+
+  // Node exists but not this type: NODATA.
+  result.kind = LookupResult::Kind::kNoData;
   result.authoritative = true;
   append_soa_to(result.authorities);
   return result;
 }
 
 std::vector<RRset> Zone::all_rrsets() const {
+  std::vector<const Nodes::Item*> owners;
+  owners.reserve(nodes_.size());
+  nodes_.for_each([&owners](const Nodes::Item& item) {
+    owners.push_back(&item);
+  });
+  std::sort(owners.begin(), owners.end(),
+            [](const Nodes::Item* a, const Nodes::Item* b) {
+              return a->name < b->name;
+            });
   std::vector<RRset> out;
-  for (const auto& [name, by_type] : nodes_) {
-    for (const auto& [type, rrset] : by_type) {
-      out.push_back(rrset);
-    }
+  out.reserve(rrset_count_);
+  for (const Nodes::Item* owner : owners) {
+    out.insert(out.end(), owner->value.rrsets.begin(),
+               owner->value.rrsets.end());
   }
   return out;
 }
 
-std::size_t Zone::rrset_count() const noexcept {
-  std::size_t count = 0;
-  for (const auto& [name, by_type] : nodes_) {
-    count += by_type.size();
-  }
-  return count;
-}
-
 bool Zone::bump_serial() {
-  auto node = nodes_.find(origin_);
-  if (node == nodes_.end()) {
+  RRset* soa = find_rrset(origin_, RRType::kSOA);
+  if (soa == nullptr || soa->empty()) {
     return false;
   }
-  auto it = node->second.find(RRType::kSOA);
-  if (it == node->second.end() || it->second.empty()) {
-    return false;
-  }
-  RRset updated(origin_, it->second.rclass(), it->second.ttl());
-  for (auto rdata : it->second.rdatas()) {
+  RRset updated(origin_, soa->rclass(), soa->ttl());
+  for (auto rdata : soa->rdatas()) {
     ++std::get<SoaRdata>(rdata).serial;
     updated.add(std::move(rdata));
   }
-  it->second = std::move(updated);
+  *soa = std::move(updated);
+  if constexpr (check::kAuditEnabled) {
+    validate();
+  }
   return true;
 }
 
 std::optional<ResourceRecord> Zone::soa() const {
-  if (auto rrset = find(origin_, RRType::kSOA); rrset && !rrset->empty()) {
-    return rrset->to_records().front();
+  const RRset* soa = find_rrset(origin_, RRType::kSOA);
+  if (soa == nullptr || soa->empty()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return ResourceRecord{soa->name(), soa->rclass(), soa->ttl(),
+                        soa->rdatas().front()};
+}
+
+void Zone::clear() {
+  nodes_.clear();
+  rrset_count_ = 0;
+  if constexpr (check::kAuditEnabled) {
+    validate();
+  }
+}
+
+void Zone::validate() const {
+  constexpr const char* kWhat = "dns::Zone";
+  nodes_.validate(kWhat);
+  std::size_t rrsets = 0;
+  std::unordered_map<const Node*, std::uint32_t> children;
+  nodes_.for_each([&](const Nodes::Item& item) {
+    // Failure details only: DNSTTL_AUDIT_CHECK evaluates them on failure.
+    const auto owner = [&item] { return item.name.to_string(); };
+    DNSTTL_AUDIT_CHECK(kWhat, item.name.is_subdomain_of(origin_),
+                       "entry " + owner() + " not under the origin");
+    const Node& node = item.value;
+    DNSTTL_AUDIT_CHECK(kWhat, !node.rrsets.empty() || node.children > 0,
+                       "entry " + owner() + " has neither RRsets nor children");
+    for (std::size_t i = 0; i < node.rrsets.size(); ++i) {
+      const RRset& rrset = node.rrsets[i];
+      DNSTTL_AUDIT_CHECK(kWhat, !rrset.empty(),
+                         "empty RRset stored at " + owner());
+      DNSTTL_AUDIT_CHECK(kWhat, rrset.name() == item.name,
+                         "RRset owner disagrees with its entry " + owner());
+      DNSTTL_AUDIT_CHECK(kWhat,
+                         i == 0 || node.rrsets[i - 1].type() < rrset.type(),
+                         "RRsets at " + owner() + " not in strict type order");
+    }
+    rrsets += node.rrsets.size();
+    if (item.name.label_count() > origin_.label_count()) {
+      const Node* parent =
+          find_node(ancestor(item.name, item.name.label_count() - 1));
+      DNSTTL_AUDIT_CHECK(kWhat, parent != nullptr,
+                         "entry " + owner() + " has no parent entry");
+      ++children[parent];
+    }
+  });
+  nodes_.for_each([&](const Nodes::Item& item) {
+    const auto it = children.find(&item.value);
+    const std::uint32_t below = it == children.end() ? 0 : it->second;
+    DNSTTL_AUDIT_CHECK(kWhat, item.value.children == below,
+                       "child count " + std::to_string(item.value.children) +
+                           " at " + item.name.to_string() + " vs " +
+                           std::to_string(below) + " entries below");
+  });
+  DNSTTL_AUDIT_CHECK(kWhat, rrsets == rrset_count_,
+                     "RRset count " + std::to_string(rrset_count_) + " vs " +
+                         std::to_string(rrsets) + " stored");
+  check::count_audit();
 }
 
 }  // namespace dnsttl::dns

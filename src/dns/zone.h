@@ -2,12 +2,12 @@
 #define DNSTTL_DNS_ZONE_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "dns/name.h"
+#include "dns/name_table.h"
 #include "dns/rr.h"
 #include "dns/types.h"
 
@@ -38,6 +38,13 @@ struct LookupResult {
 /// zone's records live here, and TTLs of the *delegation copy* (NS + glue)
 /// live in the parent's Zone object — possibly different, which is exactly
 /// the ambiguity §3 of the paper studies.
+///
+/// The index is dns::NameTable with one entry per owner name, holding that
+/// name's RRsets in type order.  Every name between an owner and the origin
+/// has an entry too — an empty non-terminal (RFC 8020) carries only a count
+/// of the entries directly below it — so "does anything exist at or below
+/// this name" is one probe, and a lookup walks the qname's ancestors by
+/// (hash, label-suffix view) without allocating any of them.
 class Zone {
  public:
   explicit Zone(Name origin) : origin_(std::move(origin)) {}
@@ -63,7 +70,7 @@ class Zone {
   bool renumber_a(const Name& name, Ipv4 address);
   bool renumber_aaaa(const Name& name, Ipv6 address);
 
-  /// Fetches the (name, type) RRset stored in this zone, or nullopt.
+  /// A copy of the (name, type) RRset stored in this zone, or nullopt.
   std::optional<RRset> find(const Name& name, RRType type) const;
 
   /// True if any RRset exists at @p name.
@@ -80,12 +87,12 @@ class Zone {
     return lookup_internal(qname, qtype, 0);
   }
 
-  /// All RRsets, in canonical name order (used by RFC 7706 zone transfer
-  /// and by the crawler).
+  /// All RRsets, in canonical name order and type order within a name
+  /// (used by RFC 7706 zone transfer, master-file rendering and signing).
   std::vector<RRset> all_rrsets() const;
 
   /// Number of RRsets stored.
-  std::size_t rrset_count() const noexcept;
+  std::size_t rrset_count() const noexcept { return rrset_count_; }
 
   /// The zone's SOA record, if configured.
   std::optional<ResourceRecord> soa() const;
@@ -95,16 +102,66 @@ class Zone {
   bool bump_serial();
 
   /// Removes every RRset (used by secondaries on zone expiry/transfer).
-  void clear() { nodes_.clear(); }
+  void clear();
+
+  /// Deep structural audit: the table's own layout audit, every entry under
+  /// the origin with its RRsets non-empty, owned by it and in strictly
+  /// increasing type order, every entry below the origin with a parent
+  /// entry, every child count equal to the entries directly below, no
+  /// entry without RRsets or children, and the RRset count.  Throws
+  /// check::AuditError on violation.  Compiled in every build; invoked
+  /// after every mutation only when built with DNSTTL_AUDIT=ON.
+  void validate() const;
 
  private:
+  /// One owner name's entry.  An entry without RRsets is an empty
+  /// non-terminal and lives exactly as long as its child count is nonzero.
+  struct Node {
+    std::vector<RRset> rrsets;  ///< in increasing type order
+    std::uint32_t children = 0;  ///< entries exactly one label below
+  };
+  using Nodes = NameTable<NoTag, Node>;
+
   LookupResult lookup_internal(const Name& qname, RRType qtype,
                                int cname_depth) const;
 
-  /// Deepest delegation cut on the path from origin to @p name (exclusive of
-  /// the origin itself), or nullopt if the name is inside this zone's
-  /// authoritative data.
-  std::optional<Name> find_zone_cut(const Name& name) const;
+  /// The first delegation cut on the path from just below the origin down
+  /// to @p name, as the cut's NS RRset: RFC 1034 §4.3.2 step 3b, the
+  /// shallowest cut ends this zone's authority.  nullptr if the name is
+  /// inside this zone's authoritative data; then @p node (when given)
+  /// receives the name's entry, or nullptr if nothing exists at or below
+  /// the name.
+  const RRset* find_zone_cut(const Name& name,
+                             const Node** node = nullptr) const;
+
+  /// The ancestor of @p name (under the origin) with @p depth labels; the
+  /// origin's own view, with its cached hash, when that is the ancestor.
+  NameView ancestor(const Name& name, std::size_t depth) const {
+    return depth == origin_.label_count() ? origin_.view()
+                                          : name.suffix_view(depth);
+  }
+  /// Slot of @p name's entry (a Name or NameView), or Nodes::kNil.
+  template <typename N>
+  std::size_t slot_of(const N& name) const {
+    return nodes_.find_slot(Nodes::key_hash(name, NoTag{}), name, NoTag{});
+  }
+  template <typename N>
+  const Node* find_node(const N& name) const {
+    const std::size_t slot = slot_of(name);
+    return slot == Nodes::kNil ? nullptr : &nodes_.at(slot).value;
+  }
+  const RRset* find_rrset(const Name& name, RRType type) const;
+  RRset* find_rrset(const Name& name, RRType type);
+
+  /// The (name, type) RRset, inserted empty with @p rclass and @p ttl if
+  /// absent; creates the name's entry and any missing empty non-terminals
+  /// above it.
+  RRset& rrset_for(const Name& name, RRType type, RClass rclass, Ttl ttl);
+  /// Erases the entry in @p slot (no RRsets, no children) and every empty
+  /// non-terminal above it that it leaves childless.
+  void prune(std::size_t slot);
+  /// Replaces the address set at @p name with the single @p address.
+  bool renumber(const Name& name, Rdata address);
 
   /// Appends A/AAAA glue from this zone for each NS target under origin.
   void attach_glue(const std::vector<ResourceRecord>& ns_records,
@@ -113,7 +170,8 @@ class Zone {
   void append_soa_to(std::vector<ResourceRecord>& authorities) const;
 
   Name origin_;
-  std::map<Name, std::map<RRType, RRset>> nodes_;
+  Nodes nodes_;
+  std::size_t rrset_count_ = 0;
 };
 
 }  // namespace dnsttl::dns

@@ -1,11 +1,12 @@
-// analyze-as: src/dns/std_map_hot_ok.cc
-// Pure true-negative: std-map-hot is scoped to src/cache and src/sim, so
-// an ordered map elsewhere in src/ is fine.
+// analyze-as: src/auth/std_map_hot_ok.cc
+// Pure true-negative: std-map-hot is scoped to src/cache, src/dns and
+// src/sim, so an ordered map elsewhere in src/ (the ENTRADA analysis keys
+// its per-resolver query times by name) is fine.
 
-namespace dnsttl::dns {
+namespace dnsttl::auth {
 
-struct ZoneNodes {
-  std::map<Name, std::map<RRType, RRset>> nodes;
+struct QueryTimes {
+  std::map<std::pair<std::uint32_t, dns::Name>, std::vector<sim::Time>> by_key;
 };
 
-}  // namespace dnsttl::dns
+}  // namespace dnsttl::auth

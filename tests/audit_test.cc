@@ -3,6 +3,7 @@
 // The validate() bodies compile in every configuration, so most of these
 // tests run identically with DNSTTL_AUDIT on or off; only the automatic
 // periodic hooks are gated, and the hook tests assert both behaviours.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "check/audit.h"
 #include "dns/name.h"
 #include "dns/rr.h"
+#include "dns/zone.h"
 #include "sim/simulation.h"
 
 namespace dnsttl {
@@ -375,6 +377,324 @@ TEST(NameAudit, CaseFoldingPreservesValidity) {
   EXPECT_EQ(upper, lower);
   EXPECT_EQ(upper.hash(), lower.hash());
   EXPECT_NO_THROW(upper.validate());
+}
+
+// ------------------------------------------------------------------ dns::Zone
+
+/// The zone as a flat RRset list, with the RFC 1034 §4.3.2 lookup done by
+/// linear scans: the brute-force oracle the hash-indexed Zone must match.
+class FlatZone {
+ public:
+  explicit FlatZone(Name origin) : origin_(std::move(origin)) {}
+
+  std::vector<dns::RRset>& sets() { return sets_; }
+
+  dns::RRset* find(const Name& name, RRType type) {
+    for (auto& set : sets_) {
+      if (set.name() == name && set.type() == type) return &set;
+    }
+    return nullptr;
+  }
+  const dns::RRset* find(const Name& name, RRType type) const {
+    for (const auto& set : sets_) {
+      if (set.name() == name && set.type() == type) return &set;
+    }
+    return nullptr;
+  }
+
+  void add(const dns::ResourceRecord& rr) {
+    dns::RRset* set = find(rr.name, rr.type());
+    if (set == nullptr) {
+      sets_.emplace_back(rr.name, rr.rclass, rr.ttl);
+      set = &sets_.back();
+    }
+    set->set_ttl(rr.ttl);
+    set->add(rr.rdata);
+  }
+  void replace(const dns::RRset& rrset) {
+    if (dns::RRset* set = find(rrset.name(), rrset.type())) {
+      *set = rrset;
+    } else {
+      sets_.push_back(rrset);
+    }
+  }
+  bool remove(const Name& name, RRType type) {
+    auto it = std::find_if(sets_.begin(), sets_.end(), [&](const auto& set) {
+      return set.name() == name && set.type() == type;
+    });
+    if (it == sets_.end()) return false;
+    sets_.erase(it);
+    return true;
+  }
+
+  std::vector<dns::RRset> sorted() const {
+    std::vector<dns::RRset> out = sets_;
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      if (auto cmp = a.name() <=> b.name(); cmp != 0) return cmp < 0;
+      return a.type() < b.type();
+    });
+    return out;
+  }
+
+  dns::LookupResult lookup(const Name& qname, RRType qtype,
+                           int cname_depth = 0) const {
+    using Kind = dns::LookupResult::Kind;
+    dns::LookupResult result;
+    if (!qname.is_subdomain_of(origin_)) {
+      result.kind = Kind::kNotInZone;
+      return result;
+    }
+    for (std::size_t depth = origin_.label_count() + 1;
+         depth <= qname.label_count(); ++depth) {
+      if (const auto* ns = find(qname.suffix(depth), RRType::kNS)) {
+        result.kind = Kind::kDelegation;
+        result.authorities = ns->to_records();
+        glue(result.authorities, result.additionals);
+        return result;
+      }
+    }
+    result.authoritative = true;
+    std::vector<const dns::RRset*> here;
+    for (const auto& set : sets_) {
+      if (set.name() == qname) here.push_back(&set);
+    }
+    std::sort(here.begin(), here.end(),
+              [](const auto* a, const auto* b) {
+                return a->type() < b->type();
+              });
+    if (here.empty()) {
+      const bool below =
+          std::any_of(sets_.begin(), sets_.end(), [&](const auto& set) {
+            return set.name().is_strict_subdomain_of(qname);
+          });
+      result.kind = below ? Kind::kNoData : Kind::kNxDomain;
+      soa(result.authorities);
+      return result;
+    }
+    const auto* cname = find(qname, RRType::kCNAME);
+    if (cname != nullptr && qtype != RRType::kCNAME && qtype != RRType::kANY) {
+      result.kind = Kind::kAnswer;
+      result.answers = cname->to_records();
+      const Name& target = std::get<dns::CnameRdata>(cname->rdatas()[0]).target;
+      if (cname_depth < 8 && target.is_subdomain_of(origin_) &&
+          target != qname) {
+        for (auto& rr : lookup(target, qtype, cname_depth + 1).answers) {
+          result.answers.push_back(rr);
+        }
+      }
+      return result;
+    }
+    if (qtype == RRType::kANY) {
+      result.kind = Kind::kAnswer;
+      for (const auto* set : here) {
+        for (auto& rr : set->to_records()) result.answers.push_back(rr);
+      }
+      return result;
+    }
+    const auto* set = find(qname, qtype);
+    if (set == nullptr) {
+      result.kind = Kind::kNoData;
+      soa(result.authorities);
+      return result;
+    }
+    result.kind = Kind::kAnswer;
+    result.answers = set->to_records();
+    const auto* sigs = find(qname, RRType::kRRSIG);
+    if (qtype != RRType::kRRSIG && sigs != nullptr) {
+      for (const auto& rdata : sigs->rdatas()) {
+        if (std::get<dns::RrsigRdata>(rdata).type_covered == qtype) {
+          result.answers.push_back({qname, sigs->rclass(), sigs->ttl(), rdata});
+        }
+      }
+    }
+    if (qtype == RRType::kNS) {
+      glue(result.answers, result.additionals);
+    } else if (qtype == RRType::kMX) {
+      for (const auto& rr : result.answers) {
+        if (rr.type() != RRType::kMX) continue;
+        addresses(std::get<dns::MxRdata>(rr.rdata).exchange,
+                  result.additionals);
+      }
+    }
+    return result;
+  }
+
+ private:
+  void addresses(const Name& target,
+                 std::vector<dns::ResourceRecord>& out) const {
+    if (!target.is_subdomain_of(origin_)) return;
+    for (RRType type : {RRType::kA, RRType::kAAAA}) {
+      if (const auto* set = find(target, type)) {
+        for (auto& rr : set->to_records()) out.push_back(rr);
+      }
+    }
+  }
+  void glue(const std::vector<dns::ResourceRecord>& ns,
+            std::vector<dns::ResourceRecord>& out) const {
+    for (const auto& rr : ns) {
+      if (rr.type() == RRType::kNS) {
+        addresses(std::get<dns::NsRdata>(rr.rdata).nsdname, out);
+      }
+    }
+  }
+  void soa(std::vector<dns::ResourceRecord>& out) const {
+    if (const auto* set = find(origin_, RRType::kSOA)) {
+      out.push_back(set->to_records().front());
+    }
+  }
+
+  Name origin_;
+  std::vector<dns::RRset> sets_;
+};
+
+void expect_same_result(const dns::LookupResult& got,
+                        const dns::LookupResult& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.authoritative, want.authoritative);
+  EXPECT_EQ(got.answers, want.answers);
+  EXPECT_EQ(got.authorities, want.authorities);
+  EXPECT_EQ(got.additionals, want.additionals);
+}
+
+TEST(ZoneAudit, RandomizedEditsMatchBruteForceOracle) {
+  const Name origin = Name::from_string("example.org");
+  auto at = [&origin](const std::string& relative) {
+    return relative.empty() ? origin
+                            : Name::from_string(relative + ".example.org");
+  };
+  // Owners: the apex, a delegation (sub) with in-bailiwick glue below its
+  // cut, empty non-terminals above a.b/c.b and deep.x.y, CNAME chains and
+  // loops through the CNAME targets, MX and NS targets in and out of the
+  // zone.  Probes add names that never hold data and a foreign name.
+  std::vector<Name> owners;
+  for (const char* relative :
+       {"", "www", "a.b", "c.b", "b", "deep.x.y", "mail", "sub", "ns1.sub",
+        "host.sub", "alias", "loop1", "loop2", "ns"}) {
+    owners.push_back(at(relative));
+  }
+  std::vector<Name> probes = owners;
+  for (const char* relative : {"x.y", "nope", "z.a.b", "q.host.sub"}) {
+    probes.push_back(at(relative));
+  }
+  probes.push_back(Name::from_string("example.com"));
+  const std::vector<Name> targets = {
+      at("ns"),    at("ns1.sub"), at("www"),  at("alias"),
+      at("loop1"), at("loop2"),   at("mail"),
+      Name::from_string("ns.other.net")};
+  const std::vector<RRType> types = {RRType::kA,     RRType::kAAAA,
+                                     RRType::kNS,    RRType::kMX,
+                                     RRType::kCNAME, RRType::kTXT,
+                                     RRType::kRRSIG, RRType::kSOA};
+  const std::vector<RRType> probe_types = {
+      RRType::kA,   RRType::kAAAA, RRType::kNS,    RRType::kMX,  RRType::kCNAME,
+      RRType::kTXT, RRType::kSOA,  RRType::kRRSIG, RRType::kANY};
+
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Lcg rng(seed);
+    dns::Zone zone{origin};
+    FlatZone oracle{origin};
+    auto pick_owner = [&] { return owners[rng.below(owners.size())]; };
+    auto pick_type = [&] { return types[rng.below(types.size())]; };
+    auto record = [&](const Name& owner, RRType type) {
+      const dns::Ttl ttl{static_cast<std::uint32_t>(60 + 60 * rng.below(4))};
+      const Name& target = targets[rng.below(targets.size())];
+      const auto n = static_cast<std::uint8_t>(rng.below(3));
+      switch (type) {
+        case RRType::kA:
+          return dns::make_a(owner, ttl, dns::Ipv4(10, 0, 0, n));
+        case RRType::kAAAA:
+          return dns::make_aaaa(owner, ttl,
+                                dns::Ipv6::from_string("2001:db8::" +
+                                                       std::to_string(n)));
+        case RRType::kNS:
+          return dns::make_ns(owner, ttl, target);
+        case RRType::kMX:
+          return dns::make_mx(owner, ttl, n, target);
+        case RRType::kCNAME:
+          return dns::make_cname(owner, ttl, target);
+        case RRType::kTXT:
+          return dns::make_txt(owner, ttl, "t" + std::to_string(n));
+        case RRType::kRRSIG: {
+          dns::RrsigRdata sig;
+          sig.type_covered = n == 0 ? RRType::kA : RRType::kMX;
+          sig.signer = origin;
+          sig.signature = "s" + std::to_string(n);
+          return dns::ResourceRecord{owner, dns::RClass::kIN, ttl, sig};
+        }
+        default:  // SOA lives at the apex only
+          return dns::make_soa(origin, ttl, at("ns"), n);
+      }
+    };
+
+    for (int op = 0; op < 250; ++op) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " op " +
+                   std::to_string(op));
+      const Name owner = pick_owner();
+      const RRType type = pick_type();
+      switch (rng.below(12)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+        case 4: {
+          const auto rr = record(owner, type);
+          zone.add(rr);
+          oracle.add(rr);
+          break;
+        }
+        case 5: {
+          auto first = record(owner, type);
+          dns::RRset set(first.name, first.rclass, first.ttl);
+          set.add(first.rdata);
+          set.add(record(owner, type).rdata);
+          zone.replace(set);
+          oracle.replace(set);
+          break;
+        }
+        case 6:
+        case 7:
+          EXPECT_EQ(zone.remove(owner, type), oracle.remove(owner, type));
+          break;
+        case 8: {
+          const dns::Ttl ttl{static_cast<std::uint32_t>(rng.below(1000))};
+          dns::RRset* set = oracle.find(owner, type);
+          if (set != nullptr) set->set_ttl(ttl);
+          EXPECT_EQ(zone.set_ttl(owner, type, ttl), set != nullptr);
+          break;
+        }
+        case 9:
+        case 10: {
+          const dns::Ipv4 address(10, 9, 9, static_cast<std::uint8_t>(op));
+          dns::RRset* set = oracle.find(owner, RRType::kA);
+          if (set != nullptr) {
+            dns::RRset fresh(owner, set->rclass(), set->ttl());
+            fresh.add(dns::ARdata{address});
+            *set = fresh;
+          }
+          EXPECT_EQ(zone.renumber_a(owner, address), set != nullptr);
+          break;
+        }
+        default:
+          if (rng.below(4) == 0) {
+            zone.clear();
+            oracle.sets().clear();
+          }
+          break;
+      }
+      ASSERT_NO_THROW(zone.validate());
+      ASSERT_EQ(zone.rrset_count(), oracle.sets().size());
+      ASSERT_EQ(zone.all_rrsets(), oracle.sorted());
+      for (const Name& qname : probes) {
+        for (RRType qtype : probe_types) {
+          SCOPED_TRACE(qname.to_string() + " " +
+                       std::string(dns::to_string(qtype)));
+          expect_same_result(zone.lookup(qname, qtype),
+                             oracle.lookup(qname, qtype));
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

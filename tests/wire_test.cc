@@ -162,6 +162,9 @@ TEST_P(WireRoundTripTest, RandomishMessagesRoundTrip) {
     }
   }
   EXPECT_EQ(decode(encode(m)), m);
+  // The counting encoder sizes what the byte encoder writes, on both sides
+  // of the 64 name suffixes it keeps in place.
+  EXPECT_EQ(encoded_size(m), encode(m).size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, WireRoundTripTest,

@@ -114,6 +114,28 @@ TEST(ZoneTest, EmptyNonTerminalIsNoDataNotNxDomain) {
   EXPECT_EQ(result.kind, Kind::kNoData);
 }
 
+TEST(ZoneTest, EmptyNonTerminalVanishesWhenLastChildRemoved) {
+  Zone zone{Name::from_string("example.org")};
+  zone.add(make_soa(Name::from_string("example.org"), dns::Ttl{3600},
+                    Name::from_string("ns.example.org"), 1));
+  const Name left = Name::from_string("a.b.example.org");
+  const Name right = Name::from_string("c.b.example.org");
+  const Name b = Name::from_string("b.example.org");
+  zone.add(make_a(left, dns::Ttl{60}, Ipv4(1, 1, 1, 1)));
+  zone.add(make_a(right, dns::Ttl{60}, Ipv4(2, 2, 2, 2)));
+
+  EXPECT_TRUE(zone.remove(left, RRType::kA));
+  EXPECT_EQ(zone.lookup(b, RRType::kA).kind, Kind::kNoData);  // c.b remains
+  EXPECT_TRUE(zone.remove(right, RRType::kA));
+  auto result = zone.lookup(b, RRType::kA);
+  EXPECT_EQ(result.kind, Kind::kNxDomain);
+  ASSERT_EQ(result.authorities.size(), 1u);
+  EXPECT_EQ(result.authorities[0].type(), RRType::kSOA);
+  EXPECT_EQ(zone.lookup(Name::from_string("example.org"), RRType::kA).kind,
+            Kind::kNoData);
+  EXPECT_NO_THROW(zone.validate());
+}
+
 TEST(ZoneTest, NotInZoneForForeignName) {
   Zone cl = make_cl_child();
   auto result = cl.lookup(Name::from_string("example.org"), RRType::kA);
@@ -185,7 +207,7 @@ TEST(ZoneTest, IsDelegatedDetectsZoneCut) {
   EXPECT_FALSE(root.is_delegated(Name{}));
 }
 
-TEST(ZoneTest, DeepestCutWins) {
+TEST(ZoneTest, ShallowestCutEndsAuthority) {
   Zone zone{Name::from_string("net")};
   zone.add(make_ns(Name::from_string("cachetest.net"), dns::Ttl{3600},
                    Name::from_string("ns1.cachetest.net")));

@@ -17,6 +17,7 @@ subsystems this PR series hardens — fail the run when breached:
     src/fault      the fault-injection subsystem
     src/resolver   retry/backoff/serve-stale logic
     src/cache      bounded eviction + snapshot codec (PR 10)
+    src/dns        names, the shared hash table, zone and wire codec
 
 Floors are deliberately per-subsystem, not global: a global number lets a
 well-covered hot path subsidize an untested one.
@@ -40,6 +41,7 @@ DEFAULT_FLOORS = {
     "src/fault": 90.0,
     "src/resolver": 80.0,
     "src/cache": 90.0,
+    "src/dns": 95.0,
 }
 
 
@@ -87,7 +89,7 @@ def main() -> int:
                         metavar="PREFIX=PCT", default=None,
                         help="per-subsystem line floor; repeatable "
                              "(default: src/fault=90 src/resolver=80 "
-                             "src/cache=90)")
+                             "src/cache=90 src/dns=95)")
     parser.add_argument("--json", default=None,
                         help="also write per-file coverage JSON here")
     args = parser.parse_args()
