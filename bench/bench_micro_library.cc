@@ -15,7 +15,6 @@
 #include "bench_quick_suite.h"
 
 #include "auth/auth_server.h"
-#include "auth/entrada.h"
 #include "crawl/population_generator.h"
 #include "dns/dnssec.h"
 #include "dns/master_file.h"
@@ -225,26 +224,6 @@ void BM_PopulationGenerate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PopulationGenerate)->Arg(1000)->Arg(10000);
-
-void BM_EntradaAnalysis(benchmark::State& state) {
-  auth::QueryLog log;
-  sim::Rng rng(3);
-  for (int i = 0; i < 20000; ++i) {
-    log.record({sim::at(static_cast<std::int64_t>(rng.uniform_int(0, 48)) *
-                        sim::kHour),
-                dns::Ipv4(static_cast<std::uint32_t>(rng.uniform_int(1, 500))),
-                dns::Name::from_string(
-                    "ns" + std::to_string(rng.uniform_int(1, 4)) + ".dns.nl"),
-                dns::RRType::kA});
-  }
-  for (auto _ : state) {
-    auth::Entrada store;
-    store.ingest(log, "bench");
-    benchmark::DoNotOptimize(store.queries_per_group());
-    benchmark::DoNotOptimize(store.min_interarrival_hours());
-  }
-}
-BENCHMARK(BM_EntradaAnalysis);
 
 void BM_SimulationEventLoop(benchmark::State& state) {
   for (auto _ : state) {

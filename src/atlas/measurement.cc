@@ -9,8 +9,9 @@
 namespace dnsttl::atlas {
 namespace {
 
-/// Structure-of-arrays VP scheduler: one cohort-wheel entry per vantage
+/// Structure-of-arrays VP scheduler: one timer-wheel entry per vantage
 /// point (its next round) instead of one slab-heap node per (VP, round).
+/// Simulation::run_until drains the wheel together with the slab heap.
 ///
 /// Byte-identity with the historical pre-scheduled path rests on two
 /// reservations made in the old nested iteration order (probe-major,
@@ -21,17 +22,18 @@ namespace {
 ///    code schedules mid-run see the same global counter value;
 ///  - each VP records the overall index of its round-0 query, so the
 ///    uint16 DNS message id (historical `next_id++`, wrapping) reproduces.
-class VpSchedule final : public sim::CohortSource {
+class VpSchedule {
  public:
-  VpSchedule(sim::Simulation& simulation, net::Network& network,
+  VpSchedule(const sim::Simulation& simulation, net::Network& network,
              std::vector<Sample>& samples, const MeasurementSpec& spec)
-      : simulation_(simulation),
-        network_(network),
+      : network_(network),
         samples_(samples),
         wheel_(simulation.now()),
         start_(spec.start),
         frequency_(spec.frequency),
         qtype_(spec.qtype) {}
+
+  sim::TimerWheel& wheel() noexcept { return wheel_; }
 
   /// Registers one vantage point; rounds_ may be zero (phase past the
   /// measurement window), in which case no wheel entry is created.
@@ -59,36 +61,48 @@ class VpSchedule final : public sim::CohortSource {
     }
   }
 
-  bool peek(sim::Time& at, std::uint64_t& seq) override {
-    if (wheel_.empty()) {
-      return false;
-    }
-    const sim::TimerWheel::Entry& head = wheel_.head();
-    at = head.at;
-    seq = head.seq;
-    return true;
-  }
+  /// Sends one VP's next round and schedules the round after it.
+  void fire(const sim::TimerWheel::Entry& entry) {
+    const auto vp = static_cast<std::size_t>(entry.payload);
+    DNSTTL_AUDIT_CHECK("atlas::VpSchedule", vp < probes_.size(),
+                       "fired entry references an orphaned VP index");
+    const std::uint64_t round = next_round_[vp]++;
+    const Probe& probe = *probes_[vp];
+    const net::Address resolver = resolvers_[vp];
+    const dns::Name& qname = qnames_[vp];
+    const auto id =
+        static_cast<std::uint16_t>(1 + first_qid_[vp] + round);
+    auto query = dns::Message::make_query(id, qname, qtype_);
+    query.add_edns();
+    auto outcome = network_.query(probe.ref, resolver, query, entry.at);
 
-  void fire_until(sim::Time limit_at, std::uint64_t limit_seq) override {
-    while (!wheel_.empty()) {
-      const sim::TimerWheel::Entry& head = wheel_.head();
-      const bool before_limit =
-          head.at < limit_at || (head.at == limit_at && head.seq < limit_seq);
-      if (!before_limit || simulation_.heap_interrupts(head.at, head.seq)) {
-        break;
-      }
-      const sim::TimerWheel::Entry entry = wheel_.pop_head();
-      simulation_.advance_clock(entry.at);
-      const auto vp = static_cast<std::size_t>(entry.payload);
-      DNSTTL_AUDIT_CHECK("atlas::VpSchedule", vp < probes_.size(),
-                         "fired entry references an orphaned VP index");
-      fire_round(vp, entry.at);
-      if constexpr (check::kAuditEnabled) {
-        if (++fires_since_audit_ >= kAuditInterval) {
-          fires_since_audit_ = 0;
-          validate();
+    Sample sample;
+    sample.probe_id = probe.id;
+    sample.resolver = resolver;
+    sample.sent = entry.at;
+    sample.rtt = outcome.elapsed;
+    if (!outcome.response) {
+      sample.timeout = true;
+    } else {
+      sample.rcode = outcome.response->flags.rcode;
+      for (const auto& rr : outcome.response->answers) {
+        if (rr.type() == qtype_ && rr.name == qname) {
+          sample.has_answer = true;
+          sample.ttl = rr.ttl;
+          sample.rdata = dns::rdata_to_string(rr.rdata);
+          break;
         }
       }
+    }
+    samples_.push_back(std::move(sample));
+
+    if (round + 1 < rounds_[vp]) {
+      wheel_.schedule(start_ + phases_[vp] +
+                          frequency_ * static_cast<std::int64_t>(round + 1),
+                      first_seq_[vp] + round + 1,
+                      static_cast<std::uint64_t>(vp));
+    } else {
+      --live_;
     }
   }
 
@@ -116,50 +130,6 @@ class VpSchedule final : public sim::CohortSource {
   }
 
  private:
-  static constexpr std::uint64_t kAuditInterval = 4096;
-
-  void fire_round(std::size_t vp, sim::Time at) {
-    const std::uint64_t round = next_round_[vp]++;
-    const Probe& probe = *probes_[vp];
-    const net::Address resolver = resolvers_[vp];
-    const dns::Name& qname = qnames_[vp];
-    const auto id =
-        static_cast<std::uint16_t>(1 + first_qid_[vp] + round);
-    auto query = dns::Message::make_query(id, qname, qtype_);
-    query.add_edns();
-    auto outcome = network_.query(probe.ref, resolver, query, at);
-
-    Sample sample;
-    sample.probe_id = probe.id;
-    sample.resolver = resolver;
-    sample.sent = at;
-    sample.rtt = outcome.elapsed;
-    if (!outcome.response) {
-      sample.timeout = true;
-    } else {
-      sample.rcode = outcome.response->flags.rcode;
-      for (const auto& rr : outcome.response->answers) {
-        if (rr.type() == qtype_ && rr.name == qname) {
-          sample.has_answer = true;
-          sample.ttl = rr.ttl;
-          sample.rdata = dns::rdata_to_string(rr.rdata);
-          break;
-        }
-      }
-    }
-    samples_.push_back(std::move(sample));
-
-    if (round + 1 < rounds_[vp]) {
-      wheel_.schedule(start_ + phases_[vp] +
-                          frequency_ * static_cast<std::int64_t>(round + 1),
-                      first_seq_[vp] + round + 1,
-                      static_cast<std::uint64_t>(vp));
-    } else {
-      --live_;
-    }
-  }
-
-  sim::Simulation& simulation_;
   net::Network& network_;
   std::vector<Sample>& samples_;
   sim::TimerWheel wheel_;
@@ -182,7 +152,6 @@ class VpSchedule final : public sim::CohortSource {
   /// VPs holding a pending wheel entry; equals wheel_.pending() at every
   /// mutation boundary.
   std::size_t live_ = 0;
-  std::uint64_t fires_since_audit_ = 0;
 };
 
 }  // namespace
@@ -229,14 +198,16 @@ MeasurementRun MeasurementRun::execute(sim::Simulation& simulation,
     }
   }
 
-  simulation.attach_source(&schedule);
   const std::size_t audit_hook = simulation.add_audit_hook([&schedule] {
     schedule.validate();
   });
   schedule.seed_rounds();
-  simulation.run_until(spec.start + spec.duration + sim::kMinute);
+  simulation.run_until(
+      spec.start + spec.duration + sim::kMinute, schedule.wheel(),
+      [&schedule](const sim::TimerWheel::Entry& entry) {
+        schedule.fire(entry);
+      });
   simulation.remove_audit_hook(audit_hook);
-  simulation.detach_source(&schedule);
   return run;
 }
 

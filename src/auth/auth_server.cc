@@ -5,16 +5,6 @@
 
 namespace dnsttl::auth {
 
-std::vector<LogEntry> QueryLog::for_qname(const dns::Name& qname) const {
-  std::vector<LogEntry> out;
-  for (const auto& entry : entries_) {
-    if (entry.qname == qname) {
-      out.push_back(entry);
-    }
-  }
-  return out;
-}
-
 std::size_t QueryLog::unique_clients() const {
   std::unordered_set<std::uint32_t> clients;
   for (const auto& entry : entries_) {

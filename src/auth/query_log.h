@@ -31,9 +31,6 @@ class QueryLog {
   std::size_t size() const noexcept { return entries_.size(); }
   void clear() { entries_.clear(); }
 
-  /// Entries for one query name, in arrival order.
-  std::vector<LogEntry> for_qname(const dns::Name& qname) const;
-
   /// Count of distinct client addresses seen.
   std::size_t unique_clients() const;
 

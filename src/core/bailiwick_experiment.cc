@@ -88,8 +88,6 @@ BailiwickResult run_bailiwick(World& world, atlas::Platform& platform,
                                       net::Location{net::Region::kEU, 1.0});
   auto& new_server = world.add_server("sub-renumbered",
                                       net::Location{net::Region::kEU, 1.0});
-  old_server.set_logging(true);
-  new_server.set_logging(true);
   net::Address old_addr = world.address_of("sub-original");
   net::Address new_addr = world.address_of("sub-renumbered");
   old_server.add_zone(sub_old);

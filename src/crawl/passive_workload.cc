@@ -15,13 +15,14 @@ namespace dnsttl::crawl {
 namespace {
 
 /// Structure-of-arrays demand pool: per-resolver arrival state in parallel
-/// arrays, driven by a cohort timer wheel instead of one slab-heap node and
+/// arrays, driven by a timer wheel instead of one slab-heap node and
 /// EventFn closure per pending arrival (docs/architecture.md §Workload
-/// engine).  Each resolver holds exactly one pending "next query" entry;
-/// the payload is its pool index.  Sequence numbers come from
-/// Simulation::allocate_seq in the same order the object-per-actor code
-/// consumed them, so outputs at historical scales are byte-identical.
-class DemandPool final : public sim::CohortSource {
+/// engine); Simulation::run_until drains the wheel with the slab heap.
+/// Each resolver holds exactly one pending "next query" entry; the payload
+/// is its pool index.  Sequence numbers come from Simulation::allocate_seq
+/// in the same order the object-per-actor code consumed them, so outputs
+/// at historical scales are byte-identical.
+class DemandPool {
  public:
   DemandPool(sim::Simulation& simulation, sim::Rng gap_rng, sim::Time end)
       : simulation_(simulation),
@@ -39,6 +40,7 @@ class DemandPool final : public sim::CohortSource {
   [[nodiscard]] std::size_t client_queries() const noexcept {
     return client_queries_;
   }
+  sim::TimerWheel& wheel() noexcept { return wheel_; }
 
   /// Draws the first arrival for every resolver in index order — the same
   /// stream order the per-actor closures used.
@@ -49,43 +51,18 @@ class DemandPool final : public sim::CohortSource {
     }
   }
 
-  bool peek(sim::Time& at, std::uint64_t& seq) override {
-    if (wheel_.empty()) {
-      return false;
-    }
-    const sim::TimerWheel::Entry& head = wheel_.head();
-    at = head.at;
-    seq = head.seq;
-    return true;
-  }
-
-  void fire_until(sim::Time limit_at, std::uint64_t limit_seq) override {
-    while (!wheel_.empty()) {
-      const sim::TimerWheel::Entry& head = wheel_.head();
-      const bool before_limit =
-          head.at < limit_at || (head.at == limit_at && head.seq < limit_seq);
-      if (!before_limit || simulation_.heap_interrupts(head.at, head.seq)) {
-        break;
-      }
-      const sim::TimerWheel::Entry entry = wheel_.pop_head();
-      simulation_.advance_clock(entry.at);
-      const auto index = static_cast<std::size_t>(entry.payload);
-      DNSTTL_AUDIT_CHECK("crawl::DemandPool", index < size(),
-                         "fired entry references an orphaned resolver index");
-      dns::Name qname = dns::Name::from_string(
-          "u" + std::to_string(counters_[index]++) + "-r" +
-          std::to_string(index) + ".nl");
-      resolvers_[index]->resolve(
-          dns::Question{qname, dns::RRType::kA, dns::RClass::kIN}, entry.at);
-      ++client_queries_;
-      schedule_next(index, entry.at);
-      if constexpr (check::kAuditEnabled) {
-        if (++fires_since_audit_ >= kAuditInterval) {
-          fires_since_audit_ = 0;
-          validate();
-        }
-      }
-    }
+  /// Sends one resolver's next client query and draws its next arrival.
+  void fire(const sim::TimerWheel::Entry& entry) {
+    const auto index = static_cast<std::size_t>(entry.payload);
+    DNSTTL_AUDIT_CHECK("crawl::DemandPool", index < size(),
+                       "fired entry references an orphaned resolver index");
+    dns::Name qname = dns::Name::from_string(
+        "u" + std::to_string(counters_[index]++) + "-r" +
+        std::to_string(index) + ".nl");
+    resolvers_[index]->resolve(
+        dns::Question{qname, dns::RRType::kA, dns::RClass::kIN}, entry.at);
+    ++client_queries_;
+    schedule_next(index, entry.at);
   }
 
   /// Deep audit: SoA arrays in step, wheel/pool pending accounting in
@@ -106,8 +83,6 @@ class DemandPool final : public sim::CohortSource {
   }
 
  private:
-  static constexpr std::uint64_t kAuditInterval = 4096;
-
   void schedule_next(std::size_t index, sim::Time from) {
     const double gap = gap_rng_.exponential(mean_gap_seconds_[index]);
     const sim::Time due = from + sim::approx_seconds(gap);
@@ -115,11 +90,8 @@ class DemandPool final : public sim::CohortSource {
       --live_;  // retires on first arrival past the horizon
       return;
     }
-    wheel_.schedule(due, simulation_.allocate_seq(), entry_payload(index));
-  }
-
-  static std::uint64_t entry_payload(std::size_t index) noexcept {
-    return static_cast<std::uint64_t>(index);
+    wheel_.schedule(due, simulation_.allocate_seq(),
+                    static_cast<std::uint64_t>(index));
   }
 
   sim::Simulation& simulation_;
@@ -135,7 +107,6 @@ class DemandPool final : public sim::CohortSource {
   /// Resolvers whose next arrival is still inside the horizon; equals the
   /// wheel's pending count at every mutation boundary.
   std::size_t live_ = 0;
-  std::uint64_t fires_since_audit_ = 0;
 };
 
 }  // namespace
@@ -199,13 +170,13 @@ PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config) {
     pool.add(member.resolver.get(), 86400.0 / per_day);
   }
 
-  simulation.attach_source(&pool);
   const std::size_t audit_hook =
       simulation.add_audit_hook([&pool] { pool.validate(); });
   pool.seed_arrivals();
-  simulation.run_until(sim::at(config.duration));
+  simulation.run_until(
+      sim::at(config.duration), pool.wheel(),
+      [&pool](const sim::TimerWheel::Entry& entry) { pool.fire(entry); });
   simulation.remove_audit_hook(audit_hook);
-  simulation.detach_source(&pool);
   report.client_queries = pool.client_queries();
 
   // ENTRADA-style analysis over the two observed servers: group queries

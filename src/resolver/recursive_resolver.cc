@@ -30,6 +30,19 @@ bool is_address_type(dns::RRType type) {
   return type == dns::RRType::kA || type == dns::RRType::kAAAA;
 }
 
+/// A recursive resolver's reply to @p question: QR and RA set, @p rcode,
+/// and @p answers as given.
+dns::Message reply(const dns::Question& question, dns::Rcode rcode,
+                   std::vector<dns::ResourceRecord> answers = {}) {
+  dns::Message response;
+  response.flags.qr = true;
+  response.flags.ra = true;
+  response.flags.rcode = rcode;
+  response.questions.push_back(question);
+  response.answers = std::move(answers);
+  return response;
+}
+
 }  // namespace
 
 RecursiveResolver::RecursiveResolver(std::string ident, ResolverConfig config,
@@ -105,12 +118,7 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
   if (auto negative =
           cache_.lookup_negative(question.qname, question.qtype, now)) {
     ++stats_.cache_answers;
-    dns::Message response;
-    response.flags.qr = true;
-    response.flags.ra = true;
-    response.flags.rcode = negative->rcode;
-    response.questions.push_back(question);
-    result.response = std::move(response);
+    result.response = reply(question, negative->rcode);
     result.answered_from_cache = true;
     return result;
   }
@@ -129,12 +137,8 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
             stale && stale->stale) {
           ++stats_.stale_answers;
           ++stats_.stale_refresh_answers;
-          dns::Message stale_response;
-          stale_response.flags.qr = true;
-          stale_response.flags.ra = true;
-          stale_response.questions.push_back(question);
-          stale_response.answers = stale->rrset.to_records();
-          result.response = std::move(stale_response);
+          result.response = reply(question, dns::Rcode::kNoError,
+                                  stale->rrset.to_records());
           result.answered_from_cache = true;
           result.served_stale = true;
           return result;
@@ -161,12 +165,8 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
         stale_refresh_until_[{question.qname, question.qtype}] =
             now + config_.stale_refresh;
       }
-      dns::Message stale_response;
-      stale_response.flags.qr = true;
-      stale_response.flags.ra = true;
-      stale_response.questions.push_back(question);
-      stale_response.answers = stale->rrset.to_records();
-      result.response = std::move(stale_response);
+      result.response = reply(question, dns::Rcode::kNoError,
+                              stale->rrset.to_records());
       result.elapsed = ctx.elapsed;
       result.served_stale = true;
       result.upstream_queries = ctx.upstream_queries;
@@ -195,12 +195,7 @@ std::optional<dns::Message> RecursiveResolver::answer_from_local_root(
   auto result = local_root_zone_->lookup(question.qname, question.qtype);
   using Kind = dns::LookupResult::Kind;
   if (result.kind == Kind::kAnswer) {
-    dns::Message response;
-    response.flags.qr = true;
-    response.flags.ra = true;
-    response.questions.push_back(question);
-    response.answers = std::move(result.answers);
-    return response;
+    return reply(question, dns::Rcode::kNoError, std::move(result.answers));
   }
   if (result.kind == Kind::kDelegation &&
       config_.centricity == Centricity::kParentCentric) {
@@ -230,7 +225,7 @@ std::optional<dns::Message> RecursiveResolver::answer_from_cache(
       if (static_cast<int>(hit->credibility) >= static_cast<int>(threshold)) {
         auto records = hit->rrset.to_records();
         chain.insert(chain.end(), records.begin(), records.end());
-        return positive_response(question, std::move(chain), false);
+        return positive_response(question, std::move(chain));
       }
       return std::nullopt;  // data cached but not credible enough to serve
     }
@@ -250,26 +245,12 @@ std::optional<dns::Message> RecursiveResolver::answer_from_cache(
 }
 
 dns::Message RecursiveResolver::positive_response(
-    const dns::Question& question, std::vector<dns::ResourceRecord> answers,
-    bool /*aa_seen*/) const {
-  dns::Message response;
-  response.flags.qr = true;
-  response.flags.ra = true;
-  response.questions.push_back(question);
+    const dns::Question& question,
+    std::vector<dns::ResourceRecord> answers) const {
   for (auto& rr : answers) {
     rr.ttl = std::clamp(rr.ttl, config_.min_ttl, config_.max_ttl);
   }
-  response.answers = std::move(answers);
-  return response;
-}
-
-dns::Message RecursiveResolver::servfail(const dns::Question& question) const {
-  dns::Message response;
-  response.flags.qr = true;
-  response.flags.ra = true;
-  response.flags.rcode = dns::Rcode::kServFail;
-  response.questions.push_back(question);
-  return response;
+  return reply(question, dns::Rcode::kNoError, std::move(answers));
 }
 
 std::optional<dns::Message> RecursiveResolver::answer_from_referral(
@@ -282,7 +263,7 @@ std::optional<dns::Message> RecursiveResolver::answer_from_referral(
       }
     }
     if (!matches.empty()) {
-      return positive_response(question, std::move(matches), false);
+      return positive_response(question, std::move(matches));
     }
   }
   if (is_address_type(question.qtype)) {
@@ -293,7 +274,7 @@ std::optional<dns::Message> RecursiveResolver::answer_from_referral(
       }
     }
     if (!matches.empty()) {
-      return positive_response(question, std::move(matches), false);
+      return positive_response(question, std::move(matches));
     }
   }
   return std::nullopt;
@@ -378,7 +359,7 @@ std::optional<dns::Name> RecursiveResolver::linked_ns_owner_for(
 
 dns::Name RecursiveResolver::find_servers(
     const dns::Name& qname, sim::Time now, Context& ctx,
-    std::vector<ServerCandidate>& servers) {
+    std::vector<ServerCandidate>& servers, const dns::Name& floor) {
   servers.clear();
 
   for (dns::Name zone = qname;; zone = zone.parent()) {
@@ -403,18 +384,18 @@ dns::Name RecursiveResolver::find_servers(
         synthetic.additionals = result.additionals;
         auto cut = ingest_response(synthetic, dns::Name{}, now);
         if (cut) {
-          // Re-run the walk now that the TLD delegation is cached.
-          return find_servers_from_cache(qname, now, ctx, servers, *cut);
+          // Re-walk down to the TLD cut now that its delegation is cached.
+          return find_servers(qname, now, ctx, servers, *cut);
         }
       }
     }
 
     if (auto ns = cache_.peek(zone, dns::RRType::kNS, now)) {
-      if (collect_addresses(*ns, zone, now, ctx, servers)) {
+      if (collect_addresses(*ns, now, ctx, servers)) {
         return zone;
       }
     }
-    if (zone.is_root()) {
+    if (zone == floor || zone.is_root()) {
       break;
     }
   }
@@ -427,29 +408,9 @@ dns::Name RecursiveResolver::find_servers(
   return dns::Name{};
 }
 
-dns::Name RecursiveResolver::find_servers_from_cache(
-    const dns::Name& qname, sim::Time now, Context& ctx,
-    std::vector<ServerCandidate>& servers, const dns::Name& floor) {
-  for (dns::Name zone = qname;; zone = zone.parent()) {
-    if (auto ns = cache_.peek(zone, dns::RRType::kNS, now)) {
-      if (collect_addresses(*ns, zone, now, ctx, servers)) {
-        return zone;
-      }
-    }
-    if (zone == floor || zone.is_root()) {
-      break;
-    }
-  }
-  for (const auto& entry : hints_.servers) {
-    servers.push_back(ServerCandidate{entry.name, entry.address});
-  }
-  rotate(servers, now);
-  return dns::Name{};
-}
-
 bool RecursiveResolver::collect_addresses(
-    const cache::CacheHit& ns, const dns::Name& /*zone*/, sim::Time now,
-    Context& ctx, std::vector<ServerCandidate>& servers) {
+    const cache::CacheHit& ns, sim::Time now, Context& ctx,
+    std::vector<ServerCandidate>& servers) {
   std::vector<dns::Name> unresolved;
   bool verified_one = false;
   for (const auto& rdata : ns.rrset.rdatas()) {
@@ -616,228 +577,175 @@ std::optional<net::Address> RecursiveResolver::resolve_ns_address(
   return std::nullopt;
 }
 
-namespace {
+dns::Message RecursiveResolver::resolve_iterative(
+    const dns::Question& question, sim::Time now, Context& ctx) {
+  dns::Question current = question;  // follows CNAME chains
+  std::vector<dns::ResourceRecord> chain;  // CNAME prefix records
+  dns::Name minimized_zone;  // zone the reveal counter applies to
+  std::size_t reveal = 1;    // labels revealed past that zone (RFC 7816)
+  std::vector<ServerCandidate> servers;
 
-/// The trailing @p label_count labels of @p name.
-dns::Name name_suffix(const dns::Name& name, std::size_t label_count) {
-  return name.suffix(label_count);
-}
-
-}  // namespace
-
-RecursiveResolver::Resolution RecursiveResolver::begin_resolution(
-    const dns::Question& question, sim::Time now) {
-  Resolution task;
-  task.original = question;
-  task.current = question;
-  task.start = now;
-  return task;
-}
-
-bool RecursiveResolver::step(Resolution& task, Context& ctx) {
-  if (task.phase == Resolution::Phase::kDone) {
-    return false;
-  }
-  const dns::Question& question = task.original;
-  const sim::Time now = task.start;
-
-  auto finish = [&](dns::Message response) {
-    task.response = std::move(response);
-    task.phase = Resolution::Phase::kDone;
-    return false;
-  };
-  // The old inner loop's `continue`: move to the next candidate, or give
-  // up once the attempt budget is spent without progress.
-  auto next_attempt = [&] {
-    if (++task.attempt >= config_.max_server_attempts) {
-      return finish(servfail(question));
-    }
-    return true;
-  };
-  // The old inner loop's progressed-`break`: queue the next referral step.
-  auto next_iteration = [&] {
-    task.progressed = true;
-    ++task.iteration;
-    task.phase = Resolution::Phase::kSetup;
-    return true;
-  };
-
-  if (task.phase == Resolution::Phase::kSetup) {
-    if (task.iteration >= config_.max_iterations) {
-      return finish(servfail(question));
-    }
+  for (int iteration = 0; iteration < config_.max_iterations; ++iteration) {
     // A sub-question may be answerable from data cached moments ago.
-    if (task.iteration > 0 || ctx.depth > 0) {
-      if (auto cached = answer_from_cache(task.current, now + ctx.elapsed)) {
-        task.chain.insert(task.chain.end(), cached->answers.begin(),
-                          cached->answers.end());
-        return finish(
-            positive_response(question, std::move(task.chain), false));
+    if (iteration > 0 || ctx.depth > 0) {
+      if (auto cached = answer_from_cache(current, now + ctx.elapsed)) {
+        chain.insert(chain.end(), cached->answers.begin(),
+                     cached->answers.end());
+        return positive_response(question, std::move(chain));
       }
     }
 
-    task.servers.clear();
-    task.zone = find_servers(task.current.qname, now, ctx, task.servers);
-    if (task.servers.empty()) {
-      return finish(servfail(question));
+    const dns::Name zone = find_servers(current.qname, now, ctx, servers);
+    if (servers.empty()) {
+      return reply(question, dns::Rcode::kServFail);
     }
 
     // QNAME minimization (RFC 7816): expose only zone-depth + reveal
     // labels, asking NS until the final zone is reached.
-    task.wire = task.current;
+    dns::Question wire = current;
     if (config_.qname_minimization) {
-      if (task.zone != task.minimized_zone) {
-        task.minimized_zone = task.zone;
-        task.reveal = 1;
+      if (zone != minimized_zone) {
+        minimized_zone = zone;
+        reveal = 1;
       }
-      std::size_t zone_depth = task.zone.label_count();
-      if (task.current.qname.label_count() > zone_depth + task.reveal) {
-        task.wire =
-            dns::Question{name_suffix(task.current.qname,
-                                      zone_depth + task.reveal),
-                          dns::RRType::kNS, dns::RClass::kIN};
+      const std::size_t zone_depth = zone.label_count();
+      if (current.qname.label_count() > zone_depth + reveal) {
+        wire = dns::Question{current.qname.suffix(zone_depth + reveal),
+                             dns::RRType::kNS, dns::RClass::kIN};
       }
     }
-    task.minimized = task.wire.qname != task.current.qname ||
-                     task.wire.qtype != task.current.qtype;
-    task.progressed = false;
-    task.attempt = 0;
-    task.phase = Resolution::Phase::kAttempt;
-    // Fall through: the referral step's outcome is this pending query.
-  }
+    const bool minimized =
+        wire.qname != current.qname || wire.qtype != current.qtype;
 
-  // One server attempt.  Walking the candidate list attempt by attempt
-  // re-creates the old retransmission pattern: a single-server zone gets
-  // plain retransmissions to the same address.
-  const ServerCandidate& server =
-      task.servers[static_cast<std::size_t>(task.attempt) %
-                   task.servers.size()];
-  dns::Message query = dns::Message::make_query(
-      next_id_++, task.wire.qname, task.wire.qtype, false);
-  query.add_edns();  // modern resolvers advertise a large UDP payload
-  auto outcome =
-      network_.query(self_, server.address, query, now + ctx.elapsed);
-  ctx.elapsed += outcome.elapsed;
-  ++ctx.upstream_queries;
-  ++stats_.upstream_queries;
-  record_exchange(server.address, outcome.elapsed,
-                  outcome.response.has_value(), now + ctx.elapsed);
-  if (!outcome.response) {
-    // Timeout: fall through to the next candidate (server re-selection);
-    // the health record above may have benched this one, in which case
-    // later rotate() calls route around it.
-    return next_attempt();
-  }
-  dns::Message response = std::move(*outcome.response);
-  if (response.flags.tc) {
-    // Truncated over UDP: retry the same server over TCP (RFC 1035
-    // §4.2.2), paying the handshake.
-    auto tcp_outcome =
-        network_.query(self_, server.address, query, now + ctx.elapsed,
-                       net::Network::Transport::kTcp);
-    ctx.elapsed += tcp_outcome.elapsed;
-    ++ctx.upstream_queries;
-    ++stats_.upstream_queries;
-    ++stats_.tcp_retries;
-    if (!tcp_outcome.response) {
-      return next_attempt();
-    }
-    response = std::move(*tcp_outcome.response);
-  }
-  const sim::Time t = now + ctx.elapsed;
-
-  if (response.flags.rcode != dns::Rcode::kNoError &&
-      response.flags.rcode != dns::Rcode::kNXDomain) {
-    return next_attempt();  // REFUSED/SERVFAIL from upstream: next server
-  }
-
-  auto cut = ingest_response(response, task.zone, t);
-
-  if (config_.sticky && response.flags.aa) {
-    sticky_pins_.emplace(task.zone, server);
-  }
-
-  if (response.flags.rcode == dns::Rcode::kNXDomain) {
-    // For a minimized query this is still conclusive: a missing ancestor
-    // means every name below it is missing too (RFC 8020).
-    cache_negative(response, task.minimized ? task.wire : task.current, t);
-    dns::Message negative = servfail(question);
-    negative.flags.rcode = dns::Rcode::kNXDomain;
-    negative.answers = task.chain;  // CNAME prefix stays visible
-    return finish(std::move(negative));
-  }
-
-  if (task.minimized && response.flags.aa) {
-    // The partial name exists (NS answer for a hosted child zone, or
-    // NODATA for an empty non-terminal): reveal one more label.
-    ++task.reveal;
-    return next_iteration();
-  }
-
-  if (!response.answers.empty()) {
-    if (auto direct =
-            response.answer_rrset(task.current.qname, task.current.qtype)) {
-      if (config_.validate_dnssec && response.flags.aa &&
-          !validate_answer(response, task.current, now, ctx)) {
-        return next_attempt();  // bogus: try another server
+    // Attempt k goes to candidate k mod n, so a single-server zone gets
+    // plain retransmissions to its one address.  `continue` moves on to
+    // the next attempt; `break` with progressed set takes the next
+    // referral step.
+    bool progressed = false;
+    for (int attempt = 0; attempt < config_.max_server_attempts; ++attempt) {
+      const ServerCandidate& server =
+          servers[static_cast<std::size_t>(attempt) % servers.size()];
+      dns::Message query = dns::Message::make_query(next_id_++, wire.qname,
+                                                    wire.qtype, false);
+      query.add_edns();  // modern resolvers advertise a large UDP payload
+      auto outcome =
+          network_.query(self_, server.address, query, now + ctx.elapsed);
+      ctx.elapsed += outcome.elapsed;
+      ++ctx.upstream_queries;
+      ++stats_.upstream_queries;
+      record_exchange(server.address, outcome.elapsed,
+                      outcome.response.has_value(), now + ctx.elapsed);
+      if (!outcome.response) {
+        // Timeout: fall through to the next candidate (server
+        // re-selection); the health record above may have benched this
+        // one, in which case later rotate() calls route around it.
+        continue;
       }
-      // Include any same-response CNAME chain ahead of the match.
-      task.chain.insert(task.chain.end(), response.answers.begin(),
-                        response.answers.end());
-      return finish(
-          positive_response(question, std::move(task.chain), true));
-    }
-    if (task.current.qtype != dns::RRType::kCNAME) {
-      if (auto cname = response.answer_rrset(task.current.qname,
-                                             dns::RRType::kCNAME)) {
-        // Follow the chain: collect every CNAME + look for the target.
-        task.chain.insert(task.chain.end(), response.answers.begin(),
-                          response.answers.end());
-        dns::Name target =
-            std::get<dns::CnameRdata>(cname->rdatas().front()).target;
-        // The final answer may already be in this response.
-        for (const auto& rr : response.answers) {
-          if (rr.type() == task.current.qtype && rr.name == target) {
-            return finish(
-                positive_response(question, std::move(task.chain), true));
+      dns::Message response = std::move(*outcome.response);
+      if (response.flags.tc) {
+        // Truncated over UDP: retry the same server over TCP (RFC 1035
+        // §4.2.2), paying the handshake.
+        auto tcp_outcome =
+            network_.query(self_, server.address, query, now + ctx.elapsed,
+                           net::Network::Transport::kTcp);
+        ctx.elapsed += tcp_outcome.elapsed;
+        ++ctx.upstream_queries;
+        ++stats_.upstream_queries;
+        ++stats_.tcp_retries;
+        if (!tcp_outcome.response) {
+          continue;
+        }
+        response = std::move(*tcp_outcome.response);
+      }
+      const sim::Time t = now + ctx.elapsed;
+
+      if (response.flags.rcode != dns::Rcode::kNoError &&
+          response.flags.rcode != dns::Rcode::kNXDomain) {
+        continue;  // REFUSED/SERVFAIL from upstream: next server
+      }
+
+      auto cut = ingest_response(response, zone, t);
+
+      if (config_.sticky && response.flags.aa) {
+        sticky_pins_.emplace(zone, server);
+      }
+
+      if (response.flags.rcode == dns::Rcode::kNXDomain) {
+        // For a minimized query this is still conclusive: a missing
+        // ancestor means every name below it is missing too (RFC 8020).
+        cache_negative(response, minimized ? wire : current, t);
+        // The CNAME prefix stays visible.
+        return reply(question, dns::Rcode::kNXDomain, std::move(chain));
+      }
+
+      if (minimized && response.flags.aa) {
+        // The partial name exists (NS answer for a hosted child zone, or
+        // NODATA for an empty non-terminal): reveal one more label.
+        ++reveal;
+        progressed = true;
+        break;
+      }
+
+      if (!response.answers.empty()) {
+        if (auto direct =
+                response.answer_rrset(current.qname, current.qtype)) {
+          if (config_.validate_dnssec && response.flags.aa &&
+              !validate_answer(response, current, now, ctx)) {
+            continue;  // bogus: try another server
+          }
+          // Include any same-response CNAME chain ahead of the match.
+          chain.insert(chain.end(), response.answers.begin(),
+                       response.answers.end());
+          return positive_response(question, std::move(chain));
+        }
+        if (current.qtype != dns::RRType::kCNAME) {
+          if (auto cname =
+                  response.answer_rrset(current.qname, dns::RRType::kCNAME)) {
+            // Follow the chain: collect every CNAME + look for the target.
+            chain.insert(chain.end(), response.answers.begin(),
+                         response.answers.end());
+            dns::Name target =
+                std::get<dns::CnameRdata>(cname->rdatas().front()).target;
+            // The final answer may already be in this response.
+            for (const auto& rr : response.answers) {
+              if (rr.type() == current.qtype && rr.name == target) {
+                return positive_response(question, std::move(chain));
+              }
+            }
+            current.qname = target;
+            progressed = true;
+            break;
           }
         }
-        task.current.qname = target;
-        return next_iteration();
+        continue;  // answers that do not match the question: lame
       }
-    }
-    return next_attempt();  // answers that do not match the question: lame
-  }
 
-  if (response.flags.aa) {
-    // Authoritative NODATA.
-    cache_negative(response, task.current, t);
-    return finish(positive_response(question, task.chain, true));
-  }
-
-  if (cut && cut->is_strict_subdomain_of(task.zone) &&
-      task.current.qname.is_subdomain_of(*cut)) {
-    if (config_.centricity == Centricity::kParentCentric) {
-      if (auto answer = answer_from_referral(task.current, response)) {
-        ++stats_.referral_answers;
-        task.chain.insert(task.chain.end(), answer->answers.begin(),
-                          answer->answers.end());
-        return finish(
-            positive_response(question, std::move(task.chain), false));
+      if (response.flags.aa) {
+        // Authoritative NODATA.
+        cache_negative(response, current, t);
+        return positive_response(question, std::move(chain));
       }
-    }
-    return next_iteration();  // descend to the child zone
-  }
-  // Lame referral: try the next server.
-  return next_attempt();
-}
 
-dns::Message RecursiveResolver::resolve_iterative(
-    const dns::Question& question, sim::Time now, Context& ctx) {
-  Resolution task = begin_resolution(question, now);
-  while (step(task, ctx)) {
+      if (cut && cut->is_strict_subdomain_of(zone) &&
+          current.qname.is_subdomain_of(*cut)) {
+        if (config_.centricity == Centricity::kParentCentric) {
+          if (auto answer = answer_from_referral(current, response)) {
+            ++stats_.referral_answers;
+            chain.insert(chain.end(), answer->answers.begin(),
+                         answer->answers.end());
+            return positive_response(question, std::move(chain));
+          }
+        }
+        progressed = true;  // descend to the child zone
+        break;
+      }
+      // Lame referral: try the next server.
+    }
+    if (!progressed) {
+      return reply(question, dns::Rcode::kServFail);
+    }
   }
-  return std::move(*task.response);
+  return reply(question, dns::Rcode::kServFail);
 }
 
 bool RecursiveResolver::validate_answer(const dns::Message& response,

@@ -109,38 +109,6 @@ class RecursiveResolver : public net::DnsNode {
     net::Address address;
   };
 
-  /// One in-flight resolution as a resumable task: everything the iterative
-  /// loop used to keep in locals, lifted into a small state machine so a
-  /// scheduler can advance many resolutions in interleaved steps (the bulk
-  /// resolution engine's discipline) while the nested driver simply loops
-  /// step() to completion.
-  ///
-  /// The tag is the pending work: kSetup re-checks the cache and walks the
-  /// referral ladder to the next server set (the "next referral step");
-  /// kAttempt holds a pending upstream query against servers[attempt];
-  /// kDone carries the finished response.  Credibility context — the CNAME
-  /// chain gathered so far, the zone the candidates answer for, and the
-  /// QNAME-minimization reveal state — rides in the task, not the stack.
-  struct Resolution {
-    enum class Phase : std::uint8_t { kSetup, kAttempt, kDone };
-
-    dns::Question original;  ///< the client question (response is for this)
-    dns::Question current;   ///< follows CNAME chains
-    sim::Time start{};       ///< virtual time the resolution began
-    std::vector<dns::ResourceRecord> chain;  ///< CNAME prefix records
-    dns::Name minimized_zone;  ///< zone the reveal counter applies to
-    std::size_t reveal = 1;  ///< labels revealed past that zone (RFC 7816)
-    int iteration = 0;
-    int attempt = 0;
-    std::vector<ServerCandidate> servers;
-    dns::Name zone;       ///< zone the candidate servers answer for
-    dns::Question wire;   ///< the (possibly minimized) question on the wire
-    bool minimized = false;
-    bool progressed = false;
-    Phase phase = Phase::kSetup;
-    std::optional<dns::Message> response;  ///< set when phase == kDone
-  };
-
   /// Cache-only answer if the policy allows it (credibility threshold
   /// depends on centricity).  Chases cached CNAME chains.
   std::optional<dns::Message> answer_from_cache(const dns::Question& question,
@@ -150,37 +118,27 @@ class RecursiveResolver : public net::DnsNode {
   std::optional<dns::Message> answer_from_local_root(
       const dns::Question& question);
 
-  /// Starts a resumable resolution of @p question.
-  Resolution begin_resolution(const dns::Question& question, sim::Time now);
-
-  /// Advances @p task by one step: a kSetup task walks to its next server
-  /// set and falls through into its first attempt; a kAttempt task performs
-  /// exactly one server attempt (one upstream exchange, plus the RFC 1035
-  /// §4.2.2 TCP retry when the UDP answer was truncated).  Sub-resolutions
-  /// a step needs (out-of-bailiwick NS addresses, DNSKEY fetches) run
-  /// nested within the step.  Returns false once task.response is ready.
-  bool step(Resolution& task, Context& ctx);
-
-  /// Core iterative loop: drives one resolution task to completion.
+  /// The RFC 1034 §5.3.3 loop: up to max_iterations referral steps, each
+  /// trying up to max_server_attempts candidates of the closest enclosing
+  /// zone; chases CNAMEs and follows referrals.  NS-address and DNSKEY
+  /// sub-resolutions re-enter it with a deeper @p ctx, prefetch with a
+  /// fresh one.
   dns::Message resolve_iterative(const dns::Question& question, sim::Time now,
                                  Context& ctx);
 
-  /// Finds the deepest zone with usable cached NS + address data; fills
-  /// @p servers (already rotated/pinned per config) and returns the zone.
+  /// Finds the deepest zone at or below @p floor with usable cached NS +
+  /// address data, walking up from @p qname; fills @p servers (already
+  /// rotated/pinned per config) and returns the zone, or falls back to the
+  /// root hints.  With the local-root mirror, the walk that reaches the
+  /// root caches the TLD delegation and re-walks with the TLD as floor.
   dns::Name find_servers(const dns::Name& qname, sim::Time now, Context& ctx,
-                         std::vector<ServerCandidate>& servers);
-
-  /// Walk variant used after the local-root mirror seeded the cache.
-  dns::Name find_servers_from_cache(const dns::Name& qname, sim::Time now,
-                                    Context& ctx,
-                                    std::vector<ServerCandidate>& servers,
-                                    const dns::Name& floor);
+                         std::vector<ServerCandidate>& servers,
+                         const dns::Name& floor = dns::Name{});
 
   /// Collects usable addresses for one NS RRset; triggers glue verification
   /// and sub-resolution per policy.  Returns true if any server was found.
-  bool collect_addresses(const cache::CacheHit& ns, const dns::Name& zone,
-                         sim::Time now, Context& ctx,
-                         std::vector<ServerCandidate>& servers);
+  bool collect_addresses(const cache::CacheHit& ns, sim::Time now,
+                         Context& ctx, std::vector<ServerCandidate>& servers);
 
   /// Applies smoothed-RTT sorting and round-robin rotation per config.
   /// @p now lets the sort penalize servers currently benched by the
@@ -221,10 +179,11 @@ class RecursiveResolver : public net::DnsNode {
   std::optional<dns::Message> answer_from_referral(
       const dns::Question& question, const dns::Message& referral);
 
-  dns::Message servfail(const dns::Question& question) const;
-  dns::Message positive_response(const dns::Question& question,
-                                 std::vector<dns::ResourceRecord> answers,
-                                 bool aa_seen) const;
+  /// A NOERROR reply carrying @p answers, TTLs clamped to
+  /// [min_ttl, max_ttl].
+  dns::Message positive_response(
+      const dns::Question& question,
+      std::vector<dns::ResourceRecord> answers) const;
 
   cache::Credibility answer_threshold() const;
 

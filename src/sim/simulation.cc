@@ -21,16 +21,7 @@ void Simulation::throw_scheduled_in_past() {
 }
 
 void Simulation::throw_clock_backwards() {
-  throw std::invalid_argument("cohort source advanced the clock backwards");
-}
-
-void Simulation::detach_source(CohortSource* source) {
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    if (sources_[i] == source) {
-      sources_.erase(sources_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
+  throw std::invalid_argument("timer wheel entry precedes the clock");
 }
 
 void Simulation::release_slot(std::uint32_t index) {
@@ -114,12 +105,7 @@ bool Simulation::step() {
     release_slot(ev.slot);
     ++processed_;
     handler.invoke_consume();
-    if constexpr (check::kAuditEnabled) {
-      if (--audit_countdown_ == 0) {
-        audit_countdown_ = audit_interval_;
-        run_audit();
-      }
-    }
+    count_toward_audit();
     return true;
   }
   return false;
@@ -215,77 +201,16 @@ void Simulation::validate() const {
 }
 
 void Simulation::run() {
-  if (sources_.empty()) {
-    while (step()) {
-    }
-    return;
+  while (step()) {
   }
-  // Drain heap and sources completely without bumping now_ past the last
-  // fired event (run_until's deadline semantics do not apply here).
-  run_mixed(Time(INT64_MAX));
 }
 
 void Simulation::run_until(Time deadline) {
-  if (sources_.empty()) {
-    while (!heap_.empty() && heap_.front().at <= deadline) {
-      step();
-    }
-  } else {
-    run_mixed(deadline);
+  while (!heap_.empty() && heap_.front().at <= deadline) {
+    step();
   }
   if (now_ < deadline) {
     now_ = deadline;
-  }
-}
-
-void Simulation::run_mixed(Time deadline) {
-  for (;;) {
-    prune_stale_front();
-    // Pick the source with the globally earliest head; every other pending
-    // head (including the displaced previous best) tightens the strict
-    // (time, seq) limit the chosen source may fire up to.  The slab-heap
-    // bound is dynamic — fired entries may schedule new heap events — so
-    // sources re-check heap_interrupts per entry instead.
-    CohortSource* best = nullptr;
-    Time best_at;
-    std::uint64_t best_seq = 0;
-    Time limit_at = deadline;
-    std::uint64_t limit_seq = UINT64_MAX;
-    for (CohortSource* source : sources_) {
-      Time at;
-      std::uint64_t seq = 0;
-      if (!source->peek(at, seq)) {
-        continue;
-      }
-      if (best == nullptr || at < best_at ||
-          (at == best_at && seq < best_seq)) {
-        if (best != nullptr &&
-            (best_at < limit_at ||
-             (best_at == limit_at && best_seq < limit_seq))) {
-          limit_at = best_at;
-          limit_seq = best_seq;
-        }
-        best = source;
-        best_at = at;
-        best_seq = seq;
-      } else if (at < limit_at || (at == limit_at && seq < limit_seq)) {
-        limit_at = at;
-        limit_seq = seq;
-      }
-    }
-    const bool heap_ready = !heap_.empty() && heap_.front().at <= deadline;
-    const bool source_ready = best != nullptr && best_at <= deadline;
-    if (source_ready &&
-        (!heap_ready ||
-         before(Event{best_at, best_seq, 0, 0}, heap_.front()))) {
-      best->fire_until(limit_at, limit_seq);
-      continue;
-    }
-    if (heap_ready) {
-      step();
-      continue;
-    }
-    return;
   }
 }
 

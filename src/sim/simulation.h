@@ -11,6 +11,7 @@
 
 #include "check/audit.h"
 #include "sim/time.h"
+#include "sim/timer_wheel.h"
 
 namespace dnsttl::sim {
 
@@ -158,36 +159,6 @@ class EventFn {
   };
 };
 
-/// Batched event source driven by the Simulation run loop.
-///
-/// A source owns its own pending entries — typically a sim::TimerWheel over
-/// a structure-of-arrays pool — but draws sequence numbers from the
-/// simulation's global counter (allocate_seq / allocate_seq_block), so
-/// source entries and slab-heap events interleave into one strict
-/// (time, seq) total order.  The slab heap stays the scheduler for sparse,
-/// heterogeneous timers; sources take over the dense homogeneous hot path
-/// (one pending "next query" timer per stub) without a heap node per actor.
-class CohortSource {
- public:
-  CohortSource() = default;
-  CohortSource(const CohortSource&) = delete;
-  CohortSource& operator=(const CohortSource&) = delete;
-  virtual ~CohortSource() = default;
-
-  /// Reports the earliest pending (time, seq), if any.
-  virtual bool peek(Time& at, std::uint64_t& seq) = 0;
-
-  /// Fires pending entries in (time, seq) order while they sort strictly
-  /// before (limit_at, limit_seq) AND the simulation's earliest slab-heap
-  /// event does not sort first — re-checked per entry through
-  /// Simulation::heap_interrupts, because a fired entry may schedule new
-  /// heap events.  Implementations call Simulation::advance_clock before
-  /// running each entry, and may schedule into the slab heap or back into
-  /// this source; scheduling into a *different* attached source from inside
-  /// fire_until is not supported.
-  virtual void fire_until(Time limit_at, std::uint64_t limit_seq) = 0;
-};
-
 /// Discrete-event simulation core: a virtual clock plus an event queue.
 ///
 /// All network transmission, cache expiry and measurement scheduling in the
@@ -241,22 +212,53 @@ class Simulation {
   /// Cancels a pending event; returns false if it already ran or is unknown.
   bool cancel(std::uint64_t event_id);
 
-  /// Runs until the queue (and every attached cohort source) is empty.
+  /// Runs until the queue is empty.
   void run();
 
   /// Runs events with time <= @p deadline, then sets now to the deadline.
-  /// Attached cohort sources fire interleaved with heap events in global
-  /// (time, seq) order.
   void run_until(Time deadline);
 
-  /// Attaches a cohort source for the duration of a run; the caller keeps
-  /// ownership and must detach before the source is destroyed.
-  void attach_source(CohortSource* source) { sources_.push_back(source); }
-  void detach_source(CohortSource* source);
+  /// Runs slab-heap events and @p wheel's entries with time <= @p deadline
+  /// in one strict (time, seq) order, then sets now to the deadline.  Wheel
+  /// entries carry seqs drawn from allocate_seq / allocate_seq_block, so the
+  /// two kinds interleave deterministically.  The next event is picked again
+  /// after every one, because either kind may schedule into the heap or
+  /// back into the wheel.  The clock moves to an entry's time before
+  /// @p fire(entry) runs.  Wheel fires count toward the periodic audit but
+  /// not toward events_processed().
+  template <typename Fire>
+  void run_until(Time deadline, TimerWheel& wheel, Fire&& fire) {
+    for (;;) {
+      prune_stale_front();
+      const bool heap_ready = !heap_.empty() && heap_.front().at <= deadline;
+      if (!wheel.empty()) {
+        const TimerWheel::Entry& head = wheel.head();
+        if (head.at <= deadline &&
+            (!heap_ready ||
+             before(Event{head.at, head.seq, 0, 0}, heap_.front()))) {
+          const TimerWheel::Entry entry = wheel.pop_head();
+          if (entry.at < now_) {
+            throw_clock_backwards();
+          }
+          now_ = entry.at;
+          fire(entry);
+          count_toward_audit();
+          continue;
+        }
+      }
+      if (!heap_ready) {
+        break;
+      }
+      step();
+    }
+    if (now_ < deadline) {
+      now_ = deadline;
+    }
+  }
 
   /// Allocates one sequence number from the global schedule-order counter.
-  /// Cohort sources stamp their entries with these so they interleave with
-  /// slab-heap events deterministically.
+  /// Timer-wheel engines stamp their entries with these so they interleave
+  /// with slab-heap events deterministically.
   std::uint64_t allocate_seq() noexcept { return next_seq_++; }
 
   /// Reserves @p n consecutive sequence numbers, returning the first.
@@ -268,27 +270,10 @@ class Simulation {
     return first;
   }
 
-  /// Advances the virtual clock to @p t; cohort sources call this before
-  /// running each fired entry.  @p t must not precede now().
-  void advance_clock(Time t) {
-    if (t < now_) {
-      throw_clock_backwards();
-    }
-    now_ = t;
-  }
-
-  /// True when the earliest live slab-heap event sorts strictly before
-  /// (at, seq).  Cohort sources test this per entry inside fire_until and
-  /// yield back to the run loop when it fires.
-  bool heap_interrupts(Time at, std::uint64_t seq) {
-    prune_stale_front();
-    return !heap_.empty() &&
-           before(heap_.front(), Event{at, seq, 0, 0});
-  }
-
-  /// Pending slab-heap events (cohort-source entries are counted by their
+  /// Pending slab-heap events (timer-wheel entries are counted by their
   /// owning engines, not here).
   std::size_t pending() const noexcept { return heap_.size() - cancelled_; }
+  /// Slab-heap events run so far; timer-wheel fires are not counted.
   std::uint64_t events_processed() const noexcept { return processed_; }
 
   /// Deep structural audit: 4-ary heap order, slab free-list consistency,
@@ -317,7 +302,8 @@ class Simulation {
     }
   }
 
-  /// Sets how many processed events elapse between periodic audits.
+  /// Sets how many fired events (heap events and wheel entries) elapse
+  /// between periodic audits.
   void set_audit_interval(std::uint64_t events) {
     audit_interval_ = events > 0 ? events : 1;
     audit_countdown_ = audit_interval_;
@@ -378,7 +364,7 @@ class Simulation {
 
   bool step();
   /// Pops cancelled leftovers off the heap front so (time, seq)
-  /// comparisons against cohort sources see a live event.
+  /// comparisons against a timer wheel's head see a live event.
   void prune_stale_front() {
     while (!heap_.empty()) {
       const Event& ev = heap_.front();
@@ -390,12 +376,18 @@ class Simulation {
       --cancelled_;
     }
   }
-  /// Run loop for the attached-source case: interleaves heap events and
-  /// source batches in global (time, seq) order up to @p deadline.
-  void run_mixed(Time deadline);
   void release_slot(std::uint32_t index);
-  /// Self-validate plus registered hooks; called from step() every
-  /// audit_interval_ events in audit builds.
+  /// Counts one fired heap event or wheel entry; in audit builds every
+  /// audit_interval_-th one runs the periodic audit.
+  void count_toward_audit() {
+    if constexpr (check::kAuditEnabled) {
+      if (--audit_countdown_ == 0) {
+        audit_countdown_ = audit_interval_;
+        run_audit();
+      }
+    }
+  }
+  /// Self-validate plus registered hooks.
   void run_audit() const;
 
   Time now_;
@@ -407,9 +399,6 @@ class Simulation {
   std::vector<Event> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
-  /// Attached cohort sources (non-owning); empty on the historical fast
-  /// path, which then compiles to the exact pre-source run loop.
-  std::vector<CohortSource*> sources_;
 
   static constexpr std::uint64_t kDefaultAuditInterval = 1024;
   std::vector<std::function<void()>> audit_hooks_;

@@ -35,7 +35,8 @@ namespace dnsttl::sim {
 /// (time, seq) total order that Simulation's slab heap uses.  Sequence
 /// numbers are supplied by the caller — cohort engines draw them from
 /// Simulation::allocate_seq() — so wheel entries and heap events interleave
-/// into one global deterministic order; the differential oracle test in
+/// into one global deterministic order when Simulation::run_until(deadline,
+/// wheel, fire) drains them together; the differential oracle test in
 /// tests/sim_test.cc pins the equivalence over fuzzed traces.  Within a
 /// slot, the cohort is materialized (sorted) once when the slot comes due;
 /// entries scheduled *into the active slot while it fires* (zero-gap

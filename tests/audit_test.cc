@@ -16,6 +16,7 @@
 #include "dns/rr.h"
 #include "dns/zone.h"
 #include "sim/simulation.h"
+#include "sim/timer_wheel.h"
 
 namespace dnsttl {
 namespace {
@@ -134,6 +135,27 @@ TEST(SimulationAudit, PeriodicHookFiresOnlyInAuditBuilds) {
   sim.run();
   if (check::kAuditEnabled) {
     EXPECT_GE(hook_calls, 200u / 16u);
+  } else {
+    EXPECT_EQ(hook_calls, 0u);
+  }
+
+  // A wheel-only drain: no slab-heap event runs, yet wheel fires count
+  // toward the same audit cadence.
+  const std::uint64_t heap_events = sim.events_processed();
+  hook_calls = 0;
+  sim::TimerWheel wheel(sim.now());
+  for (int i = 0; i < 200; ++i) {
+    wheel.schedule(sim.now() + sim::milliseconds(static_cast<std::int64_t>(i)),
+                   sim.allocate_seq(), static_cast<std::uint64_t>(i));
+  }
+  std::uint64_t fires = 0;
+  sim.run_until(sim.now() + sim::kSecond, wheel,
+                [&fires](const sim::TimerWheel::Entry&) { ++fires; });
+  EXPECT_EQ(fires, 200u);
+  EXPECT_EQ(sim.events_processed(), heap_events);
+  if (check::kAuditEnabled) {
+    EXPECT_GE(hook_calls, 200u / 16u);
+    EXPECT_LE(hook_calls, 200u / 16u + 1u);
   } else {
     EXPECT_EQ(hook_calls, 0u);
   }

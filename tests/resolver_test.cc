@@ -234,6 +234,68 @@ TEST_F(ResolverTest, WithoutServeStaleOfflineChildMeansServfail) {
   EXPECT_EQ(result.response.flags.rcode, dns::Rcode::kServFail);
 }
 
+TEST_F(ResolverTest, OfflineSoleServerGetsExactlyMaxServerAttempts) {
+  ResolverConfig config = child_centric_config();
+  config.max_server_attempts = 5;
+  config.fetch_authoritative_ns_addresses = false;
+  auto resolver = make_resolver(config);
+  uy_server->set_online(false);
+  auto result = resolver->resolve(
+      dns::Question{Name::from_string("www.gub.uy"), RRType::kA,
+                    dns::RClass::kIN},
+      sim::Time{});
+  EXPECT_EQ(result.response.flags.rcode, dns::Rcode::kServFail);
+  // One referral from the root; every attempt of the .uy step is then a
+  // retransmission to a.nic.uy, the zone's only address.
+  EXPECT_EQ(root_server->queries_answered(), 1u);
+  EXPECT_EQ(result.upstream_queries, 1 + config.max_server_attempts);
+}
+
+TEST_F(ResolverTest, ReferralChainLongerThanMaxIterationsIsServfail) {
+  // Zones l1, l2.l1, ... below the root, each on its own server with
+  // in-bailiwick glue in its parent.  A cold lookup of www in the zone k
+  // levels down takes k referrals plus the answer: k + 1 iterations.
+  constexpr int kMaxIterations = 5;
+  std::vector<std::unique_ptr<auth::AuthServer>> servers;
+  std::shared_ptr<dns::Zone> parent = root_zone;
+  Name origin;
+  std::vector<Name> www;  // www[k - 1] lives k levels below the root
+  for (int level = 1; level <= kMaxIterations; ++level) {
+    origin = origin.prepend("l" + std::to_string(level));
+    const Name ns_name = origin.prepend("ns");
+    auto zone = std::make_shared<dns::Zone>(origin);
+    servers.push_back(std::make_unique<auth::AuthServer>(ns_name.to_string()));
+    servers.back()->add_zone(zone);
+    const net::Address address =
+        network->attach(*servers.back(), net::Location{net::Region::kEU});
+    zone->add(dns::make_soa(origin, dns::Ttl{300}, ns_name, 1));
+    zone->add(dns::make_ns(origin, dns::Ttl{300}, ns_name));
+    zone->add(dns::make_a(ns_name, dns::Ttl{300}, address));
+    www.push_back(origin.prepend("www"));
+    zone->add(dns::make_a(www.back(), dns::Ttl{300},
+                          dns::Ipv4(10, 88, 0, static_cast<std::uint8_t>(level))));
+    parent->add(dns::make_ns(origin, dns::Ttl{300}, ns_name));
+    parent->add(dns::make_a(ns_name, dns::Ttl{300}, address));
+    parent = zone;
+  }
+
+  ResolverConfig config = child_centric_config();
+  config.max_iterations = kMaxIterations;
+  config.fetch_authoritative_ns_addresses = false;
+  auto rcode_at_level = [&](int level) {
+    auto resolver = make_resolver(config);  // cold cache every time
+    return resolver
+        ->resolve(dns::Question{www[static_cast<std::size_t>(level - 1)],
+                                RRType::kA, dns::RClass::kIN},
+                  sim::Time{})
+        .response.flags.rcode;
+  };
+  // One step shorter than the budget, exactly the budget, one step longer.
+  EXPECT_EQ(rcode_at_level(kMaxIterations - 2), dns::Rcode::kNoError);
+  EXPECT_EQ(rcode_at_level(kMaxIterations - 1), dns::Rcode::kNoError);
+  EXPECT_EQ(rcode_at_level(kMaxIterations), dns::Rcode::kServFail);
+}
+
 TEST_F(ResolverTest, LocalRootAnswersTldNsWithChildOffline) {
   // §4.4: OpenDNS-style resolvers answered NS queries even with the child's
   // authoritative servers offline.

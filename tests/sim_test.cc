@@ -376,136 +376,89 @@ TEST(TimerWheelTest, DifferentialOracleMatchesSlabHeap) {
   }
 }
 
-/// Minimal cohort source for the interleaving tests: a TimerWheel whose
-/// entries invoke a caller-supplied callback — the same drain loop the
-/// production engines use.
-class WheelSource final : public CohortSource {
- public:
-  WheelSource(Simulation& simulation,
-              std::function<void(const TimerWheel::Entry&)> on_fire)
-      : simulation_(simulation), on_fire_(std::move(on_fire)) {}
-
-  void add(Time due, std::uint64_t payload) {
-    wheel_.schedule(due, simulation_.allocate_seq(), payload);
-  }
-
-  /// Engine-style scheduling with a pre-reserved sequence number.
-  void add_at_seq(Time due, std::uint64_t seq, std::uint64_t payload) {
-    wheel_.schedule(due, seq, payload);
-  }
-
-  bool peek(Time& due, std::uint64_t& seq) override {
-    if (wheel_.empty()) {
-      return false;
-    }
-    const TimerWheel::Entry& entry = wheel_.head();
-    due = entry.at;
-    seq = entry.seq;
-    return true;
-  }
-
-  void fire_until(Time limit_at, std::uint64_t limit_seq) override {
-    while (!wheel_.empty()) {
-      const TimerWheel::Entry& head = wheel_.head();
-      const bool before_limit =
-          head.at < limit_at || (head.at == limit_at && head.seq < limit_seq);
-      if (!before_limit || simulation_.heap_interrupts(head.at, head.seq)) {
-        break;
-      }
-      const TimerWheel::Entry entry = wheel_.pop_head();
-      simulation_.advance_clock(entry.at);
-      on_fire_(entry);
-    }
-  }
-
- private:
-  Simulation& simulation_;
-  TimerWheel wheel_;
-  std::function<void(const TimerWheel::Entry&)> on_fire_;
-};
-
 TEST(SimulationSourceTest, SourceEntriesInterleaveWithHeapEvents) {
   Simulation simulation;
+  TimerWheel wheel;
   std::vector<int> order;
-  WheelSource source(simulation, [&](const TimerWheel::Entry& entry) {
-    order.push_back(static_cast<int>(entry.payload));
-  });
-  simulation.attach_source(&source);
   simulation.schedule_at(sim::at(2 * kSecond), [&] { order.push_back(2); });
-  source.add(sim::at(kSecond), 1);
-  source.add(sim::at(3 * kSecond), 3);
+  wheel.schedule(sim::at(kSecond), simulation.allocate_seq(), 1);
+  wheel.schedule(sim::at(3 * kSecond), simulation.allocate_seq(), 3);
   simulation.schedule_at(sim::at(4 * kSecond), [&] { order.push_back(4); });
   // Equal-time pair: allocation order (heap first here) must decide.
   simulation.schedule_at(sim::at(5 * kSecond), [&] { order.push_back(5); });
-  source.add(sim::at(5 * kSecond), 6);
-  simulation.run();
-  simulation.detach_source(&source);
+  wheel.schedule(sim::at(5 * kSecond), simulation.allocate_seq(), 6);
+  simulation.run_until(sim::at(5 * kSecond), wheel,
+                       [&](const TimerWheel::Entry& entry) {
+                         order.push_back(static_cast<int>(entry.payload));
+                       });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(simulation.now(), at(5 * kSecond));
+  // Only the three slab-heap events count as processed events.
+  EXPECT_EQ(simulation.events_processed(), 3u);
 }
 
 TEST(SimulationSourceTest, HeapEventScheduledMidBatchInterruptsTheBatch) {
-  // A fired source entry schedules a slab-heap event *earlier* than the
-  // source's next entry; the batch must yield so the heap event runs in
-  // order.  This is the dynamic bound that fire_until re-checks per entry.
+  // A fired wheel entry schedules a slab-heap event *earlier* than the
+  // wheel's next entry; the drain loop must pick it next.  This is why
+  // run_until picks the next event again after every fire.
   Simulation simulation;
+  TimerWheel wheel;
   std::vector<int> order;
-  WheelSource source(simulation, [&](const TimerWheel::Entry& entry) {
-    order.push_back(static_cast<int>(entry.payload));
-    if (entry.payload == 10) {
-      simulation.schedule_after(kSecond, [&] { order.push_back(11); });
-    }
-  });
-  simulation.attach_source(&source);
-  source.add(sim::at(10 * kSecond), 10);
-  source.add(sim::at(30 * kSecond), 30);
-  // Far heap event: without the dynamic re-check the source would fire 30
+  wheel.schedule(sim::at(10 * kSecond), simulation.allocate_seq(), 10);
+  wheel.schedule(sim::at(30 * kSecond), simulation.allocate_seq(), 30);
+  // Far heap event: without the per-fire re-check the wheel would fire 30
   // right after 10, racing past the event at 11 s.
   simulation.schedule_at(sim::at(40 * kSecond), [&] { order.push_back(40); });
-  simulation.run();
-  simulation.detach_source(&source);
+  simulation.run_until(sim::at(40 * kSecond), wheel,
+                       [&](const TimerWheel::Entry& entry) {
+                         order.push_back(static_cast<int>(entry.payload));
+                         if (entry.payload == 10) {
+                           simulation.schedule_after(
+                               kSecond, [&] { order.push_back(11); });
+                         }
+                       });
   EXPECT_EQ(order, (std::vector<int>{10, 11, 30, 40}));
 }
 
 TEST(SimulationSourceTest, RunUntilStopsSourcesAtDeadline) {
   Simulation simulation;
+  TimerWheel wheel;
   std::vector<int> order;
-  WheelSource source(simulation, [&](const TimerWheel::Entry& entry) {
+  const auto fire = [&](const TimerWheel::Entry& entry) {
     order.push_back(static_cast<int>(entry.payload));
-  });
-  simulation.attach_source(&source);
+  };
   for (int i = 1; i <= 6; ++i) {
-    source.add(sim::at(i * kMinute), static_cast<std::uint64_t>(i));
+    wheel.schedule(sim::at(i * kMinute), simulation.allocate_seq(),
+                   static_cast<std::uint64_t>(i));
   }
-  simulation.run_until(sim::at(3 * kMinute));
+  simulation.run_until(sim::at(3 * kMinute), wheel, fire);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(simulation.now(), at(3 * kMinute));
-  simulation.run();
+  simulation.run_until(sim::at(6 * kMinute), wheel, fire);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
-  simulation.detach_source(&source);
+  EXPECT_TRUE(wheel.empty());
 }
 
 TEST(SimulationSourceTest, SeqBlockReservationInterleavesDeterministically) {
   // An engine that pre-reserves a contiguous seq block fires its rounds in
   // block order against later-allocated heap events.
   Simulation simulation;
+  TimerWheel wheel;
   std::vector<int> order;
-  WheelSource source(simulation, [&](const TimerWheel::Entry& entry) {
-    order.push_back(static_cast<int>(entry.payload));
-  });
-  simulation.attach_source(&source);
   const std::uint64_t base = simulation.allocate_seq_block(3);
   EXPECT_EQ(simulation.allocate_seq(), base + 3);
   // Heap event at the same timestamp as the block's second round.  Its seq
   // is allocated *after* the block, so the block entry wins the tie even
   // though the heap event was scheduled first in program order.
   simulation.schedule_at(sim::at(2 * kSecond), [&] { order.push_back(99); });
-  source.add_at_seq(sim::at(kSecond), base + 0, 1);
-  source.add_at_seq(sim::at(2 * kSecond), base + 1, 2);
-  source.add_at_seq(sim::at(3 * kSecond), base + 2, 3);
-  simulation.run();
+  wheel.schedule(sim::at(kSecond), base + 0, 1);
+  wheel.schedule(sim::at(2 * kSecond), base + 1, 2);
+  wheel.schedule(sim::at(3 * kSecond), base + 2, 3);
+  simulation.run_until(sim::at(3 * kSecond), wheel,
+                       [&](const TimerWheel::Entry& entry) {
+                         order.push_back(static_cast<int>(entry.payload));
+                       });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 99, 3}));
-  simulation.detach_source(&source);
 }
 
 TEST(TimeTest, FormatsHoursMinutesSeconds) {
