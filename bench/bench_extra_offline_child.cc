@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   spec.name = "zurrundedu-offline";
   spec.qname = domain;
   spec.qtype = dns::RRType::kNS;
-  spec.frequency = 600 * sim::kSecond;
   spec.duration = sim::kHour;
   auto run = atlas::MeasurementRun::execute(world.simulation(),
                                             world.network(), platform, spec,

@@ -5,20 +5,33 @@
 //
 //   $ ./build/examples/centricity_probe [parent_ttl] [child_ttl]
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "bench_common.h"
 #include "core/centricity_experiment.h"
 #include "core/world.h"
 
 using namespace dnsttl;
 
+namespace {
+
+/// A TTL argument in seconds; anything but a non-negative integer exits 2.
+dns::Ttl parse_ttl(const char* flag, const char* text) {
+  const std::uint64_t seconds =
+      bench::BenchArgs::parse_u64("centricity_probe", flag, text);
+  return dns::Ttl::of_seconds(static_cast<std::int64_t>(
+      std::min<std::uint64_t>(seconds, dns::kMaxTtlSeconds)));
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  dns::Ttl parent_ttl = argc > 1
-                            ? dns::Ttl::of_seconds(static_cast<std::int64_t>(std::atoi(argv[1])))
-                            : dns::kTtl2Days;
-  dns::Ttl child_ttl = argc > 2 ? dns::Ttl::of_seconds(static_cast<std::int64_t>(std::atoi(argv[2])))
-                                : dns::kTtl5Min;
+  dns::Ttl parent_ttl =
+      argc > 1 ? parse_ttl("parent_ttl", argv[1]) : dns::kTtl2Days;
+  dns::Ttl child_ttl =
+      argc > 2 ? parse_ttl("child_ttl", argv[2]) : dns::kTtl5Min;
 
   std::printf("centricity probe: parent NS TTL=%u s, child NS TTL=%u s\n\n",
               parent_ttl.value(), child_ttl.value());

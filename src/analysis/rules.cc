@@ -635,9 +635,9 @@ void rule_std_map_hot(const FileIndex& ix, const Sink& sink) {
       continue;
     }
     sink.add("std-map-hot", code[i].line,
-             "`std::" + code[i + 2].text + "` on a hot path: src/cache, "
-             "src/dns and src/sim use the open-addressing dns::NameTable "
-             "and the slab heap by design",
+             "`std::" + code[i + 2].text + "` on a hot path: src/auth, "
+             "src/cache, src/dns and src/sim use the open-addressing "
+             "dns::NameTable, flat vectors and the slab heap by design",
              make_excerpt(ix, i, i + 4));
   }
 }
@@ -758,8 +758,8 @@ const std::vector<RuleInfo>& rule_infos() {
       {"raw-new", "style",
        "no raw new/delete in src/; placement new is allowed"},
       {"std-map-hot", "style",
-       "no std::map/std::multimap in the src/cache, src/dns and src/sim hot "
-       "paths"},
+       "no std::map/std::multimap in the src/auth, src/cache, src/dns and "
+       "src/sim hot paths"},
       {"stale-suppression", "hygiene",
        "every allow comment names a rule that still fires on the covered "
        "line; dead or misspelled allows must be deleted"},
@@ -790,7 +790,8 @@ Findings run_rules(const FileIndex& ix, const std::string& rel_path,
     rule_pointer_print(ix, sink);
     rule_raw_new(ix, sink);
   }
-  if (rel_path.rfind("src/cache/", 0) == 0 ||
+  if (rel_path.rfind("src/auth/", 0) == 0 ||
+      rel_path.rfind("src/cache/", 0) == 0 ||
       rel_path.rfind("src/dns/", 0) == 0 ||
       rel_path.rfind("src/sim/", 0) == 0) {
     rule_std_map_hot(ix, sink);

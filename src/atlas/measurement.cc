@@ -30,7 +30,6 @@ class VpSchedule {
         samples_(samples),
         wheel_(simulation.now()),
         start_(spec.start),
-        frequency_(spec.frequency),
         qtype_(spec.qtype) {}
 
   sim::TimerWheel& wheel() noexcept { return wheel_; }
@@ -98,7 +97,7 @@ class VpSchedule {
 
     if (round + 1 < rounds_[vp]) {
       wheel_.schedule(start_ + phases_[vp] +
-                          frequency_ * static_cast<std::int64_t>(round + 1),
+                          kFrequency * static_cast<std::int64_t>(round + 1),
                       first_seq_[vp] + round + 1,
                       static_cast<std::uint64_t>(vp));
     } else {
@@ -134,7 +133,6 @@ class VpSchedule {
   std::vector<Sample>& samples_;
   sim::TimerWheel wheel_;
   sim::Time start_;
-  sim::Duration frequency_;
   dns::RRType qtype_;
 
   // Parallel per-VP arrays (SoA): probe, resolver address, query name,
@@ -184,12 +182,12 @@ MeasurementRun MeasurementRun::execute(sim::Simulation& simulation,
     for (net::Address resolver : probe.resolvers) {
       // Atlas schedules each VP at a random phase within the period.
       sim::Duration phase = sim::Duration(static_cast<std::int64_t>(
-          phase_rng.uniform(0.0, static_cast<double>(spec.frequency.count()))));
+          phase_rng.uniform(0.0, static_cast<double>(kFrequency.count()))));
       std::uint64_t rounds = 0;
       if (phase < spec.duration) {
         const std::int64_t span = (spec.duration - phase).count();
         rounds = static_cast<std::uint64_t>(
-            (span + spec.frequency.count() - 1) / spec.frequency.count());
+            (span + kFrequency.count() - 1) / kFrequency.count());
       }
       const std::uint64_t first_seq = simulation.allocate_seq_block(rounds);
       schedule.add_vp(&probe, resolver, qname, phase, rounds, first_seq,

@@ -11,8 +11,12 @@
 
 namespace dnsttl::atlas {
 
+/// Interval between one VP's queries: RIPE Atlas's 600 s, which every
+/// measurement in the paper used.
+inline constexpr sim::Duration kFrequency = 600 * sim::kSecond;
+
 /// One periodic measurement, RIPE-Atlas style: every VP sends the query
-/// every `frequency` for `duration`, with a random phase inside the first
+/// every kFrequency for `duration`, with a random phase inside the first
 /// interval (Atlas spreads probes across the period).
 struct MeasurementSpec {
   std::string name;
@@ -21,7 +25,6 @@ struct MeasurementSpec {
   /// PROBEID.sub.cachetest.net trick that defeats cross-probe caching.
   bool per_probe_qname = false;
   dns::RRType qtype = dns::RRType::kAAAA;
-  sim::Duration frequency = 600 * sim::kSecond;
   sim::Duration duration = 2 * sim::kHour;
   sim::Time start{};
 

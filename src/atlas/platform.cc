@@ -3,11 +3,23 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "check/audit.h"
-
 namespace dnsttl::atlas {
 
 namespace {
+
+/// Probability a probe lists a second resolver (drives VPs/probe ≈ 1.7).
+constexpr double kSecondResolverFraction = 0.7;
+
+/// Recursive backends behind each caching-free forwarder.
+constexpr std::size_t kForwarderBackends = 2;
+
+/// Share of public-resolver VP slots on the Google-like service (the rest
+/// use the OpenDNS-like one).
+constexpr double kPublicGoogleShare = 0.8;
+
+/// Independent recursive backends behind each public anycast site (cache
+/// fragmentation; drives the fresh-cap plateau of Figure 2).
+constexpr std::size_t kPublicBackendsPerSite = 6;
 
 /// Builds one public anycast resolver service, mirroring how Google and
 /// OpenDNS deploy: a site per region, each site a load-balanced pool of
@@ -19,7 +31,6 @@ net::Address build_public_service(
     net::Network& network, const resolver::RootHints& hints,
     std::shared_ptr<const dns::Zone> root_mirror,
     const resolver::ResolverConfig& config, const std::string& ident,
-    std::size_t backends_per_site,
     std::vector<std::shared_ptr<resolver::RecursiveResolver>>& out_backends,
     std::vector<std::shared_ptr<resolver::Forwarder>>& out_frontends) {
   std::vector<std::pair<net::DnsNode*, net::Location>> sites;
@@ -27,7 +38,7 @@ net::Address build_public_service(
   for (net::Region region : net::kAllRegions) {
     net::Location site_location{region, 0.5};
     std::vector<net::Address> backend_addrs;
-    for (std::size_t b = 0; b < backends_per_site; ++b) {
+    for (std::size_t b = 0; b < kPublicBackendsPerSite; ++b) {
       auto backend = std::make_shared<resolver::RecursiveResolver>(
           ident + "-" + std::string(net::to_string(region)) + "-" +
               std::to_string(b),
@@ -64,19 +75,19 @@ Platform Platform::build(net::Network& network,
     throw std::invalid_argument("platform needs at least one resolver");
   }
   Platform platform;
+  // Probes and resolvers share the Atlas EU-skewed region mix.
+  const std::vector<double> region_weights = resolver::atlas_region_weights();
 
   platform.population_ = resolver::ResolverPopulation::build(
       network, hints, root_mirror, spec.profiles, spec.resolver_count,
-      spec.region_weights, rng);
+      region_weights, rng);
 
   platform.google_anycast_ = build_public_service(
       network, hints, root_mirror, resolver::google_like_config(),
-      "google-public", spec.public_backends_per_site, platform.public_sites_,
-      platform.public_frontends_);
+      "google-public", platform.public_sites_, platform.public_frontends_);
   platform.opendns_anycast_ = build_public_service(
       network, hints, root_mirror, resolver::opendns_like_config(),
-      "opendns-public", spec.public_backends_per_site, platform.public_sites_,
-      platform.public_frontends_);
+      "opendns-public", platform.public_sites_, platform.public_frontends_);
 
   // Bucket resolver indices per region so probes pick nearby resolvers.
   std::unordered_map<int, std::vector<std::size_t>> by_region;
@@ -90,7 +101,7 @@ Platform Platform::build(net::Network& network,
 
   for (std::size_t p = 0; p < spec.probe_count; ++p) {
     net::Region region =
-        net::kAllRegions[rng.weighted_index(spec.region_weights)];
+        net::kAllRegions[rng.weighted_index(region_weights)];
     auto& bucket = by_region[static_cast<int>(region)];
 
     Probe probe;
@@ -111,17 +122,17 @@ Platform Platform::build(net::Network& network,
         net::Address{probe_net++},
         net::Location{region, rng.uniform(0.2, 1.5), home.location.pop_id}};
 
-    std::size_t slots = 1 + (rng.chance(spec.second_resolver_fraction) ? 1 : 0);
+    std::size_t slots = 1 + (rng.chance(kSecondResolverFraction) ? 1 : 0);
     for (std::size_t s = 0; s < slots; ++s) {
       double roll = rng.uniform();
       if (roll < spec.public_resolver_fraction) {
-        probe.resolvers.push_back(rng.chance(spec.public_google_share)
+        probe.resolvers.push_back(rng.chance(kPublicGoogleShare)
                                       ? platform.google_anycast_
                                       : platform.opendns_anycast_);
       } else if (roll < spec.public_resolver_fraction +
                             spec.forwarder_fraction) {
         std::vector<net::Address> backends;
-        for (std::size_t b = 0; b < spec.forwarder_backends; ++b) {
+        for (std::size_t b = 0; b < kForwarderBackends; ++b) {
           backends.push_back(pick_local().address);
         }
         auto forwarder = std::make_shared<resolver::Forwarder>(
@@ -155,38 +166,15 @@ Platform Platform::build(net::Network& network,
     }
     platform.probes_.push_back(std::move(probe));
   }
-  platform.vp_pool_.rebuild(platform.probes_);
   return platform;
 }
 
-void VpPool::rebuild(const std::vector<Probe>& probes) {
-  probe_index_.clear();
-  resolver_.clear();
-  for (std::size_t p = 0; p < probes.size(); ++p) {
-    for (const net::Address resolver : probes[p].resolvers) {
-      probe_index_.push_back(static_cast<std::uint32_t>(p));
-      resolver_.push_back(resolver);
-    }
+std::size_t Platform::vp_count() const {
+  std::size_t count = 0;
+  for (const Probe& probe : probes_) {
+    count += probe.resolvers.size();
   }
-}
-
-void VpPool::validate(std::size_t probe_count) const {
-  constexpr const char* kWhat = "atlas::VpPool";
-  DNSTTL_AUDIT_CHECK(kWhat, probe_index_.size() == resolver_.size(),
-                     "SoA arrays out of step: " +
-                         std::to_string(probe_index_.size()) +
-                         " probe indices vs " +
-                         std::to_string(resolver_.size()) + " resolvers");
-  std::uint32_t last = 0;
-  for (std::size_t vp = 0; vp < probe_index_.size(); ++vp) {
-    DNSTTL_AUDIT_CHECK(kWhat, probe_index_[vp] < probe_count,
-                       "orphaned VP row " + std::to_string(vp) +
-                           ": probe index out of range");
-    DNSTTL_AUDIT_CHECK(kWhat, probe_index_[vp] >= last,
-                       "VP rows not probe-major at row " + std::to_string(vp));
-    last = probe_index_[vp];
-  }
-  check::count_audit();
+  return count;
 }
 
 std::string Platform::profile_of(net::Address address) const {

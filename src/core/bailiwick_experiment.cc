@@ -9,14 +9,24 @@ const char* const kNewAnswer = "2001:db8::2";
 
 namespace {
 
+/// TTL of the probed AAAA records: short, so answers track the server a
+/// resolver reaches rather than its cache (§4.1).
+constexpr dns::Ttl kAnswerTtl{60};
+
+/// The renumbering happens nine minutes into the measurement (§4.1).
+constexpr sim::Duration kRenumberAt = 9 * sim::kMinute;
+
+/// Four hours of probing, past both the 1 h NS and the 2 h A TTL.
+constexpr sim::Duration kDuration = 4 * sim::kHour;
+
 /// Fills a sub.cachetest.net zone copy: per-probe AAAA records with the
 /// given marker answer.
 void fill_sub_zone(dns::Zone& zone, const atlas::Platform& platform,
-                   dns::Ttl answer_ttl, const char* marker) {
+                   const char* marker) {
   const auto answer = dns::Ipv6::from_string(marker);
   for (const auto& probe : platform.probes()) {
     zone.add(dns::make_aaaa(
-        zone.origin().prepend("p" + std::to_string(probe.id)), answer_ttl,
+        zone.origin().prepend("p" + std::to_string(probe.id)), kAnswerTtl,
         answer));
   }
 }
@@ -81,8 +91,8 @@ BailiwickResult run_bailiwick(World& world, atlas::Platform& platform,
   // Old and new copies of the probed zone.
   auto sub_old = world.create_zone("sub.cachetest.net", config.ns_ttl);
   auto sub_new = world.create_zone("sub.cachetest.net", config.ns_ttl);
-  fill_sub_zone(*sub_old, platform, config.answer_ttl, kOldAnswer);
-  fill_sub_zone(*sub_new, platform, config.answer_ttl, kNewAnswer);
+  fill_sub_zone(*sub_old, platform, kOldAnswer);
+  fill_sub_zone(*sub_new, platform, kNewAnswer);
 
   auto& old_server = world.add_server("sub-original",
                                       net::Location{net::Region::kEU, 1.0});
@@ -104,8 +114,8 @@ BailiwickResult run_bailiwick(World& world, atlas::Platform& platform,
     world.delegate(*ct_zone, sub_origin, {{ns_name, old_addr}},
                    config.ns_ttl, config.a_ttl);
     // Renumber: the parent glue moves to the new server.
-    world.simulation().schedule_at(sim::at(config.renumber_at), [ct_zone, ns_name,
-                                                        new_addr] {
+    world.simulation().schedule_at(sim::at(kRenumberAt), [ct_zone, ns_name,
+                                                  new_addr] {
       ct_zone->renumber_a(ns_name, new_addr);
     });
   } else {
@@ -136,9 +146,9 @@ BailiwickResult run_bailiwick(World& world, atlas::Platform& platform,
                    config.ns_ttl, config.a_ttl);
 
     // Renumber: .com supports dynamic updates (visible in seconds), so the
-    // glue and the child copy both move at t = renumber_at.
-    world.simulation().schedule_at(sim::at(config.renumber_at), [com_zone, ns_name,
-                                                        new_addr] {
+    // glue and the child copy both move at t = kRenumberAt.
+    world.simulation().schedule_at(sim::at(kRenumberAt), [com_zone, ns_name,
+                                                  new_addr] {
       com_zone->renumber_a(ns_name, new_addr);
     });
   }
@@ -149,8 +159,7 @@ BailiwickResult run_bailiwick(World& world, atlas::Platform& platform,
   spec.qname = sub_origin;
   spec.per_probe_qname = true;
   spec.qtype = dns::RRType::kAAAA;
-  spec.frequency = config.frequency;
-  spec.duration = config.duration;
+  spec.duration = kDuration;
   spec.shard_count = config.shard_count;
   spec.shard_index = config.shard_index;
 
@@ -191,7 +200,7 @@ BailiwickResult run_bailiwick(World& world, atlas::Platform& platform,
         vp.first_new_minute = minute;
       }
     }
-    if (sample.sent.since_epoch() < config.frequency) {
+    if (sample.sent.since_epoch() < atlas::kFrequency) {
       vp.answered_first_round = true;
     }
   }

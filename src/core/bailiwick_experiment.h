@@ -18,10 +18,6 @@ struct BailiwickConfig {
   bool in_bailiwick = true;  ///< ns inside the served zone vs out of it
   dns::Ttl ns_ttl = dns::kTtl1Hour;
   dns::Ttl a_ttl = dns::kTtl2Hours;
-  dns::Ttl answer_ttl = dns::Ttl{60};  ///< TTL of the probed AAAA records
-  sim::Duration renumber_at = 9 * sim::kMinute;
-  sim::Duration frequency = 600 * sim::kSecond;
-  sim::Duration duration = 4 * sim::kHour;
 
   /// VP shard to run (see atlas::MeasurementSpec sharding); the defaults
   /// keep the historical single-shard behavior.
@@ -75,8 +71,8 @@ struct BailiwickResult {
 ///
 /// In-bailiwick: sub.cachetest.net served by ns3.sub.cachetest.net, with
 /// NS/A TTLs equal in parent and child.  Out-of-bailiwick: served by
-/// ns1.zurroundeddu.com (its own self-hosted zone under .com).  At
-/// renumber_at, a second server with changed answers comes up at a new
+/// ns1.zurroundeddu.com (its own self-hosted zone under .com).  Nine
+/// minutes in, a second server with changed answers comes up at a new
 /// address and every parent/child pointer moves to it; the old server keeps
 /// running with the old data, so sticky/parent-centric resolvers keep
 /// receiving old answers — exactly the paper's setup.

@@ -8,6 +8,7 @@
 #include "dns/rr.h"
 #include "par/pool.h"
 #include "sim/rng.h"
+#include "sim/time.h"
 #include "stats/table.h"
 
 namespace dnsttl::core {
@@ -18,6 +19,21 @@ namespace {
 /// stream from the same seed, so all points see one identical workload and
 /// differ only in cache configuration.
 constexpr std::uint64_t kDemandStream = 0x6361'6368'6500'0001ULL;
+
+/// Pareto popularity shape of the demand: heavy-headed enough that LRU and
+/// LFU pick different victims.
+constexpr double kAlpha = 1.1;
+
+/// Share of queries that are AAAA probes answered NXDOMAIN, so the
+/// negative table competes for capacity too.
+constexpr double kNegativeShare = 0.1;
+
+/// Mean query spacing (20 queries/s): a full-scale stream spans ~3 h, so
+/// every swept TTL expires within it.
+constexpr sim::Duration kMeanGap = 50 * sim::kMillisecond;
+
+/// Queries between purge_expired sweeps, as a resolver's periodic cleaner.
+constexpr std::uint64_t kPurgeEvery = 4096;
 
 /// One synthetic client query.
 struct Demand {
@@ -32,22 +48,18 @@ struct Demand {
 /// LRU/LFU behave differently.
 class DemandStream {
  public:
-  DemandStream(std::uint64_t seed, std::size_t names, double alpha,
-               double negative_share, sim::Duration mean_gap)
-      : rng_(sim::Rng(seed).fork(kDemandStream)),
-        names_(names),
-        alpha_(alpha),
-        negative_share_(negative_share),
-        mean_gap_us_(static_cast<double>(mean_gap.count())) {}
+  DemandStream(std::uint64_t seed, std::size_t names)
+      : rng_(sim::Rng(seed).fork(kDemandStream)), names_(names) {}
 
   Demand next() {
-    const auto gap = static_cast<std::int64_t>(rng_.exponential(mean_gap_us_));
+    const auto gap = static_cast<std::int64_t>(
+        rng_.exponential(static_cast<double>(kMeanGap.count())));
     clock_ = clock_ + sim::Duration{std::max<std::int64_t>(1, gap)};
-    const double rank = rng_.pareto(1.0, alpha_);
+    const double rank = rng_.pareto(1.0, kAlpha);
     const double capped = std::min(rank, static_cast<double>(names_));
     Demand d;
     d.idx = std::min(names_ - 1, static_cast<std::size_t>(capped - 1.0));
-    d.negative = rng_.chance(negative_share_);
+    d.negative = rng_.chance(kNegativeShare);
     d.at = clock_;
     return d;
   }
@@ -55,9 +67,6 @@ class DemandStream {
  private:
   sim::Rng rng_;
   std::size_t names_;
-  double alpha_;
-  double negative_share_;
-  double mean_gap_us_;
   sim::Time clock_{};
 };
 
@@ -113,14 +122,14 @@ void serve(cache::Cache& cache, const Demand& d,
 }
 
 /// Drives @p cache with @p count queries from @p demand, sweeping expired
-/// entries every @p purge_every queries.
+/// entries every kPurgeEvery queries.
 DriveTally drive(cache::Cache& cache, DemandStream& demand,
                  const std::vector<dns::Name>& catalog, dns::Ttl ttl,
-                 std::uint64_t count, std::uint64_t purge_every) {
+                 std::uint64_t count) {
   DriveTally tally;
   for (std::uint64_t q = 0; q < count; ++q) {
     const Demand d = demand.next();
-    if (purge_every != 0 && (q + 1) % purge_every == 0) {
+    if ((q + 1) % kPurgeEvery == 0) {
       cache.purge_expired(d.at);
     }
     serve(cache, d, catalog, ttl, tally);
@@ -145,8 +154,7 @@ CachePressurePoint run_cache_pressure_point(const CachePressureConfig& config,
                                             cache::EvictionPolicy policy) {
   cache::Cache cache(make_cache_config(max_entries, policy));
   const std::vector<dns::Name> catalog = build_catalog(config.names);
-  DemandStream demand(config.seed, config.names, config.alpha,
-                      config.negative_share, config.mean_gap);
+  DemandStream demand(config.seed, config.names);
 
   CachePressurePoint point;
   point.ttl = ttl;
@@ -154,8 +162,7 @@ CachePressurePoint run_cache_pressure_point(const CachePressureConfig& config,
   point.policy = policy;
   point.queries = config.queries;
 
-  const DriveTally tally = drive(cache, demand, catalog, ttl, config.queries,
-                                 config.purge_every);
+  const DriveTally tally = drive(cache, demand, catalog, ttl, config.queries);
   point.hits = tally.hits;
   point.misses = tally.misses;
   point.negative_hits = tally.negative_hits;
@@ -184,10 +191,8 @@ CacheRestartPoint run_cache_restart_point(const CachePressureConfig& config,
 
   // Warm a cache, then freeze it: the restart image.
   cache::Cache warmed(cache_config);
-  DemandStream demand(config.seed, config.names, config.alpha,
-                      config.negative_share, config.mean_gap);
-  drive(warmed, demand, catalog, ttl, config.warm_queries,
-        config.purge_every);
+  DemandStream demand(config.seed, config.names);
+  drive(warmed, demand, catalog, ttl, config.warm_queries);
   const std::vector<std::uint8_t> image = warmed.snapshot();
 
   // Pre-generate the measurement stream (continuing the warmup clock) so
@@ -235,13 +240,13 @@ CachePressureResult run_cache_pressure_experiment(
           dns::Ttl ttl) {
         return run_cache_pressure_point(config, ttl, max_entries, policy);
       },
-      config.policies, config.capacities, config.ttls);
+      kEvictionPolicies, config.capacities, config.ttls);
   result.restarts = par::map_grid(
       jobs,
       [&](cache::EvictionPolicy policy) {
         return run_cache_restart_point(config, policy);
       },
-      config.policies);
+      kEvictionPolicies);
   return result;
 }
 
@@ -249,7 +254,7 @@ std::string CachePressureResult::render() const {
   std::string out = stats::fmt(
       "cache pressure: catalog=%zu queries=%llu purge_every=%llu seed=%llu\n",
       config.names, static_cast<unsigned long long>(config.queries),
-      static_cast<unsigned long long>(config.purge_every),
+      static_cast<unsigned long long>(kPurgeEvery),
       static_cast<unsigned long long>(config.seed));
   stats::TablePrinter grid({"ttl", "cap", "policy", "queries", "hits", "miss",
                             "neg_hit", "neg_mis", "evict", "ev_pos", "ev_neg",

@@ -1,15 +1,20 @@
 #ifndef DNSTTL_CORE_CACHE_PRESSURE_EXPERIMENT_H
 #define DNSTTL_CORE_CACHE_PRESSURE_EXPERIMENT_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cache/cache.h"
 #include "dns/types.h"
-#include "sim/time.h"
 
 namespace dnsttl::core {
+
+/// Eviction policies compared at every (TTL, capacity) point: all three.
+inline constexpr std::array<cache::EvictionPolicy, 3> kEvictionPolicies = {
+    cache::EvictionPolicy::kLru, cache::EvictionPolicy::kLfu,
+    cache::EvictionPolicy::kTtlAware};
 
 /// The capacity question the paper's TTL→hit-rate story leaves open: the
 /// §5 recommendation assumes caches hold the working set, but production
@@ -26,17 +31,8 @@ struct CachePressureConfig {
   std::vector<dns::Ttl> ttls = {dns::Ttl{30}, dns::Ttl{300}, dns::Ttl{3600}};
   /// Cache capacities (combined positive+negative entries).
   std::vector<std::size_t> capacities = {256, 1024, 4096};
-  /// Eviction policies to compare at every (TTL, capacity).
-  std::vector<cache::EvictionPolicy> policies = {
-      cache::EvictionPolicy::kLru, cache::EvictionPolicy::kLfu,
-      cache::EvictionPolicy::kTtlAware};
-
   std::size_t names = 8192;        ///< distinct qnames in the demand catalog
   std::uint64_t queries = 200000;  ///< demand stream length per grid point
-  double alpha = 1.1;              ///< Pareto popularity shape
-  double negative_share = 0.1;     ///< fraction of AAAA/NXDOMAIN probes
-  sim::Duration mean_gap = 50 * sim::kMillisecond;  ///< mean query spacing
-  std::uint64_t purge_every = 4096;  ///< queries between purge_expired sweeps
 
   /// Warm-vs-cold restart scenario: warmup stream length before the
   /// snapshot, and measurement stream length replayed into both the

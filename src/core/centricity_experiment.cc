@@ -18,7 +18,6 @@ CentricityResult run_centricity(World& world, atlas::Platform& platform,
   spec.name = setup.name;
   spec.qname = setup.qname;
   spec.qtype = setup.qtype;
-  spec.frequency = setup.frequency;
   spec.duration = setup.duration;
   spec.start = setup.start;
   spec.shard_count = setup.shard_count;

@@ -18,7 +18,6 @@ struct CentricitySetup {
   dns::RRType qtype = dns::RRType::kNS;
   dns::Ttl parent_ttl = dns::kTtl2Days;
   dns::Ttl child_ttl = dns::kTtl5Min;
-  sim::Duration frequency = 600 * sim::kSecond;
   sim::Duration duration = 2 * sim::kHour;
   sim::Time start{};
 

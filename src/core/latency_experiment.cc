@@ -8,6 +8,9 @@ namespace dnsttl::core {
 
 namespace {
 
+/// Sites of the anycast variant: Route53's 45 (§6.2).
+constexpr std::size_t kAnycastSites = 45;
+
 /// Ensures the .co TLD exists (one server, standard registry TTLs).
 void ensure_co(World& world) {
   if (!world.has_server("a.nic.co.")) {
@@ -65,12 +68,12 @@ ControlledTtlResult run_controlled_ttl(World& world,
   const std::string prefix = "auth-" + sanitize(config.name);
   if (config.anycast) {
     std::vector<net::Location> sites;
-    for (std::size_t i = 0; i < config.anycast_sites; ++i) {
+    for (std::size_t i = 0; i < kAnycastSites; ++i) {
       sites.push_back(net::Location{
           net::kAllRegions[i % net::kAllRegions.size()], 1.0});
     }
     service = world.add_anycast_service(prefix, zone, sites, true);
-    for (std::size_t i = 0; i < config.anycast_sites; ++i) {
+    for (std::size_t i = 0; i < kAnycastSites; ++i) {
       log_idents.push_back(prefix + "-" + std::to_string(i));
     }
   } else {
@@ -90,7 +93,6 @@ ControlledTtlResult run_controlled_ttl(World& world,
   spec.qname = qname;
   spec.per_probe_qname = config.unique_qnames;
   spec.qtype = dns::RRType::kAAAA;
-  spec.frequency = config.frequency;
   spec.duration = config.duration;
   spec.start = world.simulation().now();
 
@@ -120,7 +122,6 @@ atlas::MeasurementRun run_uy_rtt(World& world, atlas::Platform& platform,
   spec.name = "uy-NS-rtt";
   spec.qname = dns::Name::from_string("uy");
   spec.qtype = dns::RRType::kNS;
-  spec.frequency = 600 * sim::kSecond;
   spec.duration = duration;
   spec.start = start;
   spec.shard_count = shard_count;

@@ -20,8 +20,6 @@ struct ControlledTtlConfig {
   bool unique_qnames = true;   ///< PROBEID names vs one shared name
   std::string shared_label = "1";  ///< label for the shared-name variants
   bool anycast = false;        ///< Route53-style 45-site anycast
-  std::size_t anycast_sites = 45;
-  sim::Duration frequency = 600 * sim::kSecond;
   sim::Duration duration = 1 * sim::kHour;
 };
 

@@ -1,5 +1,6 @@
 #include "core/load_curve_experiment.h"
 
+#include <array>
 #include <cmath>
 #include <string>
 
@@ -16,25 +17,43 @@ namespace {
 constexpr std::uint64_t kNlStream = 0x10adc0;
 constexpr std::uint64_t kStubStream = 0x10adc1;
 
+/// TTLs swept: CDN-style 60 s up to a full day, spanning the paper's
+/// recommendation window (§7).
+constexpr std::array<dns::Ttl, 6> kTtls = {dns::Ttl{60},    dns::Ttl{300},
+                                           dns::Ttl{900},   dns::Ttl{3600},
+                                           dns::Ttl{21600}, dns::Ttl{86400}};
+
+/// One population's demand: queries/day per actor, Pareto(xm, alpha)
+/// capped at cap.
+struct Demand {
+  double xm_per_day;
+  double alpha;
+  double cap_per_day;
+};
+
+/// .nl resolvers: the §5 calibration (~6.5M queries from ~205k resolvers
+/// over two days).
+constexpr Demand kNlDemand{3.8, 1.2, 400.0};
+
+/// Atlas stubs: a few queries a day each, capped at one per 15 minutes.
+constexpr Demand kStubDemand{4.0, 1.5, 96.0};
+
 /// Per-shard accumulator for one phase: measured authoritative queries per
 /// TTL point, the TTL-independent client-query count, and the model
 /// prediction per TTL (per-cache closed form, summed in cache order so the
 /// double total is independent of job count).
 struct ShardTally {
-  std::vector<std::uint64_t> auth;       ///< per config.ttls index
-  std::vector<double> predicted;         ///< per config.ttls index
+  std::array<std::uint64_t, kTtls.size()> auth{};  ///< per kTtls index
+  std::array<double, kTtls.size()> predicted{};    ///< per kTtls index
   std::uint64_t client_queries = 0;
-
-  explicit ShardTally(std::size_t ttl_count)
-      : auth(ttl_count, 0), predicted(ttl_count, 0.0) {}
 };
 
 /// Draws one actor's demand rate in queries/day: Pareto across the
 /// population, capped (the §5 calibration shape).  Must be the actor's
 /// FIRST draw so the rate is a pure function of its forked stream.
-double draw_per_day(sim::Rng& rng, double xm, double alpha, double cap) {
-  const double per_day = rng.pareto(xm, alpha);
-  return per_day < cap ? per_day : cap;
+double draw_per_day(sim::Rng& rng, const Demand& demand) {
+  const double per_day = rng.pareto(demand.xm_per_day, demand.alpha);
+  return per_day < demand.cap_per_day ? per_day : demand.cap_per_day;
 }
 
 /// Phase 1: independent per-resolver caches.  Each resolver's arrival
@@ -42,20 +61,18 @@ double draw_per_day(sim::Rng& rng, double xm, double alpha, double cap) {
 /// global event order is needed when caches do not interact.
 ShardTally run_nl_shard(const LoadCurveConfig& config, std::size_t shard,
                         std::size_t shards, const sim::Rng& nl_rng) {
-  ShardTally tally(config.ttls.size());
+  ShardTally tally;
   const double horizon_s = sim::to_seconds(config.nl_duration);
-  std::vector<sim::Time> expiry(config.ttls.size());
+  std::vector<sim::Time> expiry(kTtls.size());
   for (std::size_t r = shard; r < config.nl_resolver_count; r += shards) {
     sim::Rng actor = nl_rng.fork(r);
-    const double per_day =
-        draw_per_day(actor, config.nl_demand_xm_per_day,
-                     config.nl_demand_alpha, config.nl_demand_cap_per_day);
+    const double per_day = draw_per_day(actor, kNlDemand);
     const double mean_gap_s = 86400.0 / per_day;
     const double lambda = per_day / 86400.0;
-    for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
+    for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
       expiry[ti] = sim::Time{};
       tally.predicted[ti] +=
-          authoritative_rate(lambda, config.ttls[ti]) * horizon_s;
+          authoritative_rate(lambda, kTtls[ti]) * horizon_s;
     }
     sim::Time at{};
     for (;;) {
@@ -64,10 +81,10 @@ ShardTally run_nl_shard(const LoadCurveConfig& config, std::size_t shard,
         break;
       }
       ++tally.client_queries;
-      for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
+      for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
         if (at >= expiry[ti]) {
           ++tally.auth[ti];
-          expiry[ti] = at + sim::seconds(config.ttls[ti].value());
+          expiry[ti] = at + sim::seconds(kTtls[ti].value());
         }
       }
     }
@@ -83,7 +100,7 @@ ShardTally run_nl_shard(const LoadCurveConfig& config, std::size_t shard,
 /// pending arrival per stub, payload = pool index.
 ShardTally run_stub_shard(const LoadCurveConfig& config, std::size_t shard,
                           std::size_t shards, const sim::Rng& stub_rng) {
-  ShardTally tally(config.ttls.size());
+  ShardTally tally;
   const double horizon_s = sim::to_seconds(config.stub_duration);
   const sim::Time end = sim::at(config.stub_duration);
   const std::size_t resolver_count = config.stub_resolver_count;
@@ -102,9 +119,7 @@ ShardTally run_stub_shard(const LoadCurveConfig& config, std::size_t shard,
     cache_lambda.push_back(0.0);
     for (std::size_t s = r; s < config.stub_count; s += resolver_count) {
       sim::Rng actor = stub_rng.fork(s);
-      const double per_day = draw_per_day(
-          actor, config.stub_demand_xm_per_day, config.stub_demand_alpha,
-          config.stub_demand_cap_per_day);
+      const double per_day = draw_per_day(actor, kStubDemand);
       cache_lambda[local] += per_day / 86400.0;
       const double gap = actor.exponential(86400.0 / per_day);
       const sim::Time first = sim::Time{} + sim::approx_seconds(gap);
@@ -117,15 +132,15 @@ ShardTally run_stub_shard(const LoadCurveConfig& config, std::size_t shard,
       cache_index.push_back(local);
     }
   }
-  for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
+  for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
     for (double lambda : cache_lambda) {
       tally.predicted[ti] +=
-          authoritative_rate(lambda, config.ttls[ti]) * horizon_s;
+          authoritative_rate(lambda, kTtls[ti]) * horizon_s;
     }
   }
 
   // Replay: per-cache expiry per TTL point, one wheel pop per arrival.
-  std::vector<sim::Time> expiry(config.ttls.size() * cache_lambda.size(),
+  std::vector<sim::Time> expiry(kTtls.size() * cache_lambda.size(),
                                 sim::Time{});
   std::uint64_t pops_since_audit = 0;
   while (!wheel.empty()) {
@@ -135,12 +150,12 @@ ShardTally run_stub_shard(const LoadCurveConfig& config, std::size_t shard,
                        "fired entry references an orphaned stub index");
     ++tally.client_queries;
     const std::size_t base =
-        static_cast<std::size_t>(cache_index[stub]) * config.ttls.size();
-    for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
+        static_cast<std::size_t>(cache_index[stub]) * kTtls.size();
+    for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
       if (entry.at >= expiry[base + ti]) {
         ++tally.auth[ti];
         expiry[base + ti] =
-            entry.at + sim::seconds(config.ttls[ti].value());
+            entry.at + sim::seconds(kTtls[ti].value());
       }
     }
     const sim::Time next =
@@ -160,19 +175,19 @@ ShardTally run_stub_shard(const LoadCurveConfig& config, std::size_t shard,
 }
 
 /// Folds per-shard tallies strictly in shard order.
-void fold(const LoadCurveConfig& config, std::vector<ShardTally> tallies,
+void fold(std::vector<ShardTally> tallies,
           std::uint64_t& client_queries,
           std::vector<std::uint64_t>& auth_out,
           std::vector<std::uint64_t>& predicted_out) {
-  std::vector<double> predicted(config.ttls.size(), 0.0);
+  std::vector<double> predicted(kTtls.size(), 0.0);
   for (const ShardTally& tally : tallies) {
     client_queries += tally.client_queries;
-    for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
+    for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
       auth_out[ti] += tally.auth[ti];
       predicted[ti] += tally.predicted[ti];
     }
   }
-  for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
+  for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
     predicted_out[ti] =
         static_cast<std::uint64_t>(std::llround(predicted[ti]));
   }
@@ -194,9 +209,9 @@ LoadCurveResult run_load_curve_experiment(const LoadCurveConfig& config,
                                           std::size_t jobs) {
   LoadCurveResult result;
   result.config = config;
-  result.points.resize(config.ttls.size());
-  for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
-    result.points[ti].ttl = config.ttls[ti];
+  result.points.resize(kTtls.size());
+  for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
+    result.points[ti].ttl = kTtls[ti];
   }
 
   sim::Rng root(config.seed);
@@ -208,11 +223,10 @@ LoadCurveResult run_load_curve_experiment(const LoadCurveConfig& config,
     auto tallies = par::map_shards(shards, jobs, [&](std::size_t shard) {
       return run_nl_shard(config, shard, shards, nl_rng);
     });
-    std::vector<std::uint64_t> auth(config.ttls.size(), 0);
-    std::vector<std::uint64_t> predicted(config.ttls.size(), 0);
-    fold(config, std::move(tallies), result.nl_client_queries, auth,
-         predicted);
-    for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
+    std::vector<std::uint64_t> auth(kTtls.size(), 0);
+    std::vector<std::uint64_t> predicted(kTtls.size(), 0);
+    fold(std::move(tallies), result.nl_client_queries, auth, predicted);
+    for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
       result.points[ti].nl_auth_queries = auth[ti];
       result.points[ti].nl_predicted_queries = predicted[ti];
     }
@@ -223,11 +237,10 @@ LoadCurveResult run_load_curve_experiment(const LoadCurveConfig& config,
     auto tallies = par::map_shards(shards, jobs, [&](std::size_t shard) {
       return run_stub_shard(config, shard, shards, stub_rng);
     });
-    std::vector<std::uint64_t> auth(config.ttls.size(), 0);
-    std::vector<std::uint64_t> predicted(config.ttls.size(), 0);
-    fold(config, std::move(tallies), result.stub_client_queries, auth,
-         predicted);
-    for (std::size_t ti = 0; ti < config.ttls.size(); ++ti) {
+    std::vector<std::uint64_t> auth(kTtls.size(), 0);
+    std::vector<std::uint64_t> predicted(kTtls.size(), 0);
+    fold(std::move(tallies), result.stub_client_queries, auth, predicted);
+    for (std::size_t ti = 0; ti < kTtls.size(); ++ti) {
       result.points[ti].stub_auth_queries = auth[ti];
       result.points[ti].stub_predicted_queries = predicted[ti];
     }

@@ -26,21 +26,12 @@ namespace dnsttl::core {
 /// both phases shard over par:: with per-actor `fork(id)` RNG streams, so
 /// the rendered table is byte-identical at any --jobs value.
 struct LoadCurveConfig {
-  /// TTLs to sweep: CDN-style 60 s up to a full day, spanning the paper's
-  /// recommendation window (§7).
-  std::vector<dns::Ttl> ttls = {dns::Ttl{60},    dns::Ttl{300},
-                                dns::Ttl{900},   dns::Ttl{3600},
-                                dns::Ttl{21600}, dns::Ttl{86400}};
-
   /// Phase 1 — .nl passive demand: independent recursive resolvers, each
   /// with its own cache and a Poisson query stream whose rate is Pareto
   /// distributed across resolvers (the §5 calibration: ~205k resolvers,
   /// ~6.5M queries over two days at scale 1.0).
   std::size_t nl_resolver_count = 205000;
   sim::Duration nl_duration = 48 * sim::kHour;
-  double nl_demand_xm_per_day = 3.8;
-  double nl_demand_alpha = 1.2;
-  double nl_demand_cap_per_day = 400.0;
 
   /// Phase 2 — Atlas stub population: stubs share recursive caches
   /// (stub -> resolver is id % resolver count), so per-cache demand is the
@@ -49,9 +40,6 @@ struct LoadCurveConfig {
   std::size_t stub_count = 1000000;
   std::size_t stub_resolver_count = 10000;
   sim::Duration stub_duration = 6 * sim::kHour;
-  double stub_demand_xm_per_day = 4.0;
-  double stub_demand_alpha = 1.5;
-  double stub_demand_cap_per_day = 96.0;
 
   std::uint64_t seed = 1;
 
@@ -75,7 +63,7 @@ struct LoadCurveResult {
   LoadCurveConfig config;
   std::uint64_t nl_client_queries = 0;    ///< TTL-independent demand
   std::uint64_t stub_client_queries = 0;  ///< TTL-independent demand
-  std::vector<LoadCurvePointResult> points;  ///< config.ttls order
+  std::vector<LoadCurvePointResult> points;  ///< swept TTLs, ascending
 
   /// Integer table (stats::TablePrinter layout) — the byte-identical
   /// golden output the load-curve-smoke ctest compares across --jobs values.

@@ -21,6 +21,10 @@ constexpr const char* kChildServer = "ns.example.";
 /// *record* TTL.
 constexpr dns::Ttl kInfraTtl{7 * 24 * 3600};
 
+/// One client query every 10 s: dense enough to place each TTL's lapse
+/// inside the window to within a few queries.
+constexpr sim::Duration kQueryInterval = 10 * sim::kSecond;
+
 long long whole_seconds(sim::Duration d) {
   return static_cast<long long>(d.count() / sim::kSecond.count());
 }
@@ -31,7 +35,7 @@ OutagePointResult run_outage_point(const OutageConfig& config, dns::Ttl ttl,
                                    bool serve_stale) {
   World::Options options;
   options.seed = config.seed;
-  options.loss_rate = config.loss_rate;
+  options.loss_rate = 0.0;  // the fault window is the only failure measured
   World world(options);
 
   const net::Location site{};
@@ -54,8 +58,6 @@ OutagePointResult run_outage_point(const OutageConfig& config, dns::Ttl ttl,
   window.kind = config.window_kind;
   window.target = world.address_of(kChildServer);
   window.rate = config.window_rate;
-  window.factor = config.window_factor;
-  window.extra = config.window_extra;
   schedule.add(window);
   world.network().set_fault_schedule(&schedule);
 
@@ -64,7 +66,7 @@ OutagePointResult run_outage_point(const OutageConfig& config, dns::Ttl ttl,
   result.serve_stale = serve_stale;
 
   const dns::Question question{qname, dns::RRType::kA, dns::RClass::kIN};
-  for (sim::Duration t{}; t < config.horizon; t += config.query_interval) {
+  for (sim::Duration t{}; t < config.horizon; t += kQueryInterval) {
     const auto outcome = resolver.resolve(question, sim::at(t));
     const bool ok = outcome.response.flags.rcode == dns::Rcode::kNoError &&
                     !outcome.response.answers.empty();
@@ -121,7 +123,7 @@ std::string OutageResult::render() const {
       static_cast<int>(kind.size()), kind.data(),
       whole_seconds(config.outage_start),
       whole_seconds(config.outage_start + config.outage_duration),
-      whole_seconds(config.horizon), whole_seconds(config.query_interval));
+      whole_seconds(config.horizon), whole_seconds(kQueryInterval));
   stats::TablePrinter table({"ttl", "stale", "queries", "ok", "fail",
                              "sstale", "win_fail", "win_stale", "auth_q",
                              "resurr", "backoff", "faults"});

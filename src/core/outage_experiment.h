@@ -27,18 +27,14 @@ struct OutageConfig {
   sim::Duration horizon = 2 * sim::kHour;        ///< total probing span
   sim::Duration outage_start = 30 * sim::kMinute;  ///< window offset
   sim::Duration outage_duration = 1 * sim::kHour;  ///< window length
-  sim::Duration query_interval = 10 * sim::kSecond;
 
   /// What the window does to the child nameserver: kOutage for the classic
-  /// dead-server story; kLoss/kLatency/kServfail/kLame etc. reuse the same
-  /// harness for the other failure modes.
+  /// dead-server story; kLoss/kServfail/kLame etc. reuse the same harness
+  /// for the other failure modes.
   fault::FaultKind window_kind = fault::FaultKind::kOutage;
   double window_rate = 1.0;    ///< kLoss windows
-  double window_factor = 1.0;  ///< kLatency windows
-  sim::Duration window_extra{};  ///< kLatency additive delay
 
   std::uint64_t seed = 1;
-  double loss_rate = 0.0;  ///< background network loss outside the window
 };
 
 /// Outcome of one (TTL, serve-stale) grid point.

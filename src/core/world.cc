@@ -8,7 +8,7 @@ World::World(Options options)
     : rng_(options.seed),
       network_(rng_.fork(0xfeed),
                net::LatencyModel{options.latency},
-               net::Network::Params{options.loss_rate, 3 * sim::kSecond}) {
+               net::Network::Params{options.loss_rate}) {
   root_zone_ = std::make_shared<dns::Zone>(dns::Name{});
   root_zone_->add(dns::make_soa(
       dns::Name{}, dns::Ttl{86400}, dns::Name::from_string("a.root-servers.net"), 1));

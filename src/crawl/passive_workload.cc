@@ -14,6 +14,15 @@
 namespace dnsttl::crawl {
 namespace {
 
+/// Pareto scale and shape of per-resolver demand in lookups/day.
+constexpr double kDemandXmPerDay = 1.0;
+constexpr double kDemandAlpha = 1.2;
+
+/// The two copies of the nameserver addresses the paper contrasts: the
+/// root's 2-day glue and the dns.nl child's 1-hour records.
+constexpr dns::Ttl kParentGlueTtl = dns::kTtl2Days;
+constexpr dns::Ttl kChildATtl = dns::kTtl1Hour;
+
 /// Structure-of-arrays demand pool: per-resolver arrival state in parallel
 /// arrays, driven by a timer wheel instead of one slab-heap node and
 /// EventFn closure per pending arrival (docs/architecture.md §Workload
@@ -139,15 +148,15 @@ PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config) {
     dnsnl_zone->add(dns::make_ns(dnsnl, dns::Ttl{3600}, ns_name));
     // Child copy of the address: the 1-hour TTL the paper contrasts with
     // the root's 2-day glue.
-    dnsnl_zone->add(dns::make_a(ns_name, config.child_a_ttl, address));
+    dnsnl_zone->add(dns::make_a(ns_name, kChildATtl, address));
   }
   // dns.nl is a delegation inside .nl served by the same hosts.
   for (const auto& [ns_name, address] : servers) {
     nl_zone->add(dns::make_ns(dnsnl, dns::Ttl{3600}, ns_name));
   }
   // Root-side delegation with the 2-day glue.
-  world.delegate(*world.root_zone(), nl, servers, config.parent_glue_ttl,
-                 config.parent_glue_ttl);
+  world.delegate(*world.root_zone(), nl, servers, kParentGlueTtl,
+                 kParentGlueTtl);
 
   // The resolver population generating demand.
   sim::Rng rng = world.rng().fork(0x9a551e);
@@ -164,9 +173,9 @@ PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config) {
   auto& simulation = world.simulation();
   DemandPool pool(simulation, rng.fork(0xdeaadd), sim::at(config.duration));
   for (auto& member : population.members()) {
-    double per_day = std::min(config.demand_cap_per_day,
-                              rng.pareto(config.demand_xm_per_day,
-                                         config.demand_alpha));
+    double per_day =
+        std::min(config.demand_cap_per_day,
+                 rng.pareto(kDemandXmPerDay, kDemandAlpha));
     pool.add(member.resolver.get(), 86400.0 / per_day);
   }
 

@@ -17,13 +17,9 @@ struct PassiveConfig {
   sim::Duration duration = 2 * sim::kDay;
 
   /// Per-resolver demand: lookups/day drawn Pareto (heavy tail — a few
-  /// busy public resolvers, many quiet forwarders).
-  double demand_xm_per_day = 1.0;
-  double demand_alpha = 1.2;
+  /// busy public resolvers, many quiet forwarders), capped at this rate.
   double demand_cap_per_day = 400.0;
 
-  dns::Ttl parent_glue_ttl = dns::kTtl2Days;  ///< root-zone copies
-  dns::Ttl child_a_ttl = dns::kTtl1Hour;      ///< dns.nl child copies
   std::uint64_t seed = 42;
 };
 
@@ -46,7 +42,7 @@ struct PassiveReport {
 };
 
 /// Builds the .nl serving infrastructure (4 nameservers ns[1-4].dns.nl,
-/// glue in the root at parent_glue_ttl, child copies at child_a_ttl),
+/// 2-day glue in the root, 1-hour child copies),
 /// drives the demand, and analyzes the logs of servers 1 and 3 — observing
 /// 2 of 4 authoritatives exactly as the paper did.
 PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config);

@@ -68,7 +68,7 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
   if (it == attachments_.end()) {
     // Nothing listening: the query is silently dropped; the caller waits
     // out its timeout, exactly like querying a decommissioned server.
-    return QueryOutcome{std::nullopt, params_.query_timeout};
+    return QueryOutcome{std::nullopt, kQueryTimeout};
   }
 
   // Anycast site selection: stable lowest-expected-RTT routing.
@@ -87,7 +87,7 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
   // no draws, exactly like querying a detached address.
   if (faults_ != nullptr && faults_->outage(to, now)) {
     ++fault_stats_.outage_timeouts;
-    return QueryOutcome{std::nullopt, params_.query_timeout};
+    return QueryOutcome{std::nullopt, kQueryTimeout};
   }
 
   // Loss: the base rate and any active kLoss windows combine into ONE
@@ -104,7 +104,7 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
     if (injected > 0.0) {
       ++fault_stats_.injected_losses;
     }
-    return QueryOutcome{std::nullopt, params_.query_timeout};
+    return QueryOutcome{std::nullopt, kQueryTimeout};
   }
 
   sim::Duration rtt = latency_.rtt(from.location, chosen->location, rng_);
@@ -148,7 +148,7 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
   auto reply =
       chosen->node->handle_query(query_msg, from.address, now + rtt / 2);
   if (!reply) {
-    return QueryOutcome{std::nullopt, params_.query_timeout};
+    return QueryOutcome{std::nullopt, kQueryTimeout};
   }
 
   // UDP size limit (RFC 1035 §4.2.1 / RFC 6891): without EDNS the classic
@@ -157,7 +157,7 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
   // with TC=1, the sections do not.
   std::size_t udp_limit = 512;
   if (auto advertised = query_msg.edns_udp_size()) {
-    udp_limit = std::min<std::size_t>(*advertised, params_.udp_payload_limit);
+    udp_limit = std::min<std::size_t>(*advertised, kUdpPayloadLimit);
   }
   if (params_.exercise_wire_codec) {
     auto decoded = dns::decode(dns::encode(reply->message));

@@ -67,13 +67,17 @@ struct QueryOutcome {
 /// Retries are the caller's (resolver's) job, matching real DNS.
 class Network {
  public:
+  /// What a lost or unanswered query costs the caller: a 3 s
+  /// retransmission timer, as in common stub and resolver defaults.
+  static constexpr sim::Duration kQueryTimeout = 3 * sim::kSecond;
+
+  /// UDP payload ceiling (EDNS, RFC 6891; 1232 is the DNS Flag Day 2020
+  /// recommendation): larger responses are delivered truncated (TC=1,
+  /// answer sections stripped) and the client must retry over TCP.
+  static constexpr std::size_t kUdpPayloadLimit = 1232;
+
   struct Params {
     double loss_rate = 0.0;
-    sim::Duration query_timeout = 3 * sim::kSecond;
-    /// UDP payload ceiling (RFC 6891 default): larger responses are
-    /// delivered truncated (TC=1, answer sections stripped) and the client
-    /// must retry over TCP.
-    std::size_t udp_payload_limit = 1232;
 
     /// Push every response through the RFC 1035 wire codec (encode +
     /// decode) before delivery.  Costs CPU but guarantees that everything
@@ -129,8 +133,6 @@ class Network {
   std::size_t site_count(Address address) const;
 
   const LatencyModel& latency_model() const noexcept { return latency_; }
-  const Params& params() const noexcept { return params_; }
-  void set_loss_rate(double rate) { params_.loss_rate = rate; }
 
   /// Installs a fault schedule consulted on every exchange (non-owning;
   /// nullptr disables the layer).  The schedule is read-only here, so one

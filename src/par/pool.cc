@@ -21,15 +21,15 @@ std::size_t default_jobs() noexcept {
   return hardware_jobs();
 }
 
-std::size_t shard_count_for(std::size_t items, std::size_t max_shards) noexcept {
-  if (max_shards == 0) {
-    max_shards = 1;
-  }
+std::size_t shard_count_for(std::size_t items) noexcept {
+  // Sixteen shards keep every core of a large machine busy while bounding
+  // the per-shard replicas a workload builds.
+  constexpr std::size_t kMaxShards = 16;
   std::size_t shards = items / 256;
   if (shards < 1) {
     shards = 1;
   }
-  return shards > max_shards ? max_shards : shards;
+  return shards > kMaxShards ? kMaxShards : shards;
 }
 
 Pool::Pool(std::size_t workers) {

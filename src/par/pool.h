@@ -28,9 +28,8 @@ std::size_t default_jobs() noexcept;
 /// machine: the same items always produce the same shards, so per-shard
 /// RNG streams (`Rng::fork(shard)`) and the ordered merge yield
 /// byte-identical output at any `--jobs N`.  Roughly one shard per 256
-/// items, clamped to [1, max_shards].
-std::size_t shard_count_for(std::size_t items,
-                            std::size_t max_shards = 16) noexcept;
+/// items, clamped to [1, 16].
+std::size_t shard_count_for(std::size_t items) noexcept;
 
 /// A fixed-size worker pool with a strict-FIFO task queue.
 ///

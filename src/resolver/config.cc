@@ -18,10 +18,6 @@ std::string ResolverConfig::describe() const {
   if (min_ttl > dns::Ttl{}) {
     out += " min_ttl=" + std::to_string(min_ttl.value());
   }
-  if (cache_max_entries != 0) {
-    out += " cache=" + std::to_string(cache_max_entries) + "/" +
-           std::string(cache::to_string(cache_eviction));
-  }
   if (link_glue_to_ns) out += " linked-glue";
   if (sticky) out += " sticky";
   if (serve_stale) out += " serve-stale";
@@ -41,12 +37,6 @@ ResolverConfig parent_centric_config() {
 ResolverConfig google_like_config() {
   ResolverConfig config;
   config.max_ttl = dns::Ttl{21599};
-  return config;
-}
-
-ResolverConfig bind_like_config() {
-  ResolverConfig config;
-  config.max_ttl = dns::kTtl1Week;
   return config;
 }
 

@@ -5,9 +5,7 @@
 #include <string>
 #include <string_view>
 
-#include "cache/cache.h"
 #include "dns/types.h"
-#include "sim/time.h"
 
 namespace dnsttl::resolver {
 
@@ -49,45 +47,23 @@ struct ResolverConfig {
   /// keep using that address and never re-fetch, TTLs notwithstanding.
   bool sticky = false;
 
-  /// RFC 8767 serve-stale: answer from expired cache when every
-  /// authoritative server is unreachable.
+  /// RFC 8767 serve-stale: answer from expired cache (within the cache's
+  /// stale window) when every authoritative server is unreachable, then
+  /// keep answering that name stale for a short refresh window without
+  /// re-trying the upstreams.
   bool serve_stale = false;
-
-  /// RFC 8767 §5: how long past expiry a record may still be served
-  /// (maps to the cache's stale window).  The RFC suggests 1–3 days.
-  sim::Duration max_stale = 3 * sim::kDay;
-
-  /// RFC 8767 §5 stale-refresh: after serving a name stale, keep
-  /// answering it from the stale entry for this long WITHOUT re-trying
-  /// the (just proven dead) upstreams, so a popular name does not hammer
-  /// a down server with one full resolution timeout per client.  Zero
-  /// disables the suppression window.
-  sim::Duration stale_refresh = 30 * sim::kSecond;
-
-  /// Combined positive+negative cache capacity in entries; 0 = unbounded
-  /// (the historical default — no eviction ever fires).  Production
-  /// resolvers run bounded: BIND's max-cache-size, Unbound's msg/rrset
-  /// cache slabs.  A per-resolver knob like centricity/stickiness, so a
-  /// population can mix cache sizes the way it mixes policies.
-  std::size_t cache_max_entries = 0;
-
-  /// Victim-selection rule when the cache is capacity-bounded.
-  cache::EvictionPolicy cache_eviction = cache::EvictionPolicy::kLru;
 
   /// RFC 7706 / LocalRoot: mirror the root zone locally; root-zone lookups
   /// are answered from the mirror with full (undecremented) TTLs and emit
   /// no root queries on the wire.
   bool local_root = false;
 
-  /// Rotate across a zone's NS set (true for most implementations; §3.4
-  /// notes resolvers "tend to rotate between authoritative servers").
-  bool rotate_ns = true;
-
   /// BIND/Unbound-style smoothed-RTT server selection: prefer the fastest
-  /// known server, rotating only among servers within `srtt_band_ms` of the
+  /// known server, rotating only among servers within a fixed band of the
   /// best (which preserves the §3.4 rotation across equally-near servers).
+  /// Off, every lookup rotates round-robin across the whole NS set (§3.4:
+  /// resolvers "tend to rotate between authoritative servers").
   bool srtt_selection = true;
-  double srtt_band_ms = 20.0;
 
   /// Child-centric address verification (Unbound target fetching / BIND
   /// glue revalidation): when the cached address of a nameserver is only
@@ -111,31 +87,9 @@ struct ResolverConfig {
   bool validate_dnssec = false;
 
   /// Pre-expiry refresh (Pappas et al., discussed in the paper's §7):
-  /// when a cache hit has less than `prefetch_fraction` of its original
-  /// TTL left, refresh it in the background so the next client never sees
-  /// a miss.
+  /// when a cache hit has less than a tenth of its original TTL left,
+  /// refresh it in the background so the next client never sees a miss.
   bool prefetch = false;
-  double prefetch_fraction = 0.1;
-
-  /// Per-query retransmission budget across servers.
-  int max_server_attempts = 3;
-
-  /// Exponential backoff for unresponsive servers (BIND's "server marked
-  /// bad" / Unbound's infra-cache probation): after
-  /// `timeouts_before_backoff` consecutive timeouts a server is benched —
-  /// deprioritized in selection — for `initial_backoff`, doubling per
-  /// repeat offense up to `max_backoff`.  One successful exchange clears
-  /// the slate.
-  sim::Duration initial_backoff = 2 * sim::kSecond;
-  sim::Duration max_backoff = 5 * sim::kMinute;
-  // lint:allow(raw-time-param) a count of timeouts, not a time quantity
-  int timeouts_before_backoff = 2;
-
-  /// Referral-chain guard.
-  int max_iterations = 24;
-
-  /// Sub-resolution depth guard for out-of-bailiwick NS addresses.
-  int max_ns_resolution_depth = 6;
 
   std::string describe() const;
 };
@@ -144,7 +98,6 @@ struct ResolverConfig {
 ResolverConfig child_centric_config();
 ResolverConfig parent_centric_config();
 ResolverConfig google_like_config();   ///< child-centric, 21599 s cap
-ResolverConfig bind_like_config();     ///< child-centric, 1 week cap
 ResolverConfig opendns_like_config();  ///< parent-centric + local root
 ResolverConfig sticky_config();        ///< child-centric + sticky
 

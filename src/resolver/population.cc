@@ -9,7 +9,7 @@ std::vector<Profile> paper_profiles() {
 
   // Mainstream child-centric resolvers (BIND/Unbound/Knot defaults):
   // the §3 majority that re-queries the child and honours its TTLs.
-  profiles.push_back({"child-bind", bind_like_config(), 0.60});
+  profiles.push_back({"child-bind", child_centric_config(), 0.60});
 
   // Public-resolver style with a 21599 s cache cap — the Figure 2 plateau.
   profiles.push_back({"child-google", google_like_config(), 0.12});

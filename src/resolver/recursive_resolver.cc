@@ -10,6 +10,28 @@ namespace dnsttl::resolver {
 
 namespace {
 
+/// RFC 8767 §5 stale-refresh: after serving a name stale, answer it from
+/// the stale entry this long without re-trying the upstreams just proven
+/// dead, so a popular name costs one resolution timeout per window.
+constexpr sim::Duration kStaleRefresh = 30 * sim::kSecond;
+
+/// Smoothed-RTT selection rotates among servers this close to the fastest,
+/// so equally-near servers still share load (§3.4).
+constexpr double kSrttBandMs = 20.0;
+
+/// Exponential backoff (BIND's "server marked bad", Unbound's infra-cache
+/// probation): this many consecutive timeouts bench a server for
+/// kInitialBackoff, doubled per repeat offense up to kMaxBackoff.
+constexpr int kTimeoutsBeforeBackoff = 2;
+constexpr sim::Duration kInitialBackoff = 2 * sim::kSecond;
+constexpr sim::Duration kMaxBackoff = 5 * sim::kMinute;
+
+/// Depth guard for nested NS-address and DNSKEY sub-resolutions.
+constexpr int kMaxNsResolutionDepth = 6;
+
+/// Prefetch refreshes a hit with less than this share of its TTL left.
+constexpr double kPrefetchFraction = 0.1;
+
 /// Groups a record list into RRsets keyed by (owner, type).
 std::vector<dns::RRset> group_rrsets(
     const std::vector<dns::ResourceRecord>& records) {
@@ -56,15 +78,12 @@ RecursiveResolver::RecursiveResolver(std::string ident, ResolverConfig config,
   cache_config.min_ttl = config_.min_ttl;
   cache_config.link_glue_to_ns = config_.link_glue_to_ns;
   cache_config.serve_stale = config_.serve_stale;
-  cache_config.stale_window = config_.max_stale;  // RFC 8767 §5 clamp
   // Resolvers that do not link glue to NS records are the "trust the cache
   // to its TTL" style: they also keep live entries across same-credibility
   // refreshes (§4.2's minority that rides the A record to 120 minutes).
   cache_config.replace_same_credibility = config_.link_glue_to_ns;
   cache_config.prefer_parent_delegation =
       config_.centricity == Centricity::kParentCentric;
-  cache_config.max_entries = config_.cache_max_entries;
-  cache_config.policy = config_.cache_eviction;
   cache_ = cache::Cache(cache_config);
 }
 
@@ -127,7 +146,7 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
   // being answered from the stale entry — upstreams are NOT re-tried —
   // until the suppression window lapses, so a popular dead name costs one
   // resolution timeout per window, not one per client query.
-  if (config_.serve_stale && config_.stale_refresh > sim::Duration{}) {
+  if (config_.serve_stale) {
     auto key = std::make_pair(question.qname, question.qtype);
     if (auto it = stale_refresh_until_.find(key);
         it != stale_refresh_until_.end()) {
@@ -159,12 +178,10 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
             cache_.lookup(question.qname, question.qtype, now, true);
         stale && stale->stale) {
       ++stats_.stale_answers;
-      if (config_.stale_refresh > sim::Duration{}) {
-        // Arm the stale-refresh window: follow-up queries for this name
-        // are served from the stale entry without re-proving the outage.
-        stale_refresh_until_[{question.qname, question.qtype}] =
-            now + config_.stale_refresh;
-      }
+      // Arm the stale-refresh window: follow-up queries for this name are
+      // served from the stale entry without re-proving the outage.
+      stale_refresh_until_[{question.qname, question.qtype}] =
+          now + kStaleRefresh;
       result.response = reply(question, dns::Rcode::kNoError,
                               stale->rrset.to_records());
       result.elapsed = ctx.elapsed;
@@ -503,13 +520,13 @@ void RecursiveResolver::record_exchange(net::Address address,
     health.backoff_until = sim::Time{};
     return;
   }
-  if (++health.consecutive_timeouts >= config_.timeouts_before_backoff) {
-    // Bench the server: initial_backoff doubled per repeat offense,
-    // clamped to max_backoff (level capped so the shift stays defined).
+  if (++health.consecutive_timeouts >= kTimeoutsBeforeBackoff) {
+    // Bench the server: kInitialBackoff doubled per repeat offense,
+    // clamped to kMaxBackoff (level capped so the shift stays defined).
     sim::Duration bench =
-        config_.initial_backoff *
+        kInitialBackoff *
         (std::int64_t{1} << std::min(health.backoff_level, 16));
-    health.backoff_until = now + std::min(bench, config_.max_backoff);
+    health.backoff_until = now + std::min(bench, kMaxBackoff);
     if (health.backoff_level < 16) {
       ++health.backoff_level;
     }
@@ -536,10 +553,10 @@ void RecursiveResolver::rotate(std::vector<ServerCandidate>& servers,
     double best = srtt_of(servers.front());
     std::size_t band = 1;
     while (band < servers.size() &&
-           srtt_of(servers[band]) <= best + config_.srtt_band_ms) {
+           srtt_of(servers[band]) <= best + kSrttBandMs) {
       ++band;
     }
-    if (config_.rotate_ns && band > 1) {
+    if (band > 1) {
       std::rotate(servers.begin(),
                   servers.begin() +
                       static_cast<long>(rotate_counter_++ % band),
@@ -547,17 +564,15 @@ void RecursiveResolver::rotate(std::vector<ServerCandidate>& servers,
     }
     return;
   }
-  if (config_.rotate_ns) {
-    std::rotate(servers.begin(),
-                servers.begin() + static_cast<long>(rotate_counter_++ %
-                                                    servers.size()),
-                servers.end());
-  }
+  std::rotate(servers.begin(),
+              servers.begin() +
+                  static_cast<long>(rotate_counter_++ % servers.size()),
+              servers.end());
 }
 
 std::optional<net::Address> RecursiveResolver::resolve_ns_address(
     const dns::Name& ns_name, sim::Time now, Context& ctx) {
-  if (ctx.depth >= config_.max_ns_resolution_depth) {
+  if (ctx.depth >= kMaxNsResolutionDepth) {
     return std::nullopt;
   }
   ctx.fetching.push_back(ns_name);
@@ -585,7 +600,7 @@ dns::Message RecursiveResolver::resolve_iterative(
   std::size_t reveal = 1;    // labels revealed past that zone (RFC 7816)
   std::vector<ServerCandidate> servers;
 
-  for (int iteration = 0; iteration < config_.max_iterations; ++iteration) {
+  for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
     // A sub-question may be answerable from data cached moments ago.
     if (iteration > 0 || ctx.depth > 0) {
       if (auto cached = answer_from_cache(current, now + ctx.elapsed)) {
@@ -622,7 +637,7 @@ dns::Message RecursiveResolver::resolve_iterative(
     // the next attempt; `break` with progressed set takes the next
     // referral step.
     bool progressed = false;
-    for (int attempt = 0; attempt < config_.max_server_attempts; ++attempt) {
+    for (int attempt = 0; attempt < kMaxServerAttempts; ++attempt) {
       const ServerCandidate& server =
           servers[static_cast<std::size_t>(attempt) % servers.size()];
       dns::Message query = dns::Message::make_query(next_id_++, wire.qname,
@@ -776,7 +791,7 @@ bool RecursiveResolver::validate_answer(const dns::Message& response,
   // child-centric resolution.
   std::optional<cache::CacheHit> keys =
       cache_.peek(sig->signer, dns::RRType::kDNSKEY, now + ctx.elapsed);
-  if (!keys && ctx.depth < config_.max_ns_resolution_depth &&
+  if (!keys && ctx.depth < kMaxNsResolutionDepth &&
       !(question.qname == sig->signer &&
         question.qtype == dns::RRType::kDNSKEY)) {
     ++ctx.depth;
@@ -809,7 +824,7 @@ void RecursiveResolver::maybe_prefetch(const dns::Question& question,
     return;
   }
   if (static_cast<double>(hit->rrset.ttl().value()) >
-      config_.prefetch_fraction *
+      kPrefetchFraction *
           static_cast<double>(hit->original_ttl.value())) {
     return;
   }

@@ -31,6 +31,13 @@ struct ResolutionResult {
   int upstream_queries = 0;
 };
 
+/// Tries per referral step, spread across the zone's servers; a
+/// single-server zone gets plain retransmissions.
+inline constexpr int kMaxServerAttempts = 3;
+
+/// Referral-chain guard, well past any real delegation depth.
+inline constexpr int kMaxIterations = 24;
+
 /// An iterative ("recursive" in DNS parlance) resolver with the policy knob
 /// set from ResolverConfig.
 ///
@@ -118,8 +125,8 @@ class RecursiveResolver : public net::DnsNode {
   std::optional<dns::Message> answer_from_local_root(
       const dns::Question& question);
 
-  /// The RFC 1034 §5.3.3 loop: up to max_iterations referral steps, each
-  /// trying up to max_server_attempts candidates of the closest enclosing
+  /// The RFC 1034 §5.3.3 loop: up to kMaxIterations referral steps, each
+  /// trying up to kMaxServerAttempts candidates of the closest enclosing
   /// zone; chases CNAMEs and follows referrals.  NS-address and DNSKEY
   /// sub-resolutions re-enter it with a deeper @p ctx, prefetch with a
   /// fresh one.

@@ -206,8 +206,12 @@ void Simulation::run() {
 }
 
 void Simulation::run_until(Time deadline) {
+  // Prune first: a cancelled leftover at or before the deadline must not
+  // let step() run the next live event past it.
+  prune_stale_front();
   while (!heap_.empty() && heap_.front().at <= deadline) {
     step();
+    prune_stale_front();
   }
   if (now_ < deadline) {
     now_ = deadline;

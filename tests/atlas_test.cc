@@ -112,7 +112,6 @@ TEST(MeasurementTest, SchedulesOneQueryPerVpPerRound) {
   spec.name = "test";
   spec.qname = dns::Name::from_string("uy");
   spec.qtype = dns::RRType::kNS;
-  spec.frequency = 600 * sim::kSecond;
   spec.duration = 30 * sim::kMinute;  // 3 rounds
   auto run = MeasurementRun::execute(world.simulation(), world.network(),
                                      platform, spec, world.rng());

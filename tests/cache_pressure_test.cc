@@ -18,6 +18,7 @@ using dnsttl::core::CachePressureConfig;
 using dnsttl::core::CachePressurePoint;
 using dnsttl::core::CachePressureResult;
 using dnsttl::core::CacheRestartPoint;
+using dnsttl::core::kEvictionPolicies;
 using dnsttl::core::run_cache_pressure_experiment;
 
 /// Small enough for a tier-1 test (also under DNSTTL_AUDIT's O(n) cache
@@ -46,7 +47,7 @@ TEST(CachePressureExperiment, GridObeysConservationLaws) {
   const CachePressureConfig config = test_config();
   const CachePressureResult result = run_cache_pressure_experiment(config, 4);
   ASSERT_EQ(result.points.size(), config.ttls.size() * config.capacities.size() *
-                                      config.policies.size());
+                                      kEvictionPolicies.size());
   for (const CachePressurePoint& point : result.points) {
     EXPECT_EQ(point.queries, config.queries);
     EXPECT_EQ(point.hits + point.misses + point.negative_hits +
@@ -75,7 +76,7 @@ TEST(CachePressureExperiment, TightCapacityEvictsAndLooseDoesNot) {
   EXPECT_GT(tight_evictions, 0u);
   // Longer TTLs must not LOWER the hit count at fixed (capacity, policy):
   // within this grid the TTL sweep is the paper's monotone axis.
-  for (const auto policy : config.policies) {
+  for (const auto policy : kEvictionPolicies) {
     for (const std::size_t capacity : config.capacities) {
       std::uint64_t previous_hits = 0;
       for (const auto ttl : config.ttls) {
@@ -97,7 +98,7 @@ TEST(CachePressureExperiment, TightCapacityEvictsAndLooseDoesNot) {
 TEST(CachePressureExperiment, WarmRestartBeatsColdStart) {
   const CachePressureConfig config = test_config();
   const CachePressureResult result = run_cache_pressure_experiment(config, 4);
-  ASSERT_EQ(result.restarts.size(), config.policies.size());
+  ASSERT_EQ(result.restarts.size(), kEvictionPolicies.size());
   for (const CacheRestartPoint& restart : result.restarts) {
     EXPECT_GT(restart.snapshot_bytes, 0u);
     EXPECT_GT(restart.restored, 0u);

@@ -202,7 +202,6 @@ TEST(PrefetchTest, NearExpiryHitTriggersBackgroundRefresh) {
 
   auto config = resolver::child_centric_config();
   config.prefetch = true;
-  config.prefetch_fraction = 0.1;
   resolver::RecursiveResolver r("prefetcher", config, world.network(),
                                 world.hints());
   net::Location eu{net::Region::kEU, 1.0};

@@ -226,7 +226,7 @@ TEST(FaultInjectionTest, OutageWindowTimesOutInsideOnly) {
   EXPECT_TRUE(rig.query(5).response.has_value());
   auto inside = rig.query(15);
   EXPECT_FALSE(inside.response.has_value());
-  EXPECT_EQ(inside.elapsed, rig.network.params().query_timeout);
+  EXPECT_EQ(inside.elapsed, net::Network::kQueryTimeout);
   EXPECT_TRUE(rig.query(20).response.has_value());  // half-open end
   EXPECT_EQ(rig.network.fault_stats().outage_timeouts, 1u);
   EXPECT_EQ(rig.server.queries_answered(), 2u);

@@ -54,7 +54,7 @@ TEST(ProfilesTest, WeightsArePositiveAndChildDominates) {
 
 TEST(ProfilesTest, PresetConfigsAreInternallyConsistent) {
   EXPECT_EQ(resolver::google_like_config().max_ttl, dns::Ttl{21599});
-  EXPECT_EQ(resolver::bind_like_config().max_ttl, dns::kTtl1Week);
+  EXPECT_EQ(resolver::child_centric_config().max_ttl, dns::kTtl1Week);
   EXPECT_TRUE(resolver::opendns_like_config().local_root);
   EXPECT_FALSE(
       resolver::opendns_like_config().fetch_authoritative_ns_addresses);

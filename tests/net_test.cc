@@ -118,7 +118,7 @@ TEST(NetworkTest, DetachedAddressTimesOut) {
       1, Name::from_string("www.example.org"), RRType::kA);
   auto outcome = network.query(client, addr, query, sim::Time{});
   EXPECT_FALSE(outcome.response.has_value());
-  EXPECT_EQ(outcome.elapsed, network.params().query_timeout);
+  EXPECT_EQ(outcome.elapsed, Network::kQueryTimeout);
 }
 
 TEST(NetworkTest, OfflineServerTimesOut) {

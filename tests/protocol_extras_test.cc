@@ -55,7 +55,7 @@ TEST(TruncationTest, TcpCarriesFullResponseAtHigherCost) {
   EXPECT_FALSE(tcp.response->flags.tc);
   ASSERT_EQ(tcp.response->answers.size(), 1u);
   EXPECT_GT(dns::encoded_size(*tcp.response),
-            world.network().params().udp_payload_limit);
+            net::Network::kUdpPayloadLimit);
 }
 
 TEST(TruncationTest, SmallResponsesAreNeverTruncated) {

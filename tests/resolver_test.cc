@@ -236,7 +236,6 @@ TEST_F(ResolverTest, WithoutServeStaleOfflineChildMeansServfail) {
 
 TEST_F(ResolverTest, OfflineSoleServerGetsExactlyMaxServerAttempts) {
   ResolverConfig config = child_centric_config();
-  config.max_server_attempts = 5;
   config.fetch_authoritative_ns_addresses = false;
   auto resolver = make_resolver(config);
   uy_server->set_online(false);
@@ -248,14 +247,13 @@ TEST_F(ResolverTest, OfflineSoleServerGetsExactlyMaxServerAttempts) {
   // One referral from the root; every attempt of the .uy step is then a
   // retransmission to a.nic.uy, the zone's only address.
   EXPECT_EQ(root_server->queries_answered(), 1u);
-  EXPECT_EQ(result.upstream_queries, 1 + config.max_server_attempts);
+  EXPECT_EQ(result.upstream_queries, 1 + kMaxServerAttempts);
 }
 
 TEST_F(ResolverTest, ReferralChainLongerThanMaxIterationsIsServfail) {
   // Zones l1, l2.l1, ... below the root, each on its own server with
   // in-bailiwick glue in its parent.  A cold lookup of www in the zone k
   // levels down takes k referrals plus the answer: k + 1 iterations.
-  constexpr int kMaxIterations = 5;
   std::vector<std::unique_ptr<auth::AuthServer>> servers;
   std::shared_ptr<dns::Zone> parent = root_zone;
   Name origin;
@@ -280,7 +278,6 @@ TEST_F(ResolverTest, ReferralChainLongerThanMaxIterationsIsServfail) {
   }
 
   ResolverConfig config = child_centric_config();
-  config.max_iterations = kMaxIterations;
   config.fetch_authoritative_ns_addresses = false;
   auto rcode_at_level = [&](int level) {
     auto resolver = make_resolver(config);  // cold cache every time

@@ -170,6 +170,20 @@ TEST(SimulationTest, CancelledEventsDoNotAdvanceClockInRunUntil) {
   EXPECT_EQ(simulation.pending(), 0u);
 }
 
+TEST(SimulationTest, CancelledEventBeforeDeadlineDoesNotRunLaterEvent) {
+  Simulation simulation;
+  bool late_ran = false;
+  auto id = simulation.schedule_at(sim::at(5 * kSecond), [] {});
+  simulation.schedule_at(sim::at(20 * kSecond), [&] { late_ran = true; });
+  simulation.cancel(id);
+  simulation.run_until(sim::at(10 * kSecond));
+  EXPECT_FALSE(late_ran);
+  EXPECT_EQ(simulation.now(), at(10 * kSecond));
+  EXPECT_EQ(simulation.pending(), 1u);
+  simulation.run();
+  EXPECT_TRUE(late_ran);
+}
+
 TEST(SimulationTest, HandlersLargerThanInlineBufferWork) {
   // Captures beyond EventFn's inline buffer take the heap path; both paths
   // must behave identically, including through reschedules.
