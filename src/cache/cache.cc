@@ -316,11 +316,13 @@ void Cache::evict_one() {
   ++stats_.capacity_evictions;
 }
 
-bool Cache::insert(const dns::RRset& rrset, Credibility credibility,
-                   sim::Time now, std::optional<dns::Name> linked_ns_owner) {
-  std::uint64_t hash = key_hash(rrset.name(), rrset.type());
+bool Cache::insert(dns::RRset rrset, Credibility credibility, sim::Time now,
+                   std::optional<dns::Name> linked_ns_owner) {
+  count_mutation();
+  const dns::RRType type = rrset.type();
+  std::uint64_t hash = key_hash(rrset.name(), type);
   const std::size_t existing_slot =
-      entries_.find_slot(hash, rrset.name(), rrset.type());
+      entries_.find_slot(hash, rrset.name(), type);
   const Entry* existing =
       existing_slot == kNil ? nullptr : &entries_.at(existing_slot).value;
   if (existing != nullptr && entry_live(*existing, now) &&
@@ -352,12 +354,11 @@ bool Cache::insert(const dns::RRset& rrset, Credibility credibility,
     ++stats_.resurrections;
   }
   Entry entry;
-  entry.rrset = rrset;
   entry.credibility = credibility;
   entry.inserted = now;
   entry.original_ttl = rrset.ttl();
   dns::Ttl effective = clamp_ttl(rrset.ttl());
-  entry.rrset.set_ttl(effective);
+  rrset.set_ttl(effective);
   entry.expires = now + sim::seconds(effective.value());
   entry.linked_ns_owner = std::move(linked_ns_owner);
   if (entry.linked_ns_owner) {
@@ -379,12 +380,16 @@ bool Cache::insert(const dns::RRset& rrset, Credibility credibility,
   entry.last_touch = entry.stamp;
   sim::Time expires = entry.expires;
   std::uint64_t stamp = entry.stamp;
-  entries_.put(hash, rrset.name(), rrset.type(), std::move(entry));
-  expiry_.push(ExpiryRec{expires, rrset.name(), rrset.type(), stamp});
+  // The set moves in after put(), so the key put() reads is still intact.
+  const std::size_t slot =
+      entries_.put(hash, rrset.name(), type, std::move(entry));
+  entries_.at(slot).value.rrset = std::move(rrset);
+  const dns::Name& name = entries_.at(slot).name;
+  expiry_.push(ExpiryRec{expires, name, type, stamp});
   compact_heap(expiry_, entries_);
   ++stats_.inserts;
   // Fresh positive data supersedes any negative entry.
-  negatives_.erase(hash, rrset.name(), rrset.type());
+  negatives_.erase(hash, name, type);
   maybe_halve();
   enforce_capacity();
   if constexpr (check::kAuditEnabled) {
@@ -395,6 +400,7 @@ bool Cache::insert(const dns::RRset& rrset, Credibility credibility,
 
 void Cache::insert_negative(const dns::Name& name, dns::RRType type,
                             dns::Rcode rcode, dns::Ttl ttl, sim::Time now) {
+  count_mutation();
   std::uint64_t hash = key_hash(name, type);
   dns::Ttl effective = clamp_ttl(ttl);
   sim::Time expires = now + sim::seconds(effective.value());
@@ -444,13 +450,9 @@ std::optional<CacheHit> Cache::lookup(const dns::Name& name, dns::RRType type,
     entry.last_touch = bump_tick();
     entry.freq = bump_freq(entry.freq);
     entries_.touch(slot);
-    CacheHit hit;
-    hit.rrset = entry.rrset;
     // RFC 8767: stale answers are served with a short fixed TTL.
-    hit.rrset.set_ttl(dns::Ttl{30});
-    hit.credibility = entry.credibility;
+    CacheHit hit = make_hit(entry, dns::Ttl{30});
     hit.stale = true;
-    hit.original_ttl = entry.original_ttl;
     hit.stale_for = now - entry.expires;
     maybe_halve();
     return hit;
@@ -459,29 +461,33 @@ std::optional<CacheHit> Cache::lookup(const dns::Name& name, dns::RRType type,
   entry.last_touch = bump_tick();
   entry.freq = bump_freq(entry.freq);
   entries_.touch(slot);
-  CacheHit hit;
-  hit.rrset = entry.rrset;
-  hit.rrset.set_ttl(
-      dns::Ttl::of_seconds((entry.expires - now) / sim::kSecond));
-  hit.credibility = entry.credibility;
-  hit.original_ttl = entry.original_ttl;
+  CacheHit hit = make_hit(
+      entry, dns::Ttl::of_seconds((entry.expires - now) / sim::kSecond));
   maybe_halve();
   return hit;
 }
 
-std::optional<CacheHit> Cache::peek(const dns::Name& name, dns::RRType type,
+std::optional<CacheHit> Cache::peek(dns::NameView name, dns::RRType type,
                                     sim::Time now) const {
   const Entry* entry = entries_.find(key_hash(name, type), name, type);
   if (entry == nullptr || !entry_live(*entry, now) ||
       ns_link_broken(*entry, now)) {
     return std::nullopt;
   }
+  return make_hit(
+      *entry, dns::Ttl::of_seconds((entry->expires - now) / sim::kSecond));
+}
+
+CacheHit Cache::make_hit(const Entry& entry, dns::Ttl ttl) const {
   CacheHit hit;
-  hit.rrset = entry->rrset;
-  hit.rrset.set_ttl(
-      dns::Ttl::of_seconds((entry->expires - now) / sim::kSecond));
-  hit.credibility = entry->credibility;
-  hit.original_ttl = entry->original_ttl;
+  hit.rrset_ = &entry.rrset;
+  hit.ttl = ttl;
+  hit.credibility = entry.credibility;
+  hit.original_ttl = entry.original_ttl;
+  if constexpr (check::kAuditEnabled) {
+    hit.cache_ = this;
+    hit.taken_at_ = mutations_;
+  }
   return hit;
 }
 
@@ -508,6 +514,7 @@ std::optional<NegativeHit> Cache::lookup_negative(const dns::Name& name,
 }
 
 bool Cache::evict(const dns::Name& name, dns::RRType type) {
+  count_mutation();
   bool erased = entries_.erase(key_hash(name, type), name, type);
   if constexpr (check::kAuditEnabled) {
     entries_.validate("cache::Cache::entries");
@@ -516,6 +523,7 @@ bool Cache::evict(const dns::Name& name, dns::RRType type) {
 }
 
 std::size_t Cache::purge_expired(sim::Time now) {
+  count_mutation();
   std::size_t removed = 0;
   sim::Duration grace =
       config_.serve_stale ? config_.stale_window : sim::Duration{};
@@ -555,6 +563,7 @@ std::size_t Cache::purge_expired(sim::Time now) {
 }
 
 void Cache::clear() {
+  count_mutation();
   entries_.clear();
   negatives_.clear();
   expiry_ = ExpiryHeap{};
@@ -641,7 +650,7 @@ std::optional<dns::Ttl> Cache::remaining_ttl(const dns::Name& name,
   if (!hit) {
     return std::nullopt;
   }
-  return hit->rrset.ttl();
+  return hit->ttl;
 }
 
 }  // namespace dnsttl::cache

@@ -53,15 +53,34 @@ class SnapshotError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// What a cache lookup returns on a hit.
-struct CacheHit {
-  dns::RRset rrset;           ///< TTL field = remaining seconds at lookup
+class Cache;
+
+/// What a cache lookup returns on a hit.  The RRset is borrowed from the
+/// cache entry, not copied: it stays valid until the next call that inserts
+/// or removes entries (insert, insert_negative, evict, purge_expired, clear,
+/// restore).  lookup()'s recency updates move nothing, so hits survive
+/// them.  Under DNSTTL_AUDIT, reading the RRset of a hit taken before such
+/// a call throws check::AuditError.
+class CacheHit {
+ public:
+  /// The stored RRset.  Its TTL field is the clamped TTL it was stored
+  /// with; the remaining TTL is `ttl`.
+  const dns::RRset& rrset() const;
+
+  dns::Ttl ttl{};             ///< remaining seconds at lookup (30 if stale)
   Credibility credibility = Credibility::kGlue;
   bool stale = false;         ///< served past expiry (serve-stale mode)
   dns::Ttl original_ttl{};  ///< TTL as received, before counting down
   /// How far past expiry the entry is (zero for live hits).  Bounded by
   /// the configured stale window — RFC 8767's max-stale clamp.
   sim::Duration stale_for{};
+
+ private:
+  friend class Cache;
+  const dns::RRset* rrset_ = nullptr;
+  /// DNSTTL_AUDIT only: the cache and its mutation count when taken.
+  const Cache* cache_ = nullptr;
+  std::uint64_t taken_at_ = 0;
 };
 
 /// A cached negative result (RFC 2308).
@@ -146,11 +165,12 @@ class Cache {
   Cache() = default;
   explicit Cache(Config config) : config_(config) {}
 
-  /// Inserts @p rrset observed at @p now with the given credibility.
-  /// If @p linked_ns_owner is set, the entry is glue whose usability is tied
-  /// to the liveness of that NS RRset (when config.link_glue_to_ns).
-  /// Returns true if stored, false if refused by the credibility rule.
-  bool insert(const dns::RRset& rrset, Credibility credibility, sim::Time now,
+  /// Inserts @p rrset observed at @p now with the given credibility; the
+  /// set moves into the entry.  If @p linked_ns_owner is set, the entry is
+  /// glue whose usability is tied to the liveness of that NS RRset (when
+  /// config.link_glue_to_ns).  Returns true if stored, false if refused by
+  /// the credibility rule.
+  bool insert(dns::RRset rrset, Credibility credibility, sim::Time now,
               std::optional<dns::Name> linked_ns_owner = std::nullopt);
 
   /// Caches a negative answer for (name, type) with TTL @p ttl.
@@ -163,8 +183,14 @@ class Cache {
   std::optional<CacheHit> lookup(const dns::Name& name, dns::RRType type,
                                  sim::Time now, bool allow_stale = false);
 
-  /// Peeks without touching statistics or recency state (analyzers/tests).
+  /// Peeks without touching statistics or recency state.  The NameView
+  /// overload lets a caller probe every ancestor of a name without
+  /// building one.
   std::optional<CacheHit> peek(const dns::Name& name, dns::RRType type,
+                               sim::Time now) const {
+    return peek(name.view(), type, now);
+  }
+  std::optional<CacheHit> peek(dns::NameView name, dns::RRType type,
                                sim::Time now) const;
 
   std::optional<NegativeHit> lookup_negative(const dns::Name& name,
@@ -258,8 +284,9 @@ class Cache {
   template <typename V>
   using Table = dns::NameTable<dns::RRType, V>;
 
-  static std::uint64_t key_hash(const dns::Name& name,
-                                dns::RRType type) noexcept {
+  /// @p N is dns::Name or dns::NameView.
+  template <typename N>
+  static std::uint64_t key_hash(const N& name, dns::RRType type) noexcept {
     return Table<Entry>::key_hash(name, type);
   }
 
@@ -292,6 +319,15 @@ class Cache {
 
   dns::Ttl clamp_ttl(dns::Ttl ttl) const;
   bool entry_live(const Entry& entry, sim::Time now) const;
+  /// A hit borrowing @p entry's RRset, with remaining TTL @p ttl.
+  CacheHit make_hit(const Entry& entry, dns::Ttl ttl) const;
+  /// Ends every borrowed hit (DNSTTL_AUDIT only): called on entry to each
+  /// method that inserts or removes entries.
+  void count_mutation() noexcept {
+    if constexpr (check::kAuditEnabled) {
+      ++mutations_;
+    }
+  }
   /// True if the glue link invalidates @p entry at @p now.
   bool ns_link_broken(const Entry& entry, sim::Time now) const;
   /// Rebuilds @p heap from the live table when stale records dominate, so
@@ -321,7 +357,19 @@ class Cache {
   /// Logical touch clock: unique, monotonically increasing stamp source for
   /// recency, frequency tie-breaks and expiry-record identity.
   std::uint64_t tick_ = 0;
+  /// Calls that inserted or removed entries (counted under DNSTTL_AUDIT).
+  std::uint64_t mutations_ = 0;
+
+  friend class CacheHit;
 };
+
+inline const dns::RRset& CacheHit::rrset() const {
+  if constexpr (check::kAuditEnabled) {
+    DNSTTL_AUDIT_CHECK("cache::CacheHit", cache_->mutations_ == taken_at_,
+                       "hit read after the cache inserted or removed entries");
+  }
+  return *rrset_;
+}
 
 }  // namespace dnsttl::cache
 

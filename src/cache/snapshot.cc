@@ -460,7 +460,9 @@ void Cache::restore(std::span<const std::uint8_t> image) {
     throw SnapshotError(std::string("restored state failed validation: ") +
                         e.what());
   }
+  fresh.mutations_ = mutations_;
   *this = std::move(fresh);
+  count_mutation();
 }
 
 }  // namespace dnsttl::cache

@@ -78,9 +78,10 @@ std::optional<RRset> Message::answer_rrset(const Name& name,
   return RRset::from_records(matching);
 }
 
-const ResourceRecord* Message::first_answer(RRType type) const {
+const ResourceRecord* Message::first_answer(const Name& name,
+                                            RRType type) const {
   for (const auto& rr : answers) {
-    if (rr.type() == type) {
+    if (rr.name == name && rr.type() == type) {
       return &rr;
     }
   }

@@ -73,9 +73,9 @@ struct Message {
   /// nullopt if none match.
   std::optional<RRset> answer_rrset(const Name& name, RRType type) const;
 
-  /// First answer record of @p type regardless of owner (used to follow
-  /// CNAME chains in responses); nullptr if absent.
-  const ResourceRecord* first_answer(RRType type) const;
+  /// First answer record of (@p name, @p type), without building the
+  /// RRset; nullptr if absent.
+  const ResourceRecord* first_answer(const Name& name, RRType type) const;
 
   /// True when the answer section is empty and rcode is NOERROR/NXDOMAIN —
   /// i.e. a referral or negative answer.

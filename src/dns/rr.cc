@@ -18,24 +18,32 @@ RRset RRset::from_records(const std::vector<ResourceRecord>& records) {
   const auto& first = records.front();
   RRset set(first.name, first.rclass, first.ttl);
   for (const auto& rr : records) {
-    if (rr.name != first.name || rr.rclass != first.rclass ||
-        rr.type() != first.type()) {
-      throw std::invalid_argument(
-          "records disagree on (owner, class, type): " + rr.to_string());
-    }
-    set.set_ttl(std::min(set.ttl(), rr.ttl));
-    set.add(rr.rdata);
+    set.add_record(rr);
   }
   return set;
+}
+
+void RRset::add_record(const ResourceRecord& rr) {
+  if (rr.name != name_ || rr.rclass != rclass_ ||
+      (!empty() && rr.type() != type())) {
+    throw std::invalid_argument(
+        "records disagree on (owner, class, type): " + rr.to_string());
+  }
+  ttl_ = std::min(ttl_, rr.ttl);
+  add(rr.rdata);
 }
 
 std::vector<ResourceRecord> RRset::to_records() const {
   std::vector<ResourceRecord> records;
   records.reserve(rdatas_.size());
-  for (const auto& rdata : rdatas_) {
-    records.push_back(ResourceRecord{name_, rclass_, ttl_, rdata});
-  }
+  append_records(records, ttl_);
   return records;
+}
+
+void RRset::append_records(std::vector<ResourceRecord>& out, Ttl ttl) const {
+  for (const auto& rdata : rdatas_) {
+    out.push_back(ResourceRecord{name_, rclass_, ttl, rdata});
+  }
 }
 
 ResourceRecord make_a(const Name& name, Ttl ttl, Ipv4 address) {

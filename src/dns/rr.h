@@ -41,6 +41,11 @@ class RRset {
   /// Throws std::invalid_argument if the records disagree on the key.
   static RRset from_records(const std::vector<ResourceRecord>& records);
 
+  /// Adds one record of this set: the set TTL drops to the record's if
+  /// lower (RFC 2181 §5.2) and its RDATA goes through add().  Throws
+  /// std::invalid_argument if the record's (owner, class, type) differs.
+  void add_record(const ResourceRecord& rr);
+
   /// Adds one RDATA; exact duplicates are suppressed (RFC 2181 §5: an
   /// RRset never contains two identical records).
   void add(Rdata rdata) {
@@ -60,12 +65,17 @@ class RRset {
   /// Type of the member RDATA; requires a non-empty set.
   RRType type() const { return rdata_type(rdatas_.at(0)); }
 
+  /// Makes room for @p count members.
+  void reserve(std::size_t count) { rdatas_.reserve(count); }
+
   bool empty() const noexcept { return rdatas_.empty(); }
   std::size_t size() const noexcept { return rdatas_.size(); }
   const std::vector<Rdata>& rdatas() const noexcept { return rdatas_; }
 
   /// Expands back into individual records, all carrying the set TTL.
   std::vector<ResourceRecord> to_records() const;
+  /// Appends the members to @p out as individual records carrying @p ttl.
+  void append_records(std::vector<ResourceRecord>& out, Ttl ttl) const;
 
   bool operator==(const RRset&) const = default;
 

@@ -3,7 +3,9 @@
 #include "dns/dnssec.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <iterator>
+#include <span>
 #include <utility>
 
 namespace dnsttl::resolver {
@@ -32,24 +34,57 @@ constexpr int kMaxNsResolutionDepth = 6;
 /// Prefetch refreshes a hit with less than this share of its TTL left.
 constexpr double kPrefetchFraction = 0.1;
 
-/// Groups a record list into RRsets keyed by (owner, type).
-std::vector<dns::RRset> group_rrsets(
-    const std::vector<dns::ResourceRecord>& records) {
-  std::map<std::pair<dns::Name, dns::RRType>, std::vector<dns::ResourceRecord>>
-      groups;
-  for (const auto& rr : records) {
-    groups[{rr.name, rr.type()}].push_back(rr);
-  }
-  std::vector<dns::RRset> out;
-  out.reserve(groups.size());
-  for (auto& [key, members] : groups) {
-    out.push_back(dns::RRset::from_records(members));
-  }
-  return out;
-}
-
 bool is_address_type(dns::RRType type) {
   return type == dns::RRType::kA || type == dns::RRType::kAAAA;
+}
+
+/// Canonical (owner, type) order, ties broken by position: the records
+/// of one section sit in one array, so address order is appearance order.
+bool canonical_before(const dns::ResourceRecord* a,
+                      const dns::ResourceRecord* b) {
+  if (auto cmp = a->name <=> b->name; cmp != 0) {
+    return cmp < 0;
+  }
+  if (a->type() != b->type()) {
+    return a->type() < b->type();
+  }
+  return a < b;
+}
+
+/// Calls @p fn with each RRset of @p records, in canonical (owner, type)
+/// order.  Each record is copied once, into its set; members keep their
+/// order of appearance, and each set follows RFC 2181 §5.2 (minimum member
+/// TTL, no duplicate RDATA, mixed class throws std::invalid_argument).
+template <typename Fn>
+void group_rrsets(const std::vector<dns::ResourceRecord>& records, Fn&& fn) {
+  // Sort pointers, not records; sections that fit the inline array sort
+  // without allocating.
+  std::array<const dns::ResourceRecord*, 32> inline_order;
+  std::vector<const dns::ResourceRecord*> heap_order;
+  std::span<const dns::ResourceRecord*> order(inline_order);
+  if (records.size() > order.size()) {
+    heap_order.resize(records.size());
+    order = heap_order;
+  }
+  order = order.first(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    order[i] = &records[i];
+  }
+  std::sort(order.begin(), order.end(), canonical_before);
+
+  for (auto first = order.begin(); first != order.end();) {
+    const dns::ResourceRecord& head = **first;
+    const auto last = std::find_if(first, order.end(), [&head](const auto* rr) {
+      return rr->name != head.name || rr->type() != head.type();
+    });
+    dns::RRset set(head.name, head.rclass, head.ttl);
+    set.reserve(static_cast<std::size_t>(last - first));
+    for (auto it = first; it != last; ++it) {
+      set.add_record(**it);
+    }
+    fn(std::move(set));
+    first = last;
+  }
 }
 
 /// A recursive resolver's reply to @p question: QR and RA set, @p rcode,
@@ -156,8 +191,10 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
             stale && stale->stale) {
           ++stats_.stale_answers;
           ++stats_.stale_refresh_answers;
-          result.response = reply(question, dns::Rcode::kNoError,
-                                  stale->rrset.to_records());
+          std::vector<dns::ResourceRecord> records;
+          stale->rrset().append_records(records, stale->ttl);
+          result.response =
+              reply(question, dns::Rcode::kNoError, std::move(records));
           result.answered_from_cache = true;
           result.served_stale = true;
           return result;
@@ -182,8 +219,10 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
       // served from the stale entry without re-proving the outage.
       stale_refresh_until_[{question.qname, question.qtype}] =
           now + kStaleRefresh;
-      result.response = reply(question, dns::Rcode::kNoError,
-                              stale->rrset.to_records());
+      std::vector<dns::ResourceRecord> records;
+      stale->rrset().append_records(records, stale->ttl);
+      result.response =
+          reply(question, dns::Rcode::kNoError, std::move(records));
       result.elapsed = ctx.elapsed;
       result.served_stale = true;
       result.upstream_queries = ctx.upstream_queries;
@@ -195,8 +234,11 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
     ++stats_.servfails;
   } else {
     ++stats_.full_resolutions;
-    // A successful resolution supersedes any stale-refresh suppression.
-    stale_refresh_until_.erase({question.qname, question.qtype});
+    // A successful resolution supersedes any stale-refresh suppression
+    // (only serve-stale ever arms one).
+    if (!stale_refresh_until_.empty()) {
+      stale_refresh_until_.erase({question.qname, question.qtype});
+    }
   }
   result.response = std::move(response);
   result.elapsed = ctx.elapsed;
@@ -235,13 +277,14 @@ std::optional<dns::Message> RecursiveResolver::answer_from_cache(
     const dns::Question& question, sim::Time now) {
   const auto threshold = answer_threshold();
   std::vector<dns::ResourceRecord> chain;
-  dns::Name qname = question.qname;
+  // Borrowed from the question, then from cached CNAME sets: lookups move
+  // no entry, so the target stays valid across the walk.
+  const dns::Name* qname = &question.qname;
 
   for (int hop = 0; hop < 9; ++hop) {
-    if (auto hit = cache_.lookup(qname, question.qtype, now)) {
+    if (auto hit = cache_.lookup(*qname, question.qtype, now)) {
       if (static_cast<int>(hit->credibility) >= static_cast<int>(threshold)) {
-        auto records = hit->rrset.to_records();
-        chain.insert(chain.end(), records.begin(), records.end());
+        hit->rrset().append_records(chain, hit->ttl);
         return positive_response(question, std::move(chain));
       }
       return std::nullopt;  // data cached but not credible enough to serve
@@ -249,14 +292,14 @@ std::optional<dns::Message> RecursiveResolver::answer_from_cache(
     if (question.qtype == dns::RRType::kCNAME) {
       return std::nullopt;
     }
-    auto cname = cache_.lookup(qname, dns::RRType::kCNAME, now);
+    auto cname = cache_.lookup(*qname, dns::RRType::kCNAME, now);
     if (!cname || static_cast<int>(cname->credibility) <
                       static_cast<int>(threshold)) {
       return std::nullopt;
     }
-    auto records = cname->rrset.to_records();
-    chain.insert(chain.end(), records.begin(), records.end());
-    qname = std::get<dns::CnameRdata>(records.front().rdata).target;
+    const dns::RRset& cname_set = cname->rrset();
+    cname_set.append_records(chain, cname->ttl);
+    qname = &std::get<dns::CnameRdata>(cname_set.rdatas().front()).target;
   }
   return std::nullopt;
 }
@@ -302,52 +345,56 @@ std::optional<dns::Name> RecursiveResolver::ingest_response(
   const bool referral = !response.flags.aa && response.answers.empty() &&
                         response.flags.rcode == dns::Rcode::kNoError;
 
+  // Each section's sets go in canonical (owner, type) order.  The order is
+  // observable: it fixes recency ticks, which sibling NS owner becomes the
+  // cut, and whether an answer address links to an NS set that arrives in
+  // the same answer (the set must be cached first).
+  //
   // Which NS owners does this response establish?  Used for glue linkage.
   std::optional<dns::Name> cut;
-  for (const auto& rrset : group_rrsets(response.authorities)) {
+  group_rrsets(response.authorities, [&](dns::RRset rrset) {
     if (rrset.type() != dns::RRType::kNS) {
-      continue;  // SOA of negative answers is consumed by the caller
+      return;  // SOA of negative answers is consumed by the caller
     }
-    if (referral) {
-      if (!rrset.name().is_strict_subdomain_of(zone)) {
-        continue;  // upward/lame referral: ignore
-      }
-      if (!cut || rrset.name().is_strict_subdomain_of(*cut)) {
-        cut = rrset.name();
-      }
-      cache_.insert(rrset, cache::Credibility::kGlue, now);
-    } else {
-      cache_.insert(rrset, cache::Credibility::kNonAuthAnswer, now);
+    if (!referral) {
+      cache_.insert(std::move(rrset), cache::Credibility::kNonAuthAnswer, now);
+      return;
     }
-  }
+    if (!rrset.name().is_strict_subdomain_of(zone)) {
+      return;  // upward/lame referral: ignore
+    }
+    if (!cut || rrset.name().is_strict_subdomain_of(*cut)) {
+      cut = rrset.name();
+    }
+    cache_.insert(std::move(rrset), cache::Credibility::kGlue, now);
+  });
 
   // Answer-section data.
   const auto answer_cred = response.flags.aa
                                ? cache::Credibility::kAuthAnswer
                                : cache::Credibility::kNonAuthAnswer;
-  for (const auto& rrset : group_rrsets(response.answers)) {
+  group_rrsets(response.answers, [&](dns::RRset rrset) {
     std::optional<dns::Name> link;
     if (is_address_type(rrset.type())) {
       link = linked_ns_owner_for(rrset.name(), now);
     }
-    cache_.insert(rrset, answer_cred, now, link);
-  }
+    cache_.insert(std::move(rrset), answer_cred, now, std::move(link));
+  });
 
-  // Additional-section addresses: glue on referrals, hints otherwise.
-  for (const auto& rrset : group_rrsets(response.additionals)) {
+  // Additional-section addresses: glue on referrals (sibling glue too:
+  // still parent-sourced, linked to the cut's NS set), hints otherwise.
+  group_rrsets(response.additionals, [&](dns::RRset rrset) {
     if (!is_address_type(rrset.type())) {
-      continue;
+      return;
     }
-    if (referral && cut && rrset.name().in_bailiwick_of(*cut)) {
-      cache_.insert(rrset, cache::Credibility::kGlue, now, *cut);
-    } else if (referral && cut) {
-      // Sibling glue: still parent-sourced, linked to the cut's NS set.
-      cache_.insert(rrset, cache::Credibility::kGlue, now, *cut);
-    } else {
-      cache_.insert(rrset, cache::Credibility::kAdditional, now,
-                    linked_ns_owner_for(rrset.name(), now));
+    if (referral && cut) {
+      cache_.insert(std::move(rrset), cache::Credibility::kGlue, now, *cut);
+      return;
     }
-  }
+    std::optional<dns::Name> link = linked_ns_owner_for(rrset.name(), now);
+    cache_.insert(std::move(rrset), cache::Credibility::kAdditional, now,
+                  std::move(link));
+  });
   return referral ? cut : std::nullopt;
 }
 
@@ -358,17 +405,20 @@ std::optional<dns::Name> RecursiveResolver::linked_ns_owner_for(
   }
   // An address record is delegation infrastructure when its owner appears
   // as an NS target of an ancestor zone; in that case its cache lifetime is
-  // tied to that NS RRset (the paper's §4.2 in-bailiwick linkage).
-  for (dns::Name zone = owner.parent();; zone = zone.parent()) {
+  // tied to that NS RRset (the paper's §4.2 in-bailiwick linkage).  The
+  // walk probes each ancestor, nearest first, as a view of @p owner's
+  // labels (the root is its own parent).
+  for (std::size_t labels = owner.label_count() - (owner.is_root() ? 0 : 1);;
+       --labels) {
+    const dns::NameView zone = owner.suffix_view(labels);
     if (auto ns = cache_.peek(zone, dns::RRType::kNS, now)) {
-      for (const auto& rdata : ns->rrset.rdatas()) {
-        if (std::get<dns::NsRdata>(rdata).nsdname == owner &&
-            owner.in_bailiwick_of(zone)) {
-          return zone;
+      for (const auto& rdata : ns->rrset().rdatas()) {
+        if (std::get<dns::NsRdata>(rdata).nsdname == owner) {
+          return dns::Name(zone);
         }
       }
     }
-    if (zone.is_root()) {
+    if (labels == 0) {
       return std::nullopt;
     }
   }
@@ -379,26 +429,30 @@ dns::Name RecursiveResolver::find_servers(
     std::vector<ServerCandidate>& servers, const dns::Name& floor) {
   servers.clear();
 
-  for (dns::Name zone = qname;; zone = zone.parent()) {
+  // Each zone is a view of @p qname's trailing labels, qname first; a Name
+  // is built only for the zone returned (and for sticky-pin lookups).
+  for (std::size_t labels = qname.label_count();; --labels) {
+    const dns::NameView zone = qname.suffix_view(labels);
     // Sticky resolvers reuse the first server that ever answered
     // authoritatively for a zone (§4.4).  The pin is consulted at the same
     // depth as the cache walk, so referral progress to deeper zones still
     // happens during bootstrap, but once a zone is pinned its server is
     // used forever, TTLs notwithstanding.
     if (config_.sticky) {
-      if (auto it = sticky_pins_.find(zone); it != sticky_pins_.end()) {
-        servers.push_back(it->second);
-        return zone;
+      dns::Name pinned(zone);
+      if (auto it = sticky_pins_.find(pinned); it != sticky_pins_.end()) {
+        servers.push_back(ServerCandidate{it->second});
+        return pinned;
       }
     }
     // RFC 7706: the mirror supplies root-zone delegations locally.
-    if (zone.is_root() && config_.local_root && local_root_zone_) {
+    if (labels == 0 && config_.local_root && local_root_zone_) {
       auto result = local_root_zone_->lookup(qname, dns::RRType::kNS);
       if (result.kind == dns::LookupResult::Kind::kDelegation) {
         dns::Message synthetic;
         synthetic.flags.qr = true;
-        synthetic.authorities = result.authorities;
-        synthetic.additionals = result.additionals;
+        synthetic.authorities = std::move(result.authorities);
+        synthetic.additionals = std::move(result.additionals);
         auto cut = ingest_response(synthetic, dns::Name{}, now);
         if (cut) {
           // Re-walk down to the TLD cut now that its delegation is cached.
@@ -408,36 +462,44 @@ dns::Name RecursiveResolver::find_servers(
     }
 
     if (auto ns = cache_.peek(zone, dns::RRType::kNS, now)) {
-      if (collect_addresses(*ns, now, ctx, servers)) {
-        return zone;
+      if (collect_addresses(ns->rrset(), now, ctx, servers)) {
+        return dns::Name(zone);
       }
     }
-    if (zone == floor || zone.is_root()) {
+    if (floor == zone || labels == 0) {
       break;
     }
   }
 
   // Fall back to the compiled-in root hints.
   for (const auto& entry : hints_.servers) {
-    servers.push_back(ServerCandidate{entry.name, entry.address});
+    servers.push_back(ServerCandidate{entry.address});
   }
   rotate(servers, now);
   return dns::Name{};
 }
 
 bool RecursiveResolver::collect_addresses(
-    const cache::CacheHit& ns, sim::Time now, Context& ctx,
+    const dns::RRset& ns, sim::Time now, Context& ctx,
     std::vector<ServerCandidate>& servers) {
+  // @p ns and every address hit are borrowed from the cache.  Only the
+  // glue verification below re-enters the resolver, which inserts into the
+  // cache and so ends every borrowed hit: on that path the loop first
+  // copies what it reads afterwards.
+  std::optional<dns::RRset> ns_copy;
+  const dns::RRset* ns_set = &ns;
   std::vector<dns::Name> unresolved;
   bool verified_one = false;
-  for (const auto& rdata : ns.rrset.rdatas()) {
-    const auto& ns_name = std::get<dns::NsRdata>(rdata).nsdname;
-    auto hit = cache_.peek(ns_name, dns::RRType::kA, now);
+  for (std::size_t i = 0; i < ns_set->size(); ++i) {
+    const dns::Name* ns_name =
+        &std::get<dns::NsRdata>(ns_set->rdatas()[i]).nsdname;
+    auto hit = cache_.peek(*ns_name, dns::RRType::kA, now);
+    std::optional<dns::RRset> glue;  // the hit's set, kept across the fetch
     if (hit && config_.fetch_authoritative_ns_addresses &&
         ctx.depth == 0 && !verified_one &&
         static_cast<int>(hit->credibility) <
             static_cast<int>(cache::Credibility::kNonAuthAnswer) &&
-        std::find(ctx.fetching.begin(), ctx.fetching.end(), ns_name) ==
+        std::find(ctx.fetching.begin(), ctx.fetching.end(), *ns_name) ==
             ctx.fetching.end()) {
       // Address known only via glue: verify it against the child zone
       // (Unbound-style target fetching).  The AA copy is cached linked to
@@ -447,21 +509,24 @@ bool RecursiveResolver::collect_addresses(
       // client's critical path (opportunistic revalidation): this query is
       // answered with the data at hand.
       verified_one = true;  // lazy: verify at most one target per lookup
+      ns_copy = *ns_set;
+      ns_set = &*ns_copy;
+      ns_name = &std::get<dns::NsRdata>(ns_set->rdatas()[i]).nsdname;
+      glue = hit->rrset();
       sim::Duration checkpoint = ctx.elapsed;
-      resolve_ns_address(ns_name, now, ctx);
+      resolve_ns_address(*ns_name, now, ctx);
       ctx.elapsed = checkpoint;
-      if (auto refreshed = cache_.peek(ns_name, dns::RRType::kA, now)) {
-        hit = refreshed;
-      }
+      hit = cache_.peek(*ns_name, dns::RRType::kA, now);
     }
-    if (hit) {
-      for (const auto& addr_rdata : hit->rrset.rdatas()) {
-        servers.push_back(ServerCandidate{
-            ns_name, std::get<dns::ARdata>(addr_rdata).address});
+    const dns::RRset* addresses = hit ? &hit->rrset() : glue ? &*glue : nullptr;
+    if (addresses != nullptr) {
+      for (const auto& addr_rdata : addresses->rdatas()) {
+        servers.push_back(
+            ServerCandidate{std::get<dns::ARdata>(addr_rdata).address});
       }
       continue;
     }
-    unresolved.push_back(ns_name);
+    unresolved.push_back(*ns_name);
   }
 
   if (servers.empty()) {
@@ -471,7 +536,7 @@ bool RecursiveResolver::collect_addresses(
         continue;
       }
       if (auto addr = resolve_ns_address(ns_name, now, ctx)) {
-        servers.push_back(ServerCandidate{ns_name, *addr});
+        servers.push_back(ServerCandidate{*addr});
         break;  // one reachable server is enough to proceed
       }
     }
@@ -541,19 +606,19 @@ void RecursiveResolver::rotate(std::vector<ServerCandidate>& servers,
     return;
   }
   if (config_.srtt_selection) {
-    auto srtt_of = [this, now](const ServerCandidate& server) {
-      return selection_srtt_ms(server.address, now);
-    };
+    for (auto& server : servers) {
+      server.srtt_ms = selection_srtt_ms(server.address, now);
+    }
     std::stable_sort(servers.begin(), servers.end(),
-                     [&](const ServerCandidate& a, const ServerCandidate& b) {
-                       return srtt_of(a) < srtt_of(b);
+                     [](const ServerCandidate& a, const ServerCandidate& b) {
+                       return a.srtt_ms < b.srtt_ms;
                      });
     // Rotate within the leading band of near-equal servers, preserving the
     // §3.4 observation that resolvers rotate across comparable servers.
-    double best = srtt_of(servers.front());
+    const double best = servers.front().srtt_ms;
     std::size_t band = 1;
     while (band < servers.size() &&
-           srtt_of(servers[band]) <= best + kSrttBandMs) {
+           servers[band].srtt_ms <= best + kSrttBandMs) {
       ++band;
     }
     if (band > 1) {
@@ -682,7 +747,7 @@ dns::Message RecursiveResolver::resolve_iterative(
       auto cut = ingest_response(response, zone, t);
 
       if (config_.sticky && response.flags.aa) {
-        sticky_pins_.emplace(zone, server);
+        sticky_pins_.try_emplace(zone, server.address);
       }
 
       if (response.flags.rcode == dns::Rcode::kNXDomain) {
@@ -702,30 +767,28 @@ dns::Message RecursiveResolver::resolve_iterative(
       }
 
       if (!response.answers.empty()) {
-        if (auto direct =
-                response.answer_rrset(current.qname, current.qtype)) {
+        if (response.first_answer(current.qname, current.qtype) != nullptr) {
           if (config_.validate_dnssec && response.flags.aa &&
               !validate_answer(response, current, now, ctx)) {
             continue;  // bogus: try another server
           }
           // Include any same-response CNAME chain ahead of the match.
-          chain.insert(chain.end(), response.answers.begin(),
-                       response.answers.end());
+          chain.insert(chain.end(),
+                       std::make_move_iterator(response.answers.begin()),
+                       std::make_move_iterator(response.answers.end()));
           return positive_response(question, std::move(chain));
         }
         if (current.qtype != dns::RRType::kCNAME) {
-          if (auto cname =
-                  response.answer_rrset(current.qname, dns::RRType::kCNAME)) {
+          if (const auto* cname = response.first_answer(
+                  current.qname, dns::RRType::kCNAME)) {
             // Follow the chain: collect every CNAME + look for the target.
             chain.insert(chain.end(), response.answers.begin(),
                          response.answers.end());
-            dns::Name target =
-                std::get<dns::CnameRdata>(cname->rdatas().front()).target;
+            const dns::Name& target =
+                std::get<dns::CnameRdata>(cname->rdata).target;
             // The final answer may already be in this response.
-            for (const auto& rr : response.answers) {
-              if (rr.type() == current.qtype && rr.name == target) {
-                return positive_response(question, std::move(chain));
-              }
+            if (response.first_answer(target, current.qtype) != nullptr) {
+              return positive_response(question, std::move(chain));
             }
             current.qname = target;
             progressed = true;
@@ -788,7 +851,8 @@ bool RecursiveResolver::validate_answer(const dns::Message& response,
 
   // The DNSKEY must come from the signer (child) zone — parent copies
   // cannot satisfy a validator, which is the §2 argument for
-  // child-centric resolution.
+  // child-centric resolution.  The hit is borrowed: the sub-resolution
+  // below inserts into the cache, but runs only when there is no hit.
   std::optional<cache::CacheHit> keys =
       cache_.peek(sig->signer, dns::RRType::kDNSKEY, now + ctx.elapsed);
   if (!keys && ctx.depth < kMaxNsResolutionDepth &&
@@ -805,7 +869,7 @@ bool RecursiveResolver::validate_answer(const dns::Message& response,
     ++stats_.validation_failures;
     return false;  // signed data with unreachable keys: bogus
   }
-  for (const auto& rdata : keys->rrset.rdatas()) {
+  for (const auto& rdata : keys->rrset().rdatas()) {
     if (dns::verify_rrsig(*rrset, *sig, std::get<dns::DnskeyRdata>(rdata))) {
       return true;
     }
@@ -823,7 +887,7 @@ void RecursiveResolver::maybe_prefetch(const dns::Question& question,
   if (!hit || hit->original_ttl == dns::Ttl{}) {
     return;
   }
-  if (static_cast<double>(hit->rrset.ttl().value()) >
+  if (static_cast<double>(hit->ttl.value()) >
       kPrefetchFraction *
           static_cast<double>(hit->original_ttl.value())) {
     return;

@@ -111,9 +111,10 @@ class RecursiveResolver : public net::DnsNode {
     std::vector<dns::Name> fetching;
   };
 
+  /// A server to try, with the selection key rotate() sorts on.
   struct ServerCandidate {
-    dns::Name ns_name;
     net::Address address;
+    double srtt_ms = 0.0;  ///< filled by rotate() under srtt selection
   };
 
   /// Cache-only answer if the policy allows it (credibility threshold
@@ -142,14 +143,16 @@ class RecursiveResolver : public net::DnsNode {
                          std::vector<ServerCandidate>& servers,
                          const dns::Name& floor = dns::Name{});
 
-  /// Collects usable addresses for one NS RRset; triggers glue verification
-  /// and sub-resolution per policy.  Returns true if any server was found.
-  bool collect_addresses(const cache::CacheHit& ns, sim::Time now,
-                         Context& ctx, std::vector<ServerCandidate>& servers);
+  /// Collects usable addresses for one NS RRset (borrowed from the
+  /// cache); triggers glue verification and sub-resolution per policy.
+  /// Returns true if any server was found.
+  bool collect_addresses(const dns::RRset& ns, sim::Time now, Context& ctx,
+                         std::vector<ServerCandidate>& servers);
 
   /// Applies smoothed-RTT sorting and round-robin rotation per config.
   /// @p now lets the sort penalize servers currently benched by the
-  /// exponential-backoff policy so selection routes around them.
+  /// exponential-backoff policy so selection routes around them.  Each
+  /// candidate's key is computed once, then the sort is stable on it.
   void rotate(std::vector<ServerCandidate>& servers, sim::Time now);
 
   /// Resolves an out-of-bailiwick nameserver address via sub-resolution.
@@ -228,8 +231,9 @@ class RecursiveResolver : public net::DnsNode {
   /// which stale answers are served without re-trying upstreams.
   std::map<std::pair<dns::Name, dns::RRType>, sim::Time> stale_refresh_until_;
   bool prefetching_ = false;  ///< re-entrancy guard for maybe_prefetch
-  /// Sticky pins: zone -> (ns name, server address) of first success.
-  std::map<dns::Name, ServerCandidate> sticky_pins_;
+  /// Sticky pins (§4.4): zone -> address of the first server that
+  /// answered it authoritatively; find_servers() then offers only it.
+  std::map<dns::Name, net::Address> sticky_pins_;
 };
 
 }  // namespace dnsttl::resolver

@@ -5,7 +5,9 @@
 // periodic hooks are gated, and the hook tests assert both behaviours.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -359,6 +361,59 @@ TEST(CacheAudit, SimulationHookAuditsCacheDuringRun) {
   }
   EXPECT_NO_THROW(sim.run());
   EXPECT_NO_THROW(cache.validate());
+}
+
+TEST(CacheAudit, BorrowedHitEndsAtTheNextInsertOrRemoval) {
+  // A hit borrows its entry's RRset.  Every call that inserts or removes
+  // entries ends the loan, and audit builds refuse to read the hit after
+  // one; lookups only update recency, which moves nothing.  Other builds
+  // run no check, and a read after the loan ends is invalid there, so
+  // they stop at the reads before the mutation.
+  const Name held = numbered_name(1);
+  const Name other = numbered_name(2);
+  auto a_set = [](const Name& name, dns::Ttl ttl) {
+    dns::RRset rrset(name, dns::RClass::kIN, ttl);
+    rrset.add(dns::ARdata{dns::Ipv4{static_cast<std::uint32_t>(name.hash())}});
+    return rrset;
+  };
+  const std::vector<std::pair<std::string, std::function<void(cache::Cache&)>>>
+      mutations = {
+          {"insert",
+           [&](cache::Cache& cache) {
+             cache.insert(a_set(other, dns::Ttl{600}),
+                          cache::Credibility::kAuthAnswer, sim::Time{});
+           }},
+          {"insert_negative",
+           [](cache::Cache& cache) {
+             cache.insert_negative(numbered_name(3), RRType::kA,
+                                   dns::Rcode::kNXDomain, dns::Ttl{60},
+                                   sim::Time{});
+           }},
+          {"evict",
+           [&](cache::Cache& cache) { cache.evict(other, RRType::kA); }},
+          {"purge_expired",
+           [](cache::Cache& cache) { cache.purge_expired(sim::Time{}); }},
+          {"clear", [](cache::Cache& cache) { cache.clear(); }},
+          {"restore",
+           [](cache::Cache& cache) { cache.restore(cache.snapshot()); }},
+      };
+  for (const auto& [what, mutate] : mutations) {
+    cache::Cache cache;
+    cache.insert(a_set(held, dns::Ttl{300}), cache::Credibility::kAuthAnswer,
+                 sim::Time{});
+    cache.insert(a_set(other, dns::Ttl{300}),
+                 cache::Credibility::kAuthAnswer, sim::Time{});
+    const auto hit = cache.lookup(held, RRType::kA, sim::Time{});
+    ASSERT_TRUE(hit.has_value());
+    cache.lookup(other, RRType::kA, sim::Time{});
+    cache.lookup(held, RRType::kA, sim::Time{});
+    cache.lookup_negative(numbered_name(3), RRType::kA, sim::Time{});
+    EXPECT_EQ(hit->rrset().name(), held) << "after lookups, before " << what;
+    mutate(cache);
+    if constexpr (check::kAuditEnabled) {
+      EXPECT_THROW(hit->rrset(), check::AuditError) << what;
+    }
+  }
 }
 
 // ------------------------------------------------------------------ dns::Name

@@ -178,7 +178,7 @@ void run_trace(const Cache::Config& config, std::uint64_t seed,
       ASSERT_EQ(hit.has_value(), model.has_value())
           << "lookup divergence at op " << op << " name " << name.to_string();
       if (hit) {
-        ASSERT_EQ(hit->rrset.ttl(), *model) << "TTL divergence at op " << op;
+        ASSERT_EQ(hit->ttl, *model) << "TTL divergence at op " << op;
       }
     } else if (action < 0.82) {
       ASSERT_EQ(cache.evict(name, dns::RRType::kA),
@@ -479,7 +479,7 @@ void run_bounded_trace(const Cache::Config& config, std::uint64_t seed) {
           << "bounded lookup divergence at op " << op << " name "
           << name.to_string();
       if (hit) {
-        ASSERT_EQ(hit->rrset.ttl(), *model)
+        ASSERT_EQ(hit->ttl, *model)
             << "bounded TTL divergence at op " << op;
       }
     } else if (action < 0.80) {

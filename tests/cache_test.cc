@@ -31,7 +31,7 @@ TEST(CacheTest, HitWithinTtlCountsDown) {
   auto hit = cache.lookup(Name::from_string("x.org"), RRType::kA,
                           sim::at(100 * kSecond));
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->rrset.ttl(), dns::Ttl{200});
+  EXPECT_EQ(hit->ttl, dns::Ttl{200});
   EXPECT_EQ(hit->original_ttl, dns::Ttl{300});
   EXPECT_FALSE(hit->stale);
 }
@@ -54,7 +54,7 @@ TEST(CacheTest, MaxTtlClampsLongTtls) {
                Credibility::kAuthAnswer, sim::Time{});
   auto hit = cache.lookup(Name::from_string("google.co"), RRType::kNS, sim::Time{});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->rrset.ttl(), dns::Ttl{21599});
+  EXPECT_EQ(hit->ttl, dns::Ttl{21599});
 }
 
 TEST(CacheTest, MinTtlRaisesShortTtls) {
@@ -64,7 +64,7 @@ TEST(CacheTest, MinTtlRaisesShortTtls) {
   cache.insert(make_a_set("x.org", dns::Ttl{5}), Credibility::kAuthAnswer, sim::Time{});
   auto hit = cache.lookup(Name::from_string("x.org"), RRType::kA, sim::Time{});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->rrset.ttl(), dns::Ttl{60});
+  EXPECT_EQ(hit->ttl, dns::Ttl{60});
 }
 
 TEST(CacheTest, HigherCredibilityReplacesGlue) {
@@ -75,7 +75,7 @@ TEST(CacheTest, HigherCredibilityReplacesGlue) {
                sim::Time{});
   auto hit = cache.lookup(Name::from_string("uy"), RRType::kNS, sim::Time{});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->rrset.ttl(), dns::Ttl{300});
+  EXPECT_EQ(hit->ttl, dns::Ttl{300});
   EXPECT_EQ(hit->credibility, Credibility::kAuthAnswer);
 }
 
@@ -87,7 +87,7 @@ TEST(CacheTest, LowerCredibilityRefusedWhileLive) {
   EXPECT_FALSE(cache.insert(make_ns_set("uy", dns::Ttl{172800}, "a.nic.uy"),
                             Credibility::kGlue, sim::Time{}));
   auto hit = cache.lookup(Name::from_string("uy"), RRType::kNS, sim::Time{});
-  EXPECT_EQ(hit->rrset.ttl(), dns::Ttl{300});
+  EXPECT_EQ(hit->ttl, dns::Ttl{300});
   EXPECT_EQ(cache.stats().downgrades_refused, 1u);
 }
 
@@ -107,7 +107,7 @@ TEST(CacheTest, ParentCentricKeepsGlueAgainstAuthUpgrade) {
   EXPECT_FALSE(cache.insert(make_ns_set("uy", dns::Ttl{300}, "a.nic.uy"),
                             Credibility::kAuthAnswer, sim::Time{}));
   auto hit = cache.lookup(Name::from_string("uy"), RRType::kNS, sim::Time{});
-  EXPECT_EQ(hit->rrset.ttl(), dns::Ttl{172800});
+  EXPECT_EQ(hit->ttl, dns::Ttl{172800});
 }
 
 TEST(CacheTest, SameCredibilityReplaceIsConfigurable) {
@@ -122,7 +122,7 @@ TEST(CacheTest, SameCredibilityReplaceIsConfigurable) {
                             Credibility::kGlue, sim::at(3600 * kSecond)));
   auto hit = cache.lookup(Name::from_string("ns1.sub.example"), RRType::kA,
                           sim::at(3600 * kSecond));
-  EXPECT_EQ(dns::rdata_to_string(hit->rrset.rdatas()[0]), "1.1.1.1");
+  EXPECT_EQ(dns::rdata_to_string(hit->rrset().rdatas()[0]), "1.1.1.1");
 }
 
 TEST(CacheTest, GlueLinkedToNsDiesWithNs) {
@@ -182,7 +182,7 @@ TEST(CacheTest, ServeStaleOnlyWhenAllowed) {
                             sim::at(120 * kSecond), true);
   ASSERT_TRUE(stale.has_value());
   EXPECT_TRUE(stale->stale);
-  EXPECT_EQ(stale->rrset.ttl(), dns::Ttl{30});
+  EXPECT_EQ(stale->ttl, dns::Ttl{30});
   // Past the stale window: gone for good.
   EXPECT_FALSE(cache.lookup(Name::from_string("x.org"), RRType::kA,
                             sim::at(2 * 3600 * kSecond), true)
@@ -281,9 +281,9 @@ TEST_P(CacheClampTest, ServedTtlRespectsClampInvariant) {
     return;
   }
   ASSERT_TRUE(hit.has_value());
-  EXPECT_LE(hit->rrset.ttl(), param.max_ttl);
-  EXPECT_GE(hit->rrset.ttl(), std::min(param.min_ttl, param.max_ttl));
-  EXPECT_LE(hit->rrset.ttl(), std::max(param.ttl, param.min_ttl));
+  EXPECT_LE(hit->ttl, param.max_ttl);
+  EXPECT_GE(hit->ttl, std::min(param.min_ttl, param.max_ttl));
+  EXPECT_LE(hit->ttl, std::max(param.ttl, param.min_ttl));
 }
 
 INSTANTIATE_TEST_SUITE_P(

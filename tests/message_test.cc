@@ -72,10 +72,12 @@ TEST(MessageTest, FirstAnswerFindsByType) {
                                         Name::from_string("y.uy")));
   response.answers.push_back(
       make_a(Name::from_string("y.uy"), dns::Ttl{60}, Ipv4(10, 0, 0, 2)));
-  ASSERT_NE(response.first_answer(RRType::kA), nullptr);
-  EXPECT_EQ(response.first_answer(RRType::kA)->name,
-            Name::from_string("y.uy"));
-  EXPECT_EQ(response.first_answer(RRType::kMX), nullptr);
+  EXPECT_EQ(response.first_answer(Name::from_string("y.uy"), RRType::kA),
+            &response.answers[1]);
+  EXPECT_EQ(response.first_answer(Name::from_string("x.uy"), RRType::kA),
+            nullptr);
+  EXPECT_EQ(response.first_answer(Name::from_string("y.uy"), RRType::kMX),
+            nullptr);
 }
 
 TEST(MessageTest, ReferralDetection) {

@@ -81,10 +81,10 @@ TEST_P(CacheModelTest, RandomOperationSequencesMatchTheModel) {
       bool model_hit = it != model.end() && it->second.expires > now;
       ASSERT_EQ(hit.has_value(), model_hit) << "step " << step;
       if (model_hit) {
-        ASSERT_EQ(dns::rdata_to_string(hit->rrset.rdatas()[0]),
+        ASSERT_EQ(dns::rdata_to_string(hit->rrset().rdatas()[0]),
                   it->second.value)
             << "step " << step;
-        ASSERT_EQ(sim::seconds(hit->rrset.ttl().value()),
+        ASSERT_EQ(sim::seconds(hit->ttl.value()),
                   it->second.expires - now)
             << "step " << step;
       }
@@ -157,19 +157,19 @@ TEST_P(ServeStaleOracleTest, RandomTracesMatchTheModel) {
         ASSERT_TRUE(hit.has_value()) << "step " << step;
         ASSERT_FALSE(hit->stale) << "step " << step;
         ASSERT_EQ(hit->stale_for, sim::Duration{}) << "step " << step;
-        ASSERT_EQ(dns::rdata_to_string(hit->rrset.rdatas()[0]), entry.value)
+        ASSERT_EQ(dns::rdata_to_string(hit->rrset().rdatas()[0]), entry.value)
             << "step " << step;
-        ASSERT_EQ(sim::seconds(hit->rrset.ttl().value()), entry.expires - now)
+        ASSERT_EQ(sim::seconds(hit->ttl.value()), entry.expires - now)
             << "step " << step;
       } else if (allow_stale && now < entry.expires + config.stale_window) {
         // Stale but servable: fixed 30 s TTL, bounded staleness.
         ASSERT_TRUE(hit.has_value()) << "step " << step;
         ASSERT_TRUE(hit->stale) << "step " << step;
-        ASSERT_EQ(hit->rrset.ttl(), dns::Ttl{30}) << "step " << step;
+        ASSERT_EQ(hit->ttl, dns::Ttl{30}) << "step " << step;
         ASSERT_EQ(hit->original_ttl, entry.original_ttl) << "step " << step;
         ASSERT_EQ(hit->stale_for, now - entry.expires) << "step " << step;
         ASSERT_LT(hit->stale_for, config.stale_window) << "step " << step;
-        ASSERT_EQ(dns::rdata_to_string(hit->rrset.rdatas()[0]), entry.value)
+        ASSERT_EQ(dns::rdata_to_string(hit->rrset().rdatas()[0]), entry.value)
             << "step " << step;
       } else {
         // Expired past the window, or staleness not allowed here.

@@ -1,5 +1,8 @@
 #include "resolver/recursive_resolver.h"
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "auth/auth_server.h"
@@ -13,6 +16,22 @@ namespace {
 using dns::Name;
 using dns::RRType;
 using sim::kSecond;
+
+/// An authoritative server whose every reply carries the scripted answer
+/// section, in the order given, with AA set.
+class ScriptedServer : public net::DnsNode {
+ public:
+  std::optional<net::ServerReply> handle_query(const dns::Message& query,
+                                               net::Address /*client*/,
+                                               sim::Time /*now*/) override {
+    auto response = dns::Message::make_response(query);
+    response.flags.aa = true;
+    response.answers = answers;
+    return net::ServerReply{std::move(response), sim::Duration{}};
+  }
+
+  std::vector<dns::ResourceRecord> answers;
+};
 
 /// A miniature Internet mirroring the paper's §3 setup: a root zone
 /// delegating .uy with 172800 s NS/glue TTLs, and the .uy child zone
@@ -66,6 +85,26 @@ class ResolverTest : public ::testing::Test {
       resolver->set_local_root_zone(root_zone);
     }
     return resolver;
+  }
+
+  /// Delegates `test` from the root to @p server, named ns1.test and
+  /// given in-bailiwick glue; returns the server's address.
+  net::Address delegate_test_to(net::DnsNode& server) {
+    const net::Address address =
+        network->attach(server, net::Location{net::Region::kEU});
+    root_zone->add(dns::make_ns(Name::from_string("test"), dns::Ttl{172800},
+                                Name::from_string("ns1.test")));
+    root_zone->add(dns::make_a(Name::from_string("ns1.test"),
+                               dns::Ttl{172800}, address));
+    return address;
+  }
+
+  /// Child-centric, and trusting glue, so the scripted server sees only
+  /// the client's question.
+  std::unique_ptr<RecursiveResolver> make_scripted_client() {
+    ResolverConfig config = child_centric_config();
+    config.fetch_authoritative_ns_addresses = false;
+    return make_resolver(config);
   }
 
   static dns::Ttl answer_ttl(const dns::Message& response, RRType type) {
@@ -352,6 +391,131 @@ TEST_F(ResolverTest, CnameChainAcrossZonesIsChased) {
   ASSERT_GE(result.response.answers.size(), 2u);
   EXPECT_EQ(result.response.answers.front().type(), RRType::kCNAME);
   EXPECT_EQ(result.response.answers.back().type(), RRType::kA);
+}
+
+TEST_F(ResolverTest, IngestionCachesAnswerSetsInCanonicalOrder) {
+  // The answer lists ns1.test's address ahead of the test NS set naming
+  // it.  Cached in canonical (owner, type) order, the NS set goes in
+  // first, so the address links to the NS set it arrived with and stays
+  // usable.  Cached in order of appearance, the address would link to the
+  // referral's NS set, which the answer's set then replaces, and would be
+  // dropped as link-broken (§4.2).
+  ScriptedServer test_server;
+  const net::Address test_addr = delegate_test_to(test_server);
+  const Name apex = Name::from_string("test");
+  const Name ns1 = Name::from_string("ns1.test");
+  test_server.answers = {dns::make_a(ns1, dns::Ttl{3600}, test_addr),
+                         dns::make_ns(apex, dns::Ttl{3600}, ns1)};
+  auto resolver = make_scripted_client();
+  auto result = resolver->resolve(
+      dns::Question{apex, RRType::kNS, dns::RClass::kIN}, sim::Time{});
+  ASSERT_EQ(result.response.flags.rcode, dns::Rcode::kNoError);
+
+  const sim::Time later = sim::at(kSecond);
+  auto address = resolver->cache().peek(ns1, RRType::kA, later);
+  ASSERT_TRUE(address.has_value()) << resolver->cache().dump(later);
+  EXPECT_EQ(address->credibility, cache::Credibility::kAuthAnswer);
+  EXPECT_EQ(address->original_ttl, dns::Ttl{3600});
+}
+
+TEST_F(ResolverTest, IngestionBuildsOneRRsetPerOwnerAndType) {
+  // Interleaved owners, one set whose members disagree on TTL, and a
+  // repeated record: each (owner, type) is cached once, at its minimum
+  // member TTL (RFC 2181 §5.2), without the duplicate, and with its
+  // members in order of appearance.
+  ScriptedServer test_server;
+  delegate_test_to(test_server);
+  const Name www = Name::from_string("www.test");
+  const Name mail = Name::from_string("mail.test");
+  test_server.answers = {
+      dns::make_a(www, dns::Ttl{300}, dns::Ipv4(10, 0, 0, 1)),
+      dns::make_a(mail, dns::Ttl{600}, dns::Ipv4(10, 0, 0, 9)),
+      dns::make_a(www, dns::Ttl{120}, dns::Ipv4(10, 0, 0, 2)),
+      dns::make_a(www, dns::Ttl{300}, dns::Ipv4(10, 0, 0, 1))};
+  auto resolver = make_scripted_client();
+  auto result = resolver->resolve(
+      dns::Question{www, RRType::kA, dns::RClass::kIN}, sim::Time{});
+  ASSERT_EQ(result.response.flags.rcode, dns::Rcode::kNoError);
+
+  // The referral's NS set and glue, then one insert per answer set.
+  const cache::Cache& cache = resolver->cache();
+  EXPECT_EQ(cache.stats().inserts, 4u);
+  EXPECT_EQ(cache.size(), 4u);
+  const sim::Time later = sim::at(kSecond);
+  auto www_hit = cache.peek(www, RRType::kA, later);
+  ASSERT_TRUE(www_hit.has_value());
+  EXPECT_EQ(www_hit->original_ttl, dns::Ttl{120});
+  ASSERT_EQ(www_hit->rrset().size(), 2u);
+  EXPECT_EQ(dns::rdata_to_string(www_hit->rrset().rdatas()[0]), "10.0.0.1");
+  EXPECT_EQ(dns::rdata_to_string(www_hit->rrset().rdatas()[1]), "10.0.0.2");
+  auto mail_hit = cache.peek(mail, RRType::kA, later);
+  ASSERT_TRUE(mail_hit.has_value());
+  EXPECT_EQ(mail_hit->original_ttl, dns::Ttl{600});
+  EXPECT_EQ(mail_hit->rrset().size(), 1u);
+}
+
+TEST_F(ResolverTest, IngestionOfALongSectionGroupsAndOrdersAsAShortOne) {
+  // The two answers above, merged and padded past the 32 records that
+  // ingestion sorts without allocating: ns1.test's address still precedes
+  // the NS set naming it, and 20 owners each list two members at
+  // different TTLs, interleaved, with one record repeated.  A long
+  // section must cache the same sets, in the same order, as a short one.
+  ScriptedServer test_server;
+  const net::Address test_addr = delegate_test_to(test_server);
+  const Name apex = Name::from_string("test");
+  const Name ns1 = Name::from_string("ns1.test");
+  constexpr std::size_t kOwners = 20;
+  auto host = [](std::size_t i) {
+    return Name::from_string("h" + std::to_string(i) + ".test");
+  };
+  test_server.answers = {dns::make_a(ns1, dns::Ttl{3600}, test_addr)};
+  for (const dns::Ttl ttl : {dns::Ttl{300}, dns::Ttl{120}}) {
+    for (std::size_t i = 0; i < kOwners; ++i) {
+      test_server.answers.push_back(dns::make_a(
+          host(i), ttl, dns::Ipv4(10, 0, 0, ttl == dns::Ttl{300} ? 1 : 2)));
+    }
+  }
+  test_server.answers.push_back(
+      dns::make_a(host(7), dns::Ttl{300}, dns::Ipv4(10, 0, 0, 1)));
+  test_server.answers.push_back(dns::make_ns(apex, dns::Ttl{3600}, ns1));
+  ASSERT_GT(test_server.answers.size(), 32u);
+  auto resolver = make_scripted_client();
+  auto result = resolver->resolve(
+      dns::Question{apex, RRType::kNS, dns::RClass::kIN}, sim::Time{});
+  ASSERT_EQ(result.response.flags.rcode, dns::Rcode::kNoError);
+  ASSERT_EQ(result.response.answers.size(), test_server.answers.size());
+
+  // The referral's NS set and glue, then one insert per answer set.
+  const cache::Cache& cache = resolver->cache();
+  EXPECT_EQ(cache.stats().inserts, 2u + 2u + kOwners);
+  const sim::Time later = sim::at(kSecond);
+  auto address = cache.peek(ns1, RRType::kA, later);
+  ASSERT_TRUE(address.has_value()) << cache.dump(later);
+  EXPECT_EQ(address->credibility, cache::Credibility::kAuthAnswer);
+  EXPECT_EQ(address->original_ttl, dns::Ttl{3600});
+  for (std::size_t i = 0; i < kOwners; ++i) {
+    auto hit = cache.peek(host(i), RRType::kA, later);
+    ASSERT_TRUE(hit.has_value()) << host(i).to_string();
+    EXPECT_EQ(hit->original_ttl, dns::Ttl{120}) << host(i).to_string();
+    ASSERT_EQ(hit->rrset().size(), 2u) << host(i).to_string();
+    EXPECT_EQ(dns::rdata_to_string(hit->rrset().rdatas()[0]), "10.0.0.1");
+    EXPECT_EQ(dns::rdata_to_string(hit->rrset().rdatas()[1]), "10.0.0.2");
+  }
+}
+
+TEST_F(ResolverTest, IngestionRejectsAnRRsetMixingClasses) {
+  ScriptedServer test_server;
+  delegate_test_to(test_server);
+  const Name www = Name::from_string("www.test");
+  test_server.answers = {
+      dns::make_a(www, dns::Ttl{300}, dns::Ipv4(10, 0, 0, 1)),
+      dns::ResourceRecord{www, dns::RClass::kCH, dns::Ttl{300},
+                          dns::ARdata{dns::Ipv4(10, 0, 0, 2)}}};
+  auto resolver = make_scripted_client();
+  EXPECT_THROW(resolver->resolve(
+                   dns::Question{www, RRType::kA, dns::RClass::kIN},
+                   sim::Time{}),
+               std::invalid_argument);
 }
 
 TEST_F(ResolverTest, HandleQueryEchoesIdAndSetsRa) {
