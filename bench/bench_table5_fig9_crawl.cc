@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   auto scaled = [&](std::size_t full) {
     // The paper's 1M-entry lists are generated at 1/10 scale by default; a
     // --scale of 1.0 therefore means 100k domains per top list.  The bulk
-    // engine streams domains through a bounded task pool instead of
+    // engine streams domains one at a time per shard instead of
     // materializing the population, so --scale 100 (10M per top list)
     // costs only the tally footprint (TTL samples, unique-value sets),
     // not the population's.

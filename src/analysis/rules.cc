@@ -532,9 +532,9 @@ void rule_rng_fork_in_shard(const FileIndex& ix, const Sink& sink) {
 // ------------------------------------------------------ task-state-escape
 
 /// Resumable-task purity: a struct with a `phase` member (or Phase-typed
-/// member) is a suspended computation — the bulk resolution engine parks it
-/// between scheduler waves, and other tasks retire/admit (compacting the
-/// shard's SoA pools) while it sleeps.  A raw pointer or reference member
+/// member) is a suspended computation — a batch scheduler parks it between
+/// steps, and other tasks retire/admit (compacting the shard's SoA pools)
+/// while it sleeps; no such task exists in src/ today.  A raw pointer or reference member
 /// into a pool type therefore dangles across the suspension point even
 /// though it was valid when the step stored it.  Task state must hold
 /// indices or values; the pool is re-derived from the shard context each

@@ -3,22 +3,13 @@
 #include <cstdint>
 #include <optional>
 
+#include "check/audit.h"
 #include "crawl/tabulate.h"
 
 namespace dnsttl::crawl {
 
-namespace {
-
-bool ends_with(const std::string& value, const std::string& suffix) {
-  return value.size() >= suffix.size() &&
-         value.compare(value.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
-}
-
-}  // namespace
-
 void tabulate_domain(const GeneratedDomain& domain,
-                     const std::vector<HarvestedRecord>& harvested,
+                     std::span<const HarvestedRecord* const> harvested,
                      PartialCrawl& partial) {
   auto& report = partial.report;
   if (!domain.responsive) return;
@@ -34,8 +25,8 @@ void tabulate_domain(const GeneratedDomain& domain,
       break;
     case NsAnswerKind::kNsRecords: {
       bool has_ns = false;
-      for (const auto& record : harvested) {
-        if (record.type == dns::RRType::kNS) {
+      for (const HarvestedRecord* record : harvested) {
+        if (record->type == dns::RRType::kNS) {
           has_ns = true;
           break;
         }
@@ -60,14 +51,14 @@ void tabulate_domain(const GeneratedDomain& domain,
   // Per-domain TTL=0 dedup as a slot bitmask instead of a heap-allocated
   // std::set — this runs once per record of every domain crawled.
   std::uint32_t ttl_zero_seen = 0;
-  for (const auto& record : harvested) {
-    const std::size_t slot = TypeTallyTable::slot_of(record.type);
-    auto& tally = report.by_type[record.type];
+  for (const HarvestedRecord* record : harvested) {
+    const std::size_t slot = TypeTallyTable::slot_of(record->type);
+    auto& tally = report.by_type[record->type];
     ++tally.records;
-    tally.ttl_cdf.add(static_cast<double>(record.ttl.value()));
-    partial.uniques[slot].insert(record.value);
+    partial.ttls[slot].add(record->ttl);
+    partial.uniques[slot].insert(record->value);
     const std::uint32_t bit = std::uint32_t{1} << slot;
-    if (record.ttl == dns::Ttl{} && (ttl_zero_seen & bit) == 0) {
+    if (record->ttl == dns::Ttl{} && (ttl_zero_seen & bit) == 0) {
       ttl_zero_seen |= bit;
       ++tally.ttl_zero_domain_count;
     }
@@ -80,8 +71,8 @@ CrawlReport finalize_crawl(const std::string& list, std::size_t domains,
   report.list = list;
   report.domains = domains;
 
-  std::array<std::unordered_set<std::string>, TypeTallyTable::kSlots.size()>
-      uniques;
+  std::array<TtlTally, TypeTallyTable::kSlots.size()> ttls;
+  std::array<DistinctStrings, TypeTallyTable::kSlots.size()> uniques;
   for (auto& partial : partials) {
     report.responsive += partial.report.responsive;
     auto& b = report.bailiwick;
@@ -101,25 +92,38 @@ CrawlReport finalize_crawl(const std::string& list, std::size_t domains,
       auto& merged = report.by_type.slot(slot);
       merged.records += tally.records;
       merged.ttl_zero_domain_count += tally.ttl_zero_domain_count;
-      merged.ttl_cdf.add_all(tally.ttl_cdf.sorted_samples());
+      ttls[slot].merge(partial.ttls[slot]);
       uniques[slot].merge(partial.uniques[slot]);
+      partial.uniques[slot] = DistinctStrings{};  // folded: free it now
     }
   }
+  // Count and free every distinct-value set before the CDFs take their
+  // samples, so the fold never holds both.
   for (std::size_t slot = 0; slot < TypeTallyTable::kSlots.size(); ++slot) {
-    if (report.by_type.slot_used(slot)) {
-      report.by_type.slot(slot).unique_values = uniques[slot].size();
+    if (!report.by_type.slot_used(slot)) continue;
+    report.by_type.slot(slot).unique_values = uniques[slot].size();
+    if constexpr (check::kAuditEnabled) {
+      uniques[slot].validate();
     }
+    uniques[slot] = DistinctStrings{};
+  }
+  for (std::size_t slot = 0; slot < TypeTallyTable::kSlots.size(); ++slot) {
+    ttls[slot].write_to(report.by_type.slot(slot).ttl_cdf);
   }
   return report;
 }
 
 int classify_bailiwick(const GeneratedDomain& domain) {
+  const std::string& name = domain.name;
   bool any_in = false;
   bool any_out = false;
   for (const auto& record : domain.records) {
     if (record.type != dns::RRType::kNS) continue;
-    // In bailiwick: the NS target name lies under the domain itself.
-    if (ends_with(record.value, "." + domain.name)) {
+    // In bailiwick: the NS target name lies under the domain itself, i.e.
+    // ends with "." + name.
+    const std::string& target = record.value;
+    if (target.size() > name.size() && target.ends_with(name) &&
+        target[target.size() - name.size() - 1] == '.') {
       any_in = true;
     } else {
       any_out = true;

@@ -16,10 +16,12 @@ namespace dnsttl::crawl {
 /// Counters the bulk resolution engine reports alongside the crawl itself.
 struct EngineStats {
   std::size_t resolutions = 0;  ///< domains fully resolved (incl. dead ones)
-  std::size_t queries = 0;      ///< per-type harvest queries answered
-  std::size_t steps = 0;        ///< scheduler micro-steps executed
-  /// Highest number of simultaneously live resolution tasks observed in
-  /// any one shard's scheduler.
+  std::size_t queries = 0;      ///< NS probes plus per-type harvest queries
+  /// Protocol steps: one per query, plus one retiring each responsive
+  /// domain once its last record type is harvested.
+  std::size_t steps = 0;
+  /// Most domains any one shard held at once: 1, since every shard
+  /// tabulates a domain before it generates the next (0 for an empty list).
   std::size_t in_flight_high_water = 0;
   std::size_t shards = 0;
 };
@@ -27,9 +29,6 @@ struct EngineStats {
 struct EngineOptions {
   std::size_t shard_count = 0;  ///< 0: par::shard_count_for(domain count)
   std::size_t jobs = 1;
-  /// Per-shard admission window: how many resolutions one scheduler keeps
-  /// in flight at once before admitting more from its domain range.
-  std::size_t max_in_flight = 512;
   bool collect_content = false;  ///< also run the DMap streaming hook
 };
 
@@ -41,13 +40,12 @@ struct EngineResult {
 
 /// Bulk resolution engine: crawls the list described by @p params without
 /// ever materializing its population.  Each shard owns a contiguous domain
-/// range and an SoA pool of resumable resolution tasks; a batch scheduler
-/// advances every live task one protocol step per wave (NS answer, then one
-/// record type per step), admitting new domains as finished ones retire.
-/// Domain @p i is drawn from `list_rng.fork(i)`, so any shard regenerates
-/// exactly its own slice; partial tallies fold in shard order through
-/// finalize_crawl().  Output is therefore a pure function of
-/// (params, list_rng, shard_count) — identical at any --jobs.
+/// range and walks it one domain at a time: generate into a recycled
+/// buffer, harvest the NS answer and then one record type per query,
+/// collapse, tabulate.  Domain @p i is drawn from `list_rng.fork(i)`, so
+/// any shard regenerates exactly its own slice; partial tallies fold in
+/// shard order through finalize_crawl().  Output is therefore a pure
+/// function of (params, list_rng, shard_count) — identical at any --jobs.
 EngineResult crawl_engine(const ListParams& params, const sim::Rng& list_rng,
                           const EngineOptions& options = {});
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <iterator>
+#include <string_view>
 
 namespace dnsttl::crawl {
 
@@ -212,11 +215,12 @@ std::size_t sample_provider(const ListParams& params, sim::Rng& rng) {
 /// Class-conditional TTL distributions reproducing Table 7's medians
 /// (hours): e-commerce NS 4 / AAAA 0.1, parking NS 24 / DNSKEY 24,
 /// placeholder NS 4 / AAAA 4 / DNSKEY 4; A and MX at 1 h for all classes.
-TtlDist class_ttl(ContentClass content, dns::RRType type) {
-  const TtlDist one_hour{{300, 3600, 14400}, {0.25, 0.50, 0.25}};
-  const TtlDist four_hours{{3600, 14400, 86400}, {0.30, 0.45, 0.25}};
-  const TtlDist one_day{{14400, 86400, 172800}, {0.25, 0.50, 0.25}};
-  const TtlDist six_minutes{{60, 300, 600, 3600}, {0.25, 0.30, 0.25, 0.20}};
+const TtlDist& class_ttl(ContentClass content, dns::RRType type) {
+  static const TtlDist one_hour{{300, 3600, 14400}, {0.25, 0.50, 0.25}};
+  static const TtlDist four_hours{{3600, 14400, 86400}, {0.30, 0.45, 0.25}};
+  static const TtlDist one_day{{14400, 86400, 172800}, {0.25, 0.50, 0.25}};
+  static const TtlDist six_minutes{{60, 300, 600, 3600},
+                                   {0.25, 0.30, 0.25, 0.20}};
 
   switch (type) {
     case dns::RRType::kNS:
@@ -235,6 +239,35 @@ TtlDist class_ttl(ContentClass content, dns::RRType type) {
   }
 }
 
+void append_part(std::string& out, std::string_view text) { out += text; }
+void append_part(std::string& out, char c) { out += c; }
+void append_part(std::string& out, std::uint64_t number) {
+  char digits[20];
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), number).ptr);
+}
+
+/// Appends @p parts to @p out, numbers in decimal, without temporaries.
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (append_part(out, parts), ...);
+}
+
+/// Appends a record to @p domain whose value is @p parts concatenated,
+/// formatted into a spare buffer when one is left.
+template <typename... Parts>
+void add_record(GeneratedDomain& domain, dns::RRType type, dns::Ttl ttl,
+                const Parts&... parts) {
+  std::string value;
+  if (!domain.spare_values.empty()) {
+    value = std::move(domain.spare_values.back());
+    domain.spare_values.pop_back();
+    value.clear();
+  }
+  append(value, parts...);
+  domain.records.push_back(HarvestedRecord{type, ttl, std::move(value)});
+}
+
 }  // namespace
 
 std::string list_suffix(const ListParams& params) {
@@ -250,14 +283,14 @@ std::string list_suffix(const ListParams& params) {
 void generate_domain(const ListParams& params, const std::string& suffix,
                      std::size_t index, sim::Rng& rng,
                      GeneratedDomain& domain) {
+  for (auto& record : domain.records) {
+    domain.spare_values.push_back(std::move(record.value));
+  }
   domain.records.clear();
   domain.content = ContentClass::kUnclassified;
   domain.ns_answer = NsAnswerKind::kNsRecords;
   domain.name.clear();
-  domain.name += 'd';
-  domain.name += std::to_string(index);
-  domain.name += '.';
-  domain.name += suffix;
+  append(domain.name, 'd', index, '.', suffix);
   domain.parent_ns_ttl = params.registry_ns_ttl;
   domain.responsive = rng.chance(params.responsive);
   if (!domain.responsive) {
@@ -293,8 +326,12 @@ void generate_domain(const ListParams& params, const std::string& suffix,
     domain.ns_answer = NsAnswerKind::kNsRecords;
   }
 
-  std::size_t provider = sample_provider(params, rng);
-  std::string provider_tag = "provider" + std::to_string(provider);
+  // "provider<n>": the hosting provider's tag, shared by every value drawn
+  // from its pools.
+  char tag[32] = "provider";
+  const std::string_view provider_tag(
+      tag, std::to_chars(tag + 8, std::end(tag),
+                         sample_provider(params, rng)).ptr);
 
   if (domain.ns_answer == NsAnswerKind::kNsRecords) {
     auto ns_count = rng.uniform_int(
@@ -307,12 +344,13 @@ void generate_domain(const ListParams& params, const std::string& suffix,
     bool all_in = !all_out && bw < params.out_only + params.in_only;
     for (std::size_t i = 0; i < ns_count; ++i) {
       bool in_bailiwick = all_in || (!all_out && i % 2 == 1);
-      std::string target =
-          in_bailiwick ? "ns" + std::to_string(i + 1) + "." + domain.name
-                       : "ns" + std::to_string(i + 1) + "." + provider_tag +
-                             ".example";
-      domain.records.push_back(
-          HarvestedRecord{dns::RRType::kNS, ns_ttl, std::move(target)});
+      if (in_bailiwick) {
+        add_record(domain, dns::RRType::kNS, ns_ttl, "ns", i + 1, '.',
+                   domain.name);
+      } else {
+        add_record(domain, dns::RRType::kNS, ns_ttl, "ns", i + 1, '.',
+                   provider_tag, ".example");
+      }
     }
   }
 
@@ -321,16 +359,14 @@ void generate_domain(const ListParams& params, const std::string& suffix,
     if (!rng.chance(presence)) return;
     dns::Ttl ttl = ttl_for(type, dist);
     std::size_t count = rng.chance(0.3) ? 2 : 1;
+    const std::string_view v6 = type == dns::RRType::kAAAA ? "-v6" : "";
     for (std::size_t i = 0; i < count; ++i) {
-      std::string value =
-          rng.chance(params.a_shared)
-              ? provider_tag + "-ip" +
-                    std::to_string(rng.uniform_int(
-                        0, params.provider_ip_pool - 1)) +
-                    (type == dns::RRType::kAAAA ? "-v6" : "")
-              : domain.name + "-ip" + std::to_string(i) +
-                    (type == dns::RRType::kAAAA ? "-v6" : "");
-      domain.records.push_back(HarvestedRecord{type, ttl, std::move(value)});
+      if (rng.chance(params.a_shared)) {
+        add_record(domain, type, ttl, provider_tag, "-ip",
+                   rng.uniform_int(0, params.provider_ip_pool - 1), v6);
+      } else {
+        add_record(domain, type, ttl, domain.name, "-ip", i, v6);
+      }
     }
   };
   add_addresses(dns::RRType::kA, params.a_ttl, params.a_presence);
@@ -340,13 +376,13 @@ void generate_domain(const ListParams& params, const std::string& suffix,
     dns::Ttl ttl = ttl_for(dns::RRType::kMX, params.mx_ttl);
     std::size_t count = rng.chance(0.5) ? 2 : 1;
     for (std::size_t i = 0; i < count; ++i) {
-      std::string value = rng.chance(params.mx_shared)
-                              ? "mx" + std::to_string(i) + "." +
-                                    provider_tag + ".example"
-                              : "mail" + std::to_string(i) + "." +
-                                    domain.name;
-      domain.records.push_back(
-          HarvestedRecord{dns::RRType::kMX, ttl, std::move(value)});
+      if (rng.chance(params.mx_shared)) {
+        add_record(domain, dns::RRType::kMX, ttl, "mx", i, '.', provider_tag,
+                   ".example");
+      } else {
+        add_record(domain, dns::RRType::kMX, ttl, "mail", i, '.',
+                   domain.name);
+      }
     }
   }
 
@@ -354,23 +390,24 @@ void generate_domain(const ListParams& params, const std::string& suffix,
     dns::Ttl ttl = ttl_for(dns::RRType::kDNSKEY, params.dnskey_ttl);
     std::size_t keys = rng.chance(params.dnskey_two_keys) ? 2 : 1;
     for (std::size_t i = 0; i < keys; ++i) {
-      std::string value = rng.chance(params.dnskey_shared)
-                              ? "key-" + provider_tag + "-" +
-                                    std::to_string(i)
-                              : "key-" + domain.name + "-" +
-                                    std::to_string(i);
-      domain.records.push_back(
-          HarvestedRecord{dns::RRType::kDNSKEY, ttl, std::move(value)});
+      if (rng.chance(params.dnskey_shared)) {
+        add_record(domain, dns::RRType::kDNSKEY, ttl, "key-", provider_tag,
+                   '-', i);
+      } else {
+        add_record(domain, dns::RRType::kDNSKEY, ttl, "key-", domain.name,
+                   '-', i);
+      }
     }
   }
 
   if (rng.chance(params.cname_rr_presence)) {
     dns::Ttl ttl = params.cname_ttl.sample(rng);
-    std::string value = rng.chance(params.cname_shared)
-                            ? "edge." + provider_tag + ".example"
-                            : "www." + domain.name;
-    domain.records.push_back(
-        HarvestedRecord{dns::RRType::kCNAME, ttl, std::move(value)});
+    if (rng.chance(params.cname_shared)) {
+      add_record(domain, dns::RRType::kCNAME, ttl, "edge.", provider_tag,
+                 ".example");
+    } else {
+      add_record(domain, dns::RRType::kCNAME, ttl, "www.", domain.name);
+    }
   }
 }
 

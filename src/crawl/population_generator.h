@@ -1,6 +1,7 @@
 #ifndef DNSTTL_CRAWL_POPULATION_GENERATOR_H
 #define DNSTTL_CRAWL_POPULATION_GENERATOR_H
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -18,9 +19,14 @@ struct TtlDist {
   TtlDist() = default;
   /// Grid values are spelled in seconds; each entry is RFC 2181-clamped on
   /// the way in, so the distribution can never emit an out-of-range TTL.
+  /// Throws std::invalid_argument unless there is one weight per value:
+  /// sample() indexes values by a weight's position.
   TtlDist(std::initializer_list<std::uint32_t> ttl_seconds,
           std::initializer_list<double> ttl_weights)
       : weights(ttl_weights) {
+    if (ttl_seconds.size() != ttl_weights.size()) {
+      throw std::invalid_argument("TtlDist: one weight per TTL value");
+    }
     values.reserve(ttl_seconds.size());
     for (std::uint32_t s : ttl_seconds) {
       values.emplace_back(s);
@@ -62,6 +68,9 @@ struct GeneratedDomain {
   /// The registry's (parent-side) copy of the NS TTL — what a crawl of the
   /// parent authoritative would harvest for this delegation.
   dns::Ttl parent_ns_ttl = dns::kTtl2Days;
+  /// Value buffers of records an earlier generate_domain() dropped; the
+  /// next call formats new values into them instead of allocating.
+  std::vector<std::string> spare_values;
 };
 
 /// Knobs of one synthetic list population, calibrated per list to Table 5 /
@@ -139,11 +148,13 @@ ListParams root_params();  ///< 1535 responsive TLDs, fixed small size
 std::string list_suffix(const ListParams& params);
 
 /// Generates domain @p index of the list into @p domain (which is reset
-/// first, retaining its buffers), consuming draws from @p rng.  Every crawl
-/// passes the domain's own stream `list_rng.fork(index)`, so the domain is a
-/// pure function of (params, seed, index): that is what lets the bulk
-/// resolution engine generate shards independently and stream populations
-/// it never materializes.
+/// first, retaining its buffers: once they have grown to the list's
+/// largest domain, generation allocates nothing), consuming draws from
+/// @p rng.  Every crawl passes the domain's own stream
+/// `list_rng.fork(index)`, so the domain is a pure function of
+/// (params, seed, index): that is what lets the bulk resolution engine
+/// generate shards independently and stream populations it never
+/// materializes.
 void generate_domain(const ListParams& params, const std::string& suffix,
                      std::size_t index, sim::Rng& rng,
                      GeneratedDomain& domain);

@@ -1,0 +1,153 @@
+#include "crawl/tally.h"
+
+#include <algorithm>
+#include <functional>
+#include <stdexcept>
+
+#include "check/audit.h"
+
+namespace dnsttl::crawl {
+
+namespace {
+
+constexpr const char* kWhat = "crawl::DistinctStrings";
+
+std::uint64_t hash_of(std::string_view value) {
+  return std::hash<std::string_view>{}(value);
+}
+
+}  // namespace
+
+bool DistinctStrings::insert(std::string_view value) {
+  if ((entries_.size() + 1) * 4 > index_.size() * 3) {
+    grow();
+  }
+  const std::uint64_t hash = hash_of(value);
+  const std::size_t slot = probe(hash, value);
+  if (index_[slot] != 0) {
+    return false;
+  }
+  index_[slot] = static_cast<std::uint32_t>(entries_.size() + 1);
+  entries_.push_back(Entry{hash, arena_.size(), value.size()});
+  arena_.append(value);
+  return true;
+}
+
+void DistinctStrings::merge(const DistinctStrings& other) {
+  for (const Entry& entry : other.entries_) {
+    insert(other.bytes(entry));
+  }
+}
+
+std::size_t DistinctStrings::probe(std::uint64_t hash,
+                                   std::string_view value) const {
+  // Capacity is a power of two and load stays at most 3/4, so an empty
+  // slot ends every probe.
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t slot = static_cast<std::size_t>(hash) & mask;;
+       slot = (slot + 1) & mask) {
+    const std::uint32_t number = index_[slot];
+    if (number == 0) {
+      return slot;
+    }
+    const Entry& entry = entries_[number - 1];
+    if (entry.hash == hash && bytes(entry) == value) {
+      return slot;
+    }
+  }
+}
+
+void DistinctStrings::grow() {
+  const std::size_t capacity = std::max<std::size_t>(16, index_.size() * 2);
+  // Entry numbers are 32-bit; at most 3/4 of the slots hold one.
+  if (capacity > (std::size_t{1} << 32)) {
+    throw std::length_error("DistinctStrings: more than 3 * 2^30 members");
+  }
+  index_.assign(capacity, 0);
+  const std::size_t mask = capacity - 1;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    std::size_t slot = static_cast<std::size_t>(entries_[i].hash) & mask;
+    while (index_[slot] != 0) {
+      slot = (slot + 1) & mask;
+    }
+    index_[slot] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+void DistinctStrings::validate() const {
+  const std::size_t capacity = index_.size();
+  DNSTTL_AUDIT_CHECK(kWhat, (capacity & (capacity - 1)) == 0,
+                     "capacity " + std::to_string(capacity) +
+                         " is not a power of two");
+  DNSTTL_AUDIT_CHECK(kWhat, entries_.size() * 4 <= capacity * 3,
+                     std::to_string(entries_.size()) + " members in " +
+                         std::to_string(capacity) + " slots");
+  std::size_t occupied = 0;
+  for (std::size_t slot = 0; slot < capacity; ++slot) {
+    const std::uint32_t number = index_[slot];
+    if (number == 0) {
+      continue;
+    }
+    ++occupied;
+    DNSTTL_AUDIT_CHECK(kWhat, number <= entries_.size(),
+                       "slot " + std::to_string(slot) + " names entry " +
+                           std::to_string(number) + " of " +
+                           std::to_string(entries_.size()));
+  }
+  DNSTTL_AUDIT_CHECK(kWhat, occupied == entries_.size(),
+                     std::to_string(occupied) + " occupied slots for " +
+                         std::to_string(entries_.size()) + " members");
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& entry = entries_[i];
+    DNSTTL_AUDIT_CHECK(kWhat, entry.offset == offset,
+                       "entry " + std::to_string(i) + " starts at byte " +
+                           std::to_string(entry.offset) + ", not " +
+                           std::to_string(offset));
+    offset += entry.length;
+    DNSTTL_AUDIT_CHECK(kWhat, offset <= arena_.size(),
+                       "entry " + std::to_string(i) + " ends past the arena");
+    DNSTTL_AUDIT_CHECK(kWhat, entry.hash == hash_of(bytes(entry)),
+                       "stored hash disagrees for \"" +
+                           std::string(bytes(entry)) + "\"");
+    // Reachable from its home slot, and the first member with its bytes:
+    // a duplicate would be shadowed by the earlier copy on the probe path.
+    DNSTTL_AUDIT_CHECK(kWhat, index_[probe(entry.hash, bytes(entry))] == i + 1,
+                       "\"" + std::string(bytes(entry)) +
+                           "\" is unreachable or a duplicate");
+  }
+  DNSTTL_AUDIT_CHECK(kWhat, offset == arena_.size(),
+                     "arena holds " + std::to_string(arena_.size()) +
+                         " bytes, members " + std::to_string(offset));
+  check::count_audit();
+}
+
+void TtlTally::add_run(std::uint32_t seconds, std::size_t count) {
+  auto it = std::lower_bound(
+      runs_.begin(), runs_.end(), seconds,
+      [](const auto& run, std::uint32_t value) { return run.first < value; });
+  if (it != runs_.end() && it->first == seconds) {
+    it->second += count;
+  } else {
+    runs_.insert(it, {seconds, count});
+  }
+}
+
+void TtlTally::merge(const TtlTally& other) {
+  for (const auto& [seconds, count] : other.runs_) {
+    add_run(seconds, count);
+  }
+}
+
+void TtlTally::write_to(stats::Cdf& cdf) const {
+  std::size_t total = cdf.count();
+  for (const auto& run : runs_) {
+    total += run.second;
+  }
+  cdf.reserve(total);
+  for (const auto& [seconds, count] : runs_) {
+    cdf.add(static_cast<double>(seconds), count);
+  }
+}
+
+}  // namespace dnsttl::crawl

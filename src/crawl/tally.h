@@ -1,0 +1,77 @@
+#ifndef DNSTTL_CRAWL_TALLY_H
+#define DNSTTL_CRAWL_TALLY_H
+
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "dns/types.h"
+#include "stats/cdf.h"
+
+namespace dnsttl::crawl {
+
+/// Insert-only set of distinct strings: the unique-value count behind
+/// Table 5's ratios.  Members' bytes live back to back in one arena and an
+/// open-addressing index (linear probing, load at most 3/4) holds entry
+/// numbers, so a member costs its bytes plus a fixed-size entry instead of
+/// a node and a string.  A hash match falls back to a byte compare, so the
+/// count is exact.
+class DistinctStrings {
+ public:
+  /// Adds @p value; true when it was not yet a member.
+  bool insert(std::string_view value);
+
+  /// Adds every member of @p other.
+  void merge(const DistinctStrings& other);
+
+  std::size_t size() const noexcept { return entries_.size(); }
+
+  /// Audits the arena, the entries and the index against each other and
+  /// throws check::AuditError on the first broken invariant.
+  void validate() const;
+
+ private:
+  struct Entry {
+    std::uint64_t hash = 0;
+    std::size_t offset = 0;  ///< first byte in arena_
+    std::size_t length = 0;
+  };
+
+  std::string_view bytes(const Entry& entry) const {
+    return {arena_.data() + entry.offset, entry.length};
+  }
+  /// Index slot holding @p value's entry, or the empty slot it would take.
+  std::size_t probe(std::uint64_t hash, std::string_view value) const;
+  void grow();
+
+  std::vector<Entry> entries_;        ///< members in insertion order
+  std::vector<std::uint32_t> index_;  ///< entry number + 1; 0 = empty
+  std::string arena_;                 ///< every member's bytes
+};
+
+/// Multiset of TTLs kept as (seconds, count) runs in ascending order.
+/// Crawled TTLs take a few dozen grid values, so tallying a record bumps a
+/// count instead of storing a sample, shard tallies merge run by run, and
+/// the result is written into a stats::Cdf already sorted.
+class TtlTally {
+ public:
+  void add(dns::Ttl ttl) { add_run(ttl.value(), 1); }
+  void merge(const TtlTally& other);
+
+  bool empty() const noexcept { return runs_.empty(); }
+
+  /// Appends every tallied TTL, in seconds, to @p cdf in ascending order.
+  void write_to(stats::Cdf& cdf) const;
+
+ private:
+  void add_run(std::uint32_t seconds, std::size_t count);
+
+  std::vector<std::pair<std::uint32_t, std::size_t>> runs_;
+};
+
+}  // namespace dnsttl::crawl
+
+#endif  // DNSTTL_CRAWL_TALLY_H

@@ -18,9 +18,9 @@ void Cdf::add(double sample) {
   sorted_ = false;
 }
 
-void Cdf::add_all(const std::vector<double>& samples) {
-  samples_.insert(samples_.end(), samples.begin(), samples.end());
-  sorted_ = false;
+void Cdf::add(double sample, std::size_t count) {
+  sorted_ = sorted_ && (samples_.empty() || samples_.back() <= sample);
+  samples_.insert(samples_.end(), count, sample);
 }
 
 void Cdf::ensure_sorted() const {

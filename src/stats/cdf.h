@@ -15,7 +15,10 @@ class Cdf {
   explicit Cdf(std::vector<double> samples);
 
   void add(double sample);
-  void add_all(const std::vector<double>& samples);
+  /// Appends @p count copies of @p sample.  Runs appended in ascending
+  /// order keep the samples sorted, so no query sorts them again.
+  void add(double sample, std::size_t count);
+  void reserve(std::size_t samples) { samples_.reserve(samples); }
 
   std::size_t count() const noexcept { return samples_.size(); }
   bool empty() const noexcept { return samples_.empty(); }

@@ -1,6 +1,6 @@
 // analyze-as: src/crawl/task_state_escape.h
 // Task-state purity: both structs are resumable tasks (phase-tagged, so
-// the bulk engine parks them between scheduler waves) and both stash a
+// a batch scheduler parks them between its waves) and both stash a
 // raw alias into an SoA pool.  The pool compacts whenever a sibling task
 // retires, so the alias dangles across the suspension point — the member
 // must be an index into the pool, re-derived each step.

@@ -104,39 +104,20 @@ TEST(CrawlEngineTest, IdenticalAcrossJobCounts) {
   }
 }
 
-TEST(CrawlEngineTest, IdenticalAcrossAdmissionWindows) {
-  // Scheduling must never leak into results: shrinking the in-flight
-  // window reorders every wave, yet the fold is domain-order pure.
-  sim::Rng rng(77);
-  auto params = majestic_params(3000);
-  const auto list_rng = rng.fork(3);
-
-  EngineOptions wide;
-  auto base = crawl_engine(params, list_rng, wide);
-  EXPECT_LE(base.stats.in_flight_high_water, wide.max_in_flight);
-  EXPECT_GT(base.stats.in_flight_high_water, 0u);
-
-  EngineOptions narrow;
-  narrow.max_in_flight = 7;
-  auto run = crawl_engine(params, list_rng, narrow);
-  EXPECT_LE(run.stats.in_flight_high_water, 7u);
-  expect_identical(run.report, base.report);
-}
-
 TEST(CrawlEngineTest, StreamsWithoutMaterializing) {
-  // The engine's task pool is its only population footprint: resolutions
-  // equal the list size while at most max_in_flight domains exist at once
-  // per shard (high-water proves the window was actually saturated).
+  // Each shard's one recycled domain buffer is the engine's only population
+  // footprint: resolutions equal the list size while no shard ever holds
+  // more than one domain.
   sim::Rng rng(5);
   auto params = umbrella_params(20000);
   EngineOptions options;
   options.shard_count = 4;
-  options.max_in_flight = 256;
   auto run = crawl_engine(params, rng.fork(2), options);
   EXPECT_EQ(run.stats.resolutions, 20000u);
   EXPECT_EQ(run.stats.shards, 4u);
-  EXPECT_EQ(run.stats.in_flight_high_water, 256u);
+  EXPECT_EQ(run.stats.in_flight_high_water, 1u);
   EXPECT_GT(run.stats.queries, run.stats.resolutions);
+  EXPECT_EQ(run.stats.steps, run.stats.queries + run.report.responsive);
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <unordered_set>
+
+#include "check/audit.h"
 #include "crawl/crawler.h"
 #include "crawl/dmap.h"
 #include "crawl/engine.h"
@@ -14,8 +19,11 @@ namespace {
 // harvesting exactly its own record list, in one partial.
 CrawlReport tabulate_all(const std::vector<GeneratedDomain>& population) {
   PartialCrawl partial;
+  std::vector<const HarvestedRecord*> harvest;
   for (const auto& domain : population) {
-    tabulate_domain(domain, domain.records, partial);
+    harvest.clear();
+    for (const auto& record : domain.records) harvest.push_back(&record);
+    tabulate_domain(domain, harvest, partial);
   }
   std::vector<PartialCrawl> partials;
   partials.push_back(std::move(partial));
@@ -70,6 +78,116 @@ TEST(PopulationGeneratorTest, NlHasDnssecMajority) {
   EXPECT_NEAR(static_cast<double>(signed_domains) /
                   static_cast<double>(responsive),
               0.70, 0.03);
+}
+
+TEST(PopulationGeneratorTest, TtlDistNeedsOneWeightPerValue) {
+  // sample() picks values[weighted_index(weights)]: a spare weight would
+  // index past the values.
+  EXPECT_THROW((TtlDist{{60, 300}, {0.5, 0.25, 0.25}}), std::invalid_argument);
+  EXPECT_THROW((TtlDist{{60, 300, 3600}, {1.0}}), std::invalid_argument);
+  const TtlDist dist{{60, 300}, {0.5, 0.5}};
+  sim::Rng rng(1);
+  for (int i = 0; i < 100; ++i) {
+    const dns::Ttl ttl = dist.sample(rng);
+    EXPECT_TRUE(ttl == dns::Ttl{60} || ttl == dns::Ttl{300});
+  }
+}
+
+// Inserts each value into both sets and checks they agree on every answer.
+void insert_both(DistinctStrings& set, std::unordered_set<std::string>& oracle,
+                 const std::string& value) {
+  EXPECT_EQ(set.insert(value), oracle.insert(value).second) << value;
+}
+
+TEST(DistinctStringsTest, MatchesUnorderedSetOnCrawlValues) {
+  for (const auto& params :
+       {alexa_params(4000), umbrella_params(4000), nl_params(4000)}) {
+    DistinctStrings set;
+    std::unordered_set<std::string> oracle;
+    for (const auto& domain : generate_population(params, sim::Rng(3))) {
+      insert_both(set, oracle, domain.name);
+      for (const auto& record : domain.records) {
+        insert_both(set, oracle, record.value);
+      }
+    }
+    EXPECT_EQ(set.size(), oracle.size()) << params.name;
+    EXPECT_GT(set.size(), 4000u);
+    set.validate();
+  }
+}
+
+TEST(DistinctStringsTest, EdgeCases) {
+  DistinctStrings set;
+  std::unordered_set<std::string> oracle;
+  insert_both(set, oracle, "");
+  insert_both(set, oracle, "");
+  // Values that differ only in their last byte, NUL included.
+  for (int last = 0; last < 256; ++last) {
+    insert_both(set, oracle, "ns1.provider7.example" +
+                                 std::string(1, static_cast<char>(last)));
+  }
+  insert_both(set, oracle, "ns1.provider7.example");
+  EXPECT_EQ(set.size(), oracle.size());
+  set.validate();
+}
+
+TEST(DistinctStringsTest, GrowsPastResizeThreshold) {
+  DistinctStrings set;
+  std::unordered_set<std::string> oracle;
+  // Every size from empty through many doublings of the index, revisiting
+  // earlier members after each growth.
+  for (int i = 0; i < 5000; ++i) {
+    insert_both(set, oracle, "d" + std::to_string(i) + ".alexa");
+    if ((i & (i + 1)) == 0) {
+      for (int j = 0; j <= i; j += 7) {
+        insert_both(set, oracle, "d" + std::to_string(j) + ".alexa");
+      }
+      set.validate();
+    }
+  }
+  EXPECT_EQ(set.size(), 5000u);
+  set.validate();
+}
+
+TEST(DistinctStringsTest, MergesOverlappingSets) {
+  DistinctStrings a;
+  DistinctStrings b;
+  std::unordered_set<std::string> oracle_a;
+  std::unordered_set<std::string> oracle_b;
+  for (int i = 0; i < 1000; ++i) {
+    insert_both(a, oracle_a, "v" + std::to_string(i));
+    insert_both(b, oracle_b, "v" + std::to_string(i + 500));
+  }
+  a.merge(b);
+  oracle_a.merge(std::unordered_set<std::string>(oracle_b));
+  EXPECT_EQ(a.size(), oracle_a.size());
+  EXPECT_EQ(a.size(), 1500u);
+  EXPECT_EQ(b.size(), 1000u);
+  for (const auto& value : oracle_a) {
+    EXPECT_FALSE(a.insert(value)) << value;
+  }
+  DistinctStrings empty;
+  a.merge(empty);
+  empty.merge(a);
+  EXPECT_EQ(a.size(), 1500u);
+  EXPECT_EQ(empty.size(), 1500u);
+  a.validate();
+  b.validate();
+  empty.validate();
+}
+
+TEST(DistinctStringsTest, FinalizeAuditsTheFoldedSetsInAuditBuilds) {
+  std::vector<GeneratedDomain> population(1);
+  population[0].records = {{dns::RRType::kNS, dns::Ttl{3600}, "ns1.x.example"},
+                           {dns::RRType::kA, dns::Ttl{300}, "ip-1"}};
+  const std::uint64_t before = check::audit_stats().audits;
+  tabulate_all(population);
+  const std::uint64_t audits = check::audit_stats().audits - before;
+  if (check::kAuditEnabled) {
+    EXPECT_EQ(audits, 2u);  // one per record type tallied
+  } else {
+    EXPECT_EQ(audits, 0u);
+  }
 }
 
 TEST(BailiwickClassificationTest, DetectsInOutMixed) {

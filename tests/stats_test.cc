@@ -49,10 +49,12 @@ TEST(CdfTest, FractionQueries) {
 TEST(CdfTest, AddAfterConstructionResorts) {
   Cdf cdf({5.0});
   cdf.add(1.0);
-  cdf.add_all({9.0, 3.0});
+  cdf.add(9.0, 1);
+  cdf.add(3.0, 2);  // a run below the largest sample
   EXPECT_DOUBLE_EQ(cdf.min(), 1.0);
   EXPECT_DOUBLE_EQ(cdf.max(), 9.0);
-  EXPECT_EQ(cdf.count(), 4u);
+  EXPECT_DOUBLE_EQ(cdf.median(), 3.0);
+  EXPECT_EQ(cdf.count(), 5u);
 }
 
 TEST(CdfTest, CurveIsMonotone) {
