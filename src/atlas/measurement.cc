@@ -71,20 +71,23 @@ class VpSchedule {
     const dns::Name& qname = qnames_[vp];
     const auto id =
         static_cast<std::uint16_t>(1 + first_qid_[vp] + round);
-    auto query = dns::Message::make_query(id, qname, qtype_);
-    query.add_edns();
-    auto outcome = network_.query(probe.ref, resolver, query, entry.at);
+    net::MessageLease query(network_);
+    net::MessageLease reply(network_);
+    query->set_query(id, qname, qtype_);
+    query->add_edns();
+    const auto outcome =
+        network_.exchange(probe.ref, resolver, *query, entry.at, *reply);
 
     Sample sample;
     sample.probe_id = probe.id;
     sample.resolver = resolver;
     sample.sent = entry.at;
     sample.rtt = outcome.elapsed;
-    if (!outcome.response) {
+    if (!outcome.answered) {
       sample.timeout = true;
     } else {
-      sample.rcode = outcome.response->flags.rcode;
-      for (const auto& rr : outcome.response->answers) {
+      sample.rcode = reply->flags.rcode;
+      for (const auto& rr : reply->answers) {
         if (rr.type() == qtype_ && rr.name == qname) {
           sample.has_answer = true;
           sample.ttl = rr.ttl;

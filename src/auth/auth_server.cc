@@ -29,15 +29,17 @@ const dns::Zone* AuthServer::best_zone(const dns::Name& qname) const {
   return best;
 }
 
-std::optional<net::ServerReply> AuthServer::handle_query(
-    const dns::Message& query, net::Address client, sim::Time now) {
+std::optional<sim::Duration> AuthServer::serve(const dns::Message& query,
+                                              net::Address client,
+                                              sim::Time now,
+                                              dns::Message& response) {
   if (!online_) {
     return std::nullopt;
   }
+  response.set_response(query);
   if (query.questions.empty()) {
-    auto response = dns::Message::make_response(query);
     response.flags.rcode = dns::Rcode::kFormErr;
-    return net::ServerReply{std::move(response), processing_delay_};
+    return processing_delay_;
   }
 
   const auto& question = query.question();
@@ -45,20 +47,16 @@ std::optional<net::ServerReply> AuthServer::handle_query(
     log_.record(LogEntry{now, client, question.qname, question.qtype});
   }
   ++answered_;
-
-  auto response = dns::Message::make_response(query);
-  response.flags.rd = query.flags.rd;
   response.flags.ra = false;  // authoritative servers offer no recursion
 
   const dns::Zone* zone = best_zone(question.qname);
   if (zone == nullptr) {
     response.flags.rcode = dns::Rcode::kRefused;
-    return net::ServerReply{std::move(response), processing_delay_};
+    return processing_delay_;
   }
 
-  auto result = zone->lookup(question.qname, question.qtype);
   using Kind = dns::LookupResult::Kind;
-  switch (result.kind) {
+  switch (zone->lookup(question.qname, question.qtype, response)) {
     case Kind::kAnswer:
       response.flags.aa = true;
       break;
@@ -74,11 +72,8 @@ std::optional<net::ServerReply> AuthServer::handle_query(
       break;
     case Kind::kNotInZone:
       response.flags.rcode = dns::Rcode::kRefused;
-      return net::ServerReply{std::move(response), processing_delay_};
+      return processing_delay_;
   }
-  response.answers = std::move(result.answers);
-  response.authorities = std::move(result.authorities);
-  response.additionals = std::move(result.additionals);
 
   if (rotate_answers_ && response.answers.size() > 1) {
     // Rotate the leading same-type run (the answer RRset proper), leaving
@@ -96,7 +91,7 @@ std::optional<net::ServerReply> AuthServer::handle_query(
                   response.answers.begin() + static_cast<long>(run));
     }
   }
-  return net::ServerReply{std::move(response), processing_delay_};
+  return processing_delay_;
 }
 
 }  // namespace dnsttl::auth

@@ -67,9 +67,9 @@ class AuthServer : public net::DnsNode {
 
   std::uint64_t queries_answered() const noexcept { return answered_; }
 
-  std::optional<net::ServerReply> handle_query(const dns::Message& query,
-                                               net::Address client,
-                                               sim::Time now) override;
+  std::optional<sim::Duration> serve(const dns::Message& query,
+                                     net::Address client, sim::Time now,
+                                     dns::Message& reply) override;
 
  private:
   /// The attached zone whose origin is the deepest ancestor of @p qname.

@@ -33,8 +33,10 @@ constexpr dns::Ttl kChildATtl = dns::kTtl1Hour;
 /// at historical scales are byte-identical.
 class DemandPool {
  public:
-  DemandPool(sim::Simulation& simulation, sim::Rng gap_rng, sim::Time end)
+  DemandPool(sim::Simulation& simulation, net::Network& network,
+             sim::Rng gap_rng, sim::Time end)
       : simulation_(simulation),
+        network_(network),
         wheel_(simulation.now()),
         gap_rng_(gap_rng),
         end_(end) {}
@@ -61,15 +63,17 @@ class DemandPool {
   }
 
   /// Sends one resolver's next client query and draws its next arrival.
+  /// The reply is discarded: the study reads the authoritative logs.
   void fire(const sim::TimerWheel::Entry& entry) {
     const auto index = static_cast<std::size_t>(entry.payload);
     DNSTTL_AUDIT_CHECK("crawl::DemandPool", index < size(),
                        "fired entry references an orphaned resolver index");
-    dns::Name qname = dns::Name::from_string(
-        "u" + std::to_string(counters_[index]++) + "-r" +
-        std::to_string(index) + ".nl");
-    resolvers_[index]->resolve(
-        dns::Question{qname, dns::RRType::kA, dns::RClass::kIN}, entry.at);
+    const dns::Question question{
+        dns::Name::from_string("u" + std::to_string(counters_[index]++) +
+                               "-r" + std::to_string(index) + ".nl"),
+        dns::RRType::kA, dns::RClass::kIN};
+    net::MessageLease reply(network_);
+    resolvers_[index]->resolve(question, entry.at, *reply);
     ++client_queries_;
     schedule_next(index, entry.at);
   }
@@ -104,6 +108,7 @@ class DemandPool {
   }
 
   sim::Simulation& simulation_;
+  net::Network& network_;
   sim::TimerWheel wheel_;
   sim::Rng gap_rng_;
   sim::Time end_;
@@ -171,7 +176,8 @@ PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config) {
   // held in a SoA pool driven by the cohort timer wheel: one pending
   // arrival per resolver, no heap node or closure per event.
   auto& simulation = world.simulation();
-  DemandPool pool(simulation, rng.fork(0xdeaadd), sim::at(config.duration));
+  DemandPool pool(simulation, world.network(), rng.fork(0xdeaadd),
+                  sim::at(config.duration));
   for (auto& member : population.members()) {
     double per_day =
         std::min(config.demand_cap_per_day,

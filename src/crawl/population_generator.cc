@@ -105,7 +105,6 @@ ListParams umbrella_params(std::size_t domains) {
   params.soa_answer = 0.075;
   params.out_only = 0.901;
   params.in_only = 0.074;
-  params.providers = 1200;
   params.a_presence = 0.95;
   params.aaaa_presence = 0.30;
   params.mx_presence = 0.35;

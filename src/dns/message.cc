@@ -9,13 +9,28 @@ std::string Question::to_string() const {
          std::string(dns::to_string(qtype));
 }
 
-Message Message::make_query(std::uint16_t id, Name qname, RRType qtype,
-                            bool recursion_desired) {
+Message Message::make_query(std::uint16_t id, const Name& qname,
+                            RRType qtype, bool recursion_desired) {
   Message m;
-  m.id = id;
-  m.flags.rd = recursion_desired;
-  m.questions.push_back(Question{std::move(qname), qtype, RClass::kIN});
+  m.set_query(id, qname, qtype, recursion_desired);
   return m;
+}
+
+void Message::set_query(std::uint16_t query_id, const Name& qname,
+                        RRType qtype, bool recursion_desired) {
+  clear();
+  id = query_id;
+  flags.rd = recursion_desired;
+  questions.push_back(Question{qname, qtype, RClass::kIN});
+}
+
+void Message::clear() noexcept {
+  id = 0;
+  flags = HeaderFlags{};
+  questions.clear();
+  answers.clear();
+  authorities.clear();
+  additionals.clear();
 }
 
 void Message::add_edns(std::uint16_t udp_payload_size) {
@@ -37,12 +52,17 @@ std::optional<std::uint16_t> Message::edns_udp_size() const {
 
 Message Message::make_response(const Message& query) {
   Message m;
-  m.id = query.id;
-  m.flags.qr = true;
-  m.flags.opcode = query.flags.opcode;
-  m.flags.rd = query.flags.rd;
-  m.questions = query.questions;
+  m.set_response(query);
   return m;
+}
+
+void Message::set_response(const Message& query) {
+  clear();
+  id = query.id;
+  flags.qr = true;
+  flags.opcode = query.flags.opcode;
+  flags.rd = query.flags.rd;
+  questions = query.questions;
 }
 
 const std::vector<ResourceRecord>& Message::section(Section s) const {

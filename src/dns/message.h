@@ -49,8 +49,17 @@ struct Message {
   std::vector<ResourceRecord> additionals;
 
   /// Builds a standard recursive query for (qname, qtype).
-  static Message make_query(std::uint16_t id, Name qname, RRType qtype,
+  static Message make_query(std::uint16_t id, const Name& qname, RRType qtype,
                             bool recursion_desired = true);
+
+  /// Rewrites this message in place into make_query(query_id, qname,
+  /// qtype, recursion_desired), keeping the capacity of its sections.
+  void set_query(std::uint16_t query_id, const Name& qname, RRType qtype,
+                 bool recursion_desired = true);
+
+  /// Back to a default-constructed message (id 0, default flags, no
+  /// question or records), keeping the capacity of its sections.
+  void clear() noexcept;
 
   /// Adds an EDNS0 OPT pseudo-record advertising @p udp_payload_size
   /// (RFC 6891).  Without one, a server must assume the 512-byte RFC 1035
@@ -62,6 +71,10 @@ struct Message {
 
   /// Starts a response to @p query: copies id and question, sets QR.
   static Message make_response(const Message& query);
+
+  /// Rewrites this message in place into make_response(@p query), keeping
+  /// the capacity of its sections.  @p query must be another message.
+  void set_response(const Message& query);
 
   const Question& question() const { return questions.at(0); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 
@@ -36,51 +37,125 @@ std::string_view label_at(std::string_view data, std::size_t offset) {
   return data.substr(offset + 1, static_cast<unsigned char>(data[offset]));
 }
 
+/// Builds a name's flat buffer and hash on the stack, label by label, so
+/// the Name made from it takes its storage in one step.  Every label is
+/// checked even once the buffer is full, so a bad label is reported ahead
+/// of the overall length, wherever it sits.
+class LabelWriter {
+ public:
+  /// Validates, lowercases and appends one label, updating the hash.
+  void append(std::string_view label) {
+    if (label.empty()) {
+      throw std::invalid_argument("DNS label must not be empty");
+    }
+    if (label.size() > kMaxLabelLen) {
+      throw std::invalid_argument("DNS label exceeds 63 octets: " +
+                                  std::string(label));
+    }
+    if (label.find('.') != std::string_view::npos) {
+      throw std::invalid_argument("DNS label must not contain '.'");
+    }
+    const bool fits = size_ + 1 + label.size() <= buffer_.size();
+    if (fits) {
+      buffer_[size_] = static_cast<char>(label.size());
+    }
+    for (std::size_t i = 0; i < label.size(); ++i) {
+      const char lowered = static_cast<char>(
+          std::tolower(static_cast<unsigned char>(label[i])));
+      if (fits) {
+        buffer_[size_ + 1 + i] = lowered;
+      }
+      hash_ ^= static_cast<unsigned char>(lowered);
+      hash_ *= kFnvPrime;
+    }
+    hash_ ^= 0xffULL;
+    hash_ *= kFnvPrime;
+    size_ += 1 + label.size();
+    ++count_;
+  }
+
+  /// The labels written, as a view a Name copies; throws
+  /// std::invalid_argument past the 255-octet wire limit.
+  NameView finish() const {
+    if (size_ + 1 > kMaxWireLen) {
+      throw std::invalid_argument("DNS name exceeds 255 octets");
+    }
+    return NameView(std::string_view(buffer_.data(), size_), hash_, count_);
+  }
+
+ private:
+  static constexpr std::uint64_t kHashBasis = 0xcbf29ce484222325ULL;
+
+  std::array<char, kMaxWireLen - 1> buffer_;
+  std::size_t size_ = 0;
+  std::size_t count_ = 0;
+  std::uint64_t hash_ = kHashBasis;
+};
+
 }  // namespace
 
-void Name::append_label(std::string_view label) {
-  if (label.empty()) {
-    throw std::invalid_argument("DNS label must not be empty");
+Name::Name(const Name& other)
+    : hash_(other.hash_), size_(other.size_), label_count_(other.label_count_) {
+  if (on_heap()) {
+    store(other.data());
+  } else {
+    // A fixed-size copy compiles to a few moves; most names take this path.
+    std::memcpy(inline_, other.inline_, kInlineCapacity);
   }
-  if (label.size() > kMaxLabelLen) {
-    throw std::invalid_argument("DNS label exceeds 63 octets: " +
-                                std::string(label));
-  }
-  if (label.find('.') != std::string_view::npos) {
-    throw std::invalid_argument("DNS label must not contain '.'");
-  }
-  data_.push_back(static_cast<char>(label.size()));
-  for (char c : label) {
-    char lowered =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    data_.push_back(lowered);
-    hash_ ^= static_cast<unsigned char>(lowered);
-    hash_ *= kFnvPrime;
-  }
-  hash_ ^= 0xffULL;
-  hash_ *= kFnvPrime;
-  ++label_count_;
 }
 
-void Name::check_total_length() const {
-  if (wire_length() > kMaxWireLen) {
-    throw std::invalid_argument("DNS name exceeds 255 octets");
+Name::Name(Name&& other) noexcept { steal(other); }
+
+Name& Name::operator=(const Name& other) {
+  if (this != &other) {
+    Name copy(other);
+    release();
+    steal(copy);
+  }
+  return *this;
+}
+
+Name& Name::operator=(Name&& other) noexcept {
+  if (this != &other) {
+    release();
+    steal(other);
+  }
+  return *this;
+}
+
+void Name::steal(Name& other) noexcept {
+  // The inline bytes are either the labels or the heap block's address;
+  // copying them moves either one.
+  std::memcpy(inline_, other.inline_, kInlineCapacity);
+  hash_ = other.hash_;
+  size_ = other.size_;
+  label_count_ = other.label_count_;
+  other.hash_ = kHashBasis;
+  other.size_ = 0;
+  other.label_count_ = 0;
+}
+
+void Name::store(std::string_view labels) {
+  char* block = inline_;
+  if (on_heap()) {
+    block = std::allocator<char>().allocate(size_);
+    std::memcpy(inline_, &block, sizeof block);
+  }
+  std::memcpy(block, labels.data(), size_);
+}
+
+void Name::release() noexcept {
+  if (on_heap()) {
+    std::allocator<char>().deallocate(heap_block(), size_);
   }
 }
 
 Name::Name(const std::vector<std::string>& labels) {
-  std::size_t total = 0;
+  LabelWriter writer;
   for (const auto& label : labels) {
-    total += 1 + label.size();
+    writer.append(label);
   }
-  data_.reserve(total);
-  for (const auto& label : labels) {
-    append_label(label);
-  }
-  check_total_length();
-  if constexpr (check::kAuditEnabled) {
-    validate();
-  }
+  *this = Name(writer.finish());
 }
 
 Name Name::from_string(std::string_view text) {
@@ -93,23 +168,18 @@ Name Name::from_string(std::string_view text) {
   if (text.back() == '.') {
     text.remove_suffix(1);
   }
-  Name name;
-  name.data_.reserve(text.size() + 1);
+  LabelWriter writer;
   std::size_t start = 0;
   while (start <= text.size()) {
     std::size_t dot = text.find('.', start);
     if (dot == std::string_view::npos) {
-      name.append_label(text.substr(start));
+      writer.append(text.substr(start));
       break;
     }
-    name.append_label(text.substr(start, dot - start));
+    writer.append(text.substr(start, dot - start));
     start = dot + 1;
   }
-  name.check_total_length();
-  if constexpr (check::kAuditEnabled) {
-    name.validate();
-  }
-  return name;
+  return Name(writer.finish());
 }
 
 std::uint64_t Name::hash_labels(std::string_view labels) noexcept {
@@ -129,9 +199,10 @@ std::uint64_t Name::hash_labels(std::string_view labels) noexcept {
 }
 
 Name::Name(NameView view)
-    : data_(view.labels()),
-      hash_(view.hash()),
+    : hash_(view.hash()),
+      size_(static_cast<std::uint8_t>(view.labels().size())),
       label_count_(static_cast<std::uint8_t>(view.label_count())) {
+  store(view.labels());
   if constexpr (check::kAuditEnabled) {
     validate();
   }
@@ -139,22 +210,23 @@ Name::Name(NameView view)
 
 void Name::validate() const {
   constexpr const char* kWhat = "dns::Name";
+  const std::string_view flat = data();
   DNSTTL_AUDIT_CHECK(kWhat, wire_length() <= kMaxWireLen,
                      "wire length " + std::to_string(wire_length()) +
                          " exceeds 255 octets");
   std::uint64_t h = kHashBasis;
   std::size_t count = 0;
   std::size_t pos = 0;
-  while (pos < data_.size()) {
-    const std::size_t len = static_cast<unsigned char>(data_[pos]);
+  while (pos < flat.size()) {
+    const std::size_t len = static_cast<unsigned char>(flat[pos]);
     DNSTTL_AUDIT_CHECK(kWhat, len >= 1 && len <= kMaxLabelLen,
                        "label length octet " + std::to_string(len) +
                            " out of range at offset " + std::to_string(pos));
-    DNSTTL_AUDIT_CHECK(kWhat, pos + 1 + len <= data_.size(),
+    DNSTTL_AUDIT_CHECK(kWhat, pos + 1 + len <= flat.size(),
                        "label overruns the flat buffer at offset " +
                            std::to_string(pos));
     for (std::size_t i = 0; i < len; ++i) {
-      const unsigned char c = static_cast<unsigned char>(data_[pos + 1 + i]);
+      const unsigned char c = static_cast<unsigned char>(flat[pos + 1 + i]);
       DNSTTL_AUDIT_CHECK(kWhat, c != '.',
                          "'.' inside a label at offset " +
                              std::to_string(pos + 1 + i));
@@ -180,14 +252,15 @@ void Name::validate() const {
 }
 
 std::string Name::to_string() const {
-  if (data_.empty()) {
+  const std::string_view flat = data();
+  if (flat.empty()) {
     return ".";
   }
   std::string out;
-  out.reserve(data_.size());
+  out.reserve(flat.size());
   std::size_t pos = 0;
-  while (pos < data_.size()) {
-    std::string_view label = label_at(data_, pos);
+  while (pos < flat.size()) {
+    std::string_view label = label_at(flat, pos);
     out.append(label);
     out.push_back('.');
     pos += 1 + label.size();
@@ -196,11 +269,12 @@ std::string Name::to_string() const {
 }
 
 std::vector<std::string> Name::labels() const {
+  const std::string_view flat = data();
   std::vector<std::string> out;
   out.reserve(label_count_);
   std::size_t pos = 0;
-  while (pos < data_.size()) {
-    std::string_view label = label_at(data_, pos);
+  while (pos < flat.size()) {
+    std::string_view label = label_at(flat, pos);
     out.emplace_back(label);
     pos += 1 + label.size();
   }
@@ -211,24 +285,26 @@ std::string_view Name::label(std::size_t i) const {
   if (i >= label_count_) {
     throw std::out_of_range("Name::label index out of range");
   }
+  const std::string_view flat = data();
   std::size_t pos = 0;
   for (std::size_t k = 0; k < i; ++k) {
-    pos += 1 + static_cast<unsigned char>(data_[pos]);
+    pos += 1 + static_cast<unsigned char>(flat[pos]);
   }
-  return label_at(data_, pos);
+  return label_at(flat, pos);
 }
 
 Name Name::parent() const {
-  if (data_.empty()) {
+  if (is_root()) {
     return Name{};
   }
   return suffix(label_count_ - 1u);
 }
 
 std::size_t Name::tail_offset(std::size_t count) const noexcept {
+  const std::string_view flat = data();
   std::size_t pos = 0;
   for (std::size_t skip = label_count_ - count; skip > 0; --skip) {
-    pos += 1 + static_cast<unsigned char>(data_[pos]);
+    pos += 1 + static_cast<unsigned char>(flat[pos]);
   }
   return pos;
 }
@@ -237,36 +313,20 @@ NameView Name::suffix_view(std::size_t count) const noexcept {
   if (count >= label_count_) {
     return view();
   }
-  const std::string_view tail =
-      std::string_view(data_).substr(tail_offset(count));
+  const std::string_view tail = data().substr(tail_offset(count));
   return NameView(tail, hash_labels(tail), count);
 }
 
 Name Name::prepend(std::string_view label) const {
-  Name name;
-  name.data_.reserve(1 + label.size() + data_.size());
-  name.append_label(label);
-  // Splice the existing flat buffer behind the new label and fold the
-  // remaining labels into the running hash.
-  std::size_t pos = 0;
-  while (pos < data_.size()) {
-    std::string_view tail_label = label_at(data_, pos);
-    name.data_.push_back(static_cast<char>(tail_label.size()));
-    name.data_.append(tail_label);
-    for (char c : tail_label) {
-      name.hash_ ^= static_cast<unsigned char>(c);
-      name.hash_ *= kFnvPrime;
-    }
-    name.hash_ ^= 0xffULL;
-    name.hash_ *= kFnvPrime;
-    ++name.label_count_;
+  LabelWriter writer;
+  writer.append(label);
+  const std::string_view flat = data();
+  for (std::size_t pos = 0; pos < flat.size();) {
+    const std::string_view tail_label = label_at(flat, pos);
+    writer.append(tail_label);
     pos += 1 + tail_label.size();
   }
-  name.check_total_length();
-  if constexpr (check::kAuditEnabled) {
-    name.validate();
-  }
-  return name;
+  return Name(writer.finish());
 }
 
 bool Name::is_subdomain_of(const Name& ancestor) const noexcept {
@@ -276,8 +336,7 @@ bool Name::is_subdomain_of(const Name& ancestor) const noexcept {
   // The trailing labels of the flat buffer are exactly the ancestor's whole
   // buffer when the relation holds; walking the length prefixes keeps the
   // comparison aligned on label boundaries.
-  return std::string_view(data_).substr(tail_offset(ancestor.label_count_)) ==
-         ancestor.data_;
+  return data().substr(tail_offset(ancestor.label_count_)) == ancestor.data();
 }
 
 bool Name::is_strict_subdomain_of(const Name& ancestor) const noexcept {
@@ -287,13 +346,15 @@ bool Name::is_strict_subdomain_of(const Name& ancestor) const noexcept {
 std::size_t Name::common_suffix_labels(const Name& other) const noexcept {
   LabelOffsets mine;
   LabelOffsets theirs;
-  std::size_t my_count = collect_offsets(data_, mine);
-  std::size_t their_count = collect_offsets(other.data_, theirs);
+  const std::string_view flat = data();
+  const std::string_view other_flat = other.data();
+  std::size_t my_count = collect_offsets(flat, mine);
+  std::size_t their_count = collect_offsets(other_flat, theirs);
   std::size_t n = std::min(my_count, their_count);
   std::size_t shared = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (label_at(data_, mine[my_count - 1 - i]) !=
-        label_at(other.data_, theirs[their_count - 1 - i])) {
+    if (label_at(flat, mine[my_count - 1 - i]) !=
+        label_at(other_flat, theirs[their_count - 1 - i])) {
       break;
     }
     ++shared;
@@ -304,12 +365,14 @@ std::size_t Name::common_suffix_labels(const Name& other) const noexcept {
 std::strong_ordering Name::operator<=>(const Name& other) const noexcept {
   LabelOffsets mine;
   LabelOffsets theirs;
-  std::size_t my_count = collect_offsets(data_, mine);
-  std::size_t their_count = collect_offsets(other.data_, theirs);
+  const std::string_view flat = data();
+  const std::string_view other_flat = other.data();
+  std::size_t my_count = collect_offsets(flat, mine);
+  std::size_t their_count = collect_offsets(other_flat, theirs);
   std::size_t n = std::min(my_count, their_count);
   for (std::size_t i = 0; i < n; ++i) {
-    std::string_view a = label_at(data_, mine[my_count - 1 - i]);
-    std::string_view b = label_at(other.data_, theirs[their_count - 1 - i]);
+    std::string_view a = label_at(flat, mine[my_count - 1 - i]);
+    std::string_view b = label_at(other_flat, theirs[their_count - 1 - i]);
     if (auto cmp = a.compare(b); cmp != 0) {
       return cmp < 0 ? std::strong_ordering::less
                      : std::strong_ordering::greater;

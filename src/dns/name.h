@@ -4,6 +4,7 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <iosfwd>
 #include <string>
@@ -16,7 +17,8 @@ namespace dnsttl::dns {
 /// length-prefixed buffer, plus the hash a Name of exactly those labels
 /// carries.  Lets hash indexes and the wire encoder probe every ancestor of
 /// a name without allocating one.  Valid while the Name it came from lives
-/// unchanged.
+/// unchanged and unmoved: a short Name keeps its labels inside the object,
+/// so moving it moves the bytes a view points at.
 class NameView {
  public:
   NameView(std::string_view labels, std::uint64_t hash,
@@ -43,19 +45,30 @@ class NameView {
 ///
 /// Storage is a single contiguous length-prefixed buffer — for each label a
 /// length octet followed by the label bytes, i.e. the uncompressed wire form
-/// minus the terminating root octet.  Short names therefore live entirely in
-/// the std::string small-buffer and a Name costs at most one allocation,
-/// where the previous vector<string> layout paid one per label.  A 64-bit
-/// FNV-1a hash over the labels is computed once at construction and reused
-/// by the cache index, forwarder sharding and std::hash.
+/// minus the terminating root octet.  Up to kInlineCapacity (37) octets of
+/// it live inside the object; a longer name holds one exact-size heap block
+/// instead, so copying a name of at most 37 octets allocates nothing.  A
+/// 64-bit FNV-1a hash over the labels is computed once at construction and
+/// reused by the cache index, forwarder sharding and std::hash.  A moved-from
+/// Name is the root name.
 ///
 /// Invariants (RFC 1035 §3.1): every label is 1..63 octets; the wire-format
 /// length of the whole name (labels + length octets + terminating zero) is
 /// at most 255 octets.  Construction enforces both.
 class Name {
  public:
+  /// Label octets a Name holds in place (wire length 38); longer names
+  /// take one heap block.
+  static constexpr std::size_t kInlineCapacity = 37;
+
   /// The root name ".".
   Name() = default;
+
+  Name(const Name& other);
+  Name(Name&& other) noexcept;
+  Name& operator=(const Name& other);
+  Name& operator=(Name&& other) noexcept;
+  ~Name() { release(); }
 
   /// Builds a name from explicit labels, most specific first.
   /// Throws std::invalid_argument on label/name length violations.
@@ -71,7 +84,7 @@ class Name {
   /// Presentation format with trailing dot ("www.example.org.", root = ".").
   std::string to_string() const;
 
-  bool is_root() const noexcept { return data_.empty(); }
+  bool is_root() const noexcept { return size_ == 0; }
   std::size_t label_count() const noexcept { return label_count_; }
 
   /// The labels, most specific first, materialized into owned strings.
@@ -92,7 +105,7 @@ class Name {
 
   /// The whole name as a view (its cached hash, no copy).
   NameView view() const noexcept {
-    return NameView(data_, hash_, label_count_);
+    return NameView(data(), hash_, label_count_);
   }
 
   /// The trailing @p count labels as a view (count >= label_count() is the
@@ -120,7 +133,7 @@ class Name {
   std::size_t common_suffix_labels(const Name& other) const noexcept;
 
   /// Wire-format length in octets (length bytes + labels + root byte).
-  std::size_t wire_length() const noexcept { return data_.size() + 1; }
+  std::size_t wire_length() const noexcept { return size_ + 1u; }
 
   /// The cached 64-bit hash (FNV-1a over labels with a separator, matching
   /// what std::hash<Name> always produced for this library).
@@ -138,31 +151,49 @@ class Name {
   /// rightmost (least specific) label.
   std::strong_ordering operator<=>(const Name& other) const noexcept;
   bool operator==(const Name& other) const noexcept {
-    return hash_ == other.hash_ && data_ == other.data_;
+    return hash_ == other.hash_ && data() == other.data();
   }
   bool operator==(const NameView& other) const noexcept {
-    return hash_ == other.hash() && data_ == other.labels();
+    return hash_ == other.hash() && data() == other.labels();
   }
 
  private:
-  friend class NameBuilder;
-
-  /// Validates, lowercases and appends one label, updating the hash.
-  void append_label(std::string_view label);
-  /// Enforces the 255-octet wire limit after all labels are appended.
-  void check_total_length() const;
   /// FNV-1a over a flat buffer slice, the hash a Name of it carries.
   static std::uint64_t hash_labels(std::string_view labels) noexcept;
   /// Byte offset where the trailing @p count labels start
   /// (count <= label_count()).
   std::size_t tail_offset(std::size_t count) const noexcept;
 
+  bool on_heap() const noexcept { return size_ > kInlineCapacity; }
+  /// The heap block's address, stored in the first bytes of inline_.
+  char* heap_block() const noexcept {
+    char* block = nullptr;
+    std::memcpy(&block, inline_, sizeof block);
+    return block;
+  }
+  /// The length-prefixed lowercased labels, no root octet.
+  std::string_view data() const noexcept {
+    return {on_heap() ? heap_block() : inline_, size_};
+  }
+  /// Copies @p labels (size_ octets) into place, or into a new heap block
+  /// when they do not fit.
+  void store(std::string_view labels);
+  /// Takes over @p other's labels, hash and storage; leaves it the root.
+  void steal(Name& other) noexcept;
+  /// Frees the heap block, if any (the fields are left for the caller).
+  void release() noexcept;
+
   static constexpr std::uint64_t kHashBasis = 0xcbf29ce484222325ULL;
 
-  std::string data_;  ///< length-prefixed lowercased labels, no root octet
   std::uint64_t hash_ = kHashBasis;
+  /// The labels when they fit; otherwise the address of the heap block
+  /// holding them.
+  char inline_[kInlineCapacity] = {};
+  std::uint8_t size_ = 0;  ///< octets of labels (at most 254)
   std::uint8_t label_count_ = 0;
 };
+
+static_assert(sizeof(Name) == 48, "a Name is one hash word and 40 octets");
 
 std::ostream& operator<<(std::ostream& os, const Name& name);
 

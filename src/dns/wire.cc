@@ -14,9 +14,12 @@ constexpr std::uint16_t kPointerMask = 0xc000;
 constexpr std::size_t kMaxPointerTarget = 0x3fff;
 constexpr std::size_t kMaxRdataLength = 0xffff;
 
-/// Encoder sink that keeps the bytes (encode()).
+/// Encoder sink that keeps the bytes (encode()).  A sink's kCompresses
+/// says whether the writer compresses names into it.
 class ByteSink {
  public:
+  static constexpr bool kCompresses = true;
+
   void put(std::uint8_t byte) { bytes_.push_back(byte); }
   void put(std::string_view data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
@@ -35,6 +38,8 @@ class ByteSink {
 /// Encoder sink that only counts the bytes (encoded_size()).
 class CountingSink {
  public:
+  static constexpr bool kCompresses = true;
+
   void put(std::uint8_t) { ++size_; }
   void put(std::string_view data) { size_ += data.size(); }
   void patch_u16(std::size_t, std::uint16_t) {}
@@ -42,6 +47,13 @@ class CountingSink {
 
  private:
   std::size_t size_ = 0;
+};
+
+/// Counts the bytes of the message written with every name in full
+/// (uncompressed_size()).
+class UncompressedCountingSink : public CountingSink {
+ public:
+  static constexpr bool kCompresses = false;
 };
 
 /// Name suffixes already written and their offsets: the RFC 1035 §4.1.4
@@ -109,8 +121,13 @@ class Writer {
   }
 
   /// Writes @p name, ending in a compression pointer at the longest suffix
-  /// already written, and remembers each suffix it writes out in full.
+  /// already written, and remembers each suffix it writes out in full (in
+  /// full only, into a sink that does not compress).
   void name(const Name& name) {
+    if constexpr (!Sink::kCompresses) {
+      name_uncompressed(name);
+      return;
+    }
     std::string_view labels = name.view().labels();
     while (!labels.empty()) {
       if (auto target = targets_.find(labels)) {
@@ -524,6 +541,12 @@ std::vector<std::uint8_t> encode(const Message& message) {
 
 std::size_t encoded_size(const Message& message) {
   Writer<CountingSink> w;
+  encode_message(w, message);
+  return w.size();
+}
+
+std::size_t uncompressed_size(const Message& message) {
+  Writer<UncompressedCountingSink> w;
   encode_message(w, message);
   return w.size();
 }

@@ -58,6 +58,13 @@ Message decode(std::span<const std::uint8_t> wire);
 /// to 64 distinct name suffixes, no allocation.  Throws as encode() does.
 std::size_t encoded_size(const Message& message);
 
+/// The size encode() would reach without name compression: header plus,
+/// per question and record, the owner's full wire length and its fixed
+/// fields and RDATA.  A compression pointer never makes a name longer, so
+/// this bounds encoded_size() from above at a fraction of its cost.
+/// Throws as encode() does.
+std::size_t uncompressed_size(const Message& message);
+
 }  // namespace dnsttl::dns
 
 #endif  // DNSTTL_DNS_WIRE_H

@@ -155,10 +155,6 @@ bool Zone::renumber_a(const Name& name, Ipv4 address) {
   return renumber(name, ARdata{address});
 }
 
-bool Zone::renumber_aaaa(const Name& name, Ipv6 address) {
-  return renumber(name, AaaaRdata{address});
-}
-
 const RRset* Zone::find_rrset(const Name& name, RRType type) const {
   const Node* node = find_node(name);
   return node == nullptr ? nullptr : rrset_of(node->rrsets, type);
@@ -210,7 +206,7 @@ bool Zone::is_delegated(const Name& name) const {
   return name.is_subdomain_of(origin_) && find_zone_cut(name) != nullptr;
 }
 
-void Zone::attach_glue(const std::vector<ResourceRecord>& ns_records,
+void Zone::attach_glue(std::span<const ResourceRecord> ns_records,
                        std::vector<ResourceRecord>& additionals) const {
   for (const auto& rr : ns_records) {
     if (rr.type() != RRType::kNS) {
@@ -234,86 +230,98 @@ void Zone::append_soa_to(std::vector<ResourceRecord>& authorities) const {
   }
 }
 
-LookupResult Zone::lookup_internal(const Name& qname, RRType qtype,
-                                   int cname_depth) const {
-  LookupResult result;
+LookupResult Zone::lookup(const Name& qname, RRType qtype) const {
+  Message sections;
+  const LookupResult::Kind kind = lookup(qname, qtype, sections);
+  return LookupResult{kind,
+                      kind != LookupResult::Kind::kDelegation &&
+                          kind != LookupResult::Kind::kNotInZone,
+                      std::move(sections.answers),
+                      std::move(sections.authorities),
+                      std::move(sections.additionals)};
+}
+
+LookupResult::Kind Zone::lookup_internal(const Name& qname, RRType qtype,
+                                         int cname_depth,
+                                         Message& reply) const {
+  using Kind = LookupResult::Kind;
   if (!qname.is_subdomain_of(origin_)) {
-    result.kind = LookupResult::Kind::kNotInZone;
-    return result;
+    return Kind::kNotInZone;
   }
+  // A chased CNAME target contributes its answers only.
+  const bool chase = cname_depth > 0;
+  std::vector<ResourceRecord>& answers = reply.answers;
 
   // Delegation check: a zone cut strictly above or at qname ends our
   // authority (RFC 1034 §4.3.2 step 3b).
   const Node* node = nullptr;
   if (const RRset* cut = find_zone_cut(qname, &node)) {
-    result.kind = LookupResult::Kind::kDelegation;
-    result.authoritative = false;
-    append_records(*cut, result.authorities);
-    attach_glue(result.authorities, result.additionals);
-    return result;
+    if (!chase) {
+      const std::size_t first = reply.authorities.size();
+      append_records(*cut, reply.authorities);
+      attach_glue(std::span(reply.authorities).subspan(first),
+                  reply.additionals);
+    }
+    return Kind::kDelegation;
   }
 
   // No entry: nothing exists at or below qname.  An entry without RRsets
   // is an empty non-terminal: the name exists (RFC 8020), with no data.
   if (node == nullptr || node->rrsets.empty()) {
-    result.kind = node == nullptr ? LookupResult::Kind::kNxDomain
-                                  : LookupResult::Kind::kNoData;
-    result.authoritative = true;
-    append_soa_to(result.authorities);
-    return result;
+    if (!chase) {
+      append_soa_to(reply.authorities);
+    }
+    return node == nullptr ? Kind::kNxDomain : Kind::kNoData;
   }
 
   // CNAME takes over unless the query asked for CNAME/ANY (RFC 1034
   // §4.3.2 step 3a).
   if (qtype != RRType::kCNAME && qtype != RRType::kANY) {
     if (const RRset* cname = rrset_of(node->rrsets, RRType::kCNAME)) {
-      result.kind = LookupResult::Kind::kAnswer;
-      result.authoritative = true;
-      append_records(*cname, result.answers);
+      append_records(*cname, answers);
       // Chase the chain inside this zone where possible; bounded depth
       // guards against CNAME loops (RFC 1034 warns of them).
       const auto& target =
           std::get<CnameRdata>(cname->rdatas().front()).target;
       if (cname_depth < 8 && target.is_subdomain_of(origin_) &&
           target != qname) {
-        auto chased = lookup_internal(target, qtype, cname_depth + 1);
-        result.answers.insert(result.answers.end(), chased.answers.begin(),
-                              chased.answers.end());
+        lookup_internal(target, qtype, cname_depth + 1, reply);
       }
-      return result;
+      return Kind::kAnswer;
     }
   }
 
   if (qtype == RRType::kANY) {
-    result.kind = LookupResult::Kind::kAnswer;
-    result.authoritative = true;
     for (const auto& rrset : node->rrsets) {
-      append_records(rrset, result.answers);
+      append_records(rrset, answers);
     }
-    return result;
+    return Kind::kAnswer;
   }
 
   if (const RRset* rrset = rrset_of(node->rrsets, qtype)) {
-    result.kind = LookupResult::Kind::kAnswer;
-    result.authoritative = true;
-    append_records(*rrset, result.answers);
+    const std::size_t first = answers.size();
+    append_records(*rrset, answers);
     // Covering RRSIGs ride along with signed answers (DNSSEC-lite).
     if (qtype != RRType::kRRSIG) {
       if (const RRset* sigs = rrset_of(node->rrsets, RRType::kRRSIG)) {
         for (const auto& rdata : sigs->rdatas()) {
           if (std::get<RrsigRdata>(rdata).type_covered == qtype) {
-            result.answers.push_back(
+            answers.push_back(
                 ResourceRecord{qname, sigs->rclass(), sigs->ttl(), rdata});
           }
         }
       }
     }
+    if (chase) {
+      return Kind::kAnswer;
+    }
     // Helpful additionals, as real servers send them: addresses for NS/MX
     // targets inside the zone (the paper's Table 1 "Add." rows).
+    const auto own = std::span<const ResourceRecord>(answers).subspan(first);
     if (qtype == RRType::kNS) {
-      attach_glue(result.answers, result.additionals);
+      attach_glue(own, reply.additionals);
     } else if (qtype == RRType::kMX) {
-      for (const auto& rr : result.answers) {
+      for (const auto& rr : own) {
         if (rr.type() != RRType::kMX) {
           continue;
         }
@@ -323,19 +331,19 @@ LookupResult Zone::lookup_internal(const Name& qname, RRType qtype,
         }
         for (RRType type : {RRType::kA, RRType::kAAAA}) {
           if (const RRset* addr = find_rrset(exchange, type)) {
-            append_records(*addr, result.additionals);
+            append_records(*addr, reply.additionals);
           }
         }
       }
     }
-    return result;
+    return Kind::kAnswer;
   }
 
   // Node exists but not this type: NODATA.
-  result.kind = LookupResult::Kind::kNoData;
-  result.authoritative = true;
-  append_soa_to(result.authorities);
-  return result;
+  if (!chase) {
+    append_soa_to(reply.authorities);
+  }
+  return Kind::kNoData;
 }
 
 std::vector<RRset> Zone::all_rrsets() const {

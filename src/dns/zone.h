@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "dns/message.h"
 #include "dns/name.h"
 #include "dns/name_table.h"
 #include "dns/rr.h"
@@ -68,7 +70,6 @@ class Zone {
   /// Renumbers all A records at @p name to @p address (the §4 experiments'
   /// "renumber the authoritative server" step); returns false if absent.
   bool renumber_a(const Name& name, Ipv4 address);
-  bool renumber_aaaa(const Name& name, Ipv6 address);
 
   /// A copy of the (name, type) RRset stored in this zone, or nullopt.
   std::optional<RRset> find(const Name& name, RRType type) const;
@@ -80,12 +81,18 @@ class Zone {
   /// i.e. this zone is not authoritative for it.
   bool is_delegated(const Name& name) const;
 
-  /// Performs the RFC 1034 §4.3.2 lookup algorithm for (qname, qtype).
-  /// In-zone CNAME chains are chased up to a bounded depth (loops and
-  /// over-long chains stop, leaving the partial chain in the answer).
-  LookupResult lookup(const Name& qname, RRType qtype) const {
-    return lookup_internal(qname, qtype, 0);
+  /// Performs the RFC 1034 §4.3.2 lookup algorithm for (qname, qtype),
+  /// appending the records to @p reply's answer, authority and additional
+  /// sections (its header and question are left alone).  In-zone CNAME
+  /// chains are chased up to a bounded depth (loops and over-long chains
+  /// stop, leaving the partial chain in the answer).
+  LookupResult::Kind lookup(const Name& qname, RRType qtype,
+                            Message& reply) const {
+    return lookup_internal(qname, qtype, 0, reply);
   }
+
+  /// lookup() into a fresh LookupResult.
+  LookupResult lookup(const Name& qname, RRType qtype) const;
 
   /// All RRsets, in canonical name order and type order within a name
   /// (used by RFC 7706 zone transfer, master-file rendering and signing).
@@ -122,8 +129,9 @@ class Zone {
   };
   using Nodes = NameTable<NoTag, Node>;
 
-  LookupResult lookup_internal(const Name& qname, RRType qtype,
-                               int cname_depth) const;
+  /// lookup(); a CNAME chase (@p cname_depth > 0) appends answers only.
+  LookupResult::Kind lookup_internal(const Name& qname, RRType qtype,
+                                     int cname_depth, Message& reply) const;
 
   /// The first delegation cut on the path from just below the origin down
   /// to @p name, as the cut's NS RRset: RFC 1034 §4.3.2 step 3b, the
@@ -164,7 +172,7 @@ class Zone {
   bool renumber(const Name& name, Rdata address);
 
   /// Appends A/AAAA glue from this zone for each NS target under origin.
-  void attach_glue(const std::vector<ResourceRecord>& ns_records,
+  void attach_glue(std::span<const ResourceRecord> ns_records,
                    std::vector<ResourceRecord>& additionals) const;
 
   void append_soa_to(std::vector<ResourceRecord>& authorities) const;

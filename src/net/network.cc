@@ -63,12 +63,25 @@ std::size_t Network::site_count(Address address) const {
 QueryOutcome Network::query(const NodeRef& from, Address to,
                             const dns::Message& query_msg, sim::Time now,
                             Transport transport) {
+  dns::Message reply;
+  const ExchangeResult result =
+      exchange(from, to, query_msg, now, reply, transport);
+  return QueryOutcome{result.answered ? std::optional(std::move(reply))
+                                      : std::nullopt,
+                      result.elapsed};
+}
+
+ExchangeResult Network::exchange(const NodeRef& from, Address to,
+                                 const dns::Message& query_msg, sim::Time now,
+                                 dns::Message& reply, Transport transport) {
+  constexpr ExchangeResult kTimeout{false, kQueryTimeout};
+  reply.clear();
   ++carried_;
   auto it = attachments_.find(to.value());
   if (it == attachments_.end()) {
     // Nothing listening: the query is silently dropped; the caller waits
     // out its timeout, exactly like querying a decommissioned server.
-    return QueryOutcome{std::nullopt, kQueryTimeout};
+    return kTimeout;
   }
 
   // Anycast site selection: stable lowest-expected-RTT routing.
@@ -87,7 +100,7 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
   // no draws, exactly like querying a detached address.
   if (faults_ != nullptr && faults_->outage(to, now)) {
     ++fault_stats_.outage_timeouts;
-    return QueryOutcome{std::nullopt, kQueryTimeout};
+    return kTimeout;
   }
 
   // Loss: the base rate and any active kLoss windows combine into ONE
@@ -104,7 +117,7 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
     if (injected > 0.0) {
       ++fault_stats_.injected_losses;
     }
-    return QueryOutcome{std::nullopt, kQueryTimeout};
+    return kTimeout;
   }
 
   sim::Duration rtt = latency_.rtt(from.location, chosen->location, rng_);
@@ -125,30 +138,28 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
     }
     if (auto rcode = faults_->forced_rcode(to, now)) {
       ++fault_stats_.injected_rcodes;
-      dns::Message refusal;
-      refusal.id = query_msg.id;
-      refusal.flags.qr = true;
-      refusal.flags.rcode = *rcode;
-      refusal.questions = query_msg.questions;
-      return QueryOutcome{std::move(refusal), rtt};
+      reply.id = query_msg.id;
+      reply.flags.qr = true;
+      reply.flags.rcode = *rcode;
+      reply.questions = query_msg.questions;
+      return ExchangeResult{true, rtt};
     }
     if (faults_->lame(to, now)) {
       // A lame delegation answers politely and uselessly: NOERROR, no AA,
       // empty sections (RFC 1912 §2.8's "lame server" as seen on the wire).
       ++fault_stats_.lame_responses;
-      dns::Message lame;
-      lame.id = query_msg.id;
-      lame.flags.qr = true;
-      lame.questions = query_msg.questions;
-      return QueryOutcome{std::move(lame), rtt};
+      reply.id = query_msg.id;
+      reply.flags.qr = true;
+      reply.questions = query_msg.questions;
+      return ExchangeResult{true, rtt};
     }
     force_tc = transport == Transport::kUdp && faults_->truncate(to, now);
   }
 
-  auto reply =
-      chosen->node->handle_query(query_msg, from.address, now + rtt / 2);
-  if (!reply) {
-    return QueryOutcome{std::nullopt, kQueryTimeout};
+  const auto processing =
+      chosen->node->serve(query_msg, from.address, now + rtt / 2, reply);
+  if (!processing) {
+    return kTimeout;
   }
 
   // UDP size limit (RFC 1035 §4.2.1 / RFC 6891): without EDNS the classic
@@ -160,30 +171,31 @@ QueryOutcome Network::query(const NodeRef& from, Address to,
     udp_limit = std::min<std::size_t>(*advertised, kUdpPayloadLimit);
   }
   if (params_.exercise_wire_codec) {
-    auto decoded = dns::decode(dns::encode(reply->message));
-    if (decoded != reply->message) {
+    auto decoded = dns::decode(dns::encode(reply));
+    if (decoded != reply) {
       throw std::logic_error(
           "wire codec round trip changed a response for " +
           (query_msg.questions.empty()
                ? std::string("<no question>")
                : query_msg.question().to_string()));
     }
-    reply->message = std::move(decoded);
+    reply = std::move(decoded);
   }
 
   if (force_tc) {
     ++fault_stats_.injected_truncations;
   }
+  // A compression pointer never makes a name longer, so a reply whose
+  // uncompressed size fits needs no exact (compressing) count.
   if (transport == Transport::kUdp &&
-      (force_tc || dns::encoded_size(reply->message) > udp_limit)) {
-    dns::Message truncated;
-    truncated.id = reply->message.id;
-    truncated.flags = reply->message.flags;
-    truncated.flags.tc = true;
-    truncated.questions = reply->message.questions;
-    return QueryOutcome{std::move(truncated), rtt + reply->processing};
+      (force_tc || (dns::uncompressed_size(reply) > udp_limit &&
+                    dns::encoded_size(reply) > udp_limit))) {
+    reply.flags.tc = true;
+    reply.answers.clear();
+    reply.authorities.clear();
+    reply.additionals.clear();
   }
-  return QueryOutcome{std::move(reply->message), rtt + reply->processing};
+  return ExchangeResult{true, rtt + *processing};
 }
 
 }  // namespace dnsttl::net

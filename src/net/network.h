@@ -36,12 +36,25 @@ class DnsNode {
  public:
   virtual ~DnsNode() = default;
 
-  /// Handles @p query arriving from @p client at virtual time @p now.
-  /// Returning std::nullopt models a dead/unresponsive server (the client
-  /// sees a timeout).
-  virtual std::optional<ServerReply> handle_query(const dns::Message& query,
-                                                  Address client,
-                                                  sim::Time now) = 0;
+  /// Answers @p query arriving from @p client at virtual time @p now by
+  /// filling @p reply, which arrives empty (as after Message::clear(), so
+  /// possibly with a recycled message's capacity).  Returns the server-side
+  /// time consumed, or std::nullopt to model a dead/unresponsive server
+  /// (the client sees a timeout and ignores @p reply).
+  virtual std::optional<sim::Duration> serve(const dns::Message& query,
+                                             Address client, sim::Time now,
+                                             dns::Message& reply) = 0;
+
+  /// serve() into a fresh message.
+  std::optional<ServerReply> handle_query(const dns::Message& query,
+                                          Address client, sim::Time now) {
+    ServerReply reply;
+    if (auto processing = serve(query, client, now, reply.message)) {
+      reply.processing = *processing;
+      return reply;
+    }
+    return std::nullopt;
+  }
 };
 
 /// Identity of a sending node: its address (shown to servers, used by query
@@ -56,6 +69,36 @@ struct QueryOutcome {
   std::optional<dns::Message> response;  ///< nullopt on timeout/loss
   sim::Duration elapsed{};  ///< wire RTT + server processing, or the
                               ///< timeout duration on loss
+};
+
+/// Result of one Network::exchange(): whether the reply message was
+/// filled, and the time the exchange took (as in QueryOutcome).
+struct ExchangeResult {
+  bool answered = false;
+  sim::Duration elapsed{};
+};
+
+class Network;
+
+/// A dns::Message on loan from a Network's free list.  It arrives empty
+/// (as after Message::clear()) with the section capacity of its earlier
+/// uses, and goes back, emptied, when the lease ends, so a warm exchange
+/// builds its query and reply without allocating.  Leases are scoped to
+/// the code that sends or answers one exchange and must end before their
+/// Network does.
+class MessageLease {
+ public:
+  explicit MessageLease(Network& network);
+  ~MessageLease();
+  MessageLease(const MessageLease&) = delete;
+  MessageLease& operator=(const MessageLease&) = delete;
+
+  dns::Message& operator*() noexcept { return message_; }
+  dns::Message* operator->() noexcept { return &message_; }
+
+ private:
+  Network& network_;
+  dns::Message message_;
 };
 
 /// The message fabric: address allocation, unicast and anycast attachment,
@@ -121,18 +164,24 @@ class Network {
   /// True if anything is attached at @p address.
   bool is_attached(Address address) const;
 
-  /// Sends @p query from node @p from to @p to, at time @p now.
-  /// UDP responses larger than the payload limit come back truncated
-  /// (TC=1, sections stripped); retry with Transport::kTcp, which carries
-  /// any size at the cost of one extra round trip (the handshake).
+  /// Sends @p query_msg from node @p from to @p to, at time @p now, and
+  /// fills @p reply (overwritten; typically a MessageLease's message) when
+  /// an answer comes back.  UDP responses larger than the payload limit
+  /// come back truncated (TC=1, sections stripped); retry with
+  /// Transport::kTcp, which carries any size at the cost of one extra round
+  /// trip (the handshake).  @p reply must not be @p query_msg.
+  ExchangeResult exchange(const NodeRef& from, Address to,
+                          const dns::Message& query_msg, sim::Time now,
+                          dns::Message& reply,
+                          Transport transport = Transport::kUdp);
+
+  /// exchange() into a fresh message.
   QueryOutcome query(const NodeRef& from, Address to,
                      const dns::Message& query_msg, sim::Time now,
                      Transport transport = Transport::kUdp);
 
   /// Number of anycast sites behind @p address (1 for unicast).
   std::size_t site_count(Address address) const;
-
-  const LatencyModel& latency_model() const noexcept { return latency_; }
 
   /// Installs a fault schedule consulted on every exchange (non-owning;
   /// nullptr disables the layer).  The schedule is read-only here, so one
@@ -145,15 +194,14 @@ class Network {
   void set_fault_schedule(const fault::FaultSchedule* schedule) noexcept {
     faults_ = schedule;
   }
-  const fault::FaultSchedule* fault_schedule() const noexcept {
-    return faults_;
-  }
   const FaultStats& fault_stats() const noexcept { return fault_stats_; }
 
   /// Total queries carried (attempts, including lost ones).
   std::uint64_t queries_carried() const noexcept { return carried_; }
 
  private:
+  friend class MessageLease;
+
   struct Site {
     DnsNode* node = nullptr;
     Location location;
@@ -172,7 +220,22 @@ class Network {
   std::uint64_t carried_ = 0;
   const fault::FaultSchedule* faults_ = nullptr;  ///< non-owning
   FaultStats fault_stats_;
+  /// Emptied messages that ended their lease, capacity kept: as many as
+  /// were ever on loan at once (nested sub-resolutions included).
+  std::vector<dns::Message> spare_messages_;
 };
+
+inline MessageLease::MessageLease(Network& network) : network_(network) {
+  if (!network_.spare_messages_.empty()) {
+    message_ = std::move(network_.spare_messages_.back());
+    network_.spare_messages_.pop_back();
+  }
+}
+
+inline MessageLease::~MessageLease() {
+  message_.clear();
+  network_.spare_messages_.push_back(std::move(message_));
+}
 
 }  // namespace dnsttl::net
 

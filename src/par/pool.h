@@ -48,8 +48,6 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  std::size_t worker_count() const noexcept { return workers_.size(); }
-
   /// Enqueues @p task; runs as soon as a worker frees up, FIFO.
   void submit(std::function<void()> task);
 

@@ -2,8 +2,10 @@
 
 namespace dnsttl::resolver {
 
-std::optional<net::ServerReply> Forwarder::handle_query(
-    const dns::Message& query, net::Address /*client*/, sim::Time now) {
+std::optional<sim::Duration> Forwarder::serve(const dns::Message& query,
+                                             net::Address /*client*/,
+                                             sim::Time now,
+                                             dns::Message& reply) {
   if (backends_.empty()) {
     return std::nullopt;
   }
@@ -22,11 +24,13 @@ std::optional<net::ServerReply> Forwarder::handle_query(
       }
     }
   }
-  auto outcome = network_.query(self_, backends_[index], query, now);
-  if (!outcome.response) {
+  // The backend's answer goes straight into the reply this forwarder owes.
+  const auto result = network_.exchange(self_, backends_[index], query, now,
+                                        reply);
+  if (!result.answered) {
     return std::nullopt;
   }
-  return net::ServerReply{std::move(*outcome.response), outcome.elapsed};
+  return result.elapsed;
 }
 
 }  // namespace dnsttl::resolver

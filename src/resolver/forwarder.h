@@ -40,9 +40,9 @@ class Forwarder : public net::DnsNode {
     return backends_;
   }
 
-  std::optional<net::ServerReply> handle_query(const dns::Message& query,
-                                               net::Address client,
-                                               sim::Time now) override;
+  std::optional<sim::Duration> serve(const dns::Message& query,
+                                     net::Address client, sim::Time now,
+                                     dns::Message& reply) override;
 
  private:
   std::string ident_;

@@ -28,8 +28,13 @@ constexpr int kTimeoutsBeforeBackoff = 2;
 constexpr sim::Duration kInitialBackoff = 2 * sim::kSecond;
 constexpr sim::Duration kMaxBackoff = 5 * sim::kMinute;
 
-/// Depth guard for nested NS-address and DNSKEY sub-resolutions.
-constexpr int kMaxNsResolutionDepth = 6;
+/// Server candidates one referral step holds without touching the heap;
+/// a longer list spills to it.
+constexpr std::size_t kInlineServers = 32;
+
+/// NS names collect_addresses copies without touching the heap: a
+/// root-sized set.
+constexpr std::size_t kInlineNsNames = 13;
 
 /// Prefetch refreshes a hit with less than this share of its TTL left.
 constexpr double kPrefetchFraction = 0.1;
@@ -51,12 +56,14 @@ bool canonical_before(const dns::ResourceRecord* a,
   return a < b;
 }
 
-/// Calls @p fn with each RRset of @p records, in canonical (owner, type)
-/// order.  Each record is copied once, into its set; members keep their
-/// order of appearance, and each set follows RFC 2181 §5.2 (minimum member
-/// TTL, no duplicate RDATA, mixed class throws std::invalid_argument).
-template <typename Fn>
-void group_rrsets(const std::vector<dns::ResourceRecord>& records, Fn&& fn) {
+/// Calls @p fn with each RRset of @p records whose type passes @p wanted,
+/// in canonical (owner, type) order.  Each record is copied once, into its
+/// set; members keep their order of appearance, and each set follows
+/// RFC 2181 §5.2 (minimum member TTL, no duplicate RDATA, mixed class
+/// throws std::invalid_argument).
+template <typename Wanted, typename Fn>
+void group_rrsets(const std::vector<dns::ResourceRecord>& records,
+                  Wanted&& wanted, Fn&& fn) {
   // Sort pointers, not records; sections that fit the inline array sort
   // without allocating.
   std::array<const dns::ResourceRecord*, 32> inline_order;
@@ -66,10 +73,13 @@ void group_rrsets(const std::vector<dns::ResourceRecord>& records, Fn&& fn) {
     heap_order.resize(records.size());
     order = heap_order;
   }
-  order = order.first(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    order[i] = &records[i];
+  std::size_t kept = 0;
+  for (const auto& rr : records) {
+    if (wanted(rr.type())) {
+      order[kept++] = &rr;
+    }
   }
+  order = order.first(kept);
   std::sort(order.begin(), order.end(), canonical_before);
 
   for (auto first = order.begin(); first != order.end();) {
@@ -87,17 +97,29 @@ void group_rrsets(const std::vector<dns::ResourceRecord>& records, Fn&& fn) {
   }
 }
 
-/// A recursive resolver's reply to @p question: QR and RA set, @p rcode,
-/// and @p answers as given.
-dns::Message reply(const dns::Question& question, dns::Rcode rcode,
-                   std::vector<dns::ResourceRecord> answers = {}) {
-  dns::Message response;
+/// group_rrsets filter that keeps every record.
+bool any_type(dns::RRType) { return true; }
+
+/// Makes @p response a recursive resolver's reply to @p question: QR and
+/// RA set, @p rcode, and the records already in its answer section.
+void reply(dns::Message& response, const dns::Question& question,
+           dns::Rcode rcode) {
+  response.id = 0;
+  response.flags = dns::HeaderFlags{};
   response.flags.qr = true;
   response.flags.ra = true;
   response.flags.rcode = rcode;
+  response.questions.clear();
   response.questions.push_back(question);
-  response.answers = std::move(answers);
-  return response;
+  response.authorities.clear();
+  response.additionals.clear();
+}
+
+/// reply() with an empty answer section.
+void empty_reply(dns::Message& response, const dns::Question& question,
+                 dns::Rcode rcode) {
+  response.answers.clear();
+  reply(response, question, rcode);
 }
 
 }  // namespace
@@ -134,37 +156,39 @@ cache::Credibility RecursiveResolver::answer_threshold() const {
              : cache::Credibility::kNonAuthAnswer;
 }
 
-std::optional<net::ServerReply> RecursiveResolver::handle_query(
-    const dns::Message& query, net::Address /*client*/, sim::Time now) {
+std::optional<sim::Duration> RecursiveResolver::serve(
+    const dns::Message& query, net::Address /*client*/, sim::Time now,
+    dns::Message& reply) {
   if (query.questions.empty()) {
-    auto response = dns::Message::make_response(query);
-    response.flags.rcode = dns::Rcode::kFormErr;
-    return net::ServerReply{std::move(response), sim::Duration{}};
+    reply.set_response(query);
+    reply.flags.rcode = dns::Rcode::kFormErr;
+    return sim::Duration{};
   }
-  ResolutionResult result = resolve(query.question(), now);
-  result.response.id = query.id;
-  result.response.flags.rd = query.flags.rd;
-  return net::ServerReply{std::move(result.response), result.elapsed};
+  const ResolutionSummary result = resolve(query.question(), now, reply);
+  reply.id = query.id;
+  reply.flags.rd = query.flags.rd;
+  return result.elapsed;
 }
 
-ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
-                                            sim::Time now) {
+ResolutionSummary RecursiveResolver::resolve(const dns::Question& question,
+                                             sim::Time now,
+                                             dns::Message& response) {
   ++stats_.client_queries;
-  ResolutionResult result;
+  ResolutionSummary result;
 
   // RFC 7706 local root mirror: answered before anything else, with full
   // (undecremented) TTLs and no wire traffic.
-  if (auto local = answer_from_local_root(question)) {
+  if (answer_from_local_root(question, response)) {
     ++stats_.referral_answers;
-    result.response = std::move(*local);
     result.answered_from_referral = true;
     return result;
   }
 
-  if (auto cached = answer_from_cache(question, now)) {
+  response.clear();
+  if (answer_from_cache(question, now, response.answers)) {
     ++stats_.cache_answers;
+    positive_response(question, response);
     maybe_prefetch(question, now);
-    result.response = std::move(*cached);
     result.answered_from_cache = true;
     return result;
   }
@@ -172,7 +196,7 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
   if (auto negative =
           cache_.lookup_negative(question.qname, question.qtype, now)) {
     ++stats_.cache_answers;
-    result.response = reply(question, negative->rcode);
+    reply(response, question, negative->rcode);
     result.answered_from_cache = true;
     return result;
   }
@@ -191,10 +215,8 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
             stale && stale->stale) {
           ++stats_.stale_answers;
           ++stats_.stale_refresh_answers;
-          std::vector<dns::ResourceRecord> records;
-          stale->rrset().append_records(records, stale->ttl);
-          result.response =
-              reply(question, dns::Rcode::kNoError, std::move(records));
+          stale->rrset().append_records(response.answers, stale->ttl);
+          reply(response, question, dns::Rcode::kNoError);
           result.answered_from_cache = true;
           result.served_stale = true;
           return result;
@@ -207,7 +229,7 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
   }
 
   Context ctx;
-  dns::Message response = resolve_iterative(question, now, ctx);
+  resolve_iterative(question, now, ctx, response);
 
   if (response.flags.rcode == dns::Rcode::kServFail && config_.serve_stale) {
     // RFC 8767: all upstreams failed; fall back to expired data.
@@ -219,10 +241,9 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
       // served from the stale entry without re-proving the outage.
       stale_refresh_until_[{question.qname, question.qtype}] =
           now + kStaleRefresh;
-      std::vector<dns::ResourceRecord> records;
-      stale->rrset().append_records(records, stale->ttl);
-      result.response =
-          reply(question, dns::Rcode::kNoError, std::move(records));
+      response.answers.clear();
+      stale->rrset().append_records(response.answers, stale->ttl);
+      reply(response, question, dns::Rcode::kNoError);
       result.elapsed = ctx.elapsed;
       result.served_stale = true;
       result.upstream_queries = ctx.upstream_queries;
@@ -240,43 +261,47 @@ ResolutionResult RecursiveResolver::resolve(const dns::Question& question,
       stale_refresh_until_.erase({question.qname, question.qtype});
     }
   }
-  result.response = std::move(response);
   result.elapsed = ctx.elapsed;
   result.upstream_queries = ctx.upstream_queries;
   return result;
 }
 
-std::optional<dns::Message> RecursiveResolver::answer_from_local_root(
-    const dns::Question& question) {
+bool RecursiveResolver::answer_from_local_root(const dns::Question& question,
+                                               dns::Message& response) {
   if (!config_.local_root || !local_root_zone_) {
-    return std::nullopt;
+    return false;
   }
-  auto result = local_root_zone_->lookup(question.qname, question.qtype);
+  response.clear();
   using Kind = dns::LookupResult::Kind;
-  if (result.kind == Kind::kAnswer) {
-    return reply(question, dns::Rcode::kNoError, std::move(result.answers));
+  const Kind kind =
+      local_root_zone_->lookup(question.qname, question.qtype, response);
+  if (kind == Kind::kAnswer) {
+    reply(response, question, dns::Rcode::kNoError);
+    return true;
   }
-  if (result.kind == Kind::kDelegation &&
+  if (kind == Kind::kDelegation &&
       config_.centricity == Centricity::kParentCentric) {
     // Parent-centric + mirror: the referral content answers NS/address
     // questions about TLDs directly, always at the full parent TTL — the
-    // "full 172800 s" VPs of §3.2.
-    dns::Message referral;
-    referral.flags.qr = true;
-    referral.questions.push_back(question);
-    referral.authorities = std::move(result.authorities);
-    referral.additionals = std::move(result.additionals);
-    if (auto answer = answer_from_referral(question, referral)) {
-      return answer;
+    // "full 172800 s" VPs of §3.2.  A delegation has no answer records, so
+    // the matches are the whole answer section.
+    if (answer_from_referral(question, response, response.answers)) {
+      positive_response(question, response);
+      return true;
     }
   }
-  return std::nullopt;
+  return false;
 }
 
-std::optional<dns::Message> RecursiveResolver::answer_from_cache(
-    const dns::Question& question, sim::Time now) {
+bool RecursiveResolver::answer_from_cache(
+    const dns::Question& question, sim::Time now,
+    std::vector<dns::ResourceRecord>& answers) {
   const auto threshold = answer_threshold();
-  std::vector<dns::ResourceRecord> chain;
+  const std::size_t first = answers.size();
+  const auto none = [&answers, first] {
+    answers.erase(answers.begin() + static_cast<long>(first), answers.end());
+    return false;
+  };
   // Borrowed from the question, then from cached CNAME sets: lookups move
   // no entry, so the target stays valid across the walk.
   const dns::Name* qname = &question.qname;
@@ -284,60 +309,52 @@ std::optional<dns::Message> RecursiveResolver::answer_from_cache(
   for (int hop = 0; hop < 9; ++hop) {
     if (auto hit = cache_.lookup(*qname, question.qtype, now)) {
       if (static_cast<int>(hit->credibility) >= static_cast<int>(threshold)) {
-        hit->rrset().append_records(chain, hit->ttl);
-        return positive_response(question, std::move(chain));
+        hit->rrset().append_records(answers, hit->ttl);
+        return true;
       }
-      return std::nullopt;  // data cached but not credible enough to serve
+      return none();  // data cached but not credible enough to serve
     }
     if (question.qtype == dns::RRType::kCNAME) {
-      return std::nullopt;
+      return none();
     }
     auto cname = cache_.lookup(*qname, dns::RRType::kCNAME, now);
     if (!cname || static_cast<int>(cname->credibility) <
                       static_cast<int>(threshold)) {
-      return std::nullopt;
+      return none();
     }
     const dns::RRset& cname_set = cname->rrset();
-    cname_set.append_records(chain, cname->ttl);
+    cname_set.append_records(answers, cname->ttl);
     qname = &std::get<dns::CnameRdata>(cname_set.rdatas().front()).target;
   }
-  return std::nullopt;
+  return none();
 }
 
-dns::Message RecursiveResolver::positive_response(
-    const dns::Question& question,
-    std::vector<dns::ResourceRecord> answers) const {
-  for (auto& rr : answers) {
+void RecursiveResolver::positive_response(const dns::Question& question,
+                                          dns::Message& response) const {
+  for (auto& rr : response.answers) {
     rr.ttl = std::clamp(rr.ttl, config_.min_ttl, config_.max_ttl);
   }
-  return reply(question, dns::Rcode::kNoError, std::move(answers));
+  reply(response, question, dns::Rcode::kNoError);
 }
 
-std::optional<dns::Message> RecursiveResolver::answer_from_referral(
-    const dns::Question& question, const dns::Message& referral) {
+bool RecursiveResolver::answer_from_referral(
+    const dns::Question& question, const dns::Message& referral,
+    std::vector<dns::ResourceRecord>& answers) {
+  const std::size_t first = answers.size();
   if (question.qtype == dns::RRType::kNS) {
-    std::vector<dns::ResourceRecord> matches;
     for (const auto& rr : referral.authorities) {
       if (rr.name == question.qname && rr.type() == dns::RRType::kNS) {
-        matches.push_back(rr);
+        answers.push_back(rr);
       }
     }
-    if (!matches.empty()) {
-      return positive_response(question, std::move(matches));
-    }
-  }
-  if (is_address_type(question.qtype)) {
-    std::vector<dns::ResourceRecord> matches;
+  } else if (is_address_type(question.qtype)) {
     for (const auto& rr : referral.additionals) {
       if (rr.name == question.qname && rr.type() == question.qtype) {
-        matches.push_back(rr);
+        answers.push_back(rr);
       }
     }
-    if (!matches.empty()) {
-      return positive_response(question, std::move(matches));
-    }
   }
-  return std::nullopt;
+  return answers.size() > first;
 }
 
 std::optional<dns::Name> RecursiveResolver::ingest_response(
@@ -352,10 +369,9 @@ std::optional<dns::Name> RecursiveResolver::ingest_response(
   //
   // Which NS owners does this response establish?  Used for glue linkage.
   std::optional<dns::Name> cut;
-  group_rrsets(response.authorities, [&](dns::RRset rrset) {
-    if (rrset.type() != dns::RRType::kNS) {
-      return;  // SOA of negative answers is consumed by the caller
-    }
+  // The SOA of negative answers is consumed by the caller.
+  const auto ns_only = [](dns::RRType type) { return type == dns::RRType::kNS; };
+  group_rrsets(response.authorities, ns_only, [&](dns::RRset rrset) {
     if (!referral) {
       cache_.insert(std::move(rrset), cache::Credibility::kNonAuthAnswer, now);
       return;
@@ -373,7 +389,7 @@ std::optional<dns::Name> RecursiveResolver::ingest_response(
   const auto answer_cred = response.flags.aa
                                ? cache::Credibility::kAuthAnswer
                                : cache::Credibility::kNonAuthAnswer;
-  group_rrsets(response.answers, [&](dns::RRset rrset) {
+  group_rrsets(response.answers, any_type, [&](dns::RRset rrset) {
     std::optional<dns::Name> link;
     if (is_address_type(rrset.type())) {
       link = linked_ns_owner_for(rrset.name(), now);
@@ -383,10 +399,7 @@ std::optional<dns::Name> RecursiveResolver::ingest_response(
 
   // Additional-section addresses: glue on referrals (sibling glue too:
   // still parent-sourced, linked to the cut's NS set), hints otherwise.
-  group_rrsets(response.additionals, [&](dns::RRset rrset) {
-    if (!is_address_type(rrset.type())) {
-      return;
-    }
+  group_rrsets(response.additionals, is_address_type, [&](dns::RRset rrset) {
     if (referral && cut) {
       cache_.insert(std::move(rrset), cache::Credibility::kGlue, now, *cut);
       return;
@@ -424,9 +437,10 @@ std::optional<dns::Name> RecursiveResolver::linked_ns_owner_for(
   }
 }
 
-dns::Name RecursiveResolver::find_servers(
-    const dns::Name& qname, sim::Time now, Context& ctx,
-    std::vector<ServerCandidate>& servers, const dns::Name& floor) {
+dns::Name RecursiveResolver::find_servers(const dns::Name& qname,
+                                          sim::Time now, Context& ctx,
+                                          ServerList& servers,
+                                          const dns::Name& floor) {
   servers.clear();
 
   // Each zone is a view of @p qname's trailing labels, qname first; a Name
@@ -447,13 +461,11 @@ dns::Name RecursiveResolver::find_servers(
     }
     // RFC 7706: the mirror supplies root-zone delegations locally.
     if (labels == 0 && config_.local_root && local_root_zone_) {
-      auto result = local_root_zone_->lookup(qname, dns::RRType::kNS);
-      if (result.kind == dns::LookupResult::Kind::kDelegation) {
-        dns::Message synthetic;
-        synthetic.flags.qr = true;
-        synthetic.authorities = std::move(result.authorities);
-        synthetic.additionals = std::move(result.additionals);
-        auto cut = ingest_response(synthetic, dns::Name{}, now);
+      net::MessageLease synthetic(network_);
+      if (local_root_zone_->lookup(qname, dns::RRType::kNS, *synthetic) ==
+          dns::LookupResult::Kind::kDelegation) {
+        synthetic->flags.qr = true;
+        auto cut = ingest_response(*synthetic, dns::Name{}, now);
         if (cut) {
           // Re-walk down to the TLD cut now that its delegation is cached.
           return find_servers(qname, now, ctx, servers, *cut);
@@ -479,60 +491,76 @@ dns::Name RecursiveResolver::find_servers(
   return dns::Name{};
 }
 
-bool RecursiveResolver::collect_addresses(
-    const dns::RRset& ns, sim::Time now, Context& ctx,
-    std::vector<ServerCandidate>& servers) {
-  // @p ns and every address hit are borrowed from the cache.  Only the
-  // glue verification below re-enters the resolver, which inserts into the
-  // cache and so ends every borrowed hit: on that path the loop first
-  // copies what it reads afterwards.
-  std::optional<dns::RRset> ns_copy;
-  const dns::RRset* ns_set = &ns;
-  std::vector<dns::Name> unresolved;
+bool RecursiveResolver::collect_addresses(const dns::RRset& ns,
+                                          sim::Time now, Context& ctx,
+                                          ServerList& servers) {
+  // @p ns and every address hit are borrowed from the cache.  Sub-
+  // resolutions re-enter the resolver, which inserts into the cache and so
+  // ends every borrowed hit: before one, the NS names are copied into
+  // `held` (on the stack for a set of up to kInlineNsNames), and the
+  // addresses read so far are already candidates.
+  alignas(dns::Name) std::array<std::byte, kInlineNsNames * sizeof(dns::Name)>
+      held_bytes;
+  std::pmr::monotonic_buffer_resource held_arena(held_bytes.data(),
+                                                 held_bytes.size());
+  std::pmr::vector<dns::Name> held(&held_arena);
+  const auto hold = [&] {
+    held.reserve(ns.size());
+    for (const auto& rdata : ns.rdatas()) {
+      held.push_back(std::get<dns::NsRdata>(rdata).nsdname);
+    }
+  };
+  const auto name_at = [&](std::size_t i) -> const dns::Name& {
+    return held.empty() ? std::get<dns::NsRdata>(ns.rdatas()[i]).nsdname
+                        : held[i];
+  };
+  const auto add = [&servers](const dns::RRset& addresses) {
+    for (const auto& rdata : addresses.rdatas()) {
+      servers.push_back(ServerCandidate{std::get<dns::ARdata>(rdata).address});
+    }
+  };
+
+  const std::size_t count = ns.size();
   bool verified_one = false;
-  for (std::size_t i = 0; i < ns_set->size(); ++i) {
-    const dns::Name* ns_name =
-        &std::get<dns::NsRdata>(ns_set->rdatas()[i]).nsdname;
-    auto hit = cache_.peek(*ns_name, dns::RRType::kA, now);
-    std::optional<dns::RRset> glue;  // the hit's set, kept across the fetch
-    if (hit && config_.fetch_authoritative_ns_addresses &&
-        ctx.depth == 0 && !verified_one &&
+  for (std::size_t i = 0; i < count; ++i) {
+    auto hit = cache_.peek(name_at(i), dns::RRType::kA, now);
+    if (!hit) {
+      continue;
+    }
+    const std::size_t first = servers.size();
+    add(hit->rrset());
+    if (config_.fetch_authoritative_ns_addresses && ctx.depth == 0 &&
+        !verified_one &&
         static_cast<int>(hit->credibility) <
             static_cast<int>(cache::Credibility::kNonAuthAnswer) &&
-        std::find(ctx.fetching.begin(), ctx.fetching.end(), *ns_name) ==
-            ctx.fetching.end()) {
+        !ctx.is_fetching(name_at(i))) {
       // Address known only via glue: verify it against the child zone
       // (Unbound-style target fetching).  The AA copy is cached linked to
       // its covering NS set, so in-bailiwick lifetimes stay tied (§4.2)
       // while the resolver becomes visible at the child's authoritatives as
       // periodic NS-address queries (§3.4).  The fetch runs off the
       // client's critical path (opportunistic revalidation): this query is
-      // answered with the data at hand.
+      // answered with the data at hand, the fetched addresses if the fetch
+      // cached any, else the glue's.
       verified_one = true;  // lazy: verify at most one target per lookup
-      ns_copy = *ns_set;
-      ns_set = &*ns_copy;
-      ns_name = &std::get<dns::NsRdata>(ns_set->rdatas()[i]).nsdname;
-      glue = hit->rrset();
+      hold();
       sim::Duration checkpoint = ctx.elapsed;
-      resolve_ns_address(*ns_name, now, ctx);
+      resolve_ns_address(held[i], now, ctx);
       ctx.elapsed = checkpoint;
-      hit = cache_.peek(*ns_name, dns::RRType::kA, now);
-    }
-    const dns::RRset* addresses = hit ? &hit->rrset() : glue ? &*glue : nullptr;
-    if (addresses != nullptr) {
-      for (const auto& addr_rdata : addresses->rdatas()) {
-        servers.push_back(
-            ServerCandidate{std::get<dns::ARdata>(addr_rdata).address});
+      if (auto fetched = cache_.peek(held[i], dns::RRType::kA, now)) {
+        servers.resize(first);
+        add(fetched->rrset());
       }
-      continue;
     }
-    unresolved.push_back(*ns_name);
   }
 
+  // Every name with a cached address added at least one server, so an
+  // empty list means no name had one: resolve them in order until one
+  // does.  Nothing has been fetched yet, so `held` is still empty.
   if (servers.empty()) {
-    for (const auto& ns_name : unresolved) {
-      if (std::find(ctx.fetching.begin(), ctx.fetching.end(), ns_name) !=
-          ctx.fetching.end()) {
+    hold();
+    for (const dns::Name& ns_name : held) {
+      if (ctx.is_fetching(ns_name)) {
         continue;
       }
       if (auto addr = resolve_ns_address(ns_name, now, ctx)) {
@@ -546,15 +574,61 @@ bool RecursiveResolver::collect_addresses(
   return !servers.empty();
 }
 
+std::size_t RecursiveResolver::HealthTable::slot_of(
+    std::uint32_t address) const noexcept {
+  // Fibonacci hashing: the multiply spreads sequential addresses and the
+  // high half of the product picks the home slot.  The load cap leaves a
+  // free slot to end every probe.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i =
+      static_cast<std::size_t>((address * 0x9e3779b97f4a7c15ULL) >> 32) & mask;
+  while (slots_[i].used && slots_[i].address != address) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+const RecursiveResolver::ServerHealth* RecursiveResolver::HealthTable::find(
+    net::Address address) const noexcept {
+  if (slots_.empty()) {
+    return nullptr;
+  }
+  const Slot& slot = slots_[slot_of(address.value())];
+  return slot.used ? &slot.health : nullptr;
+}
+
+RecursiveResolver::ServerHealth& RecursiveResolver::HealthTable::get(
+    net::Address address) {
+  if (!slots_.empty()) {
+    if (Slot& slot = slots_[slot_of(address.value())]; slot.used) {
+      return slot.health;
+    }
+  }
+  if (4 * (size_ + 1) > 3 * slots_.size()) {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 8 : 2 * old.size(), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.used) {
+        slots_[slot_of(slot.address)] = slot;
+      }
+    }
+  }
+  Slot& slot = slots_[slot_of(address.value())];
+  slot.address = address.value();
+  slot.used = true;
+  ++size_;
+  return slot.health;
+}
+
 double RecursiveResolver::selection_srtt_ms(net::Address address,
                                             sim::Time now) const {
-  auto it = server_health_.find(address.value());
-  if (it == server_health_.end()) {
+  const ServerHealth* found = server_health_.find(address);
+  if (found == nullptr) {
     // Optimistic default for untried servers so that every server is
     // eventually probed (BIND's decaying-srtt has the same effect).
     return 10.0;
   }
-  const ServerHealth& health = it->second;
+  const ServerHealth& health = *found;
   double srtt = health.srtt_ms;
   if (now < health.backoff_until) {
     // Benched by the backoff policy: a flat penalty far above any
@@ -568,7 +642,7 @@ double RecursiveResolver::selection_srtt_ms(net::Address address,
 void RecursiveResolver::record_exchange(net::Address address,
                                         sim::Duration elapsed, bool answered,
                                         sim::Time now) {
-  ServerHealth& health = server_health_[address.value()];
+  ServerHealth& health = server_health_.get(address);
   // Feed the smoothed-RTT estimator; timeouts count double (BIND's
   // penalty) so a flaky server drifts to the back of the order.
   double sample_ms = sim::to_milliseconds(elapsed) * (answered ? 1.0 : 2.0);
@@ -590,7 +664,7 @@ void RecursiveResolver::record_exchange(net::Address address,
     // clamped to kMaxBackoff (level capped so the shift stays defined).
     sim::Duration bench =
         kInitialBackoff *
-        (std::int64_t{1} << std::min(health.backoff_level, 16));
+        (std::int64_t{1} << std::min<int>(health.backoff_level, 16));
     health.backoff_until = now + std::min(bench, kMaxBackoff);
     if (health.backoff_level < 16) {
       ++health.backoff_level;
@@ -600,8 +674,7 @@ void RecursiveResolver::record_exchange(net::Address address,
   }
 }
 
-void RecursiveResolver::rotate(std::vector<ServerCandidate>& servers,
-                               sim::Time now) {
+void RecursiveResolver::rotate(ServerList& servers, sim::Time now) {
   if (servers.size() <= 1) {
     return;
   }
@@ -609,10 +682,17 @@ void RecursiveResolver::rotate(std::vector<ServerCandidate>& servers,
     for (auto& server : servers) {
       server.srtt_ms = selection_srtt_ms(server.address, now);
     }
-    std::stable_sort(servers.begin(), servers.end(),
-                     [](const ServerCandidate& a, const ServerCandidate& b) {
-                       return a.srtt_ms < b.srtt_ms;
-                     });
+    // Stable insertion sort on srtt: a candidate moves only past strictly
+    // slower ones, so this is std::stable_sort's permutation without its
+    // scratch buffer (lists are a referral step's few servers).
+    for (std::size_t i = 1; i < servers.size(); ++i) {
+      const ServerCandidate moving = servers[i];
+      std::size_t j = i;
+      for (; j > 0 && moving.srtt_ms < servers[j - 1].srtt_ms; --j) {
+        servers[j] = servers[j - 1];
+      }
+      servers[j] = moving;
+    }
     // Rotate within the leading band of near-equal servers, preserving the
     // §3.4 observation that resolvers rotate across comparable servers.
     const double best = servers.front().srtt_ms;
@@ -640,16 +720,17 @@ std::optional<net::Address> RecursiveResolver::resolve_ns_address(
   if (ctx.depth >= kMaxNsResolutionDepth) {
     return std::nullopt;
   }
-  ctx.fetching.push_back(ns_name);
+  ctx.fetching[ctx.fetching_count++] = &ns_name;
   ++ctx.depth;
   dns::Question question{ns_name, dns::RRType::kA, dns::RClass::kIN};
-  dns::Message response = resolve_iterative(question, now, ctx);
+  net::MessageLease response(network_);
+  resolve_iterative(question, now, ctx, *response);
   --ctx.depth;
-  ctx.fetching.pop_back();
-  if (response.flags.rcode != dns::Rcode::kNoError) {
+  --ctx.fetching_count;
+  if (response->flags.rcode != dns::Rcode::kNoError) {
     return std::nullopt;
   }
-  for (const auto& rr : response.answers) {
+  for (const auto& rr : response->answers) {
     if (rr.type() == dns::RRType::kA) {
       return std::get<dns::ARdata>(rr.rdata).address;
     }
@@ -657,27 +738,37 @@ std::optional<net::Address> RecursiveResolver::resolve_ns_address(
   return std::nullopt;
 }
 
-dns::Message RecursiveResolver::resolve_iterative(
-    const dns::Question& question, sim::Time now, Context& ctx) {
+void RecursiveResolver::resolve_iterative(const dns::Question& question,
+                                          sim::Time now, Context& ctx,
+                                          dns::Message& out) {
+  out.clear();
+  std::vector<dns::ResourceRecord>& chain = out.answers;  // CNAME prefix
   dns::Question current = question;  // follows CNAME chains
-  std::vector<dns::ResourceRecord> chain;  // CNAME prefix records
   dns::Name minimized_zone;  // zone the reveal counter applies to
   std::size_t reveal = 1;    // labels revealed past that zone (RFC 7816)
-  std::vector<ServerCandidate> servers;
+  alignas(ServerCandidate)
+      std::array<std::byte, kInlineServers * sizeof(ServerCandidate)>
+          arena_bytes;
+  std::pmr::monotonic_buffer_resource arena(arena_bytes.data(),
+                                            arena_bytes.size());
+  ServerList servers(&arena);
+  servers.reserve(kInlineServers);
+  // One query and one reply message for every exchange of this loop.
+  net::MessageLease query(network_);
+  net::MessageLease response(network_);
 
   for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
     // A sub-question may be answerable from data cached moments ago.
-    if (iteration > 0 || ctx.depth > 0) {
-      if (auto cached = answer_from_cache(current, now + ctx.elapsed)) {
-        chain.insert(chain.end(), cached->answers.begin(),
-                     cached->answers.end());
-        return positive_response(question, std::move(chain));
-      }
+    if ((iteration > 0 || ctx.depth > 0) &&
+        answer_from_cache(current, now + ctx.elapsed, chain)) {
+      positive_response(question, out);
+      return;
     }
 
     const dns::Name zone = find_servers(current.qname, now, ctx, servers);
     if (servers.empty()) {
-      return reply(question, dns::Rcode::kServFail);
+      empty_reply(out, question, dns::Rcode::kServFail);
+      return;
     }
 
     // QNAME minimization (RFC 7816): expose only zone-depth + reveal
@@ -703,62 +794,61 @@ dns::Message RecursiveResolver::resolve_iterative(
     // referral step.
     bool progressed = false;
     for (int attempt = 0; attempt < kMaxServerAttempts; ++attempt) {
-      const ServerCandidate& server =
-          servers[static_cast<std::size_t>(attempt) % servers.size()];
-      dns::Message query = dns::Message::make_query(next_id_++, wire.qname,
-                                                    wire.qtype, false);
-      query.add_edns();  // modern resolvers advertise a large UDP payload
-      auto outcome =
-          network_.query(self_, server.address, query, now + ctx.elapsed);
+      const net::Address server =
+          servers[static_cast<std::size_t>(attempt) % servers.size()].address;
+      query->set_query(next_id_++, wire.qname, wire.qtype, false);
+      query->add_edns();  // modern resolvers advertise a large UDP payload
+      auto outcome = network_.exchange(self_, server, *query,
+                                       now + ctx.elapsed, *response);
       ctx.elapsed += outcome.elapsed;
       ++ctx.upstream_queries;
       ++stats_.upstream_queries;
-      record_exchange(server.address, outcome.elapsed,
-                      outcome.response.has_value(), now + ctx.elapsed);
-      if (!outcome.response) {
+      record_exchange(server, outcome.elapsed, outcome.answered,
+                      now + ctx.elapsed);
+      if (!outcome.answered) {
         // Timeout: fall through to the next candidate (server
         // re-selection); the health record above may have benched this
         // one, in which case later rotate() calls route around it.
         continue;
       }
-      dns::Message response = std::move(*outcome.response);
-      if (response.flags.tc) {
+      if (response->flags.tc) {
         // Truncated over UDP: retry the same server over TCP (RFC 1035
         // §4.2.2), paying the handshake.
         auto tcp_outcome =
-            network_.query(self_, server.address, query, now + ctx.elapsed,
-                           net::Network::Transport::kTcp);
+            network_.exchange(self_, server, *query, now + ctx.elapsed,
+                              *response, net::Network::Transport::kTcp);
         ctx.elapsed += tcp_outcome.elapsed;
         ++ctx.upstream_queries;
         ++stats_.upstream_queries;
         ++stats_.tcp_retries;
-        if (!tcp_outcome.response) {
+        if (!tcp_outcome.answered) {
           continue;
         }
-        response = std::move(*tcp_outcome.response);
       }
       const sim::Time t = now + ctx.elapsed;
+      dns::Message& received = *response;
 
-      if (response.flags.rcode != dns::Rcode::kNoError &&
-          response.flags.rcode != dns::Rcode::kNXDomain) {
+      if (received.flags.rcode != dns::Rcode::kNoError &&
+          received.flags.rcode != dns::Rcode::kNXDomain) {
         continue;  // REFUSED/SERVFAIL from upstream: next server
       }
 
-      auto cut = ingest_response(response, zone, t);
+      auto cut = ingest_response(received, zone, t);
 
-      if (config_.sticky && response.flags.aa) {
-        sticky_pins_.try_emplace(zone, server.address);
+      if (config_.sticky && received.flags.aa) {
+        sticky_pins_.try_emplace(zone, server);
       }
 
-      if (response.flags.rcode == dns::Rcode::kNXDomain) {
+      if (received.flags.rcode == dns::Rcode::kNXDomain) {
         // For a minimized query this is still conclusive: a missing
         // ancestor means every name below it is missing too (RFC 8020).
-        cache_negative(response, minimized ? wire : current, t);
+        cache_negative(received, minimized ? wire : current, t);
         // The CNAME prefix stays visible.
-        return reply(question, dns::Rcode::kNXDomain, std::move(chain));
+        reply(out, question, dns::Rcode::kNXDomain);
+        return;
       }
 
-      if (minimized && response.flags.aa) {
+      if (minimized && received.flags.aa) {
         // The partial name exists (NS answer for a hosted child zone, or
         // NODATA for an empty non-terminal): reveal one more label.
         ++reveal;
@@ -766,29 +856,31 @@ dns::Message RecursiveResolver::resolve_iterative(
         break;
       }
 
-      if (!response.answers.empty()) {
-        if (response.first_answer(current.qname, current.qtype) != nullptr) {
-          if (config_.validate_dnssec && response.flags.aa &&
-              !validate_answer(response, current, now, ctx)) {
+      if (!received.answers.empty()) {
+        if (received.first_answer(current.qname, current.qtype) != nullptr) {
+          if (config_.validate_dnssec && received.flags.aa &&
+              !validate_answer(received, current, now, ctx)) {
             continue;  // bogus: try another server
           }
           // Include any same-response CNAME chain ahead of the match.
           chain.insert(chain.end(),
-                       std::make_move_iterator(response.answers.begin()),
-                       std::make_move_iterator(response.answers.end()));
-          return positive_response(question, std::move(chain));
+                       std::make_move_iterator(received.answers.begin()),
+                       std::make_move_iterator(received.answers.end()));
+          positive_response(question, out);
+          return;
         }
         if (current.qtype != dns::RRType::kCNAME) {
-          if (const auto* cname = response.first_answer(
+          if (const auto* cname = received.first_answer(
                   current.qname, dns::RRType::kCNAME)) {
             // Follow the chain: collect every CNAME + look for the target.
-            chain.insert(chain.end(), response.answers.begin(),
-                         response.answers.end());
+            chain.insert(chain.end(), received.answers.begin(),
+                         received.answers.end());
             const dns::Name& target =
                 std::get<dns::CnameRdata>(cname->rdata).target;
             // The final answer may already be in this response.
-            if (response.first_answer(target, current.qtype) != nullptr) {
-              return positive_response(question, std::move(chain));
+            if (received.first_answer(target, current.qtype) != nullptr) {
+              positive_response(question, out);
+              return;
             }
             current.qname = target;
             progressed = true;
@@ -798,21 +890,20 @@ dns::Message RecursiveResolver::resolve_iterative(
         continue;  // answers that do not match the question: lame
       }
 
-      if (response.flags.aa) {
+      if (received.flags.aa) {
         // Authoritative NODATA.
-        cache_negative(response, current, t);
-        return positive_response(question, std::move(chain));
+        cache_negative(received, current, t);
+        positive_response(question, out);
+        return;
       }
 
       if (cut && cut->is_strict_subdomain_of(zone) &&
           current.qname.is_subdomain_of(*cut)) {
-        if (config_.centricity == Centricity::kParentCentric) {
-          if (auto answer = answer_from_referral(current, response)) {
-            ++stats_.referral_answers;
-            chain.insert(chain.end(), answer->answers.begin(),
-                         answer->answers.end());
-            return positive_response(question, std::move(chain));
-          }
+        if (config_.centricity == Centricity::kParentCentric &&
+            answer_from_referral(current, received, chain)) {
+          ++stats_.referral_answers;
+          positive_response(question, out);
+          return;
         }
         progressed = true;  // descend to the child zone
         break;
@@ -820,10 +911,11 @@ dns::Message RecursiveResolver::resolve_iterative(
       // Lame referral: try the next server.
     }
     if (!progressed) {
-      return reply(question, dns::Rcode::kServFail);
+      empty_reply(out, question, dns::Rcode::kServFail);
+      return;
     }
   }
-  return reply(question, dns::Rcode::kServFail);
+  empty_reply(out, question, dns::Rcode::kServFail);
 }
 
 bool RecursiveResolver::validate_answer(const dns::Message& response,
@@ -861,7 +953,8 @@ bool RecursiveResolver::validate_answer(const dns::Message& response,
     ++ctx.depth;
     dns::Question key_question{sig->signer, dns::RRType::kDNSKEY,
                                dns::RClass::kIN};
-    resolve_iterative(key_question, now, ctx);
+    net::MessageLease discarded(network_);
+    resolve_iterative(key_question, now, ctx, *discarded);
     --ctx.depth;
     keys = cache_.peek(sig->signer, dns::RRType::kDNSKEY, now + ctx.elapsed);
   }
@@ -896,7 +989,8 @@ void RecursiveResolver::maybe_prefetch(const dns::Question& question,
   // near-dead entry so the next client stays a cache hit.
   prefetching_ = true;
   Context ctx;
-  resolve_iterative(question, now, ctx);
+  net::MessageLease discarded(network_);
+  resolve_iterative(question, now, ctx, *discarded);
   prefetching_ = false;
   ++stats_.prefetches;
 }

@@ -1,12 +1,13 @@
 #ifndef DNSTTL_RESOLVER_RECURSIVE_RESOLVER_H
 #define DNSTTL_RESOLVER_RECURSIVE_RESOLVER_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,15 +21,19 @@
 
 namespace dnsttl::resolver {
 
-/// Result of resolving one question at the resolver, before the stub-side
+/// How one question was resolved at the resolver, before the stub-side
 /// RTT is added by the network.
-struct ResolutionResult {
-  dns::Message response;
+struct ResolutionSummary {
   sim::Duration elapsed{};       ///< upstream time consumed (0 = pure hit)
   bool answered_from_cache = false;
   bool answered_from_referral = false;  ///< parent-centric referral answer
   bool served_stale = false;
   int upstream_queries = 0;
+};
+
+/// A resolution with its response message.
+struct ResolutionResult : ResolutionSummary {
+  dns::Message response;
 };
 
 /// Tries per referral step, spread across the zone's servers; a
@@ -37,6 +42,9 @@ inline constexpr int kMaxServerAttempts = 3;
 
 /// Referral-chain guard, well past any real delegation depth.
 inline constexpr int kMaxIterations = 24;
+
+/// Depth guard for nested NS-address and DNSKEY sub-resolutions.
+inline constexpr int kMaxNsResolutionDepth = 6;
 
 /// An iterative ("recursive" in DNS parlance) resolver with the policy knob
 /// set from ResolverConfig.
@@ -93,13 +101,25 @@ class RecursiveResolver : public net::DnsNode {
   /// Clears cache and sticky pins (fresh resolver).
   void flush();
 
-  /// Resolves @p question at virtual time @p now.
-  ResolutionResult resolve(const dns::Question& question, sim::Time now);
+  /// Resolves @p question at virtual time @p now into @p response
+  /// (overwritten; typically a net::MessageLease's message, so a warm
+  /// cache hit allocates nothing).  @p question must not live in
+  /// @p response.
+  ResolutionSummary resolve(const dns::Question& question, sim::Time now,
+                            dns::Message& response);
+
+  /// resolve() into a fresh message.
+  ResolutionResult resolve(const dns::Question& question, sim::Time now) {
+    ResolutionResult result;
+    static_cast<ResolutionSummary&>(result) =
+        resolve(question, now, result.response);
+    return result;
+  }
 
   /// net::DnsNode: stub-facing entry point.
-  std::optional<net::ServerReply> handle_query(const dns::Message& query,
-                                               net::Address client,
-                                               sim::Time now) override;
+  std::optional<sim::Duration> serve(const dns::Message& query,
+                                     net::Address client, sim::Time now,
+                                     dns::Message& reply) override;
 
  private:
   struct Context {
@@ -107,8 +127,19 @@ class RecursiveResolver : public net::DnsNode {
     int upstream_queries = 0;
     int depth = 0;  ///< sub-resolution / CNAME recursion depth
     /// Nameserver names whose address fetch is in flight (re-entrancy guard
-    /// for authoritative address verification).
-    std::vector<dns::Name> fetching;
+    /// for authoritative address verification), borrowed from the frames
+    /// that fetch them: one per sub-resolution level at most.
+    std::array<const dns::Name*, kMaxNsResolutionDepth> fetching{};
+    std::size_t fetching_count = 0;
+
+    bool is_fetching(const dns::Name& name) const {
+      for (std::size_t i = 0; i < fetching_count; ++i) {
+        if (*fetching[i] == name) {
+          return true;
+        }
+      }
+      return false;
+    }
   };
 
   /// A server to try, with the selection key rotate() sorts on.
@@ -116,23 +147,28 @@ class RecursiveResolver : public net::DnsNode {
     net::Address address;
     double srtt_ms = 0.0;  ///< filled by rotate() under srtt selection
   };
+  /// One referral step's candidates, kept in an arena on the resolving
+  /// frame's stack.
+  using ServerList = std::pmr::vector<ServerCandidate>;
 
-  /// Cache-only answer if the policy allows it (credibility threshold
-  /// depends on centricity).  Chases cached CNAME chains.
-  std::optional<dns::Message> answer_from_cache(const dns::Question& question,
-                                                sim::Time now);
+  /// Appends the cache-only answer to @p answers if the policy allows it
+  /// (credibility threshold depends on centricity), chasing cached CNAME
+  /// chains; returns false, with @p answers as it was, if there is none.
+  bool answer_from_cache(const dns::Question& question, sim::Time now,
+                         std::vector<dns::ResourceRecord>& answers);
 
-  /// RFC 7706: answers root-zone questions from the local mirror.
-  std::optional<dns::Message> answer_from_local_root(
-      const dns::Question& question);
+  /// RFC 7706: answers root-zone questions from the local mirror into
+  /// @p response; false (and @p response unspecified) if it cannot.
+  bool answer_from_local_root(const dns::Question& question,
+                              dns::Message& response);
 
   /// The RFC 1034 §5.3.3 loop: up to kMaxIterations referral steps, each
   /// trying up to kMaxServerAttempts candidates of the closest enclosing
-  /// zone; chases CNAMEs and follows referrals.  NS-address and DNSKEY
-  /// sub-resolutions re-enter it with a deeper @p ctx, prefetch with a
-  /// fresh one.
-  dns::Message resolve_iterative(const dns::Question& question, sim::Time now,
-                                 Context& ctx);
+  /// zone; chases CNAMEs and follows referrals.  Writes the reply into
+  /// @p response (overwritten).  NS-address and DNSKEY sub-resolutions
+  /// re-enter it with a deeper @p ctx, prefetch with a fresh one.
+  void resolve_iterative(const dns::Question& question, sim::Time now,
+                         Context& ctx, dns::Message& response);
 
   /// Finds the deepest zone at or below @p floor with usable cached NS +
   /// address data, walking up from @p qname; fills @p servers (already
@@ -140,20 +176,20 @@ class RecursiveResolver : public net::DnsNode {
   /// root hints.  With the local-root mirror, the walk that reaches the
   /// root caches the TLD delegation and re-walks with the TLD as floor.
   dns::Name find_servers(const dns::Name& qname, sim::Time now, Context& ctx,
-                         std::vector<ServerCandidate>& servers,
+                         ServerList& servers,
                          const dns::Name& floor = dns::Name{});
 
   /// Collects usable addresses for one NS RRset (borrowed from the
   /// cache); triggers glue verification and sub-resolution per policy.
   /// Returns true if any server was found.
   bool collect_addresses(const dns::RRset& ns, sim::Time now, Context& ctx,
-                         std::vector<ServerCandidate>& servers);
+                         ServerList& servers);
 
   /// Applies smoothed-RTT sorting and round-robin rotation per config.
   /// @p now lets the sort penalize servers currently benched by the
   /// exponential-backoff policy so selection routes around them.  Each
   /// candidate's key is computed once, then the sort is stable on it.
-  void rotate(std::vector<ServerCandidate>& servers, sim::Time now);
+  void rotate(ServerList& servers, sim::Time now);
 
   /// Resolves an out-of-bailiwick nameserver address via sub-resolution.
   std::optional<net::Address> resolve_ns_address(const dns::Name& ns_name,
@@ -184,16 +220,17 @@ class RecursiveResolver : public net::DnsNode {
                                            const dns::Name& zone,
                                            sim::Time now);
 
-  /// Parent-centric shortcut: answers the question straight from a
-  /// referral's authority/additional sections when they cover it.
-  std::optional<dns::Message> answer_from_referral(
-      const dns::Question& question, const dns::Message& referral);
+  /// Parent-centric shortcut: appends to @p answers the records of a
+  /// referral's authority/additional sections that answer the question;
+  /// false if they do not cover it.
+  static bool answer_from_referral(const dns::Question& question,
+                                   const dns::Message& referral,
+                                   std::vector<dns::ResourceRecord>& answers);
 
-  /// A NOERROR reply carrying @p answers, TTLs clamped to
-  /// [min_ttl, max_ttl].
-  dns::Message positive_response(
-      const dns::Question& question,
-      std::vector<dns::ResourceRecord> answers) const;
+  /// Makes @p response the NOERROR reply carrying the records already in
+  /// its answer section, TTLs clamped to [min_ttl, max_ttl].
+  void positive_response(const dns::Question& question,
+                         dns::Message& response) const;
 
   cache::Credibility answer_threshold() const;
 
@@ -212,11 +249,33 @@ class RecursiveResolver : public net::DnsNode {
   /// backoff state that benches repeat-timeout servers.
   struct ServerHealth {
     double srtt_ms = 10.0;  ///< optimistic default so new servers get tried
-    bool srtt_seeded = false;      ///< first sample replaces the default
+    sim::Time backoff_until{};     ///< benched while now < backoff_until
     int consecutive_timeouts = 0;  ///< reset by any successful exchange
     // lint:allow(raw-time-param) a count of doublings, not a time quantity
-    int backoff_level = 0;         ///< doublings applied so far
-    sim::Time backoff_until{};     ///< benched while now < backoff_until
+    std::uint8_t backoff_level = 0;  ///< doublings applied so far
+    bool srtt_seeded = false;      ///< first sample replaces the default
+  };
+
+  /// Health records by server address: open addressing with linear
+  /// probing in one flat array (no node per server), load at most 3/4.
+  class HealthTable {
+   public:
+    /// The record of @p address, or nullptr if it was never contacted.
+    const ServerHealth* find(net::Address address) const noexcept;
+    /// The record of @p address, inserted with defaults if absent.
+    ServerHealth& get(net::Address address);
+
+   private:
+    struct Slot {
+      ServerHealth health;
+      std::uint32_t address = 0;
+      bool used = false;
+    };
+    /// Index of @p address's slot, or of the free slot ending its probe.
+    std::size_t slot_of(std::uint32_t address) const noexcept;
+
+    std::vector<Slot> slots_;  ///< power-of-two size, or empty
+    std::size_t size_ = 0;
   };
   /// Effective selection metric: srtt, pushed to the back of the order
   /// while the server is benched.
@@ -226,7 +285,7 @@ class RecursiveResolver : public net::DnsNode {
   void record_exchange(net::Address address, sim::Duration elapsed,
                        bool answered, sim::Time now);
 
-  std::unordered_map<std::uint32_t, ServerHealth> server_health_;
+  HealthTable server_health_;
   /// RFC 8767 stale-refresh suppression: question -> end of the window in
   /// which stale answers are served without re-trying upstreams.
   std::map<std::pair<dns::Name, dns::RRType>, sim::Time> stale_refresh_until_;

@@ -32,7 +32,6 @@ class BinnedSeries {
   double at(const std::string& series, std::size_t index) const;
 
   std::vector<std::string> series_names() const;
-  sim::Duration bin_width() const noexcept { return bin_width_; }
 
   /// Renders "minute  <series...>" rows (bin start in minutes).
   std::string render() const;

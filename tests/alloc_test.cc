@@ -6,12 +6,20 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <utility>
 
+#include "auth/auth_server.h"
+#include "check/audit.h"
 #include "crawl/population_generator.h"
 #include "dns/message.h"
 #include "dns/rr.h"
 #include "dns/wire.h"
+#include "dns/zone.h"
+#include "net/network.h"
+#include "resolver/recursive_resolver.h"
 
 namespace {
 
@@ -107,6 +115,144 @@ TEST(AllocationTest, EncodedSizeOfReferralWithGlueAllocatesNothing) {
   EXPECT_EQ(allocations_during([&] { size = dns::encoded_size(referral); }),
             0u);
   EXPECT_EQ(size, dns::encode(referral).size());
+}
+
+/// A name whose labels take @p octets octets (2 to 254).
+dns::Name name_of_octets(std::size_t octets) {
+  std::string text;
+  for (; octets > 64; octets -= 64) {
+    text += std::string(63, 'p') + ".";
+  }
+  return dns::Name::from_string(text + std::string(octets - 1, 'q'));
+}
+
+TEST(AllocationTest, NamesUpToTheInlineCapacityCopyWithoutAllocating) {
+  for (std::size_t octets :
+       {std::size_t{2}, std::size_t{24}, dns::Name::kInlineCapacity}) {
+    const dns::Name original = name_of_octets(octets);
+    ASSERT_EQ(original.wire_length(), octets + 1);
+    dns::Name target = dns::Name::from_string("x.y");
+    EXPECT_EQ(allocations_during([&] {
+                dns::Name copy(original);
+                dns::Name moved(std::move(copy));
+                target = moved;
+                target = std::move(moved);
+                dns::Name from_view(original.view());
+                EXPECT_EQ(from_view, target);
+              }),
+              0u)
+        << octets << " octets";
+  }
+}
+
+TEST(AllocationTest, LongerNamesTakeOneBlockPerCopyAndNonePerMove) {
+  for (std::size_t octets : {dns::Name::kInlineCapacity + 1, std::size_t{254}}) {
+    const dns::Name original = name_of_octets(octets);
+    dns::Name copy;
+    EXPECT_EQ(allocations_during([&] { copy = original; }), 1u)
+        << octets << " octets";
+    EXPECT_EQ(allocations_during([&] {
+                dns::Name moved(std::move(copy));
+                copy = std::move(moved);
+              }),
+              0u)
+        << octets << " octets";
+    EXPECT_EQ(copy, original);
+  }
+}
+
+/// A root server delegating example.org (two nameservers, in-bailiwick
+/// glue) to a child server holding www.example.org, and a default
+/// resolver that knows the root: the smallest world with a full referral
+/// walk and a server list to sort.
+class ExchangeAllocationTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const dns::Name origin = dns::Name::from_string("example.org");
+    auto root_zone = std::make_shared<dns::Zone>(dns::Name{});
+    auto child_zone = std::make_shared<dns::Zone>(origin);
+    root_server.add_zone(root_zone);
+    child_server.add_zone(child_zone);
+    const net::Address root_address = network.attach(root_server, here);
+    child_address = network.attach(child_server, here);
+    child_zone->add(dns::make_soa(origin, dns::kTtl1Hour,
+                                  dns::Name::from_string("ns1.example.org"),
+                                  1));
+    for (const char* text : {"ns1.example.org", "ns2.example.org"}) {
+      const dns::Name ns = dns::Name::from_string(text);
+      root_zone->add(dns::make_ns(origin, dns::kTtl2Days, ns));
+      root_zone->add(dns::make_a(ns, dns::kTtl2Days, child_address));
+      child_zone->add(dns::make_ns(origin, dns::kTtl1Hour, ns));
+      child_zone->add(dns::make_a(ns, dns::kTtl1Hour, child_address));
+    }
+    child_zone->add(dns::make_a(question.qname, dns::kTtl1Hour,
+                                dns::Ipv4(192, 0, 2, 80)));
+    resolver::RootHints hints;
+    hints.servers.push_back({dns::Name::from_string("a.root"), root_address});
+    resolver = std::make_unique<resolver::RecursiveResolver>(
+        "r", resolver::ResolverConfig{}, network, hints);
+    resolver->set_node_ref(
+        net::NodeRef{network.attach(*resolver, here), here});
+  }
+
+  net::Location here{net::Region::kEU, 1.0};
+  net::Network network{sim::Rng{1}};
+  auth::AuthServer root_server{"root"};
+  auth::AuthServer child_server{"child"};
+  net::Address child_address;
+  std::unique_ptr<resolver::RecursiveResolver> resolver;
+  dns::Question question{dns::Name::from_string("www.example.org"),
+                         dns::RRType::kA, dns::RClass::kIN};
+};
+
+TEST_F(ExchangeAllocationTest, WarmExchangeWithAnAuthServerAllocatesNothing) {
+  const net::NodeRef client{dns::Ipv4(10, 9, 9, 9), here};
+  auto exchange = [&] {
+    net::MessageLease query(network);
+    net::MessageLease reply(network);
+    query->set_query(7, question.qname, question.qtype, false);
+    query->add_edns();
+    const auto result =
+        network.exchange(client, child_address, *query, sim::Time{}, *reply);
+    EXPECT_TRUE(result.answered);
+    EXPECT_EQ(reply->answers.size(), 1u);
+  };
+  exchange();
+  EXPECT_EQ(allocations_during(exchange), 0u);
+}
+
+TEST_F(ExchangeAllocationTest, WarmCacheResolutionAllocatesNothing) {
+  bool from_cache = false;
+  auto resolve = [&] {
+    net::MessageLease reply(network);
+    from_cache =
+        resolver->resolve(question, sim::Time{}, *reply).answered_from_cache;
+    EXPECT_EQ(reply->answers.size(), 1u);
+  };
+  resolve();
+  EXPECT_FALSE(from_cache);
+  resolve();
+  ASSERT_TRUE(from_cache);
+  EXPECT_EQ(allocations_during(resolve), 0u);
+  EXPECT_TRUE(from_cache);
+}
+
+TEST_F(ExchangeAllocationTest, ColdResolutionAllocatesAtMostThePinnedCount) {
+  // Three exchanges: the root's referral, the child's answer for the glue
+  // it verifies, and the child's answer.  They run on recycled messages,
+  // so what is left is what the emptied cache keeps: its expiry heaps
+  // regrow, and each cached RRset holds its members.  DNSTTL_AUDIT builds
+  // audit the cache after every insert, and the audits allocate.
+  constexpr std::size_t kPinned = check::kAuditEnabled ? 21 : 11;
+  auto cold = [&] {
+    resolver->flush();
+    net::MessageLease reply(network);
+    const auto result = resolver->resolve(question, sim::Time{}, *reply);
+    EXPECT_EQ(result.upstream_queries, 3);
+    EXPECT_EQ(reply->answers.size(), 1u);
+  };
+  cold();
+  EXPECT_LE(allocations_during(cold), kPinned);
 }
 
 }  // namespace

@@ -40,6 +40,28 @@ TEST(MessageTest, MakeResponseEchoesIdAndQuestion) {
   EXPECT_EQ(response.questions, query.questions);
 }
 
+TEST(MessageTest, InPlaceRewritesMatchTheFactories) {
+  Message used = referral_for_uy();
+  used.id = 99;
+  used.flags.aa = true;
+  used.flags.tc = true;
+  used.flags.rcode = Rcode::kServFail;
+  used.add_edns();
+  const auto query =
+      Message::make_query(7, Name::from_string("uy"), RRType::kNS, false);
+
+  Message rewritten = used;
+  rewritten.set_query(7, Name::from_string("uy"), RRType::kNS, false);
+  EXPECT_EQ(rewritten, query);
+  rewritten = used;
+  rewritten.set_response(query);
+  EXPECT_EQ(rewritten, Message::make_response(query));
+  rewritten = used;
+  rewritten.clear();
+  EXPECT_EQ(rewritten, Message{});
+  EXPECT_GE(rewritten.authorities.capacity(), 1u);
+}
+
 TEST(MessageTest, SectionAccessors) {
   auto message = referral_for_uy();
   EXPECT_EQ(message.section(Section::kAuthority).size(), 1u);

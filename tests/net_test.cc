@@ -106,6 +106,68 @@ TEST(NetworkTest, QueryReachesServerAndReturnsAnswer) {
   EXPECT_GT(outcome.elapsed, sim::Duration{});
 }
 
+TEST(MessageLeaseTest, RecycledMessageCarriesNothingFromItsLastUse) {
+  Network network{sim::Rng{1}};
+  const Name owner = Name::from_string("www.example.org");
+  {
+    MessageLease used(network);
+    used->id = 0x1234;
+    used->flags.qr = true;
+    used->flags.opcode = dns::Opcode::kNotify;
+    used->flags.aa = true;
+    used->flags.tc = true;
+    used->flags.rd = false;
+    used->flags.ra = true;
+    used->flags.rcode = dns::Rcode::kNXDomain;
+    used->questions.push_back({owner, RRType::kA, dns::RClass::kIN});
+    used->answers.push_back(
+        dns::make_a(owner, dns::Ttl{300}, dns::Ipv4(10, 1, 1, 1)));
+    used->authorities.push_back(
+        dns::make_ns(owner, dns::Ttl{300}, Name::from_string("ns.org")));
+    used->add_edns();
+  }
+  MessageLease recycled(network);
+  EXPECT_EQ(*recycled, dns::Message{});
+  // The same message came back: its sections kept their capacity.
+  EXPECT_GE(recycled->answers.capacity(), 1u);
+  EXPECT_GE(recycled->additionals.capacity(), 1u);
+  // A second lease open at once gets a message of its own.
+  MessageLease fresh(network);
+  EXPECT_EQ(*fresh, dns::Message{});
+  EXPECT_EQ(fresh->answers.capacity(), 0u);
+}
+
+TEST(MessageLeaseTest, ExchangeOverwritesEveryFieldOfAReusedReply) {
+  Network network{sim::Rng{1}};
+  auth::AuthServer server{"auth"};
+  server.add_zone(tiny_zone());
+  const Address addr = network.attach(server, Location{});
+  const NodeRef client{dns::Ipv4(10, 0, 0, 99), Location{}};
+  MessageLease query(network);
+  MessageLease reply(network);
+  query->set_query(7, Name::from_string("www.example.org"), RRType::kA);
+  query->add_edns();
+  ASSERT_TRUE(network.exchange(client, addr, *query, sim::Time{}, *reply)
+                  .answered);
+  ASSERT_TRUE(reply->flags.aa);
+  ASSERT_EQ(reply->answers.size(), 1u);
+
+  // Outside the zone: REFUSED, without AA or records.  The reused reply
+  // must equal the one a fresh message gets.
+  query->set_query(8, Name::from_string("www.example.com"), RRType::kA,
+                   false);
+  ASSERT_TRUE(network.exchange(client, addr, *query, sim::Time{}, *reply)
+                  .answered);
+  const auto fresh = network.query(client, addr, *query, sim::Time{});
+  ASSERT_TRUE(fresh.response.has_value());
+  EXPECT_EQ(*reply, *fresh.response);
+  EXPECT_EQ(reply->id, 8);
+  EXPECT_EQ(reply->flags.rcode, dns::Rcode::kRefused);
+  EXPECT_FALSE(reply->flags.aa);
+  EXPECT_FALSE(reply->flags.rd);
+  EXPECT_TRUE(reply->answers.empty());
+}
+
 TEST(NetworkTest, DetachedAddressTimesOut) {
   Network network{sim::Rng{1}};
   auth::AuthServer server{"auth"};

@@ -70,6 +70,50 @@ TEST(TruncationTest, SmallResponsesAreNeverTruncated) {
   EXPECT_FALSE(udp.response->flags.tc);
 }
 
+TEST(TruncationTest, CompressibleReplyOverItsUncompressedBoundFits) {
+  // Twelve addresses at one long owner: written in full the owner alone
+  // exceeds the classic 512-octet limit, but every repeat after the first
+  // compresses to a 2-octet pointer.
+  core::World world{core::World::Options{1, 0.0, {}}};
+  auto zone = world.add_tld("zz", "a.nic", dns::Ttl{3600}, dns::Ttl{3600},
+                            dns::Ttl{3600},
+                            net::Location{net::Region::kEU, 1.0});
+  const auto owner = Name::from_string(
+      "a-long-label-that-compresses-well-in-every-record.zz");
+  for (std::uint8_t i = 1; i <= 12; ++i) {
+    zone->add(dns::make_a(owner, dns::Ttl{300}, dns::Ipv4(10, 0, 0, i)));
+  }
+  net::NodeRef client{dns::Ipv4(10, 9, 9, 9),
+                      net::Location{net::Region::kEU, 1.0}};
+  // No EDNS: the limit is 512 octets.
+  auto query = dns::Message::make_query(1, owner, RRType::kA);
+  auto tcp = world.network().query(client, world.address_of("a.nic.zz."),
+                                   query, sim::Time{},
+                                   net::Network::Transport::kTcp);
+  ASSERT_TRUE(tcp.response.has_value());
+  EXPECT_GT(dns::uncompressed_size(*tcp.response), 512u);
+  EXPECT_LE(dns::encoded_size(*tcp.response), 512u);
+
+  auto udp = world.network().query(client, world.address_of("a.nic.zz."),
+                                   query, sim::Time{});
+  ASSERT_TRUE(udp.response.has_value());
+  EXPECT_FALSE(udp.response->flags.tc);
+  EXPECT_EQ(udp.response->answers.size(), 12u);
+  EXPECT_EQ(*udp.response, *tcp.response);
+}
+
+TEST(TruncationTest, RdataOverRdlengthStillThrowsOverUdp) {
+  auto world = world_with_fat_record(70000);
+  net::NodeRef client{dns::Ipv4(10, 9, 9, 9),
+                      net::Location{net::Region::kEU, 1.0}};
+  auto query = dns::Message::make_query(1, Name::from_string("big.zz"),
+                                        RRType::kTXT);
+  query.add_edns();
+  EXPECT_THROW(world.network().query(client, world.address_of("a.nic.zz."),
+                                     query, sim::Time{}),
+               dns::WireError);
+}
+
 TEST(TruncationTest, ResolverRetriesOverTcpTransparently) {
   auto world = world_with_fat_record(3000);
   resolver::RecursiveResolver resolver("r", resolver::child_centric_config(),

@@ -21,13 +21,14 @@ using sim::kSecond;
 /// section, in the order given, with AA set.
 class ScriptedServer : public net::DnsNode {
  public:
-  std::optional<net::ServerReply> handle_query(const dns::Message& query,
-                                               net::Address /*client*/,
-                                               sim::Time /*now*/) override {
-    auto response = dns::Message::make_response(query);
-    response.flags.aa = true;
-    response.answers = answers;
-    return net::ServerReply{std::move(response), sim::Duration{}};
+  std::optional<sim::Duration> serve(const dns::Message& query,
+                                     net::Address /*client*/,
+                                     sim::Time /*now*/,
+                                     dns::Message& reply) override {
+    reply.set_response(query);
+    reply.flags.aa = true;
+    reply.answers = answers;
+    return sim::Duration{};
   }
 
   std::vector<dns::ResourceRecord> answers;
