@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   crawl::PassiveConfig config;
   config.resolver_count = std::max<std::size_t>(
       200, static_cast<std::size_t>(20000 * args.scale));
-  config.seed = args.seed;
   std::printf(
       "resolvers=%zu duration=48h parent(root glue)=172800s child=3600s\n"
       "(paper observed 205k resolvers; counts scale, ratios hold — see "

@@ -242,17 +242,6 @@ void BM_SimulationEventLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationEventLoop);
 
-void BM_SimulationScheduleCancel(benchmark::State& state) {
-  sim::Simulation simulation;
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    auto id = simulation.schedule_after(sim::kSecond, [&sink] { ++sink; });
-    simulation.cancel(id);
-  }
-  benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_SimulationScheduleCancel);
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -93,28 +93,6 @@ inline QuickMetric bench_event_loop(std::uint64_t total_events) {
                         simulation.events_processed(), start);
 }
 
-/// Schedule/cancel churn: timeout-style events that are usually cancelled
-/// before firing (every network query arms one).
-inline QuickMetric bench_event_cancel(std::uint64_t total_events) {
-  sim::Simulation simulation;
-  std::uint64_t fired = 0;
-  auto start = std::chrono::steady_clock::now();
-  std::uint64_t scheduled = 0;
-  while (scheduled < total_events) {
-    std::uint64_t ids[16];
-    for (int i = 0; i < 16; ++i) {
-      ids[i] = simulation.schedule_after(sim::kSecond,
-                                         [&fired] { ++fired; });
-    }
-    for (int i = 0; i < 16; i += 2) {
-      simulation.cancel(ids[i]);  // half the timeouts never fire
-    }
-    simulation.run_until(simulation.now() + 2 * sim::kSecond);
-    scheduled += 16;
-  }
-  return detail::finish("event_cancel_churn", "events/sec", scheduled, start);
-}
-
 /// Cache lookup throughput over a warm working set: the per-query probe
 /// every simulated resolver pays, most often a hit.
 inline QuickMetric bench_cache_lookup(std::uint64_t total_lookups) {
@@ -213,9 +191,9 @@ inline QuickMetric bench_wheel_dense(std::uint64_t total_events) {
   return detail::finish("sched_wheel_dense", "events/sec", fired, start);
 }
 
-/// Dense-expiry scheduling, slab-heap side: the historical object-per-actor
-/// pattern — every pending arrival is its own 4-ary-heap node plus an
-/// EventFn closure.  Same arrival process as sched_wheel_dense.
+/// Dense-expiry scheduling, Simulation-queue side: the historical
+/// object-per-actor pattern — every pending arrival is its own heap record
+/// plus a std::function closure.  Same arrival process as sched_wheel_dense.
 inline QuickMetric bench_heap_dense(std::uint64_t total_events) {
   constexpr std::uint64_t kActors = 4096;
   sim::Simulation simulation;
@@ -279,7 +257,6 @@ inline std::vector<QuickMetric> run_quick_suite(double scale) {
   };
   std::vector<QuickMetric> metrics;
   metrics.push_back(bench_event_loop(n(4'000'000)));
-  metrics.push_back(bench_event_cancel(n(2'000'000)));
   metrics.push_back(bench_wheel_dense(n(4'000'000)));
   metrics.push_back(bench_heap_dense(n(4'000'000)));
   metrics.push_back(bench_cache_lookup(n(8'000'000)));

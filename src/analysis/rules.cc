@@ -637,7 +637,7 @@ void rule_std_map_hot(const FileIndex& ix, const Sink& sink) {
     sink.add("std-map-hot", code[i].line,
              "`std::" + code[i + 2].text + "` on a hot path: src/auth, "
              "src/cache, src/dns and src/sim use the open-addressing "
-             "dns::NameTable, flat vectors and the slab heap by design",
+             "dns::NameTable, flat vectors and std heaps by design",
              make_excerpt(ix, i, i + 4));
   }
 }

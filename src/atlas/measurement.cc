@@ -10,8 +10,8 @@ namespace dnsttl::atlas {
 namespace {
 
 /// Structure-of-arrays VP scheduler: one timer-wheel entry per vantage
-/// point (its next round) instead of one slab-heap node per (VP, round).
-/// Simulation::run_until drains the wheel together with the slab heap.
+/// point (its next round) instead of one queued event per (VP, round).
+/// Simulation::run_until drains the wheel together with its queue.
 ///
 /// Byte-identity with the historical pre-scheduled path rests on two
 /// reservations made in the old nested iteration order (probe-major,

@@ -158,13 +158,12 @@ void Cache::compact_heap(ExpiryHeap& heap, const Table<V>& table) {
   if (heap.size() <= 2 * table.size() + 64) {
     return;
   }
-  std::vector<ExpiryRec> recs;
-  recs.reserve(table.size());
-  table.for_each([&recs](const auto& item) {
-    recs.push_back(ExpiryRec{item.value.expires, item.name, item.tag,
-                             item.value.stamp});
+  heap.refill([&table](std::vector<ExpiryRec>& recs) {
+    table.for_each([&recs](const auto& item) {
+      recs.push_back(ExpiryRec{item.value.expires, item.name, item.tag,
+                               item.value.stamp});
+    });
   });
-  heap = ExpiryHeap(LaterExpiry{}, std::move(recs));
 }
 
 void Cache::maybe_halve() {

@@ -1,6 +1,7 @@
 #ifndef DNSTTL_CACHE_CACHE_H
 #define DNSTTL_CACHE_CACHE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <queue>
@@ -315,6 +316,14 @@ class Cache {
       : std::priority_queue<ExpiryRec, std::vector<ExpiryRec>, LaterExpiry> {
     using priority_queue::priority_queue;
     const std::vector<ExpiryRec>& container() const noexcept { return c; }
+    /// Empties the container, lets @p fill append the new records, and
+    /// restores heap order; the container keeps its capacity.
+    template <typename Fill>
+    void refill(Fill&& fill) {
+      c.clear();
+      fill(c);
+      std::make_heap(c.begin(), c.end(), comp);
+    }
   };
 
   dns::Ttl clamp_ttl(dns::Ttl ttl) const;
@@ -330,8 +339,9 @@ class Cache {
   }
   /// True if the glue link invalidates @p entry at @p now.
   bool ns_link_broken(const Entry& entry, sim::Time now) const;
-  /// Rebuilds @p heap from the live table when stale records dominate, so
-  /// repeated refreshes of the same key cannot grow it without bound.
+  /// Rebuilds @p heap in place from the live table when stale records
+  /// dominate, so repeated refreshes of the same key cannot grow it without
+  /// bound, and keeps its buffer for the pushes that follow.
   template <typename V>
   static void compact_heap(ExpiryHeap& heap, const Table<V>& table);
 

@@ -24,9 +24,9 @@ constexpr dns::Ttl kParentGlueTtl = dns::kTtl2Days;
 constexpr dns::Ttl kChildATtl = dns::kTtl1Hour;
 
 /// Structure-of-arrays demand pool: per-resolver arrival state in parallel
-/// arrays, driven by a timer wheel instead of one slab-heap node and
-/// EventFn closure per pending arrival (docs/architecture.md §Workload
-/// engine); Simulation::run_until drains the wheel with the slab heap.
+/// arrays, driven by a timer wheel instead of one queued event and closure
+/// per pending arrival (docs/architecture.md §Workload engine);
+/// Simulation::run_until drains the wheel together with its queue.
 /// Each resolver holds exactly one pending "next query" entry; the payload
 /// is its pool index.  Sequence numbers come from Simulation::allocate_seq
 /// in the same order the object-per-actor code consumed them, so outputs

@@ -20,6 +20,8 @@ struct PassiveConfig {
   /// busy public resolvers, many quiet forwarders), capped at this rate.
   double demand_cap_per_day = 400.0;
 
+  /// Ignored: run_passive_nl forks every stream from the World's Rng.  Kept
+  /// only because perfbench/workloads.cc sets it.
   std::uint64_t seed = 42;
 };
 

@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,150 +13,6 @@
 
 namespace dnsttl::sim {
 
-/// Move-only `void()` callable with a small-buffer optimization: captures up
-/// to kInlineSize bytes live inside the object, so scheduling the common
-/// event lambda performs no heap allocation (std::function allocated for
-/// anything beyond two pointers of capture on most ABIs).
-class EventFn {
- public:
-  static constexpr std::size_t kInlineSize = 48;
-
-  EventFn() noexcept = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventFn(F&& f) {  // NOLINT(google-explicit-constructor): mirrors
-                    // std::function's converting constructor.
-    emplace(std::forward<F>(f));
-  }
-
-  /// Destroys the current callable (if any) and constructs @p f in place.
-  /// Inlined at call sites, this compiles down to a plain member copy for
-  /// small captures — no virtual dispatch on the scheduling path.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  void emplace(F&& f) {
-    reset();
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vt_ = &inline_vtable<Fn>;
-    } else {
-      // lint:allow(raw-new) EventFn IS the owner: oversized callables spill
-      // to the heap and the vtable below is the matching deleter.
-      heap_ = new Fn(std::forward<F>(f));
-      vt_ = &heap_vtable<Fn>;
-    }
-  }
-
-  EventFn(EventFn&& other) noexcept { move_from(other); }
-
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-
-  ~EventFn() { reset(); }
-
-  void operator()() { vt_->invoke(storage()); }
-
-  /// Invokes the callable and destroys it in one virtual dispatch; the
-  /// object is empty afterwards.  The event loop's fire path uses this to
-  /// save an indirect call over operator() followed by the destructor.
-  void invoke_consume() {
-    const VTable* vt = vt_;
-    vt_ = nullptr;
-    vt->invoke_destroy(storage_for(vt));
-  }
-
-  explicit operator bool() const noexcept { return vt_ != nullptr; }
-
-  void reset() noexcept {
-    if (vt_ != nullptr) {
-      vt_->destroy(storage());
-      vt_ = nullptr;
-    }
-  }
-
- private:
-  struct VTable {
-    void (*invoke)(void*);
-    /// invoke() followed by destroy(), fused.
-    void (*invoke_destroy)(void*);
-    /// Move-constructs into @p dst from @p src and destroys @p src.
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void*) noexcept;
-    bool stores_inline;
-  };
-
-  template <typename Fn>
-  static constexpr VTable inline_vtable = {
-      [](void* p) { (*static_cast<Fn*>(p))(); },
-      [](void* p) {
-        Fn* fn = static_cast<Fn*>(p);
-        (*fn)();
-        fn->~Fn();
-      },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-        static_cast<Fn*>(src)->~Fn();
-      },
-      [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
-      true,
-  };
-
-  template <typename Fn>
-  static constexpr VTable heap_vtable = {
-      [](void* p) { (**static_cast<Fn**>(p))(); },
-      [](void* p) {
-        Fn* fn = *static_cast<Fn**>(p);
-        (*fn)();
-        delete fn;  // lint:allow(raw-new) deleter half of EventFn's heap path
-      },
-      [](void* dst, void* src) noexcept {
-        *static_cast<Fn**>(dst) = *static_cast<Fn**>(src);
-      },
-      // lint:allow(raw-new) deleter half of EventFn's heap path
-      [](void* p) noexcept { delete *static_cast<Fn**>(p); },
-      false,
-  };
-
-  void* storage_for(const VTable* vt) noexcept {
-    return !vt->stores_inline ? static_cast<void*>(&heap_)
-                              : static_cast<void*>(buf_);
-  }
-
-  void* storage() noexcept {
-    return vt_ != nullptr ? storage_for(vt_) : static_cast<void*>(buf_);
-  }
-
-  void move_from(EventFn& other) noexcept {
-    vt_ = other.vt_;
-    if (vt_ != nullptr) {
-      vt_->relocate(storage(), other.storage());
-      other.vt_ = nullptr;
-    }
-  }
-
-  const VTable* vt_ = nullptr;
-  union {
-    void* heap_;
-    alignas(std::max_align_t) unsigned char buf_[kInlineSize];
-  };
-};
-
 /// Discrete-event simulation core: a virtual clock plus an event queue.
 ///
 /// All network transmission, cache expiry and measurement scheduling in the
@@ -166,51 +20,22 @@ class EventFn {
 /// Events at equal timestamps run in scheduling (FIFO) order, which makes
 /// every experiment deterministic given a fixed Rng seed.
 ///
-/// Handlers live in a slab with an intrusive free list: scheduling reuses a
-/// slot instead of hitting the allocator, and cancel() stays O(1) through
-/// per-slot generation counters (an event id embeds slot index + generation,
-/// so a recycled slot cannot be cancelled through a stale id).
+/// Dense cohorts (VP re-queries, passive demand) fire from a TimerWheel
+/// through run_until(deadline, wheel, fire); the queue here carries the few
+/// one-off protocol events (a renumber, secondary refresh timers).  It is a
+/// binary heap of plain (at, seq, handler index) records; handlers sit in
+/// a side vector whose freed slots are reused.
 class Simulation {
  public:
-  using Handler = EventFn;
-
   Time now() const noexcept { return now_; }
 
   /// Schedules @p handler at absolute virtual time @p at (>= now).
-  /// Returns an event id usable with cancel().
-  std::uint64_t schedule_at(Time at, Handler handler);
+  void schedule_at(Time at, std::function<void()> handler);
 
   /// Schedules @p handler @p delay after the current time.
-  std::uint64_t schedule_after(Duration delay, Handler handler);
-
-  /// Callable overloads: construct the handler directly inside its slab
-  /// slot.  Fully inlined, the schedule path performs no virtual dispatch
-  /// and (for captures within EventFn::kInlineSize) no allocation.
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  std::uint64_t schedule_at(Time at, F&& f) {
-    if (at < now_) {
-      throw_scheduled_in_past();
-    }
-    std::uint32_t index = acquire_slot();
-    Slot& slot = slots_[index];
-    slot.fn.emplace(std::forward<F>(f));
-    heap_push(Event{at, next_seq_++, index, slot.generation});
-    return (static_cast<std::uint64_t>(slot.generation) << 32) | index;
+  void schedule_after(Duration delay, std::function<void()> handler) {
+    schedule_at(now_ + delay, std::move(handler));
   }
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, EventFn> &&
-                std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  std::uint64_t schedule_after(Duration delay, F&& f) {
-    return schedule_at(now_ + delay, std::forward<F>(f));
-  }
-
-  /// Cancels a pending event; returns false if it already ran or is unknown.
-  bool cancel(std::uint64_t event_id);
 
   /// Runs until the queue is empty.
   void run();
@@ -218,24 +43,24 @@ class Simulation {
   /// Runs events with time <= @p deadline, then sets now to the deadline.
   void run_until(Time deadline);
 
-  /// Runs slab-heap events and @p wheel's entries with time <= @p deadline
-  /// in one strict (time, seq) order, then sets now to the deadline.  Wheel
+  /// Runs queued events and @p wheel's entries with time <= @p deadline in
+  /// one strict (time, seq) order, then sets now to the deadline.  Wheel
   /// entries carry seqs drawn from allocate_seq / allocate_seq_block, so the
   /// two kinds interleave deterministically.  The next event is picked again
-  /// after every one, because either kind may schedule into the heap or
+  /// after every one, because either kind may schedule into the queue or
   /// back into the wheel.  The clock moves to an entry's time before
   /// @p fire(entry) runs.  Wheel fires count toward the periodic audit but
   /// not toward events_processed().
   template <typename Fire>
   void run_until(Time deadline, TimerWheel& wheel, Fire&& fire) {
     for (;;) {
-      prune_stale_front();
-      const bool heap_ready = !heap_.empty() && heap_.front().at <= deadline;
+      const bool queue_ready =
+          !queue_.empty() && queue_.front().at <= deadline;
       if (!wheel.empty()) {
         const TimerWheel::Entry& head = wheel.head();
         if (head.at <= deadline &&
-            (!heap_ready ||
-             before(Event{head.at, head.seq, 0, 0}, heap_.front()))) {
+            (!queue_ready ||
+             later(queue_.front(), Event{head.at, head.seq, 0}))) {
           const TimerWheel::Entry entry = wheel.pop_head();
           if (entry.at < now_) {
             throw_clock_backwards();
@@ -246,7 +71,7 @@ class Simulation {
           continue;
         }
       }
-      if (!heap_ready) {
+      if (!queue_ready) {
         break;
       }
       step();
@@ -258,7 +83,7 @@ class Simulation {
 
   /// Allocates one sequence number from the global schedule-order counter.
   /// Timer-wheel engines stamp their entries with these so they interleave
-  /// with slab-heap events deterministically.
+  /// with queued events deterministically.
   std::uint64_t allocate_seq() noexcept { return next_seq_++; }
 
   /// Reserves @p n consecutive sequence numbers, returning the first.
@@ -270,17 +95,17 @@ class Simulation {
     return first;
   }
 
-  /// Pending slab-heap events (timer-wheel entries are counted by their
+  /// Pending queued events (timer-wheel entries are counted by their
   /// owning engines, not here).
-  std::size_t pending() const noexcept { return heap_.size() - cancelled_; }
-  /// Slab-heap events run so far; timer-wheel fires are not counted.
+  std::size_t pending() const noexcept { return queue_.size(); }
+  /// Queued events run so far; timer-wheel fires are not counted.
   std::uint64_t events_processed() const noexcept { return processed_; }
 
-  /// Deep structural audit: 4-ary heap order, slab free-list consistency,
-  /// generation-counter agreement between heap events and slots, and
-  /// cancelled-event accounting.  Throws check::AuditError on violation.
-  /// Compiled in every build (tests call it directly); automatic periodic
-  /// invocation happens only when built with DNSTTL_AUDIT=ON.
+  /// Deep structural audit: heap order, no event before now or from a seq
+  /// not yet drawn, and live records plus free slots partitioning the
+  /// handler vector.  Throws check::AuditError on violation.  Compiled in
+  /// every build (tests call it directly); automatic periodic invocation
+  /// happens only when built with DNSTTL_AUDIT=ON.
   void validate() const;
 
   /// Registers a hook run with every periodic audit (audit builds only;
@@ -302,7 +127,7 @@ class Simulation {
     }
   }
 
-  /// Sets how many fired events (heap events and wheel entries) elapse
+  /// Sets how many fired events (queued events and wheel entries) elapse
   /// between periodic audits.
   void set_audit_interval(std::uint64_t events) {
     audit_interval_ = events > 0 ? events : 1;
@@ -310,74 +135,24 @@ class Simulation {
   }
 
  private:
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-
-  struct Slot {
-    EventFn fn;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = kNilSlot;
-    bool occupied = false;
-  };
   struct Event {
     Time at;
     std::uint64_t seq;  ///< global schedule order; FIFO tiebreak at equal at
-    std::uint32_t slot;
-    std::uint32_t generation;
+    std::uint32_t handler;  ///< index into handlers_
   };
 
-  /// Strict total order on (at, seq): no two events compare equal, so any
-  /// min-heap pops the same sequence — heap arity is a pure perf knob.
-  static bool before(const Event& a, const Event& b) noexcept {
-    return a.at < b.at || (a.at == b.at && a.seq < b.seq);
+  /// Heap comparator: the strict (at, seq) total order, reversed so the
+  /// std heap keeps the earliest event at front().  No two events compare
+  /// equal, so every heap pops the same sequence.
+  static bool later(const Event& a, const Event& b) noexcept {
+    return a.at > b.at || (a.at == b.at && a.seq > b.seq);
   }
 
-  void heap_push(const Event& ev) {
-    std::size_t i = heap_.size();
-    heap_.emplace_back();  // hole; filled below after sift-up
-    while (i > 0) {
-      std::size_t parent = (i - 1) >> 2;
-      if (!before(ev, heap_[parent])) {
-        break;
-      }
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = ev;
-  }
-
-  Event heap_pop();
-
-  std::uint32_t acquire_slot() {
-    if (free_head_ != kNilSlot) {
-      std::uint32_t index = free_head_;
-      free_head_ = slots_[index].next_free;
-      slots_[index].occupied = true;
-      return index;
-    }
-    slots_.emplace_back();
-    slots_.back().occupied = true;
-    return static_cast<std::uint32_t>(slots_.size() - 1);
-  }
-
-  [[noreturn]] static void throw_scheduled_in_past();
   [[noreturn]] static void throw_clock_backwards();
 
-  bool step();
-  /// Pops cancelled leftovers off the heap front so (time, seq)
-  /// comparisons against a timer wheel's head see a live event.
-  void prune_stale_front() {
-    while (!heap_.empty()) {
-      const Event& ev = heap_.front();
-      const Slot& slot = slots_[ev.slot];
-      if (slot.occupied && slot.generation == ev.generation) {
-        break;
-      }
-      heap_pop();
-      --cancelled_;
-    }
-  }
-  void release_slot(std::uint32_t index);
-  /// Counts one fired heap event or wheel entry; in audit builds every
+  /// Pops the earliest queued event and runs it; requires a non-empty queue.
+  void step();
+  /// Counts one fired queued event or wheel entry; in audit builds every
   /// audit_interval_-th one runs the periodic audit.
   void count_toward_audit() {
     if constexpr (check::kAuditEnabled) {
@@ -393,12 +168,10 @@ class Simulation {
   Time now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::size_t cancelled_ = 0;
-  /// 4-ary min-heap: children of i are 4i+1..4i+4.  Half the levels of a
-  /// binary heap, and sifting writes one hole instead of swapping pairs.
-  std::vector<Event> heap_;
-  std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNilSlot;
+  std::vector<Event> queue_;
+  std::vector<std::function<void()>> handlers_;
+  /// Indices of handlers_ slots no queued event holds.
+  std::vector<std::uint32_t> free_handlers_;
 
   static constexpr std::uint64_t kDefaultAuditInterval = 1024;
   std::vector<std::function<void()>> audit_hooks_;

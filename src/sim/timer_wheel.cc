@@ -9,10 +9,7 @@
 
 namespace dnsttl::sim {
 
-TimerWheel::TimerWheel(Time start, Duration tick) : tick_(tick) {
-  if (tick_.count() <= 0) {
-    throw std::invalid_argument("TimerWheel tick must be positive");
-  }
+TimerWheel::TimerWheel(Time start) {
   if (start.since_epoch().count() < 0) {
     throw std::invalid_argument("TimerWheel start must not precede the epoch");
   }
@@ -27,7 +24,7 @@ void TimerWheel::schedule(Time at, std::uint64_t seq, std::uint64_t payload) {
   if (active_ && at_tick == active_tick_) {
     // The slot is mid-fire (its vector already moved into scratch_): merge
     // the entry at its (time, seq) position among the not-yet-fired tail,
-    // so zero-gap reschedules keep exact slab-heap order.
+    // so zero-gap reschedules keep exact (time, seq) order.
     const Entry entry{at, seq, payload};
     auto pos = std::upper_bound(
         scratch_.begin() + static_cast<std::ptrdiff_t>(scratch_idx_),
@@ -58,51 +55,8 @@ void TimerWheel::place(const Entry& entry) {
     level1_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63u);
     return;
   }
-  far_push(entry);
-}
-
-void TimerWheel::far_push(const Entry& entry) {
-  std::size_t i = far_.size();
-  far_.emplace_back();  // hole; filled below after sift-up
-  while (i > 0) {
-    const std::size_t parent = (i - 1) >> 2;
-    if (!entry_before(entry, far_[parent])) {
-      break;
-    }
-    far_[i] = far_[parent];
-    i = parent;
-  }
-  far_[i] = entry;
-}
-
-TimerWheel::Entry TimerWheel::far_pop() {
-  Entry min = far_.front();
-  Entry last = far_.back();
-  far_.pop_back();
-  const std::size_t n = far_.size();
-  if (n > 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = (i << 2) + 1;
-      if (first >= n) {
-        break;
-      }
-      std::size_t best = first;
-      const std::size_t end = first + 4 < n ? first + 4 : n;
-      for (std::size_t child = first + 1; child < end; ++child) {
-        if (entry_before(far_[child], far_[best])) {
-          best = child;
-        }
-      }
-      if (!entry_before(far_[best], last)) {
-        break;
-      }
-      far_[i] = far_[best];
-      i = best;
-    }
-    far_[i] = last;
-  }
-  return min;
+  far_.push_back(entry);
+  std::push_heap(far_.begin(), far_.end(), entry_after);
 }
 
 void TimerWheel::pull_far() {
@@ -113,7 +67,10 @@ void TimerWheel::pull_far() {
     if (coarse_delta >= static_cast<std::int64_t>(kSlots)) {
       break;
     }
-    place(far_pop());
+    std::pop_heap(far_.begin(), far_.end(), entry_after);
+    const Entry entry = far_.back();
+    far_.pop_back();
+    place(entry);
   }
 }
 
@@ -272,13 +229,12 @@ void TimerWheel::validate() const {
     }
   }
 
+  const auto unordered =
+      std::is_heap_until(far_.begin(), far_.end(), entry_after);
+  DNSTTL_AUDIT_CHECK(kWhat, unordered == far_.end(),
+                     "far-heap order violated at index " +
+                         std::to_string(unordered - far_.begin()));
   for (std::size_t i = 0; i < far_.size(); ++i) {
-    if (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      DNSTTL_AUDIT_CHECK(kWhat, !entry_before(far_[i], far_[parent]),
-                         "far-heap order violated at index " +
-                             std::to_string(i));
-    }
     DNSTTL_AUDIT_CHECK(kWhat, tick_of(far_[i].at) >= cur_tick_,
                        "far-heap entry behind the wheel position at index " +
                            std::to_string(i));

@@ -13,34 +13,34 @@ namespace dnsttl::sim {
 /// Hierarchical timer wheel: batched scheduling for dense cohorts of
 /// homogeneous actors (see docs/architecture.md §Workload engine).
 ///
-/// The slab-heap inside sim::Simulation pays one 4-ary-heap node, one slab
-/// slot and one EventFn per pending event.  That is the right shape for the
-/// protocol layer (sparse, heterogeneous timers), but a million stubs that
-/// all hold exactly one pending "next query" timer want the inverse layout:
-/// the *engine* owns a SoA pool of per-actor state, and the scheduler only
-/// needs to answer "which actor indices are due in this tick".  A wheel slot
-/// therefore stores a cohort of (time, seq, payload) entries — payload is an
-/// index into the caller's pool, not a callable — and firing a slot hands
-/// the whole cohort back in one batch.
+/// sim::Simulation's queue pays one heap record and one std::function per
+/// pending event.  That is the right shape for the protocol layer (sparse,
+/// heterogeneous timers), but a million stubs that all hold exactly one
+/// pending "next query" timer want the inverse layout: the *engine* owns a
+/// SoA pool of per-actor state, and the scheduler only needs to answer
+/// "which actor indices are due in this tick".  A wheel slot therefore
+/// stores a cohort of (time, seq, payload) entries — payload is an index
+/// into the caller's pool, not a callable — and firing a slot hands the
+/// whole cohort back in one batch.
 ///
-/// Layout: two levels of 1024 slots over a fixed tick (default one second),
-/// plus a far heap.  Level 0 covers the next 1024 ticks exactly (one slot
-/// per tick), level 1 the next ~2^20 ticks at 1024-tick granularity, and
-/// anything beyond that waits in a 4-ary min-heap ordered by (time, seq) —
-/// the "slab heap stays for sparse/far events" half of the design.  Entries
-/// cascade toward level 0 as the wheel turns and are never scanned while
-/// they sit in a far level.
+/// Layout: two levels of 1024 slots over a one-second tick, plus a far
+/// heap.  Level 0 covers the next 1024 ticks exactly (one slot per tick),
+/// level 1 the next ~2^20 ticks at 1024-tick granularity, and anything
+/// beyond that (~12 days out) waits in a binary min-heap ordered by
+/// (time, seq).  Entries cascade toward level 0 as the wheel turns and are
+/// never scanned while they sit in a far level.
 ///
 /// Ordering contract: the wheel fires entries in exactly the strict
-/// (time, seq) total order that Simulation's slab heap uses.  Sequence
-/// numbers are supplied by the caller — cohort engines draw them from
-/// Simulation::allocate_seq() — so wheel entries and heap events interleave
-/// into one global deterministic order when Simulation::run_until(deadline,
-/// wheel, fire) drains them together; the differential oracle test in
-/// tests/sim_test.cc pins the equivalence over fuzzed traces.  Within a
-/// slot, the cohort is materialized (sorted) once when the slot comes due;
-/// entries scheduled *into the active slot while it fires* (zero-gap
-/// reschedules) are merged at their correct (time, seq) position.
+/// (time, seq) total order that Simulation's queue uses.  Sequence numbers
+/// are supplied by the caller — cohort engines draw them from
+/// Simulation::allocate_seq() — so wheel entries and queued events
+/// interleave into one global deterministic order when
+/// Simulation::run_until(deadline, wheel, fire) drains them together; the
+/// differential oracle test in tests/sim_test.cc pins the equivalence over
+/// fuzzed traces.  Within a slot, the cohort is materialized (sorted) once
+/// when the slot comes due; entries scheduled *into the active slot while
+/// it fires* (zero-gap reschedules) are merged at their correct (time, seq)
+/// position.
 ///
 /// Monotonicity: schedule() requires `at` not earlier than the entry
 /// currently at the head (callers schedule from a monotone virtual clock,
@@ -55,7 +55,7 @@ class TimerWheel {
     std::uint64_t payload = 0;
   };
 
-  explicit TimerWheel(Time start = Time{}, Duration tick = kSecond);
+  explicit TimerWheel(Time start = Time{});
 
   /// Enqueues (at, seq, payload).  `at` must not precede the wheel's
   /// current position (the tick of the last materialized cohort).
@@ -81,23 +81,24 @@ class TimerWheel {
   void validate() const;
 
  private:
+  static constexpr Duration kTick = kSecond;
   static constexpr std::size_t kSlots = 1024;           // per level
   static constexpr std::size_t kSlotMask = kSlots - 1;  // tick -> slot
   static constexpr unsigned kLevelShift = 10;           // log2(kSlots)
-  /// Ticks covered by level 0 + level 1; beyond this lives the far heap.
-  static constexpr std::int64_t kWheelSpan =
-      static_cast<std::int64_t>(kSlots) * static_cast<std::int64_t>(kSlots);
 
-  [[nodiscard]] std::int64_t tick_of(Time t) const noexcept {
-    return t.since_epoch() / tick_;
+  [[nodiscard]] static std::int64_t tick_of(Time t) noexcept {
+    return t.since_epoch() / kTick;
   }
   static bool entry_before(const Entry& a, const Entry& b) noexcept {
     return a.at < b.at || (a.at == b.at && a.seq < b.seq);
   }
+  /// Far-heap comparator: entry_before reversed, so the std heap keeps the
+  /// earliest entry at far_.front().
+  static bool entry_after(const Entry& a, const Entry& b) noexcept {
+    return entry_before(b, a);
+  }
 
   void place(const Entry& entry);
-  void far_push(const Entry& entry);
-  Entry far_pop();
   /// Moves far-heap entries that now fit the two wheel levels in-window.
   void pull_far();
   /// Positions cur_tick_ on the lowest tick with a level-0 cohort,
@@ -107,7 +108,6 @@ class TimerWheel {
   /// Sorts the due cohort into scratch_; requires !empty().
   void materialize();
 
-  Duration tick_;
   std::int64_t cur_tick_ = 0;  ///< lowest tick that may still hold entries
 
   std::array<std::vector<Entry>, kSlots> level0_;
@@ -116,7 +116,7 @@ class TimerWheel {
   /// runs a word at a time.
   std::array<std::uint64_t, kSlots / 64> level0_bits_{};
   std::array<std::uint64_t, kSlots / 64> level1_bits_{};
-  /// 4-ary min-heap by (time, seq) for entries beyond the wheel span.
+  /// Min-heap by (time, seq) for entries beyond the wheel span.
   std::vector<Entry> far_;
 
   /// Materialized head cohort, sorted ascending by (time, seq).

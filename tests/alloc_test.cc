@@ -10,8 +10,10 @@
 #include <new>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "auth/auth_server.h"
+#include "cache/cache.h"
 #include "check/audit.h"
 #include "crawl/population_generator.h"
 #include "dns/message.h"
@@ -159,6 +161,44 @@ TEST(AllocationTest, LongerNamesTakeOneBlockPerCopyAndNonePerMove) {
         << octets << " octets";
     EXPECT_EQ(copy, original);
   }
+}
+
+TEST(AllocationTest, WarmCacheRefreshesThroughCompactionsAllocateNothing) {
+  // Each refresh pushes an expiry record and leaves the old one stale.
+  // Once the heap holds more than 2 * kKeys + 64 records it is rebuilt from
+  // the live entries, so with the heap at kKeys records after a rebuild,
+  // every 73 refreshes compact it once: three times in the measured run.
+  // The rebuild keeps the heap's buffer, and the RRsets are built up front
+  // and moved in, so the cache allocates nothing.  DNSTTL_AUDIT builds
+  // validate the cache after every insert, and each audit allocates twice.
+  constexpr std::size_t kKeys = 8;
+  constexpr std::size_t kRefreshes = 3 * 73;
+  constexpr std::size_t kPinned = check::kAuditEnabled ? 2 * kRefreshes : 0;
+  std::vector<dns::Name> names;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    names.push_back(dns::Name::from_string("k" + std::to_string(i) + ".test"));
+  }
+  auto refreshes = [&names] {
+    std::vector<dns::RRset> sets;
+    for (std::size_t i = 0; i < kRefreshes; ++i) {
+      dns::RRset rrset(names[i % kKeys], dns::RClass::kIN, dns::kTtl1Hour);
+      rrset.add(dns::ARdata{dns::Ipv4(static_cast<std::uint32_t>(i))});
+      sets.push_back(std::move(rrset));
+    }
+    return sets;
+  };
+  cache::Cache cache;
+  auto insert_all = [&cache](std::vector<dns::RRset>& sets) {
+    for (dns::RRset& rrset : sets) {
+      EXPECT_TRUE(cache.insert(std::move(rrset),
+                               cache::Credibility::kAuthAnswer, sim::Time{}));
+    }
+  };
+  std::vector<dns::RRset> warm = refreshes();
+  insert_all(warm);
+  std::vector<dns::RRset> measured = refreshes();
+  EXPECT_EQ(allocations_during([&] { insert_all(measured); }), kPinned);
+  EXPECT_EQ(cache.size(), kKeys);
 }
 
 /// A root server delegating example.org (two nameservers, in-bailiwick

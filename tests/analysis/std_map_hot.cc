@@ -1,6 +1,6 @@
 // analyze-as: src/cache/std_map_hot.cc
 // True positive: the cache and the simulator core are the hot paths, and
-// they use the open-addressing table and the slab heap by design.
+// they use the open-addressing table and std heaps by design.
 
 namespace dnsttl::cache {
 

@@ -3,6 +3,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/rng.h"
@@ -53,16 +54,6 @@ TEST(SimulationTest, RejectsSchedulingInThePast) {
                std::invalid_argument);
 }
 
-TEST(SimulationTest, CancelPreventsExecution) {
-  Simulation simulation;
-  bool ran = false;
-  auto id = simulation.schedule_at(sim::at(kSecond), [&] { ran = true; });
-  EXPECT_TRUE(simulation.cancel(id));
-  EXPECT_FALSE(simulation.cancel(id));  // already gone
-  simulation.run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(SimulationTest, RunUntilStopsAtDeadline) {
   Simulation simulation;
   int count = 0;
@@ -90,7 +81,7 @@ TEST(SimulationTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(simulation.now(), at(100 * kSecond));
 }
 
-// The slab recycles handler slots; recycling must never perturb the
+// The queue recycles handler slots; recycling must never perturb the
 // FIFO-at-equal-time guarantee that every experiment's determinism rests on.
 TEST(SimulationTest, EqualTimestampsStayFifoAcrossSlotReuse) {
   Simulation simulation;
@@ -109,87 +100,12 @@ TEST(SimulationTest, EqualTimestampsStayFifoAcrossSlotReuse) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
-TEST(SimulationTest, CancelInterleavedWithEqualTimeEvents) {
-  Simulation simulation;
-  std::vector<int> order;
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 8; ++i) {
-    ids.push_back(
-        simulation.schedule_at(sim::at(kSecond), [&order, i] { order.push_back(i); }));
-  }
-  // Cancel every other event; survivors keep their original relative order.
-  for (int i = 0; i < 8; i += 2) {
-    EXPECT_TRUE(simulation.cancel(ids[i]));
-  }
-  EXPECT_EQ(simulation.pending(), 4u);
-  simulation.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7}));
-  EXPECT_EQ(simulation.events_processed(), 4u);
-}
-
-TEST(SimulationTest, HandlerCancelsLaterEventAtSameTimestamp) {
-  Simulation simulation;
-  std::vector<int> order;
-  std::uint64_t victim = 0;
-  simulation.schedule_at(sim::at(kSecond), [&] {
-    order.push_back(0);
-    EXPECT_TRUE(simulation.cancel(victim));
-  });
-  victim = simulation.schedule_at(sim::at(kSecond), [&] { order.push_back(1); });
-  simulation.schedule_at(sim::at(kSecond), [&] { order.push_back(2); });
-  simulation.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2}));
-}
-
-TEST(SimulationTest, StaleIdCannotCancelRecycledSlot) {
-  Simulation simulation;
-  bool first_ran = false;
-  bool second_ran = false;
-  auto first = simulation.schedule_at(sim::at(kSecond), [&] { first_ran = true; });
-  simulation.run();
-  EXPECT_TRUE(first_ran);
-  // The slot is recycled under a new generation; the stale id must neither
-  // cancel the new event nor report success.
-  auto second = simulation.schedule_at(sim::at(2 * kSecond), [&] { second_ran = true; });
-  EXPECT_FALSE(simulation.cancel(first));
-  EXPECT_EQ(simulation.pending(), 1u);
-  simulation.run();
-  EXPECT_TRUE(second_ran);
-  EXPECT_TRUE(simulation.cancel(second) == false);  // already fired
-}
-
-TEST(SimulationTest, CancelledEventsDoNotAdvanceClockInRunUntil) {
-  Simulation simulation;
-  int count = 0;
-  auto id = simulation.schedule_at(sim::at(kMinute), [&] { ++count; });
-  simulation.schedule_at(sim::at(2 * kMinute), [&] { ++count; });
-  simulation.cancel(id);
-  simulation.run_until(sim::at(3 * kMinute));
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(simulation.now(), at(3 * kMinute));
-  EXPECT_EQ(simulation.pending(), 0u);
-}
-
-TEST(SimulationTest, CancelledEventBeforeDeadlineDoesNotRunLaterEvent) {
-  Simulation simulation;
-  bool late_ran = false;
-  auto id = simulation.schedule_at(sim::at(5 * kSecond), [] {});
-  simulation.schedule_at(sim::at(20 * kSecond), [&] { late_ran = true; });
-  simulation.cancel(id);
-  simulation.run_until(sim::at(10 * kSecond));
-  EXPECT_FALSE(late_ran);
-  EXPECT_EQ(simulation.now(), at(10 * kSecond));
-  EXPECT_EQ(simulation.pending(), 1u);
-  simulation.run();
-  EXPECT_TRUE(late_ran);
-}
-
 TEST(SimulationTest, HandlersLargerThanInlineBufferWork) {
-  // Captures beyond EventFn's inline buffer take the heap path; both paths
-  // must behave identically, including through reschedules.
+  // Captures far beyond std::function's small buffer are stored out of
+  // line; they must behave like small ones, including through reschedules.
   Simulation simulation;
   struct Big {
-    std::uint64_t pad[12];  // 96 bytes: forces the heap path
+    std::uint64_t pad[12];  // 96 bytes
   };
   auto big = std::make_shared<Big>();
   big->pad[11] = 7;
@@ -207,43 +123,59 @@ TEST(SimulationTest, HandlersLargerThanInlineBufferWork) {
   EXPECT_EQ(seen, 7u);
 }
 
-// Differential stress: a randomized schedule/cancel trace executed on the
-// slab-backed queue must fire exactly the events a naive oracle predicts,
-// in the oracle's (time, schedule-order) sequence.
+// Differential stress: a randomized trace of schedules at few distinct
+// times (so many tie), whose handlers schedule further events (some at the
+// current instant), must fire exactly the sequence a naive oracle predicts:
+// a std::map keyed on (time, schedule order).
 TEST(SimulationTest, RandomizedTraceMatchesOracle) {
+  constexpr int kInitial = 200;
+  constexpr int kTokens = 600;
+  // Whether fired token t schedules a child, and how far out: a pure
+  // function of t, so the queue and the oracle make the same choices.
+  const auto nests = [](int t) { return t % 3 != 2; };
+  const auto child_delay = [](int t) { return ((t / 3) % 4) * kSecond; };
   Rng rng(0x5eed);
   for (int round = 0; round < 20; ++round) {
+    std::vector<Time> initial;
+    for (int i = 0; i < kInitial; ++i) {
+      initial.push_back(sim::at(
+          static_cast<std::int64_t>(rng.uniform_int(0, 50)) * kSecond));
+    }
+
     Simulation simulation;
     std::vector<int> fired;
-    std::map<std::pair<Time, int>, int> oracle;  // (at, token) -> token
-    std::vector<std::uint64_t> ids;
-    std::vector<std::pair<Time, int>> keys;
-    int token = 0;
-    for (int op = 0; op < 200; ++op) {
-      if (!ids.empty() && rng.chance(0.3)) {
-        auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, ids.size() - 1));
-        if (simulation.cancel(ids[pick])) {
-          oracle.erase(keys[pick]);
-        }
-        ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(pick));
-        keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(pick));
-      } else {
-        Time at = sim::at(static_cast<std::int64_t>(rng.uniform_int(0, 50)) *
-                          kSecond);
-        int t = token++;
-        ids.push_back(
-            simulation.schedule_at(at, [&fired, t] { fired.push_back(t); }));
-        keys.emplace_back(at, t);
-        oracle[{at, t}] = t;
+    int next_token = 0;
+    std::function<void(int)> fire = [&](int t) {
+      fired.push_back(t);
+      if (nests(t) && next_token < kTokens) {
+        const int child = next_token++;
+        simulation.schedule_after(child_delay(t),
+                                  [&fire, child] { fire(child); });
       }
+    };
+    for (const Time at : initial) {
+      const int t = next_token++;
+      simulation.schedule_at(at, [&fire, t] { fire(t); });
     }
     simulation.run();
-    std::vector<int> expected;
-    expected.reserve(oracle.size());
-    for (const auto& [key, t] : oracle) {
-      expected.push_back(t);
+
+    std::map<std::pair<Time, int>, int> oracle;  // (at, token) -> token
+    int oracle_next = 0;
+    for (const Time at : initial) {
+      const int t = oracle_next++;
+      oracle[{at, t}] = t;
     }
+    std::vector<int> expected;
+    while (!oracle.empty()) {
+      const auto [key, t] = *oracle.begin();
+      oracle.erase(oracle.begin());
+      expected.push_back(t);
+      if (nests(t) && oracle_next < kTokens) {
+        const int child = oracle_next++;
+        oracle[{key.first + child_delay(t), child}] = child;
+      }
+    }
+    EXPECT_EQ(next_token, kTokens) << "round " << round;
     EXPECT_EQ(fired, expected) << "round " << round;
   }
 }
@@ -303,12 +235,12 @@ TEST(TimerWheelTest, RejectsSchedulingIntoFiredTick) {
   EXPECT_EQ(wheel.pending(), 1u);
 }
 
-// Differential oracle (ISSUE 6 satellite): the timer wheel must fire the
-// exact (time, seq) sequence the slab-heap scheduler fires for the same
-// trace — 5 fuzzed seeds x 10k events, with chained reschedules decided by
-// an identically seeded stream on both sides, times spanning all three
-// wheel levels at microsecond (sub-tick) granularity.
-TEST(TimerWheelTest, DifferentialOracleMatchesSlabHeap) {
+// Differential oracle: the timer wheel must fire the exact (time, seq)
+// sequence Simulation's queue fires for the same trace — 5 fuzzed seeds x
+// 10k events, with chained reschedules decided by an identically seeded
+// stream on both sides, times spanning both wheel levels and the far heap
+// (up to 40 days) at microsecond (sub-tick) granularity.
+TEST(TimerWheelTest, DifferentialOracleMatchesSimulationQueue) {
   constexpr int kSeeds = 5;
   constexpr std::size_t kEvents = 10'000;
   const std::size_t kInitial = kEvents / 2;
@@ -330,14 +262,14 @@ TEST(TimerWheelTest, DifferentialOracleMatchesSlabHeap) {
     }
 
     const std::uint64_t chain_seed = 0xc4a11000u + static_cast<std::uint64_t>(seed);
-    std::vector<int> heap_fired;
+    std::vector<int> queue_fired;
     {
       Simulation simulation;
       Rng chain_rng(chain_seed);
       std::size_t scheduled = 0;
       int next_token = 0;
       std::function<void(int)> fire = [&](int token) {
-        heap_fired.push_back(token);
+        queue_fired.push_back(token);
         if (scheduled < kEvents && chain_rng.chance(0.5)) {
           const auto gap = static_cast<std::int64_t>(
               chain_rng.uniform_int(0, 3'000'000'000));  // 0..3000 s
@@ -385,8 +317,8 @@ TEST(TimerWheelTest, DifferentialOracleMatchesSlabHeap) {
       wheel.validate();
       EXPECT_EQ(scheduled, wheel.fired());
     }
-    ASSERT_EQ(wheel_fired.size(), heap_fired.size()) << "seed " << seed;
-    EXPECT_EQ(wheel_fired, heap_fired) << "seed " << seed;
+    ASSERT_EQ(wheel_fired.size(), queue_fired.size()) << "seed " << seed;
+    EXPECT_EQ(wheel_fired, queue_fired) << "seed " << seed;
   }
 }
 
@@ -398,7 +330,7 @@ TEST(SimulationSourceTest, SourceEntriesInterleaveWithHeapEvents) {
   wheel.schedule(sim::at(kSecond), simulation.allocate_seq(), 1);
   wheel.schedule(sim::at(3 * kSecond), simulation.allocate_seq(), 3);
   simulation.schedule_at(sim::at(4 * kSecond), [&] { order.push_back(4); });
-  // Equal-time pair: allocation order (heap first here) must decide.
+  // Equal-time pair: allocation order (queued event first here) decides.
   simulation.schedule_at(sim::at(5 * kSecond), [&] { order.push_back(5); });
   wheel.schedule(sim::at(5 * kSecond), simulation.allocate_seq(), 6);
   simulation.run_until(sim::at(5 * kSecond), wheel,
@@ -407,20 +339,20 @@ TEST(SimulationSourceTest, SourceEntriesInterleaveWithHeapEvents) {
                        });
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(simulation.now(), at(5 * kSecond));
-  // Only the three slab-heap events count as processed events.
+  // Only the three queued events count as processed events.
   EXPECT_EQ(simulation.events_processed(), 3u);
 }
 
 TEST(SimulationSourceTest, HeapEventScheduledMidBatchInterruptsTheBatch) {
-  // A fired wheel entry schedules a slab-heap event *earlier* than the
-  // wheel's next entry; the drain loop must pick it next.  This is why
-  // run_until picks the next event again after every fire.
+  // A fired wheel entry queues an event *earlier* than the wheel's next
+  // entry; the drain loop must pick it next.  This is why run_until picks
+  // the next event again after every fire.
   Simulation simulation;
   TimerWheel wheel;
   std::vector<int> order;
   wheel.schedule(sim::at(10 * kSecond), simulation.allocate_seq(), 10);
   wheel.schedule(sim::at(30 * kSecond), simulation.allocate_seq(), 30);
-  // Far heap event: without the per-fire re-check the wheel would fire 30
+  // Far queued event: without the per-fire re-check the wheel would fire 30
   // right after 10, racing past the event at 11 s.
   simulation.schedule_at(sim::at(40 * kSecond), [&] { order.push_back(40); });
   simulation.run_until(sim::at(40 * kSecond), wheel,
@@ -453,17 +385,27 @@ TEST(SimulationSourceTest, RunUntilStopsSourcesAtDeadline) {
   EXPECT_TRUE(wheel.empty());
 }
 
+TEST(SimulationSourceTest, RunUntilRejectsAWheelEntryBehindTheClock) {
+  Simulation simulation;
+  simulation.run_until(sim::at(10 * kSecond));
+  TimerWheel wheel;  // starts at the epoch, behind the clock
+  wheel.schedule(sim::at(5 * kSecond), simulation.allocate_seq(), 0);
+  EXPECT_THROW(simulation.run_until(sim::at(20 * kSecond), wheel,
+                                    [](const TimerWheel::Entry&) {}),
+               std::invalid_argument);
+}
+
 TEST(SimulationSourceTest, SeqBlockReservationInterleavesDeterministically) {
   // An engine that pre-reserves a contiguous seq block fires its rounds in
-  // block order against later-allocated heap events.
+  // block order against later-allocated queued events.
   Simulation simulation;
   TimerWheel wheel;
   std::vector<int> order;
   const std::uint64_t base = simulation.allocate_seq_block(3);
   EXPECT_EQ(simulation.allocate_seq(), base + 3);
-  // Heap event at the same timestamp as the block's second round.  Its seq
-  // is allocated *after* the block, so the block entry wins the tie even
-  // though the heap event was scheduled first in program order.
+  // Queued event at the same timestamp as the block's second round.  Its
+  // seq is allocated *after* the block, so the block entry wins the tie
+  // even though the queued event was scheduled first in program order.
   simulation.schedule_at(sim::at(2 * kSecond), [&] { order.push_back(99); });
   wheel.schedule(sim::at(kSecond), base + 0, 1);
   wheel.schedule(sim::at(2 * kSecond), base + 1, 2);

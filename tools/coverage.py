@@ -18,6 +18,7 @@ subsystems this PR series hardens — fail the run when breached:
     src/resolver   retry/backoff/serve-stale logic
     src/cache      bounded eviction + snapshot codec (PR 10)
     src/dns        names, the shared hash table, zone and wire codec
+    src/sim        event queue, timer wheel, time types and RNG streams
 
 Floors are deliberately per-subsystem, not global: a global number lets a
 well-covered hot path subsidize an untested one.
@@ -42,6 +43,7 @@ DEFAULT_FLOORS = {
     "src/resolver": 80.0,
     "src/cache": 90.0,
     "src/dns": 95.0,
+    "src/sim": 96.0,
 }
 
 
