@@ -10,7 +10,6 @@
 #include "dns/message.h"
 #include "dns/wire.h"
 #include "dns/zone.h"
-#include "fault/schedule.h"
 
 namespace dnsttl::fuzz {
 
@@ -66,30 +65,6 @@ void run_master_file_input(const std::uint8_t* data, std::size_t size) {
   } catch (const std::exception& error) {
     harness_violation("fuzz_master_file",
                       "audit/render/re-parse of accepted zone", error);
-  }
-}
-
-void run_fault_schedule_input(const std::uint8_t* data, std::size_t size) {
-  const std::string_view text(reinterpret_cast<const char*>(data), size);
-  fault::FaultSchedule schedule;
-  try {
-    schedule = fault::FaultSchedule::parse(text);
-  } catch (const fault::ScheduleParseError&) {
-    return;  // malformed schedule text correctly rejected
-  }
-  try {
-    schedule.validate();
-    const std::string canonical = schedule.to_string();
-    const fault::FaultSchedule reparsed = fault::FaultSchedule::parse(canonical);
-    if (!(reparsed == schedule)) {
-      throw std::logic_error("to_string/parse round trip changed the schedule");
-    }
-    if (reparsed.to_string() != canonical) {
-      throw std::logic_error("canonical rendering is not a fixpoint");
-    }
-  } catch (const std::exception& error) {
-    harness_violation("fuzz_fault_schedule",
-                      "round-trip/audit of accepted schedule", error);
   }
 }
 

@@ -22,13 +22,6 @@ void run_message_input(const std::uint8_t* data, std::size_t size);
 /// channel and is swallowed; anything else is a finding.
 void run_master_file_input(const std::uint8_t* data, std::size_t size);
 
-/// One fuzz iteration against the fault-schedule text parser.  Parses
-/// @p data as schedule text; on success, requires the canonical rendering
-/// to re-parse to an equal schedule (to_string's documented guarantee) and
-/// runs the structural audit.  fault::ScheduleParseError is the parser's
-/// rejection channel and is swallowed; anything else is a finding.
-void run_fault_schedule_input(const std::uint8_t* data, std::size_t size);
-
 /// One fuzz iteration against the cache snapshot codec.  Feeds @p data to
 /// cache::Cache::restore; on an accepted image, runs the full structural
 /// audit and requires re-snapshotting to reproduce the input byte-for-byte

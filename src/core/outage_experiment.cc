@@ -51,15 +51,9 @@ OutagePointResult run_outage_point(const OutageConfig& config, dns::Ttl ttl,
   resolver.set_node_ref(
       net::NodeRef{world.network().attach(resolver, site), site});
 
-  fault::FaultSchedule schedule;
-  fault::FaultEvent window;
-  window.start = sim::at(config.outage_start);
-  window.end = sim::at(config.outage_start + config.outage_duration);
-  window.kind = config.window_kind;
-  window.target = world.address_of(kChildServer);
-  window.rate = config.window_rate;
-  schedule.add(window);
-  world.network().set_fault_schedule(&schedule);
+  world.network().add_outage(
+      world.address_of(kChildServer), sim::at(config.outage_start),
+      sim::at(config.outage_start + config.outage_duration));
 
   OutagePointResult result;
   result.ttl = ttl;
@@ -94,12 +88,7 @@ OutagePointResult run_outage_point(const OutageConfig& config, dns::Ttl ttl,
   result.auth_queries = world.server(kChildServer).queries_answered();
   result.resurrections = resolver.cache().stats().resurrections;
   result.backoffs = resolver.stats().backoffs;
-  const net::Network::FaultStats& faults = world.network().fault_stats();
-  result.outage_timeouts = faults.outage_timeouts;
-  result.injected_faults = faults.outage_timeouts + faults.injected_losses +
-                           faults.injected_rcodes +
-                           faults.injected_truncations +
-                           faults.lame_responses + faults.latency_spikes;
+  result.outage_timeouts = world.network().outage_timeouts();
   return result;
 }
 
@@ -117,10 +106,8 @@ OutageResult run_outage_experiment(const OutageConfig& config,
 }
 
 std::string OutageResult::render() const {
-  const auto kind = fault::to_string(config.window_kind);
   std::string out = stats::fmt(
-      "fault window: %.*s %llds..%llds (horizon %llds, query every %llds)\n",
-      static_cast<int>(kind.size()), kind.data(),
+      "fault window: outage %llds..%llds (horizon %llds, query every %llds)\n",
       whole_seconds(config.outage_start),
       whole_seconds(config.outage_start + config.outage_duration),
       whole_seconds(config.horizon), whole_seconds(kQueryInterval));
@@ -135,7 +122,7 @@ std::string OutageResult::render() const {
                    std::to_string(p.window_stale),
                    std::to_string(p.auth_queries),
                    std::to_string(p.resurrections), std::to_string(p.backoffs),
-                   std::to_string(p.injected_faults)});
+                   std::to_string(p.outage_timeouts)});
   }
   return out + table.render();
 }

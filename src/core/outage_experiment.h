@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/world.h"
-#include "fault/schedule.h"
 
 namespace dnsttl::core {
 
@@ -14,8 +13,9 @@ namespace dnsttl::core {
 /// motivation in §1) asks for: how does record TTL trade user-visible
 /// failure against authoritative query load when the authoritative side
 /// goes dark for a while?  A grid of (TTL, serve-stale) points, each run in
-/// its own private World with one scripted fault window over the zone's
-/// only nameserver, probed by a single resolver on a fixed query cadence.
+/// its own private World with one scripted outage window
+/// (net::Network::add_outage) over the zone's only nameserver, probed by a
+/// single resolver on a fixed query cadence.
 struct OutageConfig {
   /// Record TTLs to sweep — the paper's interesting span runs from
   /// CDN-style 60 s up past the Google-cap plateau.
@@ -27,12 +27,6 @@ struct OutageConfig {
   sim::Duration horizon = 2 * sim::kHour;        ///< total probing span
   sim::Duration outage_start = 30 * sim::kMinute;  ///< window offset
   sim::Duration outage_duration = 1 * sim::kHour;  ///< window length
-
-  /// What the window does to the child nameserver: kOutage for the classic
-  /// dead-server story; kLoss/kServfail/kLame etc. reuse the same harness
-  /// for the other failure modes.
-  fault::FaultKind window_kind = fault::FaultKind::kOutage;
-  double window_rate = 1.0;    ///< kLoss windows
 
   std::uint64_t seed = 1;
 };
@@ -57,8 +51,7 @@ struct OutagePointResult {
   std::uint64_t resurrections = 0;  ///< RFC 8767 expired-entry refreshes
   std::uint64_t backoffs = 0;       ///< servers benched by the resolver
   // lint:allow(raw-time-param) event counter, not a time quantity
-  std::uint64_t outage_timeouts = 0;  ///< exchanges killed by kOutage
-  std::uint64_t injected_faults = 0;  ///< all fault-layer interventions
+  std::uint64_t outage_timeouts = 0;  ///< exchanges killed by the outage
 };
 
 /// The full grid plus its canonical rendering.

@@ -51,6 +51,14 @@ Address Network::attach_anycast(
 
 void Network::detach(Address address) { attachments_.erase(address.value()); }
 
+void Network::add_outage(Address server, sim::Time from, sim::Time until) {
+  if (until < from) {
+    throw std::invalid_argument("outage window ends before it starts: " +
+                                server.to_string());
+  }
+  outages_.push_back(Outage{server, from, until});
+}
+
 bool Network::is_attached(Address address) const {
   return attachments_.contains(address.value());
 }
@@ -95,65 +103,26 @@ ExchangeResult Network::exchange(const NodeRef& from, Address to,
     }
   }
 
-  // Fault layer, stage 1: a scheduled outage is a deterministic timeout.
-  // Checked before any RNG use — an exchange killed by an outage consumes
-  // no draws, exactly like querying a detached address.
-  if (faults_ != nullptr && faults_->outage(to, now)) {
-    ++fault_stats_.outage_timeouts;
-    return kTimeout;
+  // A scripted outage is a deterministic timeout.  It is checked before
+  // any RNG use, so an exchange it kills consumes no draws, exactly like
+  // querying a detached address.
+  for (const Outage& outage : outages_) {
+    if (outage.server == to && outage.from <= now && now < outage.until) {
+      ++outage_timeouts_;
+      return kTimeout;
+    }
   }
 
-  // Loss: the base rate and any active kLoss windows combine into ONE
-  // gated draw (independent loss events: 1 - prod(1 - p)).  The gate is
-  // the RNG-stream contract pinned by net_test.cc — a zero effective rate
-  // must not burn a draw, so "loss off" and "loss on" runs share the
-  // latency stream up to the first actual loss.
-  double loss = params_.loss_rate;
-  double injected = faults_ != nullptr ? faults_->extra_loss(to, now) : 0.0;
-  if (injected > 0.0) {
-    loss = 1.0 - (1.0 - loss) * (1.0 - injected);
-  }
-  if (loss > 0.0 && rng_.chance(loss)) {
-    if (injected > 0.0) {
-      ++fault_stats_.injected_losses;
-    }
+  // Loss is one gated draw.  The gate is the RNG-stream contract pinned by
+  // net_test.cc: a zero rate must not burn a draw, so "loss off" and "loss
+  // on" runs share the latency stream up to the first actual loss.
+  if (params_.loss_rate > 0.0 && rng_.chance(params_.loss_rate)) {
     return kTimeout;
   }
 
   sim::Duration rtt = latency_.rtt(from.location, chosen->location, rng_);
   if (transport == Transport::kTcp) {
     rtt *= 2;  // connection handshake before the query round trip
-  }
-
-  // Fault layer, stage 2: latency spikes scale the drawn RTT (after the
-  // draw, so the jitter stream is unchanged) and rcode/lame injection
-  // replaces the server's answer without the server seeing the query.
-  bool force_tc = false;
-  if (faults_ != nullptr) {
-    double factor = faults_->latency_factor(to, now);
-    sim::Duration extra = faults_->extra_latency(to, now);
-    if (factor != 1.0 || extra != sim::Duration{}) {
-      ++fault_stats_.latency_spikes;
-      rtt = sim::approx_scale(rtt, factor) + extra;
-    }
-    if (auto rcode = faults_->forced_rcode(to, now)) {
-      ++fault_stats_.injected_rcodes;
-      reply.id = query_msg.id;
-      reply.flags.qr = true;
-      reply.flags.rcode = *rcode;
-      reply.questions = query_msg.questions;
-      return ExchangeResult{true, rtt};
-    }
-    if (faults_->lame(to, now)) {
-      // A lame delegation answers politely and uselessly: NOERROR, no AA,
-      // empty sections (RFC 1912 §2.8's "lame server" as seen on the wire).
-      ++fault_stats_.lame_responses;
-      reply.id = query_msg.id;
-      reply.flags.qr = true;
-      reply.questions = query_msg.questions;
-      return ExchangeResult{true, rtt};
-    }
-    force_tc = transport == Transport::kUdp && faults_->truncate(to, now);
   }
 
   const auto processing =
@@ -182,14 +151,11 @@ ExchangeResult Network::exchange(const NodeRef& from, Address to,
     reply = std::move(decoded);
   }
 
-  if (force_tc) {
-    ++fault_stats_.injected_truncations;
-  }
   // A compression pointer never makes a name longer, so a reply whose
   // uncompressed size fits needs no exact (compressing) count.
   if (transport == Transport::kUdp &&
-      (force_tc || (dns::uncompressed_size(reply) > udp_limit &&
-                    dns::encoded_size(reply) > udp_limit))) {
+      dns::uncompressed_size(reply) > udp_limit &&
+      dns::encoded_size(reply) > udp_limit) {
     reply.flags.tc = true;
     reply.answers.clear();
     reply.authorities.clear();

@@ -9,7 +9,6 @@
 
 #include "dns/message.h"
 #include "dns/rdata.h"
-#include "fault/schedule.h"
 #include "net/latency.h"
 #include "net/location.h"
 #include "sim/rng.h"
@@ -132,18 +131,6 @@ class Network {
   /// Transport for one query exchange.
   enum class Transport : std::uint8_t { kUdp, kTcp };
 
-  /// What the fault layer did to the traffic (see set_fault_schedule).
-  struct FaultStats {
-    // lint:allow(raw-time-param) event counter, not a time quantity
-    std::uint64_t outage_timeouts = 0;    ///< exchanges killed by kOutage
-    std::uint64_t injected_losses = 0;    ///< losses with a kLoss window up
-    std::uint64_t injected_rcodes = 0;    ///< kServfail/kRefused responses
-    std::uint64_t injected_truncations = 0;  ///< kTruncate-forced TC=1
-    std::uint64_t lame_responses = 0;     ///< kLame empty non-AA answers
-    // lint:allow(raw-time-param) event counter, not a time quantity
-    std::uint64_t latency_spikes = 0;     ///< exchanges with scaled RTT
-  };
-
   explicit Network(sim::Rng rng) : rng_(rng) {}
   Network(sim::Rng rng, LatencyModel latency) : rng_(rng), latency_(latency) {}
   Network(sim::Rng rng, LatencyModel latency, Params params)
@@ -183,18 +170,18 @@ class Network {
   /// Number of anycast sites behind @p address (1 for unicast).
   std::size_t site_count(Address address) const;
 
-  /// Installs a fault schedule consulted on every exchange (non-owning;
-  /// nullptr disables the layer).  The schedule is read-only here, so one
-  /// instance may be shared across shard-replica networks.
+  /// Darkens @p server for the half-open window [@p from, @p until): an
+  /// exchange sent to it then times out without reaching it, like a query to
+  /// a detached address.  Throws std::invalid_argument when @p until is
+  /// before @p from.
   ///
-  /// RNG-stream contract: an installed schedule whose windows are all
-  /// INACTIVE at query time consumes exactly the same draws as no schedule
-  /// at all, so "same seed, faults on/off" runs diverge only inside the
-  /// scripted windows (pinned by net_test.cc).
-  void set_fault_schedule(const fault::FaultSchedule* schedule) noexcept {
-    faults_ = schedule;
-  }
-  const FaultStats& fault_stats() const noexcept { return fault_stats_; }
+  /// RNG-stream contract: an exchange an outage kills consumes no draws, so
+  /// "same seed, outage on/off" runs diverge only through what the outage
+  /// changes (pinned by net_test.cc).
+  void add_outage(Address server, sim::Time from, sim::Time until);
+
+  /// Exchanges killed by an outage window.
+  std::uint64_t outage_timeouts() const noexcept { return outage_timeouts_; }
 
   /// Total queries carried (attempts, including lost ones).
   std::uint64_t queries_carried() const noexcept { return carried_; }
@@ -209,6 +196,11 @@ class Network {
   struct Attachment {
     std::vector<Site> sites;  // 1 for unicast, >1 for anycast
   };
+  struct Outage {
+    Address server;
+    sim::Time from;
+    sim::Time until;
+  };
 
   Address allocate();
 
@@ -218,8 +210,9 @@ class Network {
   std::uint32_t next_address_ = 0x0a000001;  // 10.0.0.1
   std::unordered_map<std::uint32_t, Attachment> attachments_;
   std::uint64_t carried_ = 0;
-  const fault::FaultSchedule* faults_ = nullptr;  ///< non-owning
-  FaultStats fault_stats_;
+  std::vector<Outage> outages_;
+  // lint:allow(raw-time-param) event counter, not a time quantity
+  std::uint64_t outage_timeouts_ = 0;
   /// Emptied messages that ended their lease, capacity kept: as many as
   /// were ever on loan at once (nested sub-resolutions included).
   std::vector<dns::Message> spare_messages_;

@@ -4,7 +4,6 @@
 
 #include "auth/auth_server.h"
 #include "dns/rr.h"
-#include "fault/schedule.h"
 #include "net/latency.h"
 #include "net/network.h"
 
@@ -230,53 +229,108 @@ TEST(NetworkTest, AnycastRoutesToNearestSite) {
   EXPECT_EQ(eu_site.queries_answered(), 0u);
 }
 
-// Pin of the RNG-stream contract (documented on set_fault_schedule): a
-// zero effective loss rate burns no RNG draw, and a fault schedule whose
-// windows are inactive at query time is indistinguishable — draw for draw —
-// from no schedule at all.  Any nonzero loss rate consumes one extra draw
-// per exchange, which shifts the jitter stream and therefore the elapsed
-// sequence.  If this test breaks, every golden output built on "same seed,
-// faults on/off agree outside the windows" silently drifts.
-TEST(NetworkTest, RngStreamContract) {
-  auto elapsed_sequence = [](double loss_rate,
-                             const fault::FaultSchedule* schedule) {
-    Network::Params params;
-    params.loss_rate = loss_rate;
-    Network network{sim::Rng{42}, LatencyModel{}, params};
-    network.set_fault_schedule(schedule);
-    auth::AuthServer server{"auth"};
-    server.add_zone(tiny_zone());
-    Address addr = network.attach(server, Location{Region::kEU, 1.0});
-    NodeRef client{dns::Ipv4(10, 0, 0, 99), Location{Region::kNA, 2.0}};
-    auto query = dns::Message::make_query(
-        1, Name::from_string("www.example.org"), RRType::kA);
-    std::vector<sim::Duration> elapsed;
-    for (int i = 0; i < 50; ++i) {
-      elapsed.push_back(
-          network.query(client, addr, query, sim::at(i * sim::kSecond))
-              .elapsed);
+/// Elapsed times of the answered queries among 50 sent one a second from
+/// t = 0, NA client to EU server, on a network seeded 42; @p script may add
+/// outages on the server's address or on another address before the first.
+template <typename Script>
+std::vector<sim::Duration> answered_elapsed(double loss_rate, Script script) {
+  Network::Params params;
+  params.loss_rate = loss_rate;
+  Network network{sim::Rng{42}, LatencyModel{}, params};
+  auth::AuthServer server{"auth"};
+  server.add_zone(tiny_zone());
+  Address addr = network.attach(server, Location{Region::kEU, 1.0});
+  script(network, addr, dns::Ipv4(10, 9, 9, 9));
+  NodeRef client{dns::Ipv4(10, 0, 0, 99), Location{Region::kNA, 2.0}};
+  auto query = dns::Message::make_query(
+      1, Name::from_string("www.example.org"), RRType::kA);
+  std::vector<sim::Duration> elapsed;
+  for (int i = 0; i < 50; ++i) {
+    const auto outcome =
+        network.query(client, addr, query, sim::at(i * sim::kSecond));
+    if (outcome.response) {
+      elapsed.push_back(outcome.elapsed);
     }
-    return elapsed;
-  };
+  }
+  return elapsed;
+}
 
-  // An installed schedule whose only window never activates during the
-  // probed span (it starts at t = 1 h; queries stop at 50 s).
-  fault::FaultSchedule inactive;
-  fault::FaultEvent window;
-  window.start = sim::at(1 * sim::kHour);
-  window.end = sim::at(2 * sim::kHour);
-  window.kind = fault::FaultKind::kLoss;
-  window.rate = 0.5;
-  inactive.add(window);
+void no_outage(Network&, Address, Address) {}
 
-  auto baseline = elapsed_sequence(0.0, nullptr);
-  EXPECT_EQ(baseline, elapsed_sequence(0.0, &inactive))
-      << "inactive fault windows must not consume RNG draws";
+// Pin of the RNG-stream contract (documented on add_outage): a zero loss
+// rate burns no RNG draw, and outage windows that kill nothing — one not yet
+// active, one active on another address — are indistinguishable, draw for
+// draw, from no windows at all.  Any nonzero loss rate consumes one extra
+// draw per exchange, which shifts the jitter stream and therefore the
+// elapsed sequence.  If this test breaks, every golden output built on
+// "same seed, outage on/off agree outside the window" silently drifts.
+TEST(NetworkTest, RngStreamContract) {
+  const auto baseline = answered_elapsed(0.0, no_outage);
+  ASSERT_EQ(baseline.size(), 50u);
+  EXPECT_EQ(baseline,
+            answered_elapsed(0.0, [](Network& network, Address server,
+                                     Address other) {
+              network.add_outage(server, sim::at(1 * sim::kHour),
+                                 sim::at(2 * sim::kHour));
+              network.add_outage(other, sim::Time{}, sim::at(1 * sim::kHour));
+            }))
+      << "outage windows that kill nothing must not consume RNG draws";
 
   // Nonzero loss burns one draw per exchange: the stream shifts even
   // though a 1e-9 rate never actually loses a packet.
-  EXPECT_NE(baseline, elapsed_sequence(1e-9, nullptr))
+  EXPECT_NE(baseline, answered_elapsed(1e-9, no_outage))
       << "nonzero loss rate must consume a draw per exchange";
+}
+
+TEST(NetworkTest, OutageKilledExchangeDrawsNothing) {
+  const auto baseline = answered_elapsed(0.0, no_outage);
+  const auto outaged =
+      answered_elapsed(0.0, [](Network& network, Address server, Address) {
+        network.add_outage(server, sim::at(10 * sim::kSecond),
+                           sim::at(20 * sim::kSecond));
+      });
+  // Queries 10-19 time out; the 40 answered ones see the RTT draws of the
+  // first 40 queries of the run without the outage.
+  EXPECT_EQ(outaged, std::vector<sim::Duration>(baseline.begin(),
+                                                baseline.begin() + 40));
+}
+
+TEST(NetworkTest, OutageWindowIsHalfOpenAndTargeted) {
+  Network network{sim::Rng{1}};
+  auth::AuthServer dark{"dark"};
+  auth::AuthServer lit{"lit"};
+  dark.add_zone(tiny_zone());
+  lit.add_zone(tiny_zone());
+  const Address dark_addr = network.attach(dark, Location{});
+  const Address lit_addr = network.attach(lit, Location{});
+  const sim::Time from = sim::at(10 * sim::kSecond);
+  const sim::Time until = sim::at(20 * sim::kSecond);
+  network.add_outage(dark_addr, from, until);
+
+  const NodeRef client{dns::Ipv4(10, 0, 0, 99), Location{}};
+  const auto query = dns::Message::make_query(
+      1, Name::from_string("www.example.org"), RRType::kA);
+  auto answered = [&](Address to, sim::Time now) {
+    return network.query(client, to, query, now).response.has_value();
+  };
+  EXPECT_TRUE(answered(dark_addr, from - sim::kMicrosecond));
+  EXPECT_FALSE(answered(dark_addr, from));  // closed start
+  EXPECT_FALSE(answered(dark_addr, until - sim::kMicrosecond));
+  EXPECT_TRUE(answered(dark_addr, until));  // open end
+  EXPECT_TRUE(answered(lit_addr, from));    // another server stays lit
+  EXPECT_EQ(network.outage_timeouts(), 2u);
+  EXPECT_EQ(dark.queries_answered(), 2u);
+}
+
+TEST(NetworkTest, AddOutageRejectsWindowEndingBeforeItStarts) {
+  Network network{sim::Rng{1}};
+  const Address server = dns::Ipv4(10, 0, 0, 1);
+  EXPECT_THROW(network.add_outage(server, sim::at(20 * sim::kSecond),
+                                  sim::at(10 * sim::kSecond)),
+               std::invalid_argument);
+  // An empty window is well-formed and darkens nothing.
+  network.add_outage(server, sim::at(10 * sim::kSecond),
+                     sim::at(10 * sim::kSecond));
 }
 
 TEST(AuthServerTest, RefusesForeignZone) {

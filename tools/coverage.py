@@ -14,7 +14,7 @@ units (a line is covered if ANY TU executed it), and prints a per-file
 table for everything under src/.  Per-subsystem floors — chosen for the
 subsystems this PR series hardens — fail the run when breached:
 
-    src/fault      the fault-injection subsystem
+    src/net        the message fabric: loss, scripted outages, truncation
     src/resolver   retry/backoff/serve-stale logic
     src/cache      bounded eviction + snapshot codec (PR 10)
     src/dns        names, the shared hash table, zone and wire codec
@@ -39,7 +39,7 @@ from collections import defaultdict
 from pathlib import Path
 
 DEFAULT_FLOORS = {
-    "src/fault": 90.0,
+    "src/net": 92.0,
     "src/resolver": 80.0,
     "src/cache": 90.0,
     "src/dns": 95.0,
@@ -90,8 +90,8 @@ def main() -> int:
     parser.add_argument("--floor", action="append", type=parse_floor,
                         metavar="PREFIX=PCT", default=None,
                         help="per-subsystem line floor; repeatable "
-                             "(default: src/fault=90 src/resolver=80 "
-                             "src/cache=90 src/dns=95)")
+                             "(default: src/net=92 src/resolver=80 "
+                             "src/cache=90 src/dns=95 src/sim=96)")
     parser.add_argument("--json", default=None,
                         help="also write per-file coverage JSON here")
     args = parser.parse_args()
