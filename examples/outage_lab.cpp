@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "totals: %llu client queries, %llu auth queries, %llu stale answers, "
-      "%llu injected faults\n",
+      "%llu outage timeouts\n",
       static_cast<unsigned long long>(client_queries),
       static_cast<unsigned long long>(auth_queries),
       static_cast<unsigned long long>(stale_answers),
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
     json.add_metric("client_queries", "queries/sec", client_queries, wall);
     json.add_metric("auth_queries", "queries/sec", auth_queries, wall);
     json.add_metric("stale_answers", "answers/sec", stale_answers, wall);
-    json.add_metric("injected_faults", "faults/sec", outage_timeouts, wall);
+    json.add_metric("outage_timeouts", "timeouts/sec", outage_timeouts, wall);
     if (!json.write(args.json_path, wall)) {
       return 1;
     }

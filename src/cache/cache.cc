@@ -1,6 +1,7 @@
 #include "cache/cache.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 namespace dnsttl::cache {
@@ -39,53 +40,68 @@ void Cache::validate() const {
   negatives_.validate("cache::Cache::negatives");
 
   // Expiry-heap coverage: every indexed entry must have a heap record with
-  // exactly its (key, expiry, stamp) so lazy purging is guaranteed to visit
-  // it and TTL-aware victim selection always finds a valid top.
-  auto coverage = [](const ExpiryHeap& heap) {
-    std::vector<std::tuple<std::uint64_t, sim::Time, std::uint64_t>> recs;
-    recs.reserve(heap.container().size());
-    for (const ExpiryRec& rec : heap.container()) {
-      recs.emplace_back(key_hash(rec.name, rec.type), rec.at, rec.stamp);
-    }
-    std::sort(recs.begin(), recs.end());
+  // exactly its (key hash, expiry, stamp), so lazy purging is guaranteed to
+  // visit it and TTL-aware victim selection always finds a valid top.  A
+  // record finds its entry by (key hash, stamp) alone, so stamps must be
+  // unique within each table.
+  auto by_coverage = [](const ExpiryRec& a, const ExpiryRec& b) {
+    return std::tie(a.hash, a.at, a.stamp) < std::tie(b.hash, b.at, b.stamp);
+  };
+  auto coverage = [&](const ExpiryHeap& heap, const char* which) {
+    DNSTTL_AUDIT_CHECK(kWhat,
+                       std::is_heap(heap.begin(), heap.end(), LaterExpiry{}),
+                       std::string(which) + " heap out of (at, stamp) order");
+    ExpiryHeap recs = heap;
+    std::sort(recs.begin(), recs.end(), by_coverage);
     return recs;
   };
-  const auto positive_recs = coverage(expiry_);
-  const auto negative_recs = coverage(negative_expiry_);
+  auto check_stamps_unique = [&](const auto& table, const char* which) {
+    std::vector<std::uint64_t> stamps;
+    stamps.reserve(table.size());
+    table.for_each([&stamps](const auto& item) {
+      stamps.push_back(item.value.stamp);
+    });
+    std::sort(stamps.begin(), stamps.end());
+    const auto repeat = std::adjacent_find(stamps.begin(), stamps.end());
+    DNSTTL_AUDIT_CHECK(kWhat, repeat == stamps.end(),
+                       std::string(which) + ": stamp " +
+                           std::to_string(*repeat) + " held twice");
+  };
+  check_stamps_unique(entries_, "entries");
+  check_stamps_unique(negatives_, "negatives");
+  const ExpiryHeap positive_recs = coverage(expiry_, "expiry");
+  const ExpiryHeap negative_recs =
+      coverage(negative_expiry_, "negative-expiry");
+  auto covered = [&by_coverage](const ExpiryHeap& recs, const auto& item) {
+    return std::binary_search(
+        recs.begin(), recs.end(),
+        ExpiryRec{item.value.expires, item.value.stamp, item.hash},
+        by_coverage);
+  };
 
   const dns::Ttl lo = std::min(config_.min_ttl, config_.max_ttl);
   const dns::Ttl hi = std::max(config_.min_ttl, config_.max_ttl);
   entries_.for_each([&](const Table<Entry>::Item& item) {
     const Entry& entry = item.value;
-    DNSTTL_AUDIT_CHECK(kWhat, entry.rrset.name() == item.name,
-                       "entry RRset owner disagrees with index key " +
-                           item.name.to_string());
+    const dns::Name& name = entry.key();
     DNSTTL_AUDIT_CHECK(kWhat, entry.rrset.type() == item.tag,
                        "entry RRset type disagrees with index key for " +
-                           item.name.to_string());
+                           name.to_string());
     DNSTTL_AUDIT_CHECK(kWhat, entry.rrset.ttl() >= lo && entry.rrset.ttl() <= hi,
                        "cached TTL outside the configured clamp for " +
-                           item.name.to_string());
+                           name.to_string());
     DNSTTL_AUDIT_CHECK(
         kWhat,
         entry.expires ==
             entry.inserted + sim::seconds(entry.rrset.ttl().value()),
-        "expiry arithmetic broken for " + item.name.to_string());
-    DNSTTL_AUDIT_CHECK(
-        kWhat,
-        std::binary_search(positive_recs.begin(), positive_recs.end(),
-                           std::make_tuple(key_hash(item.name, item.tag),
-                                           entry.expires, entry.stamp)),
-        "no expiry-heap record covers " + item.name.to_string());
+        "expiry arithmetic broken for " + name.to_string());
+    DNSTTL_AUDIT_CHECK(kWhat, covered(positive_recs, item),
+                       "no expiry-heap record covers " + name.to_string());
   });
   negatives_.for_each([&](const Table<NegativeEntry>::Item& item) {
-    DNSTTL_AUDIT_CHECK(
-        kWhat,
-        std::binary_search(negative_recs.begin(), negative_recs.end(),
-                           std::make_tuple(key_hash(item.name, item.tag),
-                                           item.value.expires,
-                                           item.value.stamp)),
-        "no negative-expiry record covers " + item.name.to_string());
+    DNSTTL_AUDIT_CHECK(kWhat, covered(negative_recs, item),
+                       "no negative-expiry record covers " +
+                           item.value.name.to_string());
   });
 
   // Frequency-counter and touch-clock invariants, plus strict recency order
@@ -99,20 +115,20 @@ void Cache::validate() const {
       DNSTTL_AUDIT_CHECK(kWhat, value.freq >= 1,
                          std::string(which) +
                              ": stored entry with zero frequency at " +
-                             table.at(i).name.to_string());
+                             value.key().to_string());
       DNSTTL_AUDIT_CHECK(kWhat,
                          value.last_touch <= tick_ && value.stamp <= tick_,
                          std::string(which) +
                              ": touch/stamp ahead of the logical clock at " +
-                             table.at(i).name.to_string());
+                             value.key().to_string());
       DNSTTL_AUDIT_CHECK(kWhat, value.stamp <= value.last_touch,
                          std::string(which) +
                              ": stamp newer than last touch at " +
-                             table.at(i).name.to_string());
+                             value.key().to_string());
       DNSTTL_AUDIT_CHECK(kWhat, first || value.last_touch < newer,
                          std::string(which) +
                              ": recency chain out of touch order at " +
-                             table.at(i).name.to_string());
+                             value.key().to_string());
       newer = value.last_touch;
       first = false;
     }
@@ -153,17 +169,44 @@ bool Cache::ns_link_broken(const Entry& entry, sim::Time now) const {
   return ns->inserted != entry.linked_ns_inserted;
 }
 
+void Cache::push_expiry(ExpiryHeap& heap, const ExpiryRec& rec) {
+  heap.push_back(rec);
+  std::push_heap(heap.begin(), heap.end(), LaterExpiry{});
+}
+
+Cache::ExpiryRec Cache::pop_expiry(ExpiryHeap& heap) {
+  std::pop_heap(heap.begin(), heap.end(), LaterExpiry{});
+  const ExpiryRec rec = heap.back();
+  heap.pop_back();
+  return rec;
+}
+
+template <typename V>
+std::size_t Cache::purge_heap(ExpiryHeap& heap, Table<V>& table,
+                              sim::Duration grace, sim::Time now) {
+  std::size_t removed = 0;
+  while (!heap.empty() && heap.front().at + grace <= now) {
+    // The record's own deadline has passed, so the instance it covers (if
+    // it was not refreshed or removed since) is due.
+    const std::size_t slot = covered_slot(table, pop_expiry(heap));
+    if (slot != kNil) {
+      table.erase_slot(slot);
+      ++removed;
+    }
+  }
+  return removed;
+}
+
 template <typename V>
 void Cache::compact_heap(ExpiryHeap& heap, const Table<V>& table) {
   if (heap.size() <= 2 * table.size() + 64) {
     return;
   }
-  heap.refill([&table](std::vector<ExpiryRec>& recs) {
-    table.for_each([&recs](const auto& item) {
-      recs.push_back(ExpiryRec{item.value.expires, item.name, item.tag,
-                               item.value.stamp});
-    });
+  heap.clear();
+  table.for_each([&heap](const auto& item) {
+    heap.push_back(ExpiryRec{item.value.expires, item.value.stamp, item.hash});
   });
+  std::make_heap(heap.begin(), heap.end(), LaterExpiry{});
 }
 
 void Cache::maybe_halve() {
@@ -201,25 +244,15 @@ void Cache::enforce_capacity() {
 
 void Cache::evict_one() {
   bool from_positive = false;
-  dns::Name victim_name;
-  dns::RRType victim_type{};
+  std::size_t p = kNil;
+  std::size_t n = kNil;
   switch (config_.policy) {
     case EvictionPolicy::kLru: {
-      const std::size_t p = entries_.tail();
-      const std::size_t n = negatives_.tail();
-      if (p == kNil && n == kNil) {
-        return;
-      }
+      p = entries_.tail();
+      n = negatives_.tail();
       from_positive =
           n == kNil || (p != kNil && entries_.at(p).value.last_touch <
                                          negatives_.at(n).value.last_touch);
-      if (from_positive) {
-        victim_name = entries_.at(p).name;
-        victim_type = entries_.at(p).tag;
-      } else {
-        victim_name = negatives_.at(n).name;
-        victim_type = negatives_.at(n).tag;
-      }
       break;
     }
     case EvictionPolicy::kLfu: {
@@ -243,73 +276,53 @@ void Cache::evict_one() {
         }
         return best;
       };
-      const std::size_t p = coldest(entries_);
-      const std::size_t n = coldest(negatives_);
-      if (p == kNil && n == kNil) {
-        return;
-      }
-      if (p == kNil) {
-        from_positive = false;
-      } else if (n == kNil) {
-        from_positive = true;
+      p = coldest(entries_);
+      n = coldest(negatives_);
+      if (p == kNil || n == kNil) {
+        from_positive = n == kNil;
       } else {
         const Entry& pe = entries_.at(p).value;
         const NegativeEntry& ne = negatives_.at(n).value;
         from_positive = pe.freq < ne.freq ||
                         (pe.freq == ne.freq && pe.last_touch < ne.last_touch);
       }
-      if (from_positive) {
-        victim_name = entries_.at(p).name;
-        victim_type = entries_.at(p).tag;
-      } else {
-        victim_name = negatives_.at(n).name;
-        victim_type = negatives_.at(n).tag;
-      }
       break;
     }
     case EvictionPolicy::kTtlAware: {
       // Lazily discard heap records whose entry was refreshed or removed
-      // (stamp mismatch); the surviving tops are the true soonest expiries.
-      auto valid_top = [](ExpiryHeap& heap, auto& table) -> const ExpiryRec* {
+      // (no entry holds their stamp); the surviving tops are the true
+      // soonest expiries.
+      auto valid_top = [](ExpiryHeap& heap, const auto& table) {
         while (!heap.empty()) {
-          const ExpiryRec& rec = heap.top();
-          const auto* value =
-              table.find(key_hash(rec.name, rec.type), rec.name, rec.type);
-          if (value != nullptr && value->expires == rec.at &&
-              value->stamp == rec.stamp) {
-            return &rec;
+          const std::size_t slot = covered_slot(table, heap.front());
+          if (slot != kNil) {
+            return slot;
           }
-          heap.pop();
+          pop_expiry(heap);
         }
-        return nullptr;
+        return kNil;
       };
-      const ExpiryRec* p = valid_top(expiry_, entries_);
-      const ExpiryRec* n = valid_top(negative_expiry_, negatives_);
-      if (p == nullptr && n == nullptr) {
-        return;
-      }
+      p = valid_top(expiry_, entries_);
+      n = valid_top(negative_expiry_, negatives_);
       from_positive =
-          n == nullptr ||
-          (p != nullptr &&
-           (p->at < n->at || (p->at == n->at && p->stamp < n->stamp)));
-      const ExpiryRec* chosen = from_positive ? p : n;
-      victim_name = chosen->name;
-      victim_type = chosen->type;
+          n == kNil ||
+          (p != kNil &&
+           LaterExpiry{}(negative_expiry_.front(), expiry_.front()));
       // Consume the record now; the entry it covers is going away.
-      if (from_positive) {
-        expiry_.pop();
-      } else {
-        negative_expiry_.pop();
+      if (p != kNil || n != kNil) {
+        pop_expiry(from_positive ? expiry_ : negative_expiry_);
       }
       break;
     }
   }
-  const std::uint64_t hash = key_hash(victim_name, victim_type);
+  if (p == kNil && n == kNil) {
+    return;
+  }
   if (from_positive) {
-    entries_.erase(hash, victim_name, victim_type);
+    entries_.erase_slot(p);
     ++stats_.evicted_positive;
   } else {
-    negatives_.erase(hash, victim_name, victim_type);
+    negatives_.erase_slot(n);
     ++stats_.evicted_negative;
   }
   ++stats_.capacity_evictions;
@@ -377,18 +390,13 @@ bool Cache::insert(dns::RRset rrset, Credibility credibility, sim::Time now,
   }
   entry.stamp = bump_tick();
   entry.last_touch = entry.stamp;
-  sim::Time expires = entry.expires;
-  std::uint64_t stamp = entry.stamp;
-  // The set moves in after put(), so the key put() reads is still intact.
-  const std::size_t slot =
-      entries_.put(hash, rrset.name(), type, std::move(entry));
-  entries_.at(slot).value.rrset = std::move(rrset);
-  const dns::Name& name = entries_.at(slot).name;
-  expiry_.push(ExpiryRec{expires, name, type, stamp});
+  entry.rrset = std::move(rrset);
+  push_expiry(expiry_, ExpiryRec{entry.expires, entry.stamp, hash});
+  const std::size_t slot = entries_.put(hash, type, std::move(entry));
   compact_heap(expiry_, entries_);
   ++stats_.inserts;
   // Fresh positive data supersedes any negative entry.
-  negatives_.erase(hash, name, type);
+  negatives_.erase(hash, entries_.at(slot).value.key(), type);
   maybe_halve();
   enforce_capacity();
   if constexpr (check::kAuditEnabled) {
@@ -402,17 +410,18 @@ void Cache::insert_negative(const dns::Name& name, dns::RRType type,
   count_mutation();
   std::uint64_t hash = key_hash(name, type);
   dns::Ttl effective = clamp_ttl(ttl);
-  sim::Time expires = now + sim::seconds(effective.value());
-  NegativeEntry entry{rcode, expires};
+  NegativeEntry entry;
+  entry.name = name;
+  entry.expires = now + sim::seconds(effective.value());
+  entry.rcode = rcode;
   const NegativeEntry* existing = negatives_.find(hash, name, type);
   if (existing != nullptr && existing->expires > now) {
     entry.freq = bump_freq(existing->freq);
   }
   entry.stamp = bump_tick();
   entry.last_touch = entry.stamp;
-  std::uint64_t stamp = entry.stamp;
-  negatives_.put(hash, name, type, entry);
-  negative_expiry_.push(ExpiryRec{expires, name, type, stamp});
+  push_expiry(negative_expiry_, ExpiryRec{entry.expires, entry.stamp, hash});
+  negatives_.put(hash, type, std::move(entry));
   compact_heap(negative_expiry_, negatives_);
   maybe_halve();
   enforce_capacity();
@@ -523,31 +532,11 @@ bool Cache::evict(const dns::Name& name, dns::RRType type) {
 
 std::size_t Cache::purge_expired(sim::Time now) {
   count_mutation();
-  std::size_t removed = 0;
   sim::Duration grace =
       config_.serve_stale ? config_.stale_window : sim::Duration{};
-  while (!expiry_.empty() && expiry_.top().at + grace <= now) {
-    ExpiryRec rec = expiry_.top();
-    expiry_.pop();
-    std::uint64_t hash = key_hash(rec.name, rec.type);
-    const Entry* entry = entries_.find(hash, rec.name, rec.type);
-    // The record is stale if the entry was refreshed (later expiry),
-    // evicted, or already removed via an earlier duplicate record.
-    if (entry != nullptr && entry->expires + grace <= now) {
-      entries_.erase(hash, rec.name, rec.type);
-      ++removed;
-    }
-  }
-  while (!negative_expiry_.empty() && negative_expiry_.top().at <= now) {
-    ExpiryRec rec = negative_expiry_.top();
-    negative_expiry_.pop();
-    std::uint64_t hash = key_hash(rec.name, rec.type);
-    const NegativeEntry* entry = negatives_.find(hash, rec.name, rec.type);
-    if (entry != nullptr && entry->expires <= now) {
-      negatives_.erase(hash, rec.name, rec.type);
-      ++removed;
-    }
-  }
+  const std::size_t removed =
+      purge_heap(expiry_, entries_, grace, now) +
+      purge_heap(negative_expiry_, negatives_, sim::Duration{}, now);
   if constexpr (check::kAuditEnabled) {
     validate();
     // Purge guarantee: nothing past its (stale-window-extended) deadline
@@ -555,7 +544,7 @@ std::size_t Cache::purge_expired(sim::Time now) {
     entries_.for_each([&](const Table<Entry>::Item& item) {
       DNSTTL_AUDIT_CHECK("cache::Cache", item.value.expires + grace > now,
                          "entry survived purge past its deadline: " +
-                             item.name.to_string());
+                             item.value.key().to_string());
     });
   }
   return removed;
@@ -585,7 +574,7 @@ std::string Cache::dump(sim::Time now) const {
   live.reserve(entries_.size());
   entries_.for_each([&](const auto& item) {
     if (entry_live(item.value, now)) {
-      live.push_back(PositiveRef{&item.name, item.tag, &item.value});
+      live.push_back(PositiveRef{&item.value.key(), item.tag, &item.value});
     }
   });
   std::sort(live.begin(), live.end(),
@@ -623,7 +612,8 @@ std::string Cache::dump(sim::Time now) const {
   negatives.reserve(negatives_.size());
   negatives_.for_each([&](const auto& item) {
     if (item.value.expires > now) {
-      negatives.push_back(NegativeRef{&item.name, item.tag, &item.value});
+      negatives.push_back(
+          NegativeRef{&item.value.name, item.tag, &item.value});
     }
   });
   std::sort(negatives.begin(), negatives.end(),

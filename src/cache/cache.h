@@ -4,10 +4,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "check/audit.h"
@@ -96,9 +96,12 @@ struct NegativeHit {
 ///
 /// The index is dns::NameTable, keyed on the Name's cached 64-bit hash
 /// mixed with the record type — a probe is a couple of integer compares
-/// plus one flat-buffer memcmp.  Expiry is tracked lazily in a min-heap so
-/// purge_expired() costs O(expired · log n) instead of a full O(entries)
-/// sweep.
+/// plus one flat-buffer memcmp.  Each entry holds its owner once: a
+/// positive entry in its RRset, a negative one beside its rcode.  Expiry is
+/// tracked lazily in min-heaps of name-free (deadline, stamp, key hash)
+/// records, so purge_expired() costs O(expired · log n) instead of a full
+/// O(entries) sweep; a record finds its entry by probing its key hash for
+/// its stamp.
 ///
 /// Capacity: when config.max_entries > 0 the positive and negative tables
 /// share one budget; any insert that pushes the combined population over
@@ -233,15 +236,18 @@ class Cache {
   /// Rebuilds the cache from @p image, replacing all current state and
   /// resetting stats.  Input is fully validated — magic, version, checksum,
   /// counts, canonical record/name encodings, TTL clamps, expiry
-  /// arithmetic, recency ordering, capacity bound — and corrupt input
-  /// throws SnapshotError leaving the cache unchanged.
+  /// arithmetic, recency ordering, stamps unique per table, capacity
+  /// bound — and corrupt input throws SnapshotError leaving the cache
+  /// unchanged.
   void restore(std::span<const std::uint8_t> image);
 
   /// Deep structural audit: probe-chain/tombstone agreement and live-entry
   /// accounting in both index tables, recency-chain <-> slot consistency
   /// and strict touch-order monotonicity, frequency-counter invariants,
   /// per-entry TTL-clamp and expiry arithmetic, stored-Name integrity,
-  /// expiry-heap coverage of every indexed entry, and the capacity bound.
+  /// expiry-heap order, stamps unique within each table, a heap record
+  /// with each indexed entry's (key hash, expiry, stamp), and the capacity
+  /// bound.
   /// Deliberately time-free: the resolver legitimately inserts on shifted
   /// virtual clocks during sub-resolutions, so mutation monotonicity is not
   /// a cache invariant (the purge deadline guarantee is asserted at the
@@ -254,13 +260,12 @@ class Cache {
   /// Sentinel slot index ("no slot" / chain end).
   static constexpr std::size_t kNil = dns::kNoSlot;
 
+  /// Fields run widest first, so the one-byte members share a word.
   struct Entry {
-    dns::RRset rrset;
-    Credibility credibility = Credibility::kGlue;
+    dns::RRset rrset;  ///< its owner is the entry's key
+    std::optional<dns::Name> linked_ns_owner;
     sim::Time inserted{};
     sim::Time expires{};
-    dns::Ttl original_ttl{};
-    std::optional<dns::Name> linked_ns_owner;
     /// Insert time of the NS entry this one rode in with.  If the NS RRset
     /// is later replaced (even by identical data), the link is considered
     /// broken: the address must be re-learned with the fresh delegation.
@@ -268,17 +273,25 @@ class Cache {
     /// Logical-clock value of the most recent touch (LRU/LFU recency).
     std::uint64_t last_touch = 0;
     /// Logical-clock value of the insert/refresh that created this entry
-    /// instance; identifies the matching expiry-heap record.
+    /// instance.  Every insert draws a fresh one, so it is unique in the
+    /// cache and identifies the matching expiry-heap record.
     std::uint64_t stamp = 0;
+    dns::Ttl original_ttl{};
+    Credibility credibility = Credibility::kGlue;
     /// Saturating touch counter for LFU (>= 1 for every stored entry).
     std::uint8_t freq = 1;
+
+    const dns::Name& key() const noexcept { return rrset.name(); }
   };
   struct NegativeEntry {
-    dns::Rcode rcode = dns::Rcode::kNXDomain;
+    dns::Name name;  ///< the entry's key
     sim::Time expires{};
     std::uint64_t last_touch = 0;
     std::uint64_t stamp = 0;
+    dns::Rcode rcode = dns::Rcode::kNXDomain;
     std::uint8_t freq = 1;
+
+    const dns::Name& key() const noexcept { return name; }
   };
 
   /// The cache's index: dns::NameTable keyed on (owner, record type).
@@ -291,17 +304,20 @@ class Cache {
     return Table<Entry>::key_hash(name, type);
   }
 
-  /// One pending expiry deadline; stale records (entry refreshed, evicted
-  /// or already purged) are skipped when popped.  The stamp ties a record
-  /// to the exact entry instance that pushed it, and breaks ordering ties
-  /// between equal deadlines so TTL-aware victim selection is
-  /// deterministic.
+  /// One pending expiry deadline of the entry instance with this stamp and
+  /// key hash.  It names no entry: it finds its entry by probing the hash
+  /// for the stamp, and a record whose stamp matches nothing covers a
+  /// refreshed or removed instance and is dropped when popped.  The stamp
+  /// also breaks ordering ties between equal deadlines, so TTL-aware victim
+  /// selection is deterministic.
   struct ExpiryRec {
     sim::Time at{};
-    dns::Name name;
-    dns::RRType type{};
     std::uint64_t stamp = 0;
+    std::uint64_t hash = 0;  ///< the entry's Table key hash
   };
+  static_assert(std::is_trivially_copyable_v<ExpiryRec> &&
+                    sizeof(ExpiryRec) == 24,
+                "an expiry record is three words and carries no name");
   struct LaterExpiry {
     bool operator()(const ExpiryRec& a, const ExpiryRec& b) const noexcept {
       if (a.at != b.at) {
@@ -310,21 +326,8 @@ class Cache {
       return a.stamp > b.stamp;
     }
   };
-  /// priority_queue with audit access to the underlying container, so
-  /// validate() can prove every indexed entry has expiry coverage.
-  struct ExpiryHeap
-      : std::priority_queue<ExpiryRec, std::vector<ExpiryRec>, LaterExpiry> {
-    using priority_queue::priority_queue;
-    const std::vector<ExpiryRec>& container() const noexcept { return c; }
-    /// Empties the container, lets @p fill append the new records, and
-    /// restores heap order; the container keeps its capacity.
-    template <typename Fill>
-    void refill(Fill&& fill) {
-      c.clear();
-      fill(c);
-      std::make_heap(c.begin(), c.end(), comp);
-    }
-  };
+  /// A min-heap under LaterExpiry, kept by std::push_heap/std::pop_heap.
+  using ExpiryHeap = std::vector<ExpiryRec>;
 
   dns::Ttl clamp_ttl(dns::Ttl ttl) const;
   bool entry_live(const Entry& entry, sim::Time now) const;
@@ -339,6 +342,21 @@ class Cache {
   }
   /// True if the glue link invalidates @p entry at @p now.
   bool ns_link_broken(const Entry& entry, sim::Time now) const;
+  static void push_expiry(ExpiryHeap& heap, const ExpiryRec& rec);
+  static ExpiryRec pop_expiry(ExpiryHeap& heap);
+  /// Slot of the entry instance @p rec covers, or kNil if it was refreshed
+  /// or removed.
+  template <typename V>
+  static std::size_t covered_slot(const Table<V>& table, const ExpiryRec& rec) {
+    return table.find_slot_if(rec.hash, [&rec](const auto& item) {
+      return item.value.stamp == rec.stamp;
+    });
+  }
+  /// Pops every record of @p heap due by @p now (deadline + @p grace) and
+  /// erases the entries they cover; returns how many.
+  template <typename V>
+  static std::size_t purge_heap(ExpiryHeap& heap, Table<V>& table,
+                                sim::Duration grace, sim::Time now);
   /// Rebuilds @p heap in place from the live table when stale records
   /// dominate, so repeated refreshes of the same key cannot grow it without
   /// bound, and keeps its buffer for the pushes that follow.

@@ -259,7 +259,7 @@ std::vector<std::uint8_t> Cache::snapshot() const {
     put_u8(out, entry.freq);
     put_u8(out, static_cast<std::uint8_t>(entry.rcode));
     put_i64(out, entry.expires.ticks());
-    put_name(out, item.name);
+    put_name(out, entry.name);
     put_u16(out, static_cast<std::uint16_t>(item.tag));
   }
 
@@ -395,17 +395,14 @@ void Cache::restore(std::span<const std::uint8_t> image) {
             sim::kSecond.count()) {
       throw SnapshotError("expiry arithmetic broken in snapshot entry");
     }
-    // By value: `entry` is moved into the table before the heap push below.
-    const dns::Name name = entry.rrset.name();
     const dns::RRType type = entry.rrset.type();
-    const std::uint64_t hash = key_hash(name, type);
-    if (fresh.entries_.find(hash, name, type) != nullptr) {
-      throw SnapshotError("duplicate positive entry for " + name.to_string());
+    const std::uint64_t hash = key_hash(entry.key(), type);
+    if (fresh.entries_.find(hash, entry.key(), type) != nullptr) {
+      throw SnapshotError("duplicate positive entry for " +
+                          entry.key().to_string());
     }
-    const sim::Time entry_expires = entry.expires;
-    const std::uint64_t stamp = entry.stamp;
-    fresh.entries_.put(hash, name, type, std::move(entry));
-    fresh.expiry_.push(ExpiryRec{entry_expires, name, type, stamp});
+    push_expiry(fresh.expiry_, ExpiryRec{entry.expires, entry.stamp, hash});
+    fresh.entries_.put(hash, type, std::move(entry));
   }
 
   previous_touch = 0;
@@ -429,16 +426,16 @@ void Cache::restore(std::span<const std::uint8_t> image) {
       throw SnapshotError("stored entry with zero frequency");
     }
     const std::size_t name_len = in.u16();
-    const dns::Name name = checked_name(in.str(name_len), "negative name");
+    entry.name = checked_name(in.str(name_len), "negative name");
     const dns::RRType type = static_cast<dns::RRType>(in.u16());
-    const std::uint64_t hash = key_hash(name, type);
-    if (fresh.negatives_.find(hash, name, type) != nullptr) {
-      throw SnapshotError("duplicate negative entry for " + name.to_string());
+    const std::uint64_t hash = key_hash(entry.name, type);
+    if (fresh.negatives_.find(hash, entry.name, type) != nullptr) {
+      throw SnapshotError("duplicate negative entry for " +
+                          entry.name.to_string());
     }
-    const sim::Time entry_expires = entry.expires;
-    const std::uint64_t stamp = entry.stamp;
-    fresh.negatives_.put(hash, name, type, entry);
-    fresh.negative_expiry_.push(ExpiryRec{entry_expires, name, type, stamp});
+    push_expiry(fresh.negative_expiry_,
+                ExpiryRec{entry.expires, entry.stamp, hash});
+    fresh.negatives_.put(hash, type, std::move(entry));
   }
 
   if (!in.exhausted()) {

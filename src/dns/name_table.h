@@ -24,10 +24,12 @@ struct NoTag {
 /// Open-addressing hash table from (Name, Tag) to V with linear probing and
 /// tombstone deletion — the one Name index of the library: the cache keys
 /// it on (owner, record type), the zone on the owner alone (Tag = NoTag).
-/// Items carry their full 64-bit hash (the Name's cached FNV hash mixed
-/// with the tag), so probes compare integers before touching Name bytes,
-/// and rehashing never recomputes a hash.  Lookups accept a Name or a
-/// NameView, so a caller can probe every ancestor of a name without
+/// The table stores no Name of its own: each value holds its key Name and
+/// returns it from `const Name& key() const`, so an item's owner exists
+/// once.  Items carry their full 64-bit hash (the Name's cached FNV hash
+/// mixed with the tag), so probes compare integers before touching Name
+/// bytes, and rehashing never recomputes a hash.  Lookups accept a Name or
+/// a NameView, so a caller can probe every ancestor of a name without
 /// allocating one.
 ///
 /// A doubly-linked recency chain is threaded through the slots (prev/next
@@ -42,9 +44,8 @@ class NameTable {
 
   struct Item {
     std::uint64_t hash = 0;
-    Name name;
     [[no_unique_address]] Tag tag{};
-    V value{};
+    V value{};  ///< holds the key Name: value.key()
   };
 
   /// The table hash of (name, tag): the MurmurHash3 finalizer over the
@@ -65,11 +66,18 @@ class NameTable {
   /// Slot of the live item for the key, or kNil.  @p N is Name or NameView.
   template <typename N>
   std::size_t find_slot(std::uint64_t hash, const N& name, Tag tag) const {
+    return find_slot_if(hash, key_match(name, tag));
+  }
+  /// Slot of the first live item on @p hash's probe chain whose hash is
+  /// @p hash and for which @p match(item) holds, or kNil: identifies an
+  /// item by something its value holds instead of by its key.
+  template <typename Match>
+  std::size_t find_slot_if(std::uint64_t hash, Match&& match) const {
     if (size_ == 0) {
       return kNil;
     }
     bool found = false;
-    std::size_t index = probe(hash, name, tag, found);
+    std::size_t index = probe(hash, match, found);
     return found ? index : kNil;
   }
   template <typename N>
@@ -83,16 +91,15 @@ class NameTable {
     return slot == kNil ? nullptr : &slots_[slot].item.value;
   }
 
-  /// Inserts or overwrites, moving the slot to the chain head; returns the
-  /// slot index (valid until the next put()).  @p name (a Name, copied or
-  /// moved in) is stored only when the key is new.
-  template <typename N>
-  std::size_t put(std::uint64_t hash, N&& name, Tag tag, V value) {
+  /// Inserts or overwrites the item keyed on (@p value.key(), @p tag),
+  /// moving the slot to the chain head; returns the slot index (valid until
+  /// the next put()).
+  std::size_t put(std::uint64_t hash, Tag tag, V value) {
     if (slots_.empty() || (used_ + 1) * 8 > slots_.size() * 7) {
       grow();
     }
     bool found = false;
-    std::size_t index = probe(hash, name, tag, found);
+    std::size_t index = probe(hash, key_match(value.key(), tag), found);
     Item& item = slots_[index].item;
     if (!found) {
       if (slots_[index].state == kEmpty) {
@@ -101,7 +108,6 @@ class NameTable {
       ++size_;
       slots_[index].state = kFull;
       item.hash = hash;
-      item.name = std::forward<N>(name);
       item.tag = tag;
       link_front(index);
     } else {
@@ -114,7 +120,7 @@ class NameTable {
   /// Removes the item in @p slot (a live slot from find_slot()).
   void erase_slot(std::size_t slot) {
     unlink(slot);
-    slots_[slot].item = Item{};  // release Name/value memory now
+    slots_[slot].item = Item{};  // release the value's memory now
     slots_[slot].state = kTombstone;
     --size_;
   }
@@ -200,8 +206,20 @@ class NameTable {
     std::uint8_t state = kEmpty;
   };
 
+  /// The probe predicate for the key (@p name, @p tag).
   template <typename N>
-  std::size_t probe(std::uint64_t hash, const N& name, Tag tag,
+  static auto key_match(const N& name, Tag tag) noexcept {
+    return [&name, tag](const Item& item) {
+      return item.tag == tag && item.value.key() == name;
+    };
+  }
+
+  /// Walks @p hash's probe chain to the first live item with that hash for
+  /// which @p match(item) holds (found = true), or to the slot an insert
+  /// would take: the first tombstone passed, else the empty slot that ended
+  /// the chain.
+  template <typename Match>
+  std::size_t probe(std::uint64_t hash, const Match& match,
                     bool& found) const {
     // Capacity is a power of two; linear probing terminates because load
     // is kept below 7/8 so an empty slot always exists.
@@ -218,8 +236,7 @@ class NameTable {
         if (first_tombstone == kNil) {
           first_tombstone = index;
         }
-      } else if (slot.item.hash == hash && slot.item.tag == tag &&
-                 slot.item.name == name) {
+      } else if (slot.item.hash == hash && match(slot.item)) {
         found = true;
         return index;
       }
@@ -343,27 +360,30 @@ void NameTable<Tag, V>::validate(const char* what) const {
       continue;
     }
     const Item& item = slots_[i].item;
-    item.name.validate();
-    DNSTTL_AUDIT_CHECK(what, key_hash(item.name, item.tag) == item.hash,
+    const Name& name = item.value.key();
+    name.validate();
+    DNSTTL_AUDIT_CHECK(what, key_hash(name, item.tag) == item.hash,
                        "stored hash disagrees with key_hash for " +
-                           item.name.to_string());
+                           name.to_string());
     // Probe-chain/tombstone agreement: the item must be reachable from its
     // home slot, i.e. a lookup for its key finds this exact slot.
     bool found = false;
-    std::size_t at = probe(item.hash, item.name, item.tag, found);
+    std::size_t at = probe(item.hash, key_match(name, item.tag), found);
     DNSTTL_AUDIT_CHECK(what, found && at == i,
                        "item at slot " + std::to_string(i) + " (" +
-                           item.name.to_string() +
+                           name.to_string() +
                            ") unreachable by probing (probe returned " +
                            std::to_string(at) + ")");
   }
   // Recency chain <-> slot consistency: the chain visits every live slot
-  // exactly once, links are symmetric, and dead slots are unlinked.
+  // exactly once, links are symmetric, and dead slots are unlinked.  The
+  // symmetry check also ends a cycle: the first slot the walk reaches
+  // twice would need its prev link to name two different predecessors
+  // (kNil, for the head).
   DNSTTL_AUDIT_CHECK(what, (head_ == kNil) == (size_ == 0),
                      "chain head/emptiness disagreement");
   DNSTTL_AUDIT_CHECK(what, (tail_ == kNil) == (size_ == 0),
                      "chain tail/emptiness disagreement");
-  std::vector<std::uint8_t> seen(capacity, 0);
   std::size_t visited = 0;
   std::size_t prev = kNil;
   for (std::size_t i = head_; i != kNil; i = slots_[i].next) {
@@ -372,13 +392,9 @@ void NameTable<Tag, V>::validate(const char* what) const {
                            std::to_string(i));
     DNSTTL_AUDIT_CHECK(what, slots_[i].state == kFull,
                        "recency chain visits dead slot " + std::to_string(i));
-    DNSTTL_AUDIT_CHECK(what, seen[i] == 0,
-                       "recency chain visits slot " + std::to_string(i) +
-                           " twice (cycle)");
-    seen[i] = 1;
     DNSTTL_AUDIT_CHECK(what, slots_[i].prev == prev,
                        "recency chain prev/next asymmetry at slot " +
-                           std::to_string(i));
+                           std::to_string(i) + " (or a cycle)");
     prev = i;
     ++visited;
   }

@@ -76,9 +76,9 @@ RRset& Zone::rrset_for(const Name& name, RRType type, RClass rclass,
         ++node->children;
         break;
       }
-      nodes_.put(parent_hash, Name(parent), NoTag{}, Node{{}, 1});
+      nodes_.put(parent_hash, NoTag{}, Node{Name(parent), {}, 1});
     }
-    slot = nodes_.put(hash, name, NoTag{}, Node{});
+    slot = nodes_.put(hash, NoTag{}, Node{name, {}, 0});
   }
   std::vector<RRset>& rrsets = nodes_.at(slot).value.rrsets;
   auto it = type_position(rrsets, type);
@@ -91,7 +91,7 @@ RRset& Zone::rrset_for(const Name& name, RRType type, RClass rclass,
 
 void Zone::prune(std::size_t slot) {
   // Parents are erased before the slot itself, so `name` stays alive.
-  const Name& name = nodes_.at(slot).name;
+  const Name& name = nodes_.at(slot).value.name;
   for (std::size_t depth = name.label_count(); depth > origin_.label_count();
        --depth) {
     const std::size_t up = slot_of(ancestor(name, depth - 1));
@@ -354,7 +354,7 @@ std::vector<RRset> Zone::all_rrsets() const {
   });
   std::sort(owners.begin(), owners.end(),
             [](const Nodes::Item* a, const Nodes::Item* b) {
-              return a->name < b->name;
+              return a->value.name < b->value.name;
             });
   std::vector<RRset> out;
   out.reserve(rrset_count_);
@@ -405,27 +405,27 @@ void Zone::validate() const {
   std::size_t rrsets = 0;
   std::unordered_map<const Node*, std::uint32_t> children;
   nodes_.for_each([&](const Nodes::Item& item) {
-    // Failure details only: DNSTTL_AUDIT_CHECK evaluates them on failure.
-    const auto owner = [&item] { return item.name.to_string(); };
-    DNSTTL_AUDIT_CHECK(kWhat, item.name.is_subdomain_of(origin_),
-                       "entry " + owner() + " not under the origin");
     const Node& node = item.value;
+    const Name& name = node.name;
+    // Failure details only: DNSTTL_AUDIT_CHECK evaluates them on failure.
+    const auto owner = [&name] { return name.to_string(); };
+    DNSTTL_AUDIT_CHECK(kWhat, name.is_subdomain_of(origin_),
+                       "entry " + owner() + " not under the origin");
     DNSTTL_AUDIT_CHECK(kWhat, !node.rrsets.empty() || node.children > 0,
                        "entry " + owner() + " has neither RRsets nor children");
     for (std::size_t i = 0; i < node.rrsets.size(); ++i) {
       const RRset& rrset = node.rrsets[i];
       DNSTTL_AUDIT_CHECK(kWhat, !rrset.empty(),
                          "empty RRset stored at " + owner());
-      DNSTTL_AUDIT_CHECK(kWhat, rrset.name() == item.name,
+      DNSTTL_AUDIT_CHECK(kWhat, rrset.name() == name,
                          "RRset owner disagrees with its entry " + owner());
       DNSTTL_AUDIT_CHECK(kWhat,
                          i == 0 || node.rrsets[i - 1].type() < rrset.type(),
                          "RRsets at " + owner() + " not in strict type order");
     }
     rrsets += node.rrsets.size();
-    if (item.name.label_count() > origin_.label_count()) {
-      const Node* parent =
-          find_node(ancestor(item.name, item.name.label_count() - 1));
+    if (name.label_count() > origin_.label_count()) {
+      const Node* parent = find_node(ancestor(name, name.label_count() - 1));
       DNSTTL_AUDIT_CHECK(kWhat, parent != nullptr,
                          "entry " + owner() + " has no parent entry");
       ++children[parent];
@@ -436,7 +436,7 @@ void Zone::validate() const {
     const std::uint32_t below = it == children.end() ? 0 : it->second;
     DNSTTL_AUDIT_CHECK(kWhat, item.value.children == below,
                        "child count " + std::to_string(item.value.children) +
-                           " at " + item.name.to_string() + " vs " +
+                           " at " + item.value.name.to_string() + " vs " +
                            std::to_string(below) + " entries below");
   });
   DNSTTL_AUDIT_CHECK(kWhat, rrsets == rrset_count_,

@@ -124,8 +124,11 @@ class Zone {
   /// One owner name's entry.  An entry without RRsets is an empty
   /// non-terminal and lives exactly as long as its child count is nonzero.
   struct Node {
+    Name name;                  ///< the owner, the table's key
     std::vector<RRset> rrsets;  ///< in increasing type order
     std::uint32_t children = 0;  ///< entries exactly one label below
+
+    const Name& key() const noexcept { return name; }
   };
   using Nodes = NameTable<NoTag, Node>;
 

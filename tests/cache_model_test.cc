@@ -18,6 +18,7 @@
 
 #include "cache/cache.h"
 #include "dns/name.h"
+#include "dns/name_table.h"
 #include "dns/rr.h"
 #include "dns/types.h"
 #include "sim/rng.h"
@@ -138,21 +139,56 @@ dns::RRset make_rrset(const dns::Name& name, dns::Ttl ttl,
   return rrset;
 }
 
-/// Runs one randomized trace against both implementations.
+/// @p count names "<prefix><i>.<zone><i % zones>.example".
+std::vector<dns::Name> name_pool(const std::string& prefix,
+                                 const std::string& zone, int count,
+                                 int zones) {
+  std::vector<dns::Name> names;
+  for (int i = 0; i < count; ++i) {
+    names.push_back(dns::Name::from_string(prefix + std::to_string(i) + "." +
+                                           zone + std::to_string(i % zones) +
+                                           ".example"));
+  }
+  return names;
+}
+
+/// A pool small enough that keys collide across insert/expiry cycles but
+/// large enough to force table growth and probe chains.
+std::vector<dns::Name> model_names() { return name_pool("m", "model", 48, 5); }
+
+/// @p count names whose (name, A) table hashes agree in their low four
+/// bits: in a table of up to 16 slots they all start probing at one slot,
+/// so every probe for one of them walks past the others and their
+/// tombstones.
+std::vector<dns::Name> chained_names(std::size_t count) {
+  struct Keyed {
+    dns::Name name;
+    const dns::Name& key() const noexcept { return name; }
+  };
+  using Probe = dns::NameTable<dns::RRType, Keyed>;
+  std::vector<dns::Name> names;
+  std::uint64_t home = 0;
+  for (int i = 0; names.size() < count; ++i) {
+    auto name =
+        dns::Name::from_string("c" + std::to_string(i) + ".chain.example");
+    const std::uint64_t low = Probe::key_hash(name, dns::RRType::kA) & 15;
+    if (names.empty()) {
+      home = low;
+    }
+    if (low == home) {
+      names.push_back(std::move(name));
+    }
+  }
+  return names;
+}
+
+/// Runs one randomized trace over @p names against both implementations.
 void run_trace(const Cache::Config& config, std::uint64_t seed,
-               bool exercise_credibility) {
+               bool exercise_credibility,
+               const std::vector<dns::Name>& names) {
   Cache cache(config);
   CacheOracle oracle(config);
   sim::Rng rng(seed);
-
-  // A pool small enough that keys collide across insert/expiry cycles but
-  // large enough to force table growth and probe chains.
-  std::vector<dns::Name> names;
-  for (int i = 0; i < 48; ++i) {
-    names.push_back(dns::Name::from_string(
-        "m" + std::to_string(i) + ".model" + std::to_string(i % 5) +
-        ".example"));
-  }
 
   sim::Time now{};
   std::uint32_t value = 0;
@@ -212,7 +248,7 @@ TEST(CacheModelTest, RandomizedTracesMatchMapOracle) {
   Cache::Config config;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_trace(config, seed, /*exercise_credibility=*/false);
+    run_trace(config, seed, /*exercise_credibility=*/false, model_names());
   }
 }
 
@@ -220,7 +256,7 @@ TEST(CacheModelTest, CredibilityRefusalsMatchMapOracle) {
   Cache::Config config;
   for (std::uint64_t seed = 100; seed <= 104; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_trace(config, seed, /*exercise_credibility=*/true);
+    run_trace(config, seed, /*exercise_credibility=*/true, model_names());
   }
 }
 
@@ -230,7 +266,7 @@ TEST(CacheModelTest, ServeStaleGraceMatchesMapOracle) {
   config.stale_window = 20 * sim::kSecond;
   for (std::uint64_t seed = 200; seed <= 204; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_trace(config, seed, /*exercise_credibility=*/false);
+    run_trace(config, seed, /*exercise_credibility=*/false, model_names());
   }
 }
 
@@ -240,7 +276,7 @@ TEST(CacheModelTest, MinTtlClampMatchesMapOracle) {
   config.max_ttl = dns::Ttl{30};
   for (std::uint64_t seed = 300; seed <= 303; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_trace(config, seed, /*exercise_credibility=*/false);
+    run_trace(config, seed, /*exercise_credibility=*/false, model_names());
   }
 }
 
@@ -445,19 +481,18 @@ class BoundedOracle {
   std::uint64_t high_water_ = 0;
 };
 
+std::vector<dns::Name> bounded_names() {
+  return name_pool("b", "bounded", 64, 7);
+}
+
 /// One fuzzed bounded trace: 10k mixed insert/lookup/negative/evict/purge
-/// ops against cache and oracle, comparing every observable after every op.
-void run_bounded_trace(const Cache::Config& config, std::uint64_t seed) {
+/// ops over @p names against cache and oracle, comparing every observable
+/// after every op.
+void run_bounded_trace(const Cache::Config& config, std::uint64_t seed,
+                       const std::vector<dns::Name>& names) {
   Cache cache(config);
   BoundedOracle oracle(config);
   sim::Rng rng(seed);
-
-  std::vector<dns::Name> names;
-  for (int i = 0; i < 64; ++i) {
-    names.push_back(dns::Name::from_string(
-        "b" + std::to_string(i) + ".bounded" + std::to_string(i % 7) +
-        ".example"));
-  }
 
   sim::Time now{};
   std::uint32_t value = 0;
@@ -529,7 +564,7 @@ TEST(CacheModelTest, BoundedLruTracesMatchOracle) {
   config.policy = EvictionPolicy::kLru;
   for (std::uint64_t seed = 400; seed < 405; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_bounded_trace(config, seed);
+    run_bounded_trace(config, seed, bounded_names());
   }
 }
 
@@ -541,7 +576,7 @@ TEST(CacheModelTest, BoundedLfuTracesMatchOracle) {
   config.lfu_halving_period = 64;
   for (std::uint64_t seed = 500; seed < 505; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_bounded_trace(config, seed);
+    run_bounded_trace(config, seed, bounded_names());
   }
 }
 
@@ -551,7 +586,7 @@ TEST(CacheModelTest, BoundedTtlAwareTracesMatchOracle) {
   config.policy = EvictionPolicy::kTtlAware;
   for (std::uint64_t seed = 600; seed < 605; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    run_bounded_trace(config, seed);
+    run_bounded_trace(config, seed, bounded_names());
   }
 }
 
@@ -564,7 +599,7 @@ TEST(CacheModelTest, TinyCapacityChurnMatchesOracle) {
     config.max_entries = 4;
     config.policy = policy;
     SCOPED_TRACE(std::string(to_string(policy)));
-    run_bounded_trace(config, 7777);
+    run_bounded_trace(config, 7777, bounded_names());
   }
 }
 
@@ -588,6 +623,136 @@ TEST(CacheModelTest, RepeatedRefreshKeepsPurgeExact) {
   now += 11 * sim::kSecond;
   EXPECT_EQ(cache.purge_expired(now), oracle.purge_expired(now));
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// Expiry records find their entries by (key hash, stamp).  Refreshing an
+// entry to a shorter or a longer TTL, or evicting and reinserting it,
+// leaves a record whose stamp no entry holds any more; purges and TTL-aware
+// victim selection must drop it even when its key is back in the table,
+// and keys on one probe chain must not answer for each other.  The same
+// script runs unbounded against CacheOracle (purge counts) and at capacity
+// 4 under kTtlAware against BoundedOracle (victims), and every key is
+// looked up after every step.
+TEST(CacheModelTest, StaleRecordsOnSharedProbeChainsMatchOracles) {
+  const std::vector<dns::Name> keys = chained_names(6);
+  enum Kind { kInsert, kNegative, kEvict, kPurge };
+  struct Step {
+    int at;  // seconds
+    Kind kind;
+    std::size_t key;
+    std::uint32_t ttl;
+  };
+  const std::vector<Step> script = {
+      {0, kInsert, 0, 10},
+      {0, kInsert, 1, 20},
+      {0, kInsert, 2, 30},
+      {0, kNegative, 4, 10},
+      {1, kInsert, 0, 60},    // refresh to longer: expiry 10 -> 61
+      {1, kNegative, 4, 30},  // negative refresh to longer: 10 -> 31
+      {1, kInsert, 3, 40},    // over capacity: 1 goes, not 0
+      {2, kInsert, 2, 3},     // refresh to shorter: 30 -> 5
+      {2, kEvict, 3, 0},      // evict, then reinsert: 41 -> 52
+      {2, kInsert, 3, 50},
+      {6, kPurge, 0, 0},
+      {12, kPurge, 0, 0},     // the stale records of 0 and 4 fall due
+      {20, kInsert, 2, 100},  // reinsert after a purge
+      {21, kInsert, 5, 90},   // over capacity under the stale tops of 2, 3
+      {25, kPurge, 0, 0},
+      {35, kPurge, 0, 0},     // 2's record of expiry 30 falls due
+      {40, kInsert, 1, 5},
+      {45, kPurge, 0, 0},     // 3's record of expiry 41 falls due
+      {50, kInsert, 4, 2},
+      {70, kPurge, 0, 0},
+      {200, kPurge, 0, 0},
+  };
+
+  Cache unbounded;
+  CacheOracle plain(Cache::Config{});
+  Cache::Config ttl_aware;
+  ttl_aware.max_entries = 4;
+  ttl_aware.policy = EvictionPolicy::kTtlAware;
+  Cache bounded(ttl_aware);
+  BoundedOracle victims(ttl_aware);
+  std::uint32_t value = 0;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const Step& step = script[i];
+    SCOPED_TRACE("step " + std::to_string(i));
+    const sim::Time now = sim::at(step.at * sim::kSecond);
+    const dns::Name& name = keys[step.key];
+    const dns::Ttl ttl{step.ttl};
+    switch (step.kind) {
+      case kInsert:
+        ASSERT_TRUE(unbounded.insert(make_rrset(name, ttl, value),
+                                     Credibility::kAuthAnswer, now));
+        ASSERT_TRUE(bounded.insert(make_rrset(name, ttl, value),
+                                   Credibility::kAuthAnswer, now));
+        plain.insert(name, dns::RRType::kA, ttl, Credibility::kAuthAnswer,
+                     now);
+        victims.insert(name, dns::RRType::kA, ttl, now);
+        ++value;
+        break;
+      case kNegative:
+        unbounded.insert_negative(name, dns::RRType::kA,
+                                  dns::Rcode::kNXDomain, ttl, now);
+        bounded.insert_negative(name, dns::RRType::kA, dns::Rcode::kNXDomain,
+                                ttl, now);
+        plain.insert_negative(name, dns::RRType::kA, dns::Rcode::kNXDomain,
+                              ttl, now);
+        victims.insert_negative(name, dns::RRType::kA, ttl, now);
+        break;
+      case kEvict:
+        ASSERT_EQ(unbounded.evict(name, dns::RRType::kA),
+                  plain.evict(name, dns::RRType::kA));
+        ASSERT_EQ(bounded.evict(name, dns::RRType::kA),
+                  victims.evict(name, dns::RRType::kA));
+        break;
+      case kPurge:
+        ASSERT_EQ(unbounded.purge_expired(now), plain.purge_expired(now));
+        ASSERT_EQ(bounded.purge_expired(now), victims.purge_expired(now));
+        break;
+    }
+    ASSERT_EQ(unbounded.size(), plain.size());
+    ASSERT_EQ(bounded.size(), victims.positive_size());
+    ASSERT_EQ(bounded.negative_size(), victims.negative_size());
+    ASSERT_EQ(bounded.stats().evicted_positive, victims.evicted_positive());
+    ASSERT_EQ(bounded.stats().evicted_negative, victims.evicted_negative());
+    for (const dns::Name& key : keys) {
+      const auto hit = unbounded.lookup(key, dns::RRType::kA, now);
+      const auto model = plain.lookup(key, dns::RRType::kA, now);
+      ASSERT_EQ(hit.has_value(), model.has_value()) << key.to_string();
+      ASSERT_EQ(
+          unbounded.lookup_negative(key, dns::RRType::kA, now).has_value(),
+          plain.lookup_negative(key, dns::RRType::kA, now).has_value())
+          << key.to_string();
+      const auto bounded_hit = bounded.lookup(key, dns::RRType::kA, now);
+      const auto bounded_model = victims.lookup(key, dns::RRType::kA, now);
+      ASSERT_EQ(bounded_hit.has_value(), bounded_model.has_value())
+          << key.to_string();
+      if (bounded_hit) {
+        ASSERT_EQ(bounded_hit->ttl, *bounded_model) << key.to_string();
+      }
+    }
+    unbounded.validate();
+    bounded.validate();
+  }
+}
+
+// The randomized traces, over keys that share one probe chain.
+TEST(CacheModelTest, SharedProbeChainTracesMatchOracles) {
+  const std::vector<dns::Name> keys = chained_names(6);
+  run_trace(Cache::Config{}, 700, /*exercise_credibility=*/false, keys);
+  Cache::Config stale;
+  stale.serve_stale = true;
+  stale.stale_window = 20 * sim::kSecond;
+  run_trace(stale, 701, /*exercise_credibility=*/false, keys);
+  for (EvictionPolicy policy : {EvictionPolicy::kLru, EvictionPolicy::kLfu,
+                                EvictionPolicy::kTtlAware}) {
+    Cache::Config config;
+    config.max_entries = 4;
+    config.policy = policy;
+    SCOPED_TRACE(std::string(to_string(policy)));
+    run_bounded_trace(config, 702, keys);
+  }
 }
 
 }  // namespace

@@ -580,5 +580,67 @@ TEST(CacheSnapshotTest, RestoreResetsRuntimeStats) {
                                        restored.negative_size()));
 }
 
+/// The little-endian integer of @p bytes octets at @p at in @p image.
+std::uint64_t get_le(const std::vector<std::uint8_t>& image, std::size_t at,
+                     int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= std::uint64_t{image[at + static_cast<std::size_t>(i)]} << (8 * i);
+  }
+  return v;
+}
+
+void set_u64(std::vector<std::uint8_t>& image, std::size_t at,
+             std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    image[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
+  }
+}
+
+// Expiry records find their entries by (key hash, stamp), so no table may
+// hold one stamp twice.  snapshot() never writes such an image; a crafted
+// one that repeats a stamp in either table is rejected.
+TEST(CacheSnapshotTest, RejectsRepeatedStampEvenResealed) {
+  Cache cache;
+  cache.insert(make_a_set("one.org", dns::Ttl{300}), Credibility::kAuthAnswer,
+               sim::Time{});
+  cache.insert(make_a_set("two.org", dns::Ttl{300}), Credibility::kAuthAnswer,
+               sim::Time{});
+  cache.insert_negative(Name::from_string("three.org"), RRType::kA,
+                        dns::Rcode::kNXDomain, dns::Ttl{60}, sim::Time{});
+  cache.insert_negative(Name::from_string("four.org"), RRType::kA,
+                        dns::Rcode::kNXDomain, dns::Ttl{60}, sim::Time{});
+  const std::vector<std::uint8_t> image = cache.snapshot();
+
+  // A 66-octet header, then two positive entries (43 fixed octets with the
+  // blob length at +39, then the blob), then two negative entries (30 fixed
+  // octets with the name length at +26, then the name).  Each entry opens
+  // with u64 last_touch and u64 stamp; these drew ticks 1 to 4.
+  constexpr std::size_t kHeader = 66;
+  const std::size_t second_positive =
+      kHeader + 43 + get_le(image, kHeader + 39, 4);
+  const std::size_t first_negative =
+      second_positive + 43 + get_le(image, second_positive + 39, 4);
+  const std::size_t second_negative =
+      first_negative + 30 + get_le(image, first_negative + 26, 2);
+  ASSERT_EQ(get_le(image, kHeader + 8, 8), 1u);
+  ASSERT_EQ(get_le(image, second_positive + 8, 8), 2u);
+  ASSERT_EQ(get_le(image, first_negative + 8, 8), 3u);
+  ASSERT_EQ(get_le(image, second_negative + 8, 8), 4u);
+
+  auto positive_twice = image;
+  set_u64(positive_twice, second_positive + 8, 1);
+  reseal(positive_twice);
+  auto negative_twice = image;
+  set_u64(negative_twice, second_negative + 8, 3);
+  reseal(negative_twice);
+  Cache restored;
+  EXPECT_THROW(restored.restore(positive_twice), SnapshotError);
+  EXPECT_THROW(restored.restore(negative_twice), SnapshotError);
+  restored.restore(image);
+  EXPECT_EQ(restored.snapshot(), image);
+}
+
 }  // namespace
 }  // namespace dnsttl::cache
