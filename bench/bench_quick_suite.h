@@ -1,12 +1,11 @@
 #ifndef DNSTTL_BENCH_QUICK_SUITE_H
 #define DNSTTL_BENCH_QUICK_SUITE_H
 
-// Hand-timed hot-path microbenchmarks behind `bench_micro_library --quick`.
-// Unlike the google-benchmark suite these run in a fixed, fast amount of
-// time and report throughput numbers suitable for the machine-readable
-// BENCH_*.json trajectory (see bench_common.h JsonReport).  They only use
-// public library APIs, so the identical file can be compiled against any
-// revision to compare builds.
+// Hand-timed hot-path microbenchmarks behind `bench_micro_library`.  They
+// run in a fixed, fast amount of time and report throughput numbers
+// suitable for the machine-readable BENCH_*.json trajectory (see
+// bench_common.h JsonReport).  They only use public library APIs, so the
+// identical file can be compiled against any revision to compare builds.
 
 #include <chrono>
 #include <cstdint>
@@ -272,8 +271,8 @@ inline std::vector<QuickMetric> run_quick_suite(double scale) {
 // byte-identical at any --jobs value.
 // ---------------------------------------------------------------------------
 
-/// The 16 independent experiment binaries (bench_micro_library is the
-/// google-benchmark harness and stays separate).
+/// The 16 independent experiment binaries (bench_micro_library measures
+/// the library, not the paper, and stays separate).
 inline const std::vector<std::string>& experiment_binaries() {
   static const std::vector<std::string> kBinaries = {
       "bench_table1_cl",

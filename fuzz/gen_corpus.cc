@@ -2,9 +2,9 @@
 ///
 /// Usage: gen_corpus <corpus-root>
 ///
-/// Seeds are built through the project's own encoder/renderer so they stay
-/// valid as the codec evolves; rerun this tool and re-commit the output
-/// whenever the wire or master-file format changes.
+/// Seeds are built through the project's own wire encoder and cache
+/// snapshot writer so they stay valid as the codecs evolve; rerun this tool
+/// and re-commit the output whenever the wire or snapshot format changes.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,11 +12,9 @@
 #include <vector>
 
 #include "cache/cache.h"
-#include "dns/master_file.h"
 #include "dns/message.h"
 #include "dns/rr.h"
 #include "dns/wire.h"
-#include "dns/zone.h"
 #include "sim/time.h"
 
 namespace {
@@ -30,11 +28,6 @@ void write_file(const std::filesystem::path& path,
   std::ofstream out(path, std::ios::binary);
   out.write(reinterpret_cast<const char*>(data.data()),
             static_cast<std::streamsize>(data.size()));
-}
-
-void write_file(const std::filesystem::path& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  out << text;
 }
 
 std::vector<Message> message_seeds() {
@@ -99,45 +92,6 @@ std::vector<Message> message_seeds() {
   mixed.answers.push_back(make_txt(Name::from_string("example.org."), dnsttl::dns::Ttl{7200},
                                    "v=spf1 -all"));
   seeds.push_back(mixed);
-
-  return seeds;
-}
-
-std::vector<std::string> master_file_seeds() {
-  std::vector<std::string> seeds;
-
-  seeds.push_back(
-      "$ORIGIN example.com.\n"
-      "$TTL 3600\n"
-      "@   IN SOA ns1.example.com. hostmaster.example.com. "
-      "2024010101 7200 900 1209600 300\n"
-      "@   IN NS  ns1.example.com.\n"
-      "@   IN NS  ns2.example.com.\n"
-      "ns1 IN A   192.0.2.1\n"
-      "ns2 IN A   192.0.2.2\n"
-      "www 300 IN A 192.0.2.80\n"
-      "www IN AAAA 2001:db8::80\n");
-
-  seeds.push_back(
-      "$ORIGIN example.org.\n"
-      "$TTL 86400\n"
-      "@    IN SOA ns.example.org. admin.example.org. 1 3600 600 86400 60\n"
-      "@    IN MX  10 mail\n"
-      "@    IN TXT \"v=spf1 mx -all\"\n"
-      "mail IN A   198.51.100.25\n"
-      "alias IN CNAME www.example.org.\n"
-      "www  IN A   198.51.100.80\n");
-
-  // Relative names, inherited TTLs, comments, a delegation with glue.
-  seeds.push_back(
-      "$ORIGIN example.net.\n"
-      "$TTL 172800\n"
-      "; delegation-heavy zone\n"
-      "@     IN SOA ns.example.net. root.example.net. 7 1800 300 604800 30\n"
-      "@     IN NS  ns\n"
-      "ns    IN A   203.0.113.1\n"
-      "child IN NS  ns.child\n"
-      "ns.child IN A 203.0.113.53\n");
 
   return seeds;
 }
@@ -226,10 +180,8 @@ int main(int argc, char** argv) {
   }
   const std::filesystem::path root(argv[1]);
   const std::filesystem::path messages = root / "message";
-  const std::filesystem::path zones = root / "master_file";
   const std::filesystem::path snapshots = root / "cache_snapshot";
   std::filesystem::create_directories(messages);
-  std::filesystem::create_directories(zones);
   std::filesystem::create_directories(snapshots);
 
   int index = 0;
@@ -237,13 +189,6 @@ int main(int argc, char** argv) {
     char stem[32];
     std::snprintf(stem, sizeof stem, "seed%02d.bin", index++);
     write_file(messages / stem, dnsttl::dns::encode(message));
-  }
-
-  index = 0;
-  for (const std::string& zone : master_file_seeds()) {
-    char stem[32];
-    std::snprintf(stem, sizeof stem, "seed%02d.txt", index++);
-    write_file(zones / stem, zone);
   }
 
   index = 0;

@@ -3,13 +3,10 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "cache/cache.h"
-#include "dns/master_file.h"
 #include "dns/message.h"
 #include "dns/wire.h"
-#include "dns/zone.h"
 
 namespace dnsttl::fuzz {
 
@@ -46,25 +43,6 @@ void run_message_input(const std::uint8_t* data, std::size_t size) {
     (void)message.to_string();
   } catch (const std::exception& error) {
     harness_violation("fuzz_message", "round-trip on accepted input", error);
-  }
-}
-
-void run_master_file_input(const std::uint8_t* data, std::size_t size) {
-  const std::string_view text(reinterpret_cast<const char*>(data), size);
-  static const dns::Name origin = dns::Name::from_string("fuzz.example.");
-  dns::Zone zone{origin};
-  try {
-    zone = dns::parse_master_file(text, origin);
-  } catch (const dns::MasterFileError&) {
-    return;  // malformed zone text correctly rejected
-  }
-  try {
-    zone.validate();
-    const std::string rendered = dns::render_master_file(zone);
-    (void)dns::parse_master_file(rendered, zone.origin());
-  } catch (const std::exception& error) {
-    harness_violation("fuzz_master_file",
-                      "audit/render/re-parse of accepted zone", error);
   }
 }
 

@@ -15,13 +15,6 @@ namespace dnsttl::fuzz {
 /// sanitizer report) is a finding.
 void run_message_input(const std::uint8_t* data, std::size_t size);
 
-/// One fuzz iteration against the RFC 1035 §5 master-file parser.  Parses
-/// @p data as zone text; on success, runs the zone's structural audit,
-/// renders the zone back to text and requires the render output to
-/// re-parse (the codec's documented round-trip guarantee).  dns::MasterFileError is the parser's rejection
-/// channel and is swallowed; anything else is a finding.
-void run_master_file_input(const std::uint8_t* data, std::size_t size);
-
 /// One fuzz iteration against the cache snapshot codec.  Feeds @p data to
 /// cache::Cache::restore; on an accepted image, runs the full structural
 /// audit and requires re-snapshotting to reproduce the input byte-for-byte

@@ -23,8 +23,8 @@ inline constexpr bool kAuditEnabled = DNSTTL_AUDIT != 0;
 
 /// Thrown when a structural invariant audit fails.  Derived from
 /// std::logic_error: an audit failure is a library bug, never an input
-/// error, and must not be swallowed by the WireError/MasterFileError
-/// handlers on the parsing paths.
+/// error, and must not be swallowed by the WireError/SnapshotError
+/// handlers on the decoding paths.
 class AuditError : public std::logic_error {
  public:
   using std::logic_error::logic_error;

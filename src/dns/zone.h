@@ -95,7 +95,7 @@ class Zone {
   LookupResult lookup(const Name& qname, RRType qtype) const;
 
   /// All RRsets, in canonical name order and type order within a name
-  /// (used by RFC 7706 zone transfer, master-file rendering and signing).
+  /// (used by zone transfer to secondaries, signing and perfbench).
   std::vector<RRset> all_rrsets() const;
 
   /// Number of RRsets stored.

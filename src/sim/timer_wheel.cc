@@ -18,23 +18,34 @@ TimerWheel::TimerWheel(Time start) {
 
 void TimerWheel::schedule(Time at, std::uint64_t seq, std::uint64_t payload) {
   const std::int64_t at_tick = tick_of(at);
-  if (at_tick < cur_tick_) {
-    throw std::invalid_argument("cannot schedule into a fired wheel tick");
-  }
-  if (active_ && at_tick == active_tick_) {
-    // The slot is mid-fire (its vector already moved into scratch_): merge
-    // the entry at its (time, seq) position among the not-yet-fired tail,
-    // so zero-gap reschedules keep exact (time, seq) order.
-    const Entry entry{at, seq, payload};
-    auto pos = std::upper_bound(
-        scratch_.begin() + static_cast<std::ptrdiff_t>(scratch_idx_),
-        scratch_.end(), entry, entry_before);
-    scratch_.insert(pos, entry);
-    ++pending_;
-    return;
+  if (at_tick <= cur_tick_) {
+    if (at_tick < fired_tick()) {
+      throw std::invalid_argument("cannot schedule into a fired wheel tick");
+    }
+    if (active_) {
+      // The cohort at cur_tick_ is materialized (its vector already moved
+      // into scratch_) but not drained: merge the entry at its (time, seq)
+      // position among the not-yet-fired tail.  That covers zero-gap
+      // reschedules and entries due before a peeked cohort alike.
+      const Entry entry{at, seq, payload};
+      auto pos = std::upper_bound(
+          scratch_.begin() + static_cast<std::ptrdiff_t>(scratch_idx_),
+          scratch_.end(), entry, entry_before);
+      scratch_.insert(pos, entry);
+      ++pending_;
+      return;
+    }
   }
   place(Entry{at, seq, payload});
   ++pending_;
+}
+
+std::int64_t TimerWheel::fired_tick() const noexcept {
+  if (!active_) {
+    return cur_tick_;  // pop_head leaves the position on the drained tick
+  }
+  return scratch_idx_ > 0 ? tick_of(scratch_[scratch_idx_ - 1].at)
+                          : prev_tick_;
 }
 
 void TimerWheel::place(const Entry& entry) {
@@ -143,6 +154,7 @@ void TimerWheel::materialize() {
   if (active_ && scratch_idx_ < scratch_.size()) {
     return;
   }
+  prev_tick_ = cur_tick_;
   advance_to_cohort();
   const std::size_t slot = static_cast<std::size_t>(cur_tick_) & kSlotMask;
   scratch_.clear();
@@ -150,7 +162,6 @@ void TimerWheel::materialize() {
   level0_bits_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63u));
   std::sort(scratch_.begin(), scratch_.end(), entry_before);
   scratch_idx_ = 0;
-  active_tick_ = cur_tick_;
   active_ = true;
 }
 
@@ -245,11 +256,12 @@ void TimerWheel::validate() const {
   if (active_) {
     DNSTTL_AUDIT_CHECK(kWhat, scratch_idx_ < scratch_.size(),
                        "active cohort fully drained but still marked active");
-    DNSTTL_AUDIT_CHECK(kWhat, active_tick_ == cur_tick_,
-                       "active cohort tick disagrees with wheel position");
+    DNSTTL_AUDIT_CHECK(kWhat, tick_of(scratch_.back().at) == cur_tick_,
+                       "active cohort does not end on the wheel position");
     for (std::size_t i = scratch_idx_; i < scratch_.size(); ++i) {
-      DNSTTL_AUDIT_CHECK(kWhat, tick_of(scratch_[i].at) == active_tick_,
-                         "active-cohort entry outside the active tick at "
+      const std::int64_t at_tick = tick_of(scratch_[i].at);
+      DNSTTL_AUDIT_CHECK(kWhat, at_tick >= prev_tick_ && at_tick <= cur_tick_,
+                         "active-cohort entry outside its tick range at "
                          "index " +
                              std::to_string(i));
       if (i > scratch_idx_) {

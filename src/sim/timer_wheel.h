@@ -42,10 +42,14 @@ namespace dnsttl::sim {
 /// it fires* (zero-gap reschedules) are merged at their correct (time, seq)
 /// position.
 ///
-/// Monotonicity: schedule() requires `at` not earlier than the entry
-/// currently at the head (callers schedule from a monotone virtual clock,
-/// exactly as Simulation::schedule_at requires `at >= now()`), and `seq`
-/// values must be unique.
+/// Monotonicity: schedule() rejects an entry whose tick precedes the last
+/// fired entry's (the start tick before any fire), as Simulation::schedule_at
+/// rejects `at < now()`, and `seq` values must be unique.  Peeking fires
+/// nothing: an entry scheduled after head() but due before the peeked
+/// cohort is merged into that materialized cohort at its (time, seq)
+/// position, as zero-gap reschedules are.  So when run_until peeks the
+/// wheel and then runs an earlier queued event, that event may schedule
+/// back into the wheel at any time not before now().
 class TimerWheel {
  public:
   struct Entry {
@@ -57,8 +61,8 @@ class TimerWheel {
 
   explicit TimerWheel(Time start = Time{});
 
-  /// Enqueues (at, seq, payload).  `at` must not precede the wheel's
-  /// current position (the tick of the last materialized cohort).
+  /// Enqueues (at, seq, payload).  Throws std::invalid_argument when `at`'s
+  /// tick precedes the last fired entry's (see Monotonicity above).
   void schedule(Time at, std::uint64_t seq, std::uint64_t payload);
 
   [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
@@ -98,6 +102,9 @@ class TimerWheel {
     return entry_before(b, a);
   }
 
+  /// Tick of the last fired entry (the start tick before any fire): the
+  /// earliest tick schedule() accepts.
+  [[nodiscard]] std::int64_t fired_tick() const noexcept;
   void place(const Entry& entry);
   /// Moves far-heap entries that now fit the two wheel levels in-window.
   void pull_far();
@@ -122,7 +129,9 @@ class TimerWheel {
   /// Materialized head cohort, sorted ascending by (time, seq).
   std::vector<Entry> scratch_;
   std::size_t scratch_idx_ = 0;
-  std::int64_t active_tick_ = 0;
+  /// cur_tick_ before the active cohort was materialized: the last fired
+  /// entry's tick (or the start tick) until the cohort's first pop.
+  std::int64_t prev_tick_ = 0;
   bool active_ = false;
 
   std::size_t pending_ = 0;

@@ -1,11 +1,9 @@
-// Tests for cache introspection, deterministic replay, and a master-file
-// render/parse property sweep.
+// Tests for cache introspection and deterministic replay.
 
 #include <gtest/gtest.h>
 
 #include "core/centricity_experiment.h"
 #include "core/world.h"
-#include "dns/master_file.h"
 #include "dns/rr.h"
 
 namespace dnsttl {
@@ -80,57 +78,6 @@ TEST(DeterminismTest, IdenticalSeedsProduceIdenticalExperiments) {
   }
   EXPECT_TRUE(differs);
 }
-
-// ------------------------------------------- master-file property sweep
-
-class MasterFileRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MasterFileRoundTrip, RandomZonesSurviveRenderParse) {
-  sim::Rng rng(GetParam());
-  dns::Zone zone{Name::from_string("prop.example")};
-  zone.add(dns::make_soa(Name::from_string("prop.example"), dns::Ttl{3600},
-                         Name::from_string("ns1.prop.example"),
-                         static_cast<std::uint32_t>(rng.uniform_int(1, 1u << 30))));
-  std::size_t records = rng.uniform_int(1, 40);
-  for (std::size_t i = 0; i < records; ++i) {
-    auto owner = Name::from_string("h" + std::to_string(i) + ".prop.example");
-    auto ttl = dns::Ttl::of_seconds(static_cast<std::int64_t>(rng.uniform_int(0, 172800)));
-    switch (rng.uniform_int(0, 4)) {
-      case 0:
-        zone.add(dns::make_a(owner, ttl,
-                             dns::Ipv4(static_cast<std::uint32_t>(rng.next()))));
-        break;
-      case 1:
-        zone.add(dns::make_ns(owner, ttl, Name::from_string("ns.example")));
-        break;
-      case 2:
-        zone.add(dns::make_mx(owner, ttl,
-                              static_cast<std::uint16_t>(rng.uniform_int(0, 99)),
-                              Name::from_string("mx.example")));
-        break;
-      case 3:
-        zone.add(dns::make_txt(owner, ttl,
-                               "t" + std::to_string(rng.uniform_int(0, 999))));
-        break;
-      default:
-        zone.add(dns::make_cname(owner, ttl, Name::from_string("www.example")));
-    }
-  }
-
-  auto rendered = dns::render_master_file(zone);
-  auto reparsed =
-      dns::parse_master_file(rendered, Name::from_string("prop.example"));
-  ASSERT_EQ(reparsed.rrset_count(), zone.rrset_count());
-  for (const auto& rrset : zone.all_rrsets()) {
-    auto copy = reparsed.find(rrset.name(), rrset.type());
-    ASSERT_TRUE(copy.has_value()) << rrset.name().to_string();
-    EXPECT_EQ(copy->ttl(), rrset.ttl());
-    EXPECT_EQ(copy->rdatas(), rrset.rdatas());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MasterFileRoundTrip,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 }  // namespace
 }  // namespace dnsttl

@@ -45,11 +45,6 @@ void replay_message(const std::string& hex) {
       dnsttl::fuzz::run_message_input(input.data(), input.size()));
 }
 
-void replay_master_file(const std::string& text) {
-  ASSERT_NO_THROW(dnsttl::fuzz::run_master_file_input(
-      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-}
-
 // ---------------------------------------------------------------------------
 // Crasher 1 (found by fuzz_message, driver seed 1): an RRSIG whose mutated
 // RDLENGTH (7) is shorter than the 18-byte fixed RRSIG header.  decode's
@@ -122,27 +117,6 @@ TEST(FuzzRegression, OverflowTtlClampsAtWireBoundary) {
   replay_message(
       "12 34 81 00 00 01 00 01 00 00 00 00 01 61 00 00 01 00 01 c0 0c 00 01"
       "00 01 7f ff ff ff 00 04 c0 00 02 01");
-}
-
-// The master-file harness has produced no crasher yet; this seed pins the
-// harness round-trip contract itself (parse -> render -> reparse) so a
-// future regression in either direction fails here first.
-TEST(FuzzRegression, MasterFileRoundTripContractHolds) {
-  replay_master_file(
-      "$ORIGIN example.com.\n"
-      "$TTL 3600\n"
-      "@ IN SOA ns1.example.com. host.example.com. 1 7200 900 1209600 300\n"
-      "@ IN NS ns1.example.com.\n"
-      "ns1 IN A 192.0.2.1\n");
-}
-
-// Hostile master-file inputs that must reject cleanly (not crash): deep
-// nesting tokens, unterminated quotes, and a $INCLUDE-like directive.
-TEST(FuzzRegression, MasterFileHostileInputsRejectCleanly) {
-  replay_master_file("(((((((((((((((");
-  replay_master_file("@ IN TXT \"unterminated\n");
-  replay_master_file("$INCLUDE /etc/passwd\n");
-  replay_master_file(std::string(100000, '('));
 }
 
 void replay_cache_snapshot(const std::vector<std::uint8_t>& image) {

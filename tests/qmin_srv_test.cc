@@ -5,7 +5,6 @@
 
 #include "core/world.h"
 #include "dns/rr.h"
-#include "dns/master_file.h"
 #include "dns/wire.h"
 #include "resolver/recursive_resolver.h"
 #include "stats/cdf.h"
@@ -163,22 +162,6 @@ TEST(SrvPtrTest, PresentationFormat) {
             "www.example.org.");
   EXPECT_EQ(dns::rdata_type(srv), RRType::kSRV);
   EXPECT_EQ(dns::rdata_type(dns::PtrRdata{}), RRType::kPTR);
-}
-
-TEST(SrvPtrTest, MasterFileParsing) {
-  auto zone = dns::parse_master_file(
-      "_sip._tcp 300 IN SRV 10 60 5060 sip1\n"
-      "ptr-host 300 IN PTR www.example.org.\n",
-      Name::from_string("example.org"));
-  auto srv = zone.find(Name::from_string("_sip._tcp.example.org"),
-                       RRType::kSRV);
-  ASSERT_TRUE(srv.has_value());
-  EXPECT_EQ(std::get<dns::SrvRdata>(srv->rdatas()[0]).port, 5060);
-  EXPECT_EQ(std::get<dns::SrvRdata>(srv->rdatas()[0]).target,
-            Name::from_string("sip1.example.org"));
-  auto ptr = zone.find(Name::from_string("ptr-host.example.org"),
-                       RRType::kPTR);
-  ASSERT_TRUE(ptr.has_value());
 }
 
 TEST(SrvPtrTest, ServedAndResolvedEndToEnd) {

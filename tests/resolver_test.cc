@@ -290,6 +290,63 @@ TEST_F(ResolverTest, OfflineSoleServerGetsExactlyMaxServerAttempts) {
   EXPECT_EQ(result.upstream_queries, 1 + kMaxServerAttempts);
 }
 
+TEST_F(ResolverTest, AnswerMatchingNeitherQuestionNorCnameIsLame) {
+  // Every reply answers for another name: nothing matches www.test or
+  // leads to it by CNAME, so each attempt treats the server as lame.
+  ScriptedServer server;
+  server.answers.push_back(dns::make_a(Name::from_string("other.test"),
+                                       dns::Ttl{300}, dns::Ipv4(10, 0, 0, 9)));
+  delegate_test_to(server);
+  auto resolver = make_scripted_client();
+  auto result = resolver->resolve(
+      dns::Question{Name::from_string("www.test"), RRType::kA,
+                    dns::RClass::kIN},
+      sim::Time{});
+  EXPECT_EQ(result.response.flags.rcode, dns::Rcode::kServFail);
+  EXPECT_TRUE(result.response.answers.empty());
+  // One referral from the root, then every attempt at the lame server.
+  EXPECT_EQ(result.upstream_queries, 1 + kMaxServerAttempts);
+}
+
+TEST_F(ResolverTest, NsTargetWithoutAnARecordGivesNoServer) {
+  // `test` is delegated to ns.other, out of bailiwick and without glue,
+  // and the `other` zone holds only an AAAA for it.  The NS-address lookup
+  // ends in NOERROR with no A record, so `test` has no server.
+  const Name other = Name::from_string("other");
+  const Name other_ns = Name::from_string("ns1.other");
+  auto other_zone = std::make_shared<dns::Zone>(other);
+  other_zone->add(dns::make_soa(other, dns::Ttl{300}, other_ns, 1));
+  other_zone->add(dns::make_ns(other, dns::Ttl{300}, other_ns));
+  auth::AuthServer other_server{"ns1.other"};
+  other_server.add_zone(other_zone);
+  const net::Address other_addr =
+      network->attach(other_server, net::Location{net::Region::kEU});
+  other_zone->add(dns::make_a(other_ns, dns::Ttl{300}, other_addr));
+  other_zone->add(dns::make_aaaa(Name::from_string("ns.other"), dns::Ttl{300},
+                                 dns::Ipv6::from_string("2001:db8::53")));
+  root_zone->add(dns::make_ns(other, dns::Ttl{172800}, other_ns));
+  root_zone->add(dns::make_a(other_ns, dns::Ttl{172800}, other_addr));
+  root_zone->add(dns::make_ns(Name::from_string("test"), dns::Ttl{172800},
+                              Name::from_string("ns.other")));
+
+  auto resolver = make_resolver(child_centric_config());
+  auto result = resolver->resolve(
+      dns::Question{Name::from_string("www.test"), RRType::kA,
+                    dns::RClass::kIN},
+      sim::Time{});
+  EXPECT_EQ(result.response.flags.rcode, dns::Rcode::kServFail);
+  EXPECT_GE(other_server.queries_answered(), 1u);
+  // The lookup's NODATA answer is cached, and no address ever was.
+  EXPECT_TRUE(resolver->cache()
+                  .lookup_negative(Name::from_string("ns.other"), RRType::kA,
+                                   sim::Time{})
+                  .has_value());
+  EXPECT_FALSE(resolver->cache()
+                   .peek(Name::from_string("ns.other"), RRType::kA,
+                         sim::Time{})
+                   .has_value());
+}
+
 TEST_F(ResolverTest, ReferralChainLongerThanMaxIterationsIsServfail) {
   // Zones l1, l2.l1, ... below the root, each on its own server with
   // in-bailiwick glue in its parent.  A cold lookup of www in the zone k

@@ -235,6 +235,27 @@ TEST(TimerWheelTest, RejectsSchedulingIntoFiredTick) {
   EXPECT_EQ(wheel.pending(), 1u);
 }
 
+TEST(TimerWheelTest, PeekingLeavesTicksOpenUntilAnEntryFiresThere) {
+  TimerWheel wheel;
+  wheel.schedule(sim::at(10 * kSecond), 0, 10);
+  wheel.pop_head();
+  wheel.schedule(sim::at(100 * kSecond), 1, 100);
+  EXPECT_EQ(wheel.head().payload, 100u);  // materializes the 100 s cohort
+  // Due after the fired 10 s entry, before the peeked head: merged ahead.
+  wheel.schedule(sim::at(60 * kSecond), 2, 60);
+  EXPECT_THROW(wheel.schedule(sim::at(5 * kSecond), 3, 5),
+               std::invalid_argument);
+  wheel.validate();
+  EXPECT_EQ(wheel.pop_head().payload, 60u);
+  EXPECT_THROW(wheel.schedule(sim::at(30 * kSecond), 4, 30),
+               std::invalid_argument);
+  wheel.schedule(sim::at(70 * kSecond), 5, 70);
+  wheel.validate();
+  EXPECT_EQ(wheel.pop_head().payload, 70u);
+  EXPECT_EQ(wheel.pop_head().payload, 100u);
+  EXPECT_TRUE(wheel.empty());
+}
+
 // Differential oracle: the timer wheel must fire the exact (time, seq)
 // sequence Simulation's queue fires for the same trace — 5 fuzzed seeds x
 // 10k events, with chained reschedules decided by an identically seeded
@@ -364,6 +385,28 @@ TEST(SimulationSourceTest, HeapEventScheduledMidBatchInterruptsTheBatch) {
                          }
                        });
   EXPECT_EQ(order, (std::vector<int>{10, 11, 30, 40}));
+}
+
+TEST(SimulationSourceTest, QueuedEventSchedulesAheadOfThePeekedWheelHead) {
+  // run_until peeks the wheel, materializing its 100 s cohort, before it
+  // runs the earlier queued event; that event then schedules a wheel entry
+  // due between the two.  Nothing at or after 60 s has fired, so the entry
+  // is accepted and fires in (time, seq) order.
+  Simulation simulation;
+  TimerWheel wheel;
+  std::vector<int> order;
+  wheel.schedule(sim::at(100 * kSecond), simulation.allocate_seq(), 100);
+  simulation.schedule_at(sim::at(50 * kSecond), [&] {
+    order.push_back(50);
+    wheel.schedule(sim::at(60 * kSecond), simulation.allocate_seq(), 60);
+  });
+  simulation.run_until(sim::at(200 * kSecond), wheel,
+                       [&](const TimerWheel::Entry& entry) {
+                         order.push_back(static_cast<int>(entry.payload));
+                       });
+  EXPECT_EQ(order, (std::vector<int>{50, 60, 100}));
+  EXPECT_TRUE(wheel.empty());
+  EXPECT_EQ(simulation.now(), at(200 * kSecond));
 }
 
 TEST(SimulationSourceTest, RunUntilStopsSourcesAtDeadline) {
