@@ -19,6 +19,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("ablation_hitrate", args);
   bench::print_header("Ablation",
                       "cache hit rate vs TTL — simulation vs closed form");
 
@@ -111,5 +112,5 @@ int main(int argc, char** argv) {
                   stats::fmt("model: ttl_for_hit_rate(λ=0.01, 90%%)=%u s",
                              core::ttl_for_hit_rate(lambda, 0.9)))
                   .c_str());
-  return 0;
+  return json.finish();
 }

@@ -133,6 +133,7 @@ std::vector<std::string> measure(const bench::BenchArgs& args,
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("ablation_policies", args);
   bench::print_header("Ablation", "resolver policy knobs on the .uy workload");
 
   stats::TablePrinter table({"variant", "median TTL", "p90 TTL",
@@ -152,5 +153,5 @@ int main(int argc, char** argv) {
       "  - no address verification: fewer authoritative queries\n"
       "  - DNSSEC validation: extra DNSKEY fetches (higher load)\n"
       "  - prefetch: fewer client-visible misses at slightly higher load\n");
-  return 0;
+  return json.finish();
 }

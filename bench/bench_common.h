@@ -4,6 +4,7 @@
 #include <sys/resource.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -196,15 +197,38 @@ inline std::uint64_t peak_rss_bytes() {
 }
 
 /// Machine-readable benchmark report writer: collects named throughput
-/// metrics plus run metadata (seed, scale, wall time, peak RSS) and writes
-/// a BENCH_*.json file, establishing a perf trajectory across revisions.
+/// metrics plus run metadata (seed, scale, jobs, wall time, peak RSS) and
+/// writes a BENCH_*.json file, establishing a perf trajectory across
+/// revisions.  Every experiment binary builds one right after parsing its
+/// flags and returns finish() from main.
 class JsonReport {
  public:
+  /// Starts the run's wall clock.
   JsonReport(std::string benchmark_id, const BenchArgs& args)
       : benchmark_id_(std::move(benchmark_id)),
+        json_path_(args.json_path),
         seed_(args.seed),
         scale_(args.scale),
-        jobs_(args.jobs) {}
+        jobs_(args.jobs),
+        start_(std::chrono::steady_clock::now()) {}
+
+  /// Wall seconds since construction.
+  double elapsed_seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
+  }
+
+  /// Ends the run: writes the report to the --json path, when one was
+  /// given, with the wall time since construction.  Prints nothing on
+  /// stdout.  Returns main's exit status: 0, or 1 when the report cannot
+  /// be written.
+  int finish() const {
+    if (json_path_.empty()) {
+      return 0;
+    }
+    return write(json_path_, elapsed_seconds()) ? 0 : 1;
+  }
 
   /// Records @p ops operations over @p wall_seconds; ops_per_sec is derived
   /// (0 when no time elapsed).
@@ -258,9 +282,11 @@ class JsonReport {
   };
 
   std::string benchmark_id_;
+  std::string json_path_;
   std::uint64_t seed_ = 1;
   double scale_ = 1.0;
   std::size_t jobs_ = 1;
+  std::chrono::steady_clock::time_point start_;
   std::vector<Metric> metrics_;
 };
 

@@ -91,6 +91,7 @@ double answered_fraction(std::uint64_t seed, bool stale, dns::Ttl ttl,
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("extension_ddos", args);
   bench::print_header("Extension",
                       "caching as DDoS resilience: answered fraction during "
                       "an authoritative outage");
@@ -135,5 +136,5 @@ int main(int argc, char** argv) {
                         "RFC 8767 rationale",
                         stats::fmt("%.0f%% answered", 100 * cell(1, 4, 1)))
                         .c_str());
-  return 0;
+  return json.finish();
 }

@@ -14,6 +14,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("extension_parent_child", args);
   bench::print_header("Extension (paper future work)",
                       "parent vs child NS TTL across the five lists");
 
@@ -66,5 +67,5 @@ int main(int argc, char** argv) {
       "parent-centric resolver minority will use the parent's copy — so\n"
       "registries and operators should keep both TTLs equal where the\n"
       "registry interface (EPP) allows it at all.\n");
-  return 0;
+  return json.finish();
 }

@@ -16,6 +16,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("extra_offline_child", args);
   bench::print_header("§4.4 confirmation (zurrundedu-offline)",
                       "NS queries with the child authoritatives offline");
 
@@ -104,5 +105,5 @@ int main(int argc, char** argv) {
                                                childish_answered) /
                                        static_cast<double>(childish_total)))
                   .c_str());
-  return 0;
+  return json.finish();
 }

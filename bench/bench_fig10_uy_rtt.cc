@@ -16,6 +16,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("fig10_uy_rtt", args);
   bench::print_header("Figure 10",
                       ".uy RTT before/after the NS TTL change (300s->86400s)");
 
@@ -112,5 +113,5 @@ int main(int argc, char** argv) {
                         "every region improves", "yes",
                         "see Figure 10b table above")
                         .c_str());
-  return 0;
+  return json.finish();
 }

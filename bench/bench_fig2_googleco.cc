@@ -57,6 +57,7 @@ void build_google_testbed(core::World& world) {
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("fig2_googleco", args);
   bench::print_header("Figure 2", "google.co NS centricity (SLD)");
 
   auto factory = [&args] {
@@ -129,5 +130,5 @@ int main(int argc, char** argv) {
                                         "~9%",
                                         stats::fmt("%.0f%%", 100 * exact_900))
                         .c_str());
-  return 0;
+  return json.finish();
 }

@@ -14,6 +14,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("fig3_fig4_nl_passive", args);
   bench::print_header("Figure 3 + Figure 4",
                       ".nl passive resolver-centricity analysis");
 
@@ -87,5 +88,5 @@ int main(int argc, char** argv) {
                   "visible bumps",
                   stats::fmt("%.0f%% of groups", 100 * near_multiple))
                   .c_str());
-  return 0;
+  return json.finish();
 }

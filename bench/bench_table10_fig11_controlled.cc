@@ -9,7 +9,6 @@
 // fresh world + platform; results keep config order, so output is
 // byte-identical for any --jobs value.
 
-#include <chrono>
 #include <vector>
 
 #include "bench_common.h"
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
   bench::print_header("Table 10 + Figure 11",
                       "controlled TTL / anycast latency & load experiments");
   bench::JsonReport json("table10_fig11_controlled", args);
-  auto wall_start = std::chrono::steady_clock::now();
 
   auto factory = core::make_env_factory(
       core::World::Options{args.seed, 0.002, {}}, args.platform_spec());
@@ -68,10 +66,7 @@ int main(int argc, char** argv) {
         return core::run_controlled_ttl(*env.world, *env.platform, config);
       },
       configs);
-  double parallel_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double parallel_wall = json.elapsed_seconds();
   for (std::size_t i = 0; i < results.size(); ++i) {
     json.add_metric(configs[i].name, "queries/sec",
                     results[i].run.query_count(), parallel_wall);
@@ -158,11 +153,5 @@ int main(int argc, char** argv) {
                             ? "yes"
                             : "no")
                         .c_str());
-  if (!args.json_path.empty()) {
-    json.write(args.json_path,
-               std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             wall_start)
-                   .count());
-  }
-  return 0;
+  return json.finish();
 }

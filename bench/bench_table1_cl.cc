@@ -37,6 +37,7 @@ void print_rows(stats::TablePrinter& table, const std::string& query,
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("table1_cl", args);
   bench::print_header("Table 1", "a.nic.cl TTLs in parent and child");
 
   core::World world{core::World::Options{args.seed, 0.0, {}}};
@@ -89,5 +90,5 @@ int main(int argc, char** argv) {
                         "child A TTL (AA)", "43200",
                         std::to_string(child_a.answers[0].ttl.value()))
                         .c_str());
-  return 0;
+  return json.finish();
 }

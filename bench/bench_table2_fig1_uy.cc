@@ -8,8 +8,6 @@
 // three phases over its probe slice; merged output is byte-identical for
 // any --jobs value.
 
-#include <chrono>
-
 #include "bench_common.h"
 #include "core/centricity_experiment.h"
 #include "core/sharded.h"
@@ -44,7 +42,6 @@ int main(int argc, char** argv) {
   bench::print_header("Table 2 + Figure 1",
                       ".uy centricity from RIPE-Atlas-like VPs");
   bench::JsonReport json("table2_fig1_uy", args);
-  auto wall_start = std::chrono::steady_clock::now();
 
   auto factory = [&args] {
     core::ShardEnv env;
@@ -125,10 +122,7 @@ int main(int argc, char** argv) {
 
         return phases;
       });
-  double parallel_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  const double parallel_wall = json.elapsed_seconds();
   auto record_phase = [&](const char* name,
                           const core::CentricityResult& result) {
     json.add_metric(name, "queries/sec", result.run.query_count(),
@@ -173,11 +167,5 @@ int main(int argc, char** argv) {
                   "uy-NS-new answers <= 86400 s (child share)", "~90%",
                   stats::fmt("%.0f%%", 100 * new_result.at_most_child))
                   .c_str());
-  if (!args.json_path.empty()) {
-    json.write(args.json_path,
-               std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             wall_start)
-                   .count());
-  }
-  return 0;
+  return json.finish();
 }

@@ -48,6 +48,7 @@ void print_run(const char* name, const core::BailiwickResult& result,
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("table3_4_fig678_bailiwick", args);
   bench::print_header("Table 3/4 + Figures 6/7/8",
                       "in- vs out-of-bailiwick renumbering");
 
@@ -137,5 +138,5 @@ int main(int argc, char** argv) {
                                      100 * (1.0 - cdf.fraction_at_most(0.5))))
                           .c_str());
   }
-  return 0;
+  return json.finish();
 }

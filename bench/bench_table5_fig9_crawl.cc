@@ -15,6 +15,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("table5_fig9_crawl", args);
   bench::print_header("Table 5 + Figure 9",
                       "TTLs in the wild: five-list crawl");
 
@@ -147,5 +148,5 @@ int main(int argc, char** argv) {
                       alexa.by_type.at(dns::RRType::kA).ttl_cdf.median(),
                       alexa.by_type.at(dns::RRType::kDNSKEY).ttl_cdf.median()))
                   .c_str());
-  return 0;
+  return json.finish();
 }

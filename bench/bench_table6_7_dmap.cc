@@ -11,6 +11,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("table6_7_dmap", args);
   bench::print_header("Table 6 + Table 7",
                       ".nl content classes and their TTL choices");
 
@@ -81,5 +82,5 @@ int main(int argc, char** argv) {
                                    median(crawl::ContentClass::kEcommerce,
                                           dns::RRType::kA)))
                         .c_str());
-  return 0;
+  return json.finish();
 }

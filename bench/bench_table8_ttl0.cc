@@ -13,6 +13,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("table8_ttl0", args);
   bench::print_header("Table 8", "domains with TTL=0 s per record type");
 
   sim::Rng rng(args.seed);
@@ -68,5 +69,5 @@ int main(int argc, char** argv) {
                         .c_str());
   std::printf("\nRecommendation (§5.1.2): do not set TTL=0 — it undermines\n"
               "caching, raising latency and removing DDoS resilience.\n");
-  return 0;
+  return json.finish();
 }

@@ -12,6 +12,7 @@ using namespace dnsttl;
 
 int main(int argc, char** argv) {
   auto args = bench::BenchArgs::parse(argc, argv);
+  bench::JsonReport json("table9_bailiwick_wild", args);
   bench::print_header("Table 9", "bailiwick distribution in the wild");
 
   sim::Rng rng(args.seed);
@@ -88,5 +89,5 @@ int main(int argc, char** argv) {
   std::printf("%s", stats::compare_line("Root percent out-only", "48.7",
                                         stats::fmt("%.1f", pct_out(reports[4])))
                         .c_str());
-  return 0;
+  return json.finish();
 }

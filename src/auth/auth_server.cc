@@ -44,7 +44,7 @@ std::optional<sim::Duration> AuthServer::serve(const dns::Message& query,
 
   const auto& question = query.question();
   if (logging_) {
-    log_.record(LogEntry{now, client, question.qname, question.qtype});
+    log_.record(LogEntry{now, question.qname, client, question.qtype});
   }
   ++answered_;
   response.flags.ra = false;  // authoritative servers offer no recursion

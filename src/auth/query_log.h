@@ -12,14 +12,16 @@
 namespace dnsttl::auth {
 
 /// One logged query at an authoritative server — the fields the paper's
-/// ENTRADA warehouse analysis (§3.4) uses: arrival time, resolver source
-/// address, query name and type.
+/// ENTRADA warehouse analysis (§3.4) uses: arrival time, query name,
+/// resolver source address and query type.  Widest first, so the address
+/// and type share the last word.
 struct LogEntry {
   sim::Time time{};
-  net::Address client;
   dns::Name qname;
+  net::Address client;
   dns::RRType qtype = dns::RRType::kA;
 };
+static_assert(sizeof(LogEntry) == 64, "time, name, address and type");
 
 /// Append-only query log, the simulator's stand-in for packet capture +
 /// ENTRADA at `.nl`'s authoritative servers.

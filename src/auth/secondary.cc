@@ -6,7 +6,7 @@ namespace {
 
 std::uint32_t soa_serial(const dns::Zone& zone) {
   if (auto soa = zone.soa()) {
-    return std::get<dns::SoaRdata>(soa->rdata).serial;
+    return std::get<dns::Shared<dns::SoaRdata>>(soa->rdata)->serial;
   }
   return 0;
 }
@@ -43,7 +43,8 @@ void Secondary::schedule_next(sim::Duration delay) {
     dns::Ttl refresh = refresh_override_;
     if (refresh == dns::Ttl{}) {
       if (auto soa = primary_->soa()) {
-        refresh = std::get<dns::SoaRdata>(soa->rdata).refresh.clamped();
+        const auto& rdata = std::get<dns::Shared<dns::SoaRdata>>(soa->rdata);
+        refresh = rdata->refresh.clamped();
       } else {
         refresh = dns::kTtl2Hours;
       }
@@ -58,7 +59,8 @@ void Secondary::check() {
   dns::Ttl retry{3600};
   dns::Ttl expire{1209600};
   if (auto soa = primary_->soa()) {
-    const auto& rdata = std::get<dns::SoaRdata>(soa->rdata);
+    const dns::SoaRdata& rdata =
+        *std::get<dns::Shared<dns::SoaRdata>>(soa->rdata);
     if (refresh == dns::Ttl{}) refresh = rdata.refresh.clamped();
     retry = refresh_override_ != dns::Ttl{} ? refresh_override_
                                             : rdata.retry.clamped();

@@ -32,6 +32,74 @@ std::string_view to_string(EvictionPolicy policy) {
   return "policy?";
 }
 
+// -------------------------------------------------------- Cache::NsLinks
+
+std::uint32_t Cache::NsLinks::acquire(const dns::Name& owner) {
+  std::uint32_t free = kNoLink;
+  for (std::uint32_t id = 0; id < owners_.size(); ++id) {
+    if (owners_[id].refs == 0) {
+      free = std::min(free, id);
+    } else if (owners_[id].name == owner) {
+      ++owners_[id].refs;
+      return id;
+    }
+  }
+  if (free == kNoLink) {
+    free = static_cast<std::uint32_t>(owners_.size());
+    owners_.emplace_back();
+  }
+  owners_[free].name = owner;
+  owners_[free].refs = 1;
+  return free;
+}
+
+void Cache::NsLinks::release(std::uint32_t id) {
+  if (id != kNoLink && --owners_[id].refs == 0) {
+    owners_[id].name = dns::Name{};  // frees a long name's block now
+  }
+}
+
+std::size_t Cache::NsLinks::size() const noexcept {
+  return static_cast<std::size_t>(
+      std::count_if(owners_.begin(), owners_.end(),
+                    [](const Owner& held) { return held.refs > 0; }));
+}
+
+void Cache::NsLinks::validate(std::span<const std::uint64_t> ids) const {
+  constexpr const char* kWhat = "cache::Cache::NsLinks";
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < ids.size();) {
+    const std::uint64_t id = ids[i];
+    std::size_t end = i;
+    while (end < ids.size() && ids[end] == id) {
+      ++end;
+    }
+    DNSTTL_AUDIT_CHECK(kWhat, id < owners_.size(),
+                       "entry holds NS-link id " + std::to_string(id) +
+                           " past the table");
+    DNSTTL_AUDIT_CHECK(kWhat, owners_[id].refs == end - i,
+                       "NS link " + owners_[id].name.to_string() + " counts " +
+                           std::to_string(owners_[id].refs) + " entries, " +
+                           std::to_string(end - i) + " hold it");
+    ++runs;
+    i = end;
+  }
+  DNSTTL_AUDIT_CHECK(kWhat, runs == size(),
+                     std::to_string(size()) + " live NS links, " +
+                         std::to_string(runs) + " held by entries");
+  // Each owner is held once, so acquire() finds it instead of adding a
+  // second copy.
+  for (std::size_t i = 0; i < owners_.size(); ++i) {
+    for (std::size_t j = i + 1; j < owners_.size(); ++j) {
+      DNSTTL_AUDIT_CHECK(kWhat,
+                         owners_[i].refs == 0 || owners_[j].refs == 0 ||
+                             owners_[i].name != owners_[j].name,
+                         "NS link " + owners_[i].name.to_string() +
+                             " held twice");
+    }
+  }
+}
+
 // ------------------------------------------------------------------ Cache
 
 void Cache::validate() const {
@@ -55,20 +123,31 @@ void Cache::validate() const {
     std::sort(recs.begin(), recs.end(), by_coverage);
     return recs;
   };
+  // One scratch buffer serves the stamp checks of both tables and then the
+  // NS-link audit, so auditing link ids allocates nothing of its own.
+  std::vector<std::uint64_t> scratch;
+  scratch.reserve(std::max(entries_.size(), negatives_.size()));
   auto check_stamps_unique = [&](const auto& table, const char* which) {
-    std::vector<std::uint64_t> stamps;
-    stamps.reserve(table.size());
-    table.for_each([&stamps](const auto& item) {
-      stamps.push_back(item.value.stamp);
+    scratch.clear();
+    table.for_each([&scratch](const auto& item) {
+      scratch.push_back(item.value.stamp);
     });
-    std::sort(stamps.begin(), stamps.end());
-    const auto repeat = std::adjacent_find(stamps.begin(), stamps.end());
-    DNSTTL_AUDIT_CHECK(kWhat, repeat == stamps.end(),
+    std::sort(scratch.begin(), scratch.end());
+    const auto repeat = std::adjacent_find(scratch.begin(), scratch.end());
+    DNSTTL_AUDIT_CHECK(kWhat, repeat == scratch.end(),
                        std::string(which) + ": stamp " +
                            std::to_string(*repeat) + " held twice");
   };
   check_stamps_unique(entries_, "entries");
   check_stamps_unique(negatives_, "negatives");
+  scratch.clear();
+  entries_.for_each([&scratch](const Table<Entry>::Item& item) {
+    if (item.value.linked_ns != kNoLink) {
+      scratch.push_back(item.value.linked_ns);
+    }
+  });
+  std::sort(scratch.begin(), scratch.end());
+  ns_links_.validate(scratch);
   const ExpiryHeap positive_recs = coverage(expiry_, "expiry");
   const ExpiryHeap negative_recs =
       coverage(negative_expiry_, "negative-expiry");
@@ -155,12 +234,12 @@ bool Cache::entry_live(const Entry& entry, sim::Time now) const {
 }
 
 bool Cache::ns_link_broken(const Entry& entry, sim::Time now) const {
-  if (!config_.link_glue_to_ns || !entry.linked_ns_owner) {
+  if (!config_.link_glue_to_ns || entry.linked_ns == kNoLink) {
     return false;
   }
-  const Entry* ns = entries_.find(
-      key_hash(*entry.linked_ns_owner, dns::RRType::kNS),
-      *entry.linked_ns_owner, dns::RRType::kNS);
+  const dns::Name& owner = ns_links_.owner(entry.linked_ns);
+  const Entry* ns = entries_.find(key_hash(owner, dns::RRType::kNS), owner,
+                                  dns::RRType::kNS);
   if (ns == nullptr || !entry_live(*ns, now)) {
     return true;
   }
@@ -190,7 +269,7 @@ std::size_t Cache::purge_heap(ExpiryHeap& heap, Table<V>& table,
     // it was not refreshed or removed since) is due.
     const std::size_t slot = covered_slot(table, pop_expiry(heap));
     if (slot != kNil) {
-      table.erase_slot(slot);
+      erase_at(table, slot);
       ++removed;
     }
   }
@@ -199,7 +278,7 @@ std::size_t Cache::purge_heap(ExpiryHeap& heap, Table<V>& table,
 
 template <typename V>
 void Cache::compact_heap(ExpiryHeap& heap, const Table<V>& table) {
-  if (heap.size() <= 2 * table.size() + 64) {
+  if (heap.size() <= 2 * table.size() + 8) {
     return;
   }
   heap.clear();
@@ -319,10 +398,10 @@ void Cache::evict_one() {
     return;
   }
   if (from_positive) {
-    entries_.erase_slot(p);
+    erase_at(entries_, p);
     ++stats_.evicted_positive;
   } else {
-    negatives_.erase_slot(n);
+    erase_at(negatives_, n);
     ++stats_.evicted_negative;
   }
   ++stats_.capacity_evictions;
@@ -372,21 +451,24 @@ bool Cache::insert(dns::RRset rrset, Credibility credibility, sim::Time now,
   dns::Ttl effective = clamp_ttl(rrset.ttl());
   rrset.set_ttl(effective);
   entry.expires = now + sim::seconds(effective.value());
-  entry.linked_ns_owner = std::move(linked_ns_owner);
-  if (entry.linked_ns_owner) {
-    const Entry* ns = entries_.find(
-        key_hash(*entry.linked_ns_owner, dns::RRType::kNS),
-        *entry.linked_ns_owner, dns::RRType::kNS);
+  if (linked_ns_owner) {
+    // Without a live covering NS the entry is stored unlinked.
+    const Entry* ns =
+        entries_.find(key_hash(*linked_ns_owner, dns::RRType::kNS),
+                      *linked_ns_owner, dns::RRType::kNS);
     if (ns != nullptr && entry_live(*ns, now)) {
       entry.linked_ns_inserted = ns->inserted;
-    } else {
-      entry.linked_ns_owner.reset();  // no live covering NS: unlinked
+      entry.linked_ns = ns_links_.acquire(*linked_ns_owner);
     }
   }
-  // A refresh of live data inherits (and bumps) its popularity; everything
-  // else starts at frequency 1.
-  if (existing != nullptr && entry_live(*existing, now)) {
-    entry.freq = bump_freq(existing->freq);
+  if (existing != nullptr) {
+    // A refresh of live data inherits (and bumps) its popularity; everything
+    // else starts at frequency 1.  The replaced instance lets go of its
+    // link (after the new one took its own, so a shared owner stays put).
+    if (entry_live(*existing, now)) {
+      entry.freq = bump_freq(existing->freq);
+    }
+    ns_links_.release(existing->linked_ns);
   }
   entry.stamp = bump_tick();
   entry.last_touch = entry.stamp;
@@ -523,11 +605,14 @@ std::optional<NegativeHit> Cache::lookup_negative(const dns::Name& name,
 
 bool Cache::evict(const dns::Name& name, dns::RRType type) {
   count_mutation();
-  bool erased = entries_.erase(key_hash(name, type), name, type);
-  if constexpr (check::kAuditEnabled) {
-    entries_.validate("cache::Cache::entries");
+  const std::size_t slot = entries_.find_slot(key_hash(name, type), name, type);
+  if (slot != kNil) {
+    erase_at(entries_, slot);
   }
-  return erased;
+  if constexpr (check::kAuditEnabled) {
+    validate();
+  }
+  return slot != kNil;
 }
 
 std::size_t Cache::purge_expired(sim::Time now) {
@@ -554,11 +639,11 @@ void Cache::clear() {
   count_mutation();
   entries_.clear();
   negatives_.clear();
+  ns_links_.clear();
   expiry_ = ExpiryHeap{};
   negative_expiry_ = ExpiryHeap{};
   if constexpr (check::kAuditEnabled) {
-    entries_.validate("cache::Cache::entries");
-    negatives_.validate("cache::Cache::negatives");
+    validate();
   }
 }
 
@@ -593,8 +678,8 @@ std::string Cache::dump(sim::Time now) const {
              std::string(dns::to_string(ref.type)) + " " +
              dns::rdata_to_string(rdata) + " ; " +
              std::string(to_string(ref.entry->credibility));
-      if (ref.entry->linked_ns_owner) {
-        out += " linked=" + ref.entry->linked_ns_owner->to_string();
+      if (ref.entry->linked_ns != kNoLink) {
+        out += " linked=" + ns_links_.owner(ref.entry->linked_ns).to_string();
         if (ns_link_broken(*ref.entry, now)) {
           out += " (broken)";
         }

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -97,7 +98,9 @@ struct NegativeHit {
 /// The index is dns::NameTable, keyed on the Name's cached 64-bit hash
 /// mixed with the record type — a probe is a couple of integer compares
 /// plus one flat-buffer memcmp.  Each entry holds its owner once: a
-/// positive entry in its RRset, a negative one beside its rcode.  Expiry is
+/// positive entry in its RRset, a negative one beside its rcode.  A glue
+/// entry's NS link is a 32-bit id into a per-cache table that holds each
+/// linked NS owner once, counted by the entries linking to it.  Expiry is
 /// tracked lazily in min-heaps of name-free (deadline, stamp, key hash)
 /// records, so purge_expired() costs O(expired · log n) instead of a full
 /// O(entries) sweep; a record finds its entry by probing its key hash for
@@ -213,6 +216,8 @@ class Cache {
   const Config& config() const noexcept { return config_; }
   /// The logical touch clock (test hook; every insert/hit advances it).
   std::uint64_t tick() const noexcept { return tick_; }
+  /// Distinct NS owners that stored entries link to (test hook).
+  std::size_t linked_ns_owners() const noexcept { return ns_links_.size(); }
 
   /// Remaining TTL of an entry in whole seconds, or nullopt (test hook).
   std::optional<dns::Ttl> remaining_ttl(const dns::Name& name,
@@ -246,8 +251,9 @@ class Cache {
   /// and strict touch-order monotonicity, frequency-counter invariants,
   /// per-entry TTL-clamp and expiry arithmetic, stored-Name integrity,
   /// expiry-heap order, stamps unique within each table, a heap record
-  /// with each indexed entry's (key hash, expiry, stamp), and the capacity
-  /// bound.
+  /// with each indexed entry's (key hash, expiry, stamp), NS-link ids and
+  /// their counts (the link table holds exactly the owners that entries
+  /// link), and the capacity bound.
   /// Deliberately time-free: the resolver legitimately inserts on shifted
   /// virtual clocks during sub-resolutions, so mutation monotonicity is not
   /// a cache invariant (the purge deadline guarantee is asserted at the
@@ -259,11 +265,47 @@ class Cache {
  private:
   /// Sentinel slot index ("no slot" / chain end).
   static constexpr std::size_t kNil = dns::kNoSlot;
+  /// Sentinel NS-link id: the entry links to no NS owner.
+  static constexpr std::uint32_t kNoLink =
+      std::numeric_limits<std::uint32_t>::max();
 
-  /// Fields run widest first, so the one-byte members share a word.
+  /// The NS owners that glue entries link to, each held once with a count
+  /// of the entries holding its id.  An id is an index into the owner
+  /// array and stays fixed while any entry holds it; the next owner added
+  /// reuses a released id.  acquire() scans the array, which stays short:
+  /// at seed 1 no cache in the bench binaries, examples or perfbench
+  /// workloads links more than four owners at once (bailiwick and
+  /// renumber peak at 4, Fig 2 at 3, passive and centricity at 1).
+  class NsLinks {
+   public:
+    /// The id of @p owner, counting one more entry (added if absent).
+    std::uint32_t acquire(const dns::Name& owner);
+    /// Counts one entry less for @p id (kNoLink: no-op); an owner no entry
+    /// links is dropped.
+    void release(std::uint32_t id);
+    const dns::Name& owner(std::uint32_t id) const { return owners_[id].name; }
+    /// Owners some entry links.
+    std::size_t size() const noexcept;
+    /// Drops every owner but keeps the buffer, so a flushed cache re-links
+    /// without allocating.
+    void clear() noexcept { owners_.clear(); }
+    /// Audits the table against @p ids, the link id of every linked entry
+    /// in ascending order: each id names a live owner counting exactly its
+    /// run of entries, no live owner is unlinked, and no two live owners
+    /// share a name.  Allocates nothing.
+    void validate(std::span<const std::uint64_t> ids) const;
+
+   private:
+    struct Owner {
+      dns::Name name;
+      std::uint32_t refs = 0;  ///< entries linking here; 0 = free
+    };
+    std::vector<Owner> owners_;  ///< by id
+  };
+
+  /// Fields run widest first, so the narrow members share a word.
   struct Entry {
     dns::RRset rrset;  ///< its owner is the entry's key
-    std::optional<dns::Name> linked_ns_owner;
     sim::Time inserted{};
     sim::Time expires{};
     /// Insert time of the NS entry this one rode in with.  If the NS RRset
@@ -277,12 +319,17 @@ class Cache {
     /// cache and identifies the matching expiry-heap record.
     std::uint64_t stamp = 0;
     dns::Ttl original_ttl{};
+    /// The linked NS owner's id in ns_links_, or kNoLink.
+    std::uint32_t linked_ns = kNoLink;
     Credibility credibility = Credibility::kGlue;
     /// Saturating touch counter for LFU (>= 1 for every stored entry).
     std::uint8_t freq = 1;
 
     const dns::Name& key() const noexcept { return rrset.name(); }
   };
+  static_assert(sizeof(Entry) == 136,
+                "RRset 80 B, three times and two clock draws 40 B, TTL, "
+                "link id and two bytes 16 B");
   struct NegativeEntry {
     dns::Name name;  ///< the entry's key
     sim::Time expires{};
@@ -297,6 +344,12 @@ class Cache {
   /// The cache's index: dns::NameTable keyed on (owner, record type).
   template <typename V>
   using Table = dns::NameTable<dns::RRType, V>;
+  static_assert(Table<Entry>::slot_bytes() <= 168,
+                "a positive slot: hash and type 16 B, entry 136 B, two "
+                "32-bit recency links and a state byte");
+  static_assert(Table<NegativeEntry>::slot_bytes() <= 112,
+                "a negative slot: hash and type 16 B, entry 80 B, two "
+                "32-bit recency links and a state byte");
 
   /// @p N is dns::Name or dns::NameView.
   template <typename N>
@@ -352,14 +405,24 @@ class Cache {
       return item.value.stamp == rec.stamp;
     });
   }
+  /// Erases the entry in @p slot of @p table; a positive entry releases
+  /// its NS link.  Every path that drops an entry goes through here.
+  template <typename V>
+  void erase_at(Table<V>& table, std::size_t slot) {
+    if constexpr (std::is_same_v<V, Entry>) {
+      ns_links_.release(table.at(slot).value.linked_ns);
+    }
+    table.erase_slot(slot);
+  }
   /// Pops every record of @p heap due by @p now (deadline + @p grace) and
   /// erases the entries they cover; returns how many.
   template <typename V>
-  static std::size_t purge_heap(ExpiryHeap& heap, Table<V>& table,
-                                sim::Duration grace, sim::Time now);
-  /// Rebuilds @p heap in place from the live table when stale records
-  /// dominate, so repeated refreshes of the same key cannot grow it without
-  /// bound, and keeps its buffer for the pushes that follow.
+  std::size_t purge_heap(ExpiryHeap& heap, Table<V>& table,
+                         sim::Duration grace, sim::Time now);
+  /// Rebuilds @p heap in place from the live table once its records
+  /// outnumber twice the live entries by more than eight, so refreshes of
+  /// the same keys cannot grow it without bound and a small cache keeps
+  /// few stale records; keeps its buffer for the pushes that follow.
   template <typename V>
   static void compact_heap(ExpiryHeap& heap, const Table<V>& table);
 
@@ -380,6 +443,7 @@ class Cache {
   Stats stats_;
   Table<Entry> entries_;
   Table<NegativeEntry> negatives_;
+  NsLinks ns_links_;
   ExpiryHeap expiry_;
   ExpiryHeap negative_expiry_;
   /// Logical touch clock: unique, monotonically increasing stamp source for

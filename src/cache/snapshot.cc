@@ -239,9 +239,9 @@ std::vector<std::uint8_t> Cache::snapshot() const {
     put_i64(out, entry.inserted.ticks());
     put_i64(out, entry.expires.ticks());
     put_u32(out, entry.original_ttl.value());
-    if (entry.linked_ns_owner) {
+    if (entry.linked_ns != kNoLink) {
       put_u8(out, 1);
-      put_name(out, *entry.linked_ns_owner);
+      put_name(out, ns_links_.owner(entry.linked_ns));
       put_i64(out, entry.linked_ns_inserted.ticks());
     } else {
       put_u8(out, 0);
@@ -366,8 +366,8 @@ void Cache::restore(std::span<const std::uint8_t> image) {
     }
     if (has_link == 1) {
       const std::size_t owner_len = in.u16();
-      entry.linked_ns_owner =
-          checked_name(in.str(owner_len), "linked NS owner name");
+      entry.linked_ns = fresh.ns_links_.acquire(
+          checked_name(in.str(owner_len), "linked NS owner name"));
       entry.linked_ns_inserted =
           sim::SimTime{checked_ticks(in.i64(), "linked NS insert time")};
     }

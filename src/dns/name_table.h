@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -33,10 +35,11 @@ struct NoTag {
 /// allocating one.
 ///
 /// A doubly-linked recency chain is threaded through the slots (prev/next
-/// slot indices stored in each slot): head = most recently put or touched,
-/// tail = least.  put() links/moves the slot to the head, erase() unlinks,
-/// grow() preserves the order across the rehash.  Users that never read it
-/// (the zone, an unbounded cache) pay a few index writes per put.
+/// slot indices stored in each slot as 32-bit links, so a table holds at
+/// most 2^31 slots): head = most recently put or touched, tail = least.
+/// put() links/moves the slot to the head, erase() unlinks, grow()
+/// preserves the order across the rehash.  Users that never read it (the
+/// zone, an unbounded cache) pay a few index writes per put.
 template <typename Tag, typename V>
 class NameTable {
  public:
@@ -142,6 +145,8 @@ class NameTable {
     used_ = 0;
   }
   std::size_t size() const noexcept { return size_; }
+  /// Bytes one slot costs, live or not (for size budgets).
+  static constexpr std::size_t slot_bytes() noexcept { return sizeof(Slot); }
 
   Item& at(std::size_t slot) noexcept { return slots_[slot].item; }
   const Item& at(std::size_t slot) const noexcept { return slots_[slot].item; }
@@ -150,10 +155,10 @@ class NameTable {
   std::size_t head() const noexcept { return head_; }
   std::size_t tail() const noexcept { return tail_; }
   std::size_t more_recent(std::size_t slot) const noexcept {
-    return slots_[slot].prev;
+    return slot_at(slots_[slot].prev);
   }
   std::size_t less_recent(std::size_t slot) const noexcept {
-    return slots_[slot].next;
+    return slot_at(slots_[slot].next);
   }
   /// Moves @p slot to the chain head (most recent).
   void touch(std::size_t slot) {
@@ -196,13 +201,26 @@ class NameTable {
  private:
   enum : std::uint8_t { kEmpty = 0, kTombstone = 1, kFull = 2 };
 
+  /// A recency-chain link: a slot index, or kNilLink for "none".
+  using Link = std::uint32_t;
+  static constexpr Link kNilLink = std::numeric_limits<Link>::max();
+  /// The most slots a table may have: the largest power of two whose slot
+  /// indices are all below kNilLink.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 31;
+  static std::size_t slot_at(Link link) noexcept {
+    return link == kNilLink ? kNil : link;
+  }
+  static Link link_to(std::size_t slot) noexcept {
+    return slot == kNil ? kNilLink : static_cast<Link>(slot);
+  }
+
   /// One slot: the item, its recency-chain links (toward the head = more
-  /// recent, toward the tail = less recent; kNil-terminated) and its state.
-  /// One array holds all of it, so a table costs one allocation.
+  /// recent, toward the tail = less recent; kNilLink-terminated) and its
+  /// state.  One array holds all of it, so a table costs one allocation.
   struct Slot {
     Item item;
-    std::size_t prev = kNil;
-    std::size_t next = kNil;
+    Link prev = kNilLink;
+    Link next = kNilLink;
     std::uint8_t state = kEmpty;
   };
 
@@ -247,10 +265,10 @@ class NameTable {
   void grow();
 
   void link_front(std::size_t slot) {
-    slots_[slot].prev = kNil;
-    slots_[slot].next = head_;
+    slots_[slot].prev = kNilLink;
+    slots_[slot].next = link_to(head_);
     if (head_ != kNil) {
-      slots_[head_].prev = slot;
+      slots_[head_].prev = link_to(slot);
     }
     head_ = slot;
     if (tail_ == kNil) {
@@ -258,10 +276,10 @@ class NameTable {
     }
   }
   void link_back(std::size_t slot) {
-    slots_[slot].next = kNil;
-    slots_[slot].prev = tail_;
+    slots_[slot].next = kNilLink;
+    slots_[slot].prev = link_to(tail_);
     if (tail_ != kNil) {
-      slots_[tail_].next = slot;
+      slots_[tail_].next = link_to(slot);
     }
     tail_ = slot;
     if (head_ == kNil) {
@@ -269,20 +287,20 @@ class NameTable {
     }
   }
   void unlink(std::size_t slot) {
-    std::size_t toward_head = slots_[slot].prev;
-    std::size_t toward_tail = slots_[slot].next;
+    const std::size_t toward_head = slot_at(slots_[slot].prev);
+    const std::size_t toward_tail = slot_at(slots_[slot].next);
     if (toward_head != kNil) {
-      slots_[toward_head].next = toward_tail;
+      slots_[toward_head].next = link_to(toward_tail);
     } else {
       head_ = toward_tail;
     }
     if (toward_tail != kNil) {
-      slots_[toward_tail].prev = toward_head;
+      slots_[toward_tail].prev = link_to(toward_head);
     } else {
       tail_ = toward_head;
     }
-    slots_[slot].prev = kNil;
-    slots_[slot].next = kNil;
+    slots_[slot].prev = kNilLink;
+    slots_[slot].next = kNilLink;
   }
 
   std::vector<Slot> slots_;
@@ -299,6 +317,9 @@ void NameTable<Tag, V>::grow() {
   // place (same capacity) is enough; avoid doubling forever.
   if (size_ * 4 < new_capacity) {
     new_capacity = std::max<std::size_t>(4, slots_.size());
+  }
+  if (new_capacity > kMaxCapacity) {
+    throw std::length_error("dns::NameTable: more than 2^31 slots");
   }
   std::vector<Slot> old = std::move(slots_);
   const std::size_t old_head = head_;
@@ -320,9 +341,9 @@ void NameTable<Tag, V>::grow() {
     }
     slots_[index].item = std::move(from.item);
     slots_[index].state = kFull;
-    from.prev = index;
+    from.prev = link_to(index);
   }
-  for (std::size_t i = old_head; i != kNil; i = old[i].next) {
+  for (std::size_t i = old_head; i != kNil; i = slot_at(old[i].next)) {
     link_back(old[i].prev);
   }
 }
@@ -386,13 +407,13 @@ void NameTable<Tag, V>::validate(const char* what) const {
                      "chain tail/emptiness disagreement");
   std::size_t visited = 0;
   std::size_t prev = kNil;
-  for (std::size_t i = head_; i != kNil; i = slots_[i].next) {
+  for (std::size_t i = head_; i != kNil; i = slot_at(slots_[i].next)) {
     DNSTTL_AUDIT_CHECK(what, i < capacity,
                        "recency chain index out of range: " +
                            std::to_string(i));
     DNSTTL_AUDIT_CHECK(what, slots_[i].state == kFull,
                        "recency chain visits dead slot " + std::to_string(i));
-    DNSTTL_AUDIT_CHECK(what, slots_[i].prev == prev,
+    DNSTTL_AUDIT_CHECK(what, slot_at(slots_[i].prev) == prev,
                        "recency chain prev/next asymmetry at slot " +
                            std::to_string(i) + " (or a cycle)");
     prev = i;
@@ -406,7 +427,8 @@ void NameTable<Tag, V>::validate(const char* what) const {
   for (std::size_t i = 0; i < capacity; ++i) {
     if (slots_[i].state != kFull) {
       DNSTTL_AUDIT_CHECK(what,
-                         slots_[i].prev == kNil && slots_[i].next == kNil,
+                         slots_[i].prev == kNilLink &&
+                             slots_[i].next == kNilLink,
                          "dead slot " + std::to_string(i) +
                              " still linked into the recency chain");
     }

@@ -173,13 +173,17 @@ RRType rdata_type(const Rdata& rdata) {
         if constexpr (std::is_same_v<T, AaaaRdata>) return RRType::kAAAA;
         if constexpr (std::is_same_v<T, NsRdata>) return RRType::kNS;
         if constexpr (std::is_same_v<T, CnameRdata>) return RRType::kCNAME;
-        if constexpr (std::is_same_v<T, SoaRdata>) return RRType::kSOA;
+        if constexpr (std::is_same_v<T, Shared<SoaRdata>>) {
+          return RRType::kSOA;
+        }
         if constexpr (std::is_same_v<T, MxRdata>) return RRType::kMX;
         if constexpr (std::is_same_v<T, TxtRdata>) return RRType::kTXT;
         if constexpr (std::is_same_v<T, PtrRdata>) return RRType::kPTR;
         if constexpr (std::is_same_v<T, SrvRdata>) return RRType::kSRV;
         if constexpr (std::is_same_v<T, DnskeyRdata>) return RRType::kDNSKEY;
-        if constexpr (std::is_same_v<T, RrsigRdata>) return RRType::kRRSIG;
+        if constexpr (std::is_same_v<T, Shared<RrsigRdata>>) {
+          return RRType::kRRSIG;
+        }
         if constexpr (std::is_same_v<T, OptRdata>) return RRType::kOPT;
       },
       rdata);
@@ -197,13 +201,14 @@ std::string rdata_to_string(const Rdata& rdata) {
           return value.nsdname.to_string();
         } else if constexpr (std::is_same_v<T, CnameRdata>) {
           return value.target.to_string();
-        } else if constexpr (std::is_same_v<T, SoaRdata>) {
-          return value.mname.to_string() + " " + value.rname.to_string() + " " +
-                 std::to_string(value.serial) + " " +
-                 std::to_string(value.refresh.raw()) + " " +
-                 std::to_string(value.retry.raw()) + " " +
-                 std::to_string(value.expire.raw()) + " " +
-                 std::to_string(value.minimum.raw());
+        } else if constexpr (std::is_same_v<T, Shared<SoaRdata>>) {
+          const SoaRdata& soa = *value;
+          return soa.mname.to_string() + " " + soa.rname.to_string() + " " +
+                 std::to_string(soa.serial) + " " +
+                 std::to_string(soa.refresh.raw()) + " " +
+                 std::to_string(soa.retry.raw()) + " " +
+                 std::to_string(soa.expire.raw()) + " " +
+                 std::to_string(soa.minimum.raw());
         } else if constexpr (std::is_same_v<T, MxRdata>) {
           return std::to_string(value.preference) + " " +
                  value.exchange.to_string();
@@ -219,12 +224,13 @@ std::string rdata_to_string(const Rdata& rdata) {
           return std::to_string(value.flags) + " " +
                  std::to_string(value.protocol) + " " +
                  std::to_string(value.algorithm) + " " + value.public_key;
-        } else if constexpr (std::is_same_v<T, RrsigRdata>) {
-          return std::string(to_string(value.type_covered)) + " " +
-                 std::to_string(value.algorithm) + " " +
-                 std::to_string(value.labels) + " " +
-                 std::to_string(value.original_ttl.raw()) + " " +
-                 value.signer.to_string();
+        } else if constexpr (std::is_same_v<T, Shared<RrsigRdata>>) {
+          const RrsigRdata& sig = *value;
+          return std::string(to_string(sig.type_covered)) + " " +
+                 std::to_string(sig.algorithm) + " " +
+                 std::to_string(sig.labels) + " " +
+                 std::to_string(sig.original_ttl.raw()) + " " +
+                 sig.signer.to_string();
         } else {
           return "";
         }

@@ -2,7 +2,9 @@
 #define DNSTTL_DNS_RDATA_H
 
 #include <array>
+#include <compare>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -145,9 +147,40 @@ struct OptRdata {
   auto operator<=>(const OptRdata&) const = default;
 };
 
-using Rdata = std::variant<ARdata, AaaaRdata, NsRdata, CnameRdata, SoaRdata,
-                           MxRdata, TxtRdata, PtrRdata, SrvRdata,
-                           DnskeyRdata, RrsigRdata, OptRdata>;
+/// An immutable payload held out of line, one block that every copy
+/// shares: copying a Shared adds a reference and never allocates.  The
+/// wide, rare SOA (120 B) and RRSIG (104 B) payloads live this way, so a
+/// Rdata is sized by its common narrow alternatives.  Equality and
+/// ordering compare the payloads' values.  There is no mutable access: a
+/// writer builds a new payload (Zone::bump_serial does).
+template <typename T>
+class Shared {
+ public:
+  /// Implicit, so `Rdata{SoaRdata{...}}` builds the shared payload.
+  Shared(T value)
+      : payload_(std::make_shared<const T>(std::move(value))) {}
+
+  const T& operator*() const noexcept { return *payload_; }
+  const T* operator->() const noexcept { return payload_.get(); }
+
+  friend bool operator==(const Shared& a, const Shared& b) {
+    return a.payload_ == b.payload_ || *a == *b;
+  }
+  friend auto operator<=>(const Shared& a, const Shared& b) {
+    return *a <=> *b;
+  }
+
+ private:
+  std::shared_ptr<const T> payload_;
+};
+
+using Rdata = std::variant<ARdata, AaaaRdata, NsRdata, CnameRdata,
+                           Shared<SoaRdata>, MxRdata, TxtRdata, PtrRdata,
+                           SrvRdata, DnskeyRdata, Shared<RrsigRdata>,
+                           OptRdata>;
+static_assert(sizeof(Rdata) == 64,
+              "a Rdata is its widest inline alternative (MX, SRV: 56 B) "
+              "plus the index; SOA and RRSIG live out of line");
 
 /// The RRType corresponding to the active alternative of @p rdata.
 RRType rdata_type(const Rdata& rdata);

@@ -26,6 +26,8 @@ struct ResourceRecord {
 
   bool operator==(const ResourceRecord&) const = default;
 };
+static_assert(sizeof(ResourceRecord) == 120,
+              "owner (48 B), class and TTL (8 B), RDATA (64 B)");
 
 /// An RRset: all records sharing (owner, class, type).  RFC 2181 §5.2
 /// requires one TTL for the whole set; the constructor and add() enforce it

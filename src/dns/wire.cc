@@ -308,14 +308,14 @@ void encode_rdata(Writer<Sink>& w, const Rdata& rdata) {
           w.name(v.nsdname);
         } else if constexpr (std::is_same_v<T, CnameRdata>) {
           w.name(v.target);
-        } else if constexpr (std::is_same_v<T, SoaRdata>) {
-          w.name(v.mname);
-          w.name(v.rname);
-          w.u32(v.serial);
-          w.u32(v.refresh.raw());
-          w.u32(v.retry.raw());
-          w.u32(v.expire.raw());
-          w.u32(v.minimum.raw());
+        } else if constexpr (std::is_same_v<T, Shared<SoaRdata>>) {
+          w.name(v->mname);
+          w.name(v->rname);
+          w.u32(v->serial);
+          w.u32(v->refresh.raw());
+          w.u32(v->retry.raw());
+          w.u32(v->expire.raw());
+          w.u32(v->minimum.raw());
         } else if constexpr (std::is_same_v<T, MxRdata>) {
           w.u16(v.preference);
           w.name(v.exchange);
@@ -340,16 +340,16 @@ void encode_rdata(Writer<Sink>& w, const Rdata& rdata) {
           w.u8(v.protocol);
           w.u8(v.algorithm);
           w.bytes(v.public_key);
-        } else if constexpr (std::is_same_v<T, RrsigRdata>) {
-          w.u16(static_cast<std::uint16_t>(v.type_covered));
-          w.u8(v.algorithm);
-          w.u8(v.labels);
-          w.u32(v.original_ttl.raw());
-          w.u32(v.expiration);
-          w.u32(v.inception);
-          w.u16(v.key_tag);
-          w.name_uncompressed(v.signer);  // RFC 4034 §3.1.7: no compression
-          w.bytes(v.signature);
+        } else if constexpr (std::is_same_v<T, Shared<RrsigRdata>>) {
+          w.u16(static_cast<std::uint16_t>(v->type_covered));
+          w.u8(v->algorithm);
+          w.u8(v->labels);
+          w.u32(v->original_ttl.raw());
+          w.u32(v->expiration);
+          w.u32(v->inception);
+          w.u16(v->key_tag);
+          w.name_uncompressed(v->signer);  // RFC 4034 §3.1.7: no compression
+          w.bytes(v->signature);
         } else if constexpr (std::is_same_v<T, OptRdata>) {
           // OPT carries its payload size in the CLASS field; RDATA empty.
         }

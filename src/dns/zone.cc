@@ -305,7 +305,7 @@ LookupResult::Kind Zone::lookup_internal(const Name& qname, RRType qtype,
     if (qtype != RRType::kRRSIG) {
       if (const RRset* sigs = rrset_of(node->rrsets, RRType::kRRSIG)) {
         for (const auto& rdata : sigs->rdatas()) {
-          if (std::get<RrsigRdata>(rdata).type_covered == qtype) {
+          if (std::get<Shared<RrsigRdata>>(rdata)->type_covered == qtype) {
             answers.push_back(
                 ResourceRecord{qname, sigs->rclass(), sigs->ttl(), rdata});
           }
@@ -370,10 +370,13 @@ bool Zone::bump_serial() {
   if (soa == nullptr || soa->empty()) {
     return false;
   }
+  // Every copy handed out before (replies, transfers) shares the old
+  // payload and keeps the old serial; the zone gets a new one.
   RRset updated(origin_, soa->rclass(), soa->ttl());
-  for (auto rdata : soa->rdatas()) {
-    ++std::get<SoaRdata>(rdata).serial;
-    updated.add(std::move(rdata));
+  for (const auto& rdata : soa->rdatas()) {
+    SoaRdata bumped = *std::get<Shared<SoaRdata>>(rdata);
+    ++bumped.serial;
+    updated.add(std::move(bumped));
   }
   *soa = std::move(updated);
   if constexpr (check::kAuditEnabled) {

@@ -125,11 +125,15 @@ void empty_reply(dns::Message& response, const dns::Question& question,
 }  // namespace
 
 RecursiveResolver::RecursiveResolver(std::string ident, ResolverConfig config,
-                                     net::Network& network, RootHints hints)
+                                     net::Network& network,
+                                     const RootHints& hints)
     : ident_(std::move(ident)),
       config_(config),
-      network_(network),
-      hints_(std::move(hints)) {
+      network_(network) {
+  root_addresses_.reserve(hints.servers.size());
+  for (const auto& entry : hints.servers) {
+    root_addresses_.push_back(entry.address);
+  }
   cache::Cache::Config cache_config;
   cache_config.max_ttl = config_.max_ttl;
   cache_config.min_ttl = config_.min_ttl;
@@ -484,8 +488,8 @@ dns::Name RecursiveResolver::find_servers(const dns::Name& qname,
   }
 
   // Fall back to the compiled-in root hints.
-  for (const auto& entry : hints_.servers) {
-    servers.push_back(ServerCandidate{entry.address});
+  for (const net::Address address : root_addresses_) {
+    servers.push_back(ServerCandidate{address});
   }
   rotate(servers, now);
   return dns::Name{};
@@ -929,7 +933,8 @@ bool RecursiveResolver::validate_answer(const dns::Message& response,
   const dns::RrsigRdata* sig = nullptr;
   for (const auto& rr : response.answers) {
     if (rr.name == question.qname && rr.type() == dns::RRType::kRRSIG) {
-      const auto& candidate = std::get<dns::RrsigRdata>(rr.rdata);
+      const dns::RrsigRdata& candidate =
+          *std::get<dns::Shared<dns::RrsigRdata>>(rr.rdata);
       if (candidate.type_covered == question.qtype) {
         sig = &candidate;
         break;
@@ -1001,7 +1006,8 @@ void RecursiveResolver::cache_negative(const dns::Message& response,
   dns::Ttl ttl{60};  // conservative default when no SOA is present
   for (const auto& rr : response.authorities) {
     if (rr.type() == dns::RRType::kSOA) {
-      const auto& soa = std::get<dns::SoaRdata>(rr.rdata);
+      const dns::SoaRdata& soa =
+          *std::get<dns::Shared<dns::SoaRdata>>(rr.rdata);
       ttl = std::min(rr.ttl, soa.minimum.clamped());  // RFC 2308 §5
       break;
     }

@@ -79,7 +79,7 @@ class RecursiveResolver : public net::DnsNode {
   };
 
   RecursiveResolver(std::string ident, ResolverConfig config,
-                    net::Network& network, RootHints hints);
+                    net::Network& network, const RootHints& hints);
 
   /// Must be called once after the resolver is attached to the network so
   /// it knows its own address/location for upstream queries.
@@ -237,7 +237,9 @@ class RecursiveResolver : public net::DnsNode {
   std::string ident_;
   ResolverConfig config_;
   net::Network& network_;
-  RootHints hints_;
+  /// The root servers' addresses from the hints: all the walk reads of
+  /// them, so their names are not kept.
+  std::vector<net::Address> root_addresses_;
   net::NodeRef self_;
   cache::Cache cache_;
   std::shared_ptr<const dns::Zone> local_root_zone_;

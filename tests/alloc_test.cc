@@ -165,9 +165,9 @@ TEST(AllocationTest, LongerNamesTakeOneBlockPerCopyAndNonePerMove) {
 
 TEST(AllocationTest, WarmCacheRefreshesThroughCompactionsAllocateNothing) {
   // Each refresh pushes an expiry record and leaves the old one stale.
-  // Once the heap holds more than 2 * kKeys + 64 records it is rebuilt from
+  // Once the heap holds more than 2 * kKeys + 8 records it is rebuilt from
   // the live entries, so with the heap at kKeys records after a rebuild,
-  // every 73 refreshes compact it once: three times in the measured run.
+  // every 17 refreshes compact it once: thirteen times in the measured run.
   // The rebuild keeps the heap's buffer, and the RRsets are built up front
   // and moved in, so the cache allocates nothing.  DNSTTL_AUDIT builds
   // validate the cache after every insert, and each audit allocates twice.
@@ -256,6 +256,28 @@ TEST_F(ExchangeAllocationTest, WarmExchangeWithAnAuthServerAllocatesNothing) {
         network.exchange(client, child_address, *query, sim::Time{}, *reply);
     EXPECT_TRUE(result.answered);
     EXPECT_EQ(reply->answers.size(), 1u);
+  };
+  exchange();
+  EXPECT_EQ(allocations_during(exchange), 0u);
+}
+
+TEST_F(ExchangeAllocationTest, WarmNxDomainExchangeAllocatesNothing) {
+  // The NXDOMAIN reply carries the zone's SOA in its authority section.
+  // The record shares the zone's SOA payload, so copying it into the
+  // recycled reply allocates nothing.
+  const net::NodeRef client{dns::Ipv4(10, 9, 9, 9), here};
+  const dns::Name missing = dns::Name::from_string("nx.example.org");
+  auto exchange = [&] {
+    net::MessageLease query(network);
+    net::MessageLease reply(network);
+    query->set_query(8, missing, dns::RRType::kA, false);
+    query->add_edns();
+    const auto result =
+        network.exchange(client, child_address, *query, sim::Time{}, *reply);
+    EXPECT_TRUE(result.answered);
+    EXPECT_EQ(reply->flags.rcode, dns::Rcode::kNXDomain);
+    ASSERT_EQ(reply->authorities.size(), 1u);
+    EXPECT_EQ(reply->authorities[0].type(), dns::RRType::kSOA);
   };
   exchange();
   EXPECT_EQ(allocations_during(exchange), 0u);

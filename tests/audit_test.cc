@@ -582,7 +582,8 @@ class FlatZone {
     const auto* sigs = find(qname, RRType::kRRSIG);
     if (qtype != RRType::kRRSIG && sigs != nullptr) {
       for (const auto& rdata : sigs->rdatas()) {
-        if (std::get<dns::RrsigRdata>(rdata).type_covered == qtype) {
+        if (std::get<dns::Shared<dns::RrsigRdata>>(rdata)->type_covered ==
+            qtype) {
           result.answers.push_back({qname, sigs->rclass(), sigs->ttl(), rdata});
         }
       }

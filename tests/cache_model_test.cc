@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -734,6 +735,249 @@ TEST(CacheModelTest, StaleRecordsOnSharedProbeChainsMatchOracles) {
     }
     unbounded.validate();
     bounded.validate();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// NS links: a glue entry holds a 32-bit id into the cache's table of linked
+// NS owners.  Whatever drops an entry must release its id, so the table
+// holds exactly the owners that stored entries link.
+
+/// The distinct NS owners named by dump()'s "linked=" fields, and how many
+/// positive records it lists (live entries only).
+struct DumpedLinks {
+  std::set<std::string> owners;
+  std::size_t records = 0;
+};
+
+DumpedLinks dumped_links(const Cache& cache, sim::Time now) {
+  DumpedLinks links;
+  const std::string dump = cache.dump(now);
+  std::size_t start = 0;
+  while (start < dump.size()) {
+    const std::size_t end = dump.find('\n', start);
+    const std::string line = dump.substr(start, end - start);
+    start = end + 1;
+    if (line.find(" ; negative ") != std::string::npos) {
+      continue;
+    }
+    ++links.records;
+    const std::size_t at = line.find(" linked=");
+    if (at != std::string::npos) {
+      const std::size_t from = at + 8;
+      links.owners.insert(line.substr(from, line.find(' ', from) - from));
+    }
+  }
+  return links;
+}
+
+/// The dump() line of the (one-record) entry at @p owner, or "".
+std::string dumped_line(const Cache& cache, const std::string& owner,
+                        sim::Time now) {
+  const std::string dump = "\n" + cache.dump(now);
+  const std::size_t at = dump.find("\n" + owner + " ");
+  return at == std::string::npos
+             ? std::string()
+             : dump.substr(at + 1, dump.find('\n', at + 1) - at - 1);
+}
+
+/// The audit passes and the link table holds exactly the owners the
+/// entries link, read from dump(); every stored entry must be live at
+/// @p now (and hold one record), so dump() lists them all.
+void expect_links_exact(const Cache& cache, sim::Time now) {
+  cache.validate();
+  const DumpedLinks links = dumped_links(cache, now);
+  ASSERT_EQ(links.records, cache.size()) << "an entry is not live at the check";
+  EXPECT_EQ(cache.linked_ns_owners(), links.owners.size());
+}
+
+dns::RRset make_ns_rrset(const dns::Name& zone, dns::Ttl ttl) {
+  dns::RRset rrset(zone, dns::RClass::kIN, ttl);
+  rrset.add(dns::NsRdata{zone.prepend("ns1")});
+  return rrset;
+}
+
+TEST(CacheModelTest, NsLinksFollowEveryPathThatDropsAnEntry) {
+  const dns::Name a = dns::Name::from_string("a.link.example");
+  const dns::Name b = dns::Name::from_string("b.link.example");
+  const dns::Name c = dns::Name::from_string("c.link.example");
+  const dns::Name ns1a = a.prepend("ns1");
+  const dns::Name ns2a = a.prepend("ns2");
+  const dns::Name ns1b = b.prepend("ns1");
+  const dns::Name ns1c = c.prepend("ns1");
+  const auto at = [](int seconds) { return sim::at(seconds * sim::kSecond); };
+  const dns::Ttl day{86400};
+  Cache cache;
+
+  for (const dns::Name& zone : {a, b, c}) {
+    ASSERT_TRUE(cache.insert(make_ns_rrset(zone, day), Credibility::kGlue,
+                             at(0)));
+  }
+  ASSERT_TRUE(cache.insert(make_rrset(ns1a, day, 1), Credibility::kGlue,
+                           at(0), a));
+  ASSERT_TRUE(cache.insert(make_rrset(ns2a, dns::Ttl{50}, 2),
+                           Credibility::kGlue, at(0), a));
+  ASSERT_TRUE(cache.insert(make_rrset(ns1b, day, 3), Credibility::kGlue,
+                           at(0), b));
+  ASSERT_TRUE(cache.insert(make_rrset(ns1c, dns::Ttl{40}, 4),
+                           Credibility::kGlue, at(0), c));
+  // No NS entry covers this owner: stored unlinked.
+  ASSERT_TRUE(cache.insert(make_rrset(dns::Name::from_string("orphan.example"),
+                                      day, 5),
+                           Credibility::kGlue, at(1),
+                           dns::Name::from_string("nowhere.example")));
+  expect_links_exact(cache, at(1));
+  EXPECT_EQ(cache.linked_ns_owners(), 3u);
+
+  // An NS refresh breaks the links of the glue that rode the old set; the
+  // glue still holds its id.
+  ASSERT_TRUE(cache.insert(make_ns_rrset(a, day), Credibility::kGlue, at(10)));
+  EXPECT_NE(dumped_line(cache, "ns1.a.link.example.", at(10))
+                .find(" linked=a.link.example. (broken)"),
+            std::string::npos);
+  expect_links_exact(cache, at(10));
+  EXPECT_EQ(cache.linked_ns_owners(), 3u);
+
+  // Overwriting an entry releases the old instance's id after the new one
+  // took its own: the same owner, linked afresh.
+  ASSERT_TRUE(cache.insert(make_rrset(ns1a, day, 6), Credibility::kGlue,
+                           at(20), a));
+  EXPECT_EQ(dumped_line(cache, "ns1.a.link.example.", at(20))
+                .find("(broken)"),
+            std::string::npos);
+  expect_links_exact(cache, at(20));
+  EXPECT_EQ(cache.linked_ns_owners(), 3u);
+
+  // evict() of the last entry linking b drops b.
+  ASSERT_TRUE(cache.evict(ns1b, dns::RRType::kA));
+  expect_links_exact(cache, at(30));
+  EXPECT_EQ(cache.linked_ns_owners(), 2u);
+
+  // Once the NS is gone, dump() still names the owner, as broken.
+  ASSERT_TRUE(cache.evict(a, dns::RRType::kNS));
+  EXPECT_NE(dumped_line(cache, "ns1.a.link.example.", at(39))
+                .find(" linked=a.link.example. (broken)"),
+            std::string::npos);
+  expect_links_exact(cache, at(39));
+  EXPECT_EQ(cache.linked_ns_owners(), 2u);
+
+  // purge_expired drops ns1.c (expiry 40, c's last link) and ns2.a (50;
+  // ns1.a still links a).
+  EXPECT_EQ(cache.purge_expired(at(60)), 2u);
+  expect_links_exact(cache, at(60));
+  EXPECT_EQ(cache.linked_ns_owners(), 1u);
+
+  // snapshot -> restore: the same owners, the same bytes.
+  const std::vector<std::uint8_t> image = cache.snapshot();
+  Cache restored;
+  restored.restore(image);
+  expect_links_exact(restored, at(60));
+  EXPECT_EQ(restored.linked_ns_owners(), cache.linked_ns_owners());
+  EXPECT_EQ(restored.snapshot(), image);
+  EXPECT_EQ(restored.dump(at(60)), cache.dump(at(60)));
+
+  // clear() drops every owner; linking again works from empty.
+  cache.clear();
+  expect_links_exact(cache, at(70));
+  EXPECT_EQ(cache.linked_ns_owners(), 0u);
+  ASSERT_TRUE(cache.insert(make_ns_rrset(b, day), Credibility::kGlue, at(80)));
+  ASSERT_TRUE(cache.insert(make_rrset(ns1b, day, 7), Credibility::kGlue,
+                           at(80), b));
+  expect_links_exact(cache, at(80));
+  EXPECT_EQ(cache.linked_ns_owners(), 1u);
+}
+
+// A cache that links many cuts: releases free ids that later owners
+// reuse, and every owner stays held once (or validate() and the exact
+// count fail).
+TEST(CacheModelTest, NsLinksManyOwnersReuseReleasedIds) {
+  constexpr int kZones = 40;
+  const dns::Ttl day{86400};
+  const sim::Time now{};
+  const auto zone = [](int i) {
+    return dns::Name::from_string("z" + std::to_string(i) + ".many.example");
+  };
+  Cache cache;
+  for (int i = 0; i < kZones; ++i) {
+    ASSERT_TRUE(cache.insert(make_ns_rrset(zone(i), day), Credibility::kGlue,
+                             now));
+    for (const char* label : {"ns1", "ns2"}) {
+      ASSERT_TRUE(cache.insert(make_rrset(zone(i).prepend(label), day,
+                                          static_cast<std::uint32_t>(i)),
+                               Credibility::kGlue, now, zone(i)));
+    }
+    expect_links_exact(cache, now);
+  }
+  EXPECT_EQ(cache.linked_ns_owners(), static_cast<std::size_t>(kZones));
+  // Drop both glue entries of every third zone, one glue entry of the
+  // others: a third of the owners go, the rest keep one link each.
+  for (int i = 0; i < kZones; ++i) {
+    ASSERT_TRUE(cache.evict(zone(i).prepend("ns1"), dns::RRType::kA));
+    if (i % 3 == 0) {
+      ASSERT_TRUE(cache.evict(zone(i).prepend("ns2"), dns::RRType::kA));
+    }
+    expect_links_exact(cache, now);
+  }
+  EXPECT_EQ(cache.linked_ns_owners(), static_cast<std::size_t>(kZones - 14));
+  // Re-linking reuses the released ids.
+  for (int i = 0; i < kZones; i += 3) {
+    ASSERT_TRUE(cache.insert(make_rrset(zone(i).prepend("ns1"), day, 1),
+                             Credibility::kGlue, now, zone(i)));
+    expect_links_exact(cache, now);
+  }
+  EXPECT_EQ(cache.linked_ns_owners(), static_cast<std::size_t>(kZones));
+  cache.clear();
+  expect_links_exact(cache, now);
+  ASSERT_TRUE(cache.insert(make_ns_rrset(zone(0), day), Credibility::kGlue,
+                           now));
+  ASSERT_TRUE(cache.insert(make_rrset(zone(0).prepend("ns1"), day, 1),
+                           Credibility::kGlue, now, zone(0)));
+  expect_links_exact(cache, now);
+  EXPECT_EQ(cache.linked_ns_owners(), 1u);
+}
+
+// Capacity eviction is one more path that drops linked glue, whichever
+// policy picks the victim.  Six zones' NS sets and glue churn through a
+// cache of 8 entries; after every insert the link table holds exactly the
+// owners the resident entries link.
+TEST(CacheModelTest, NsLinksFollowCapacityEviction) {
+  for (EvictionPolicy policy : {EvictionPolicy::kLru, EvictionPolicy::kLfu,
+                                EvictionPolicy::kTtlAware}) {
+    SCOPED_TRACE(std::string(to_string(policy)));
+    Cache::Config config;
+    config.max_entries = 8;
+    config.policy = policy;
+    Cache cache(config);
+    std::size_t most_owners = 0;
+    for (int i = 0; i < 60; ++i) {
+      const sim::Time now = sim::at(i * sim::kSecond);
+      const dns::Name zone =
+          dns::Name::from_string("z" + std::to_string(i % 6) + ".example");
+      const auto ttl = [i](int base) {
+        return dns::Ttl{static_cast<std::uint32_t>(base + (i * 37) % 500)};
+      };
+      ASSERT_TRUE(cache.insert(make_ns_rrset(zone, ttl(1000)),
+                               Credibility::kGlue, now));
+      expect_links_exact(cache, now);
+      ASSERT_TRUE(cache.insert(
+          make_rrset(zone.prepend("ns" + std::to_string(i % 4)), ttl(900),
+                     static_cast<std::uint32_t>(i)),
+          Credibility::kGlue, now, zone));
+      expect_links_exact(cache, now);
+      ASSERT_TRUE(cache.insert(
+          make_rrset(dns::Name::from_string("x" + std::to_string(i) + ".example"),
+                     ttl(800), static_cast<std::uint32_t>(i)),
+          Credibility::kAuthAnswer, now));
+      expect_links_exact(cache, now);
+      most_owners = std::max(most_owners, cache.linked_ns_owners());
+    }
+    EXPECT_GT(cache.stats().evicted_positive, 100u);
+    EXPECT_GE(most_owners, 2u);
+    // Every deadline has passed: the purge empties cache and link table.
+    const std::size_t resident = cache.size();
+    EXPECT_EQ(cache.purge_expired(sim::at(4000 * sim::kSecond)), resident);
+    expect_links_exact(cache, sim::at(4000 * sim::kSecond));
+    EXPECT_EQ(cache.linked_ns_owners(), 0u);
   }
 }
 

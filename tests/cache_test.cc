@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "dns/rr.h"
 
 namespace dnsttl::cache {
@@ -490,6 +494,33 @@ TEST(CacheSnapshotTest, RoundTripsByteIdentically) {
   EXPECT_EQ(restored.dump(sim::at(8 * kSecond)),
             original.dump(sim::at(8 * kSecond)));
   restored.validate();
+}
+
+TEST(CacheSnapshotTest, LinkToAnOwnerWithoutNsRoundTrips) {
+  // Rewrite the glue's link owner from snap.example (whose NS is cached) to
+  // snip.example (never cached) and reseal: the image still restores, the
+  // glue links the new owner and reads as broken, and a new snapshot
+  // writes the same bytes back.
+  std::vector<std::uint8_t> image = make_populated_cache().snapshot();
+  const std::string from = "snap.example.";
+  const auto at = std::search(image.begin(), image.end(), from.begin(),
+                              from.end());
+  ASSERT_NE(at, image.end());
+  ASSERT_EQ(std::search(at + 1, image.end(), from.begin(), from.end()),
+            image.end());
+  at[2] = 'i';  // "snip.example."
+  reseal(image);
+  Cache restored;
+  restored.restore(image);
+  restored.validate();
+  EXPECT_EQ(restored.snapshot(), image);
+  EXPECT_NE(restored.dump(sim::at(8 * kSecond))
+                .find("ns1.snap.example. 3592 A 5.6.7.8 ; glue "
+                      "linked=snip.example. (broken)"),
+            std::string::npos)
+      << restored.dump(sim::at(8 * kSecond));
+  EXPECT_FALSE(restored.peek(Name::from_string("ns1.snap.example"),
+                             RRType::kA, sim::at(8 * kSecond)));
 }
 
 TEST(CacheSnapshotTest, EmptyCacheRoundTrips) {

@@ -20,7 +20,7 @@ TEST(DnssecTest, SignatureVerifies) {
   auto key = make_zone_key(Name::from_string("example.org"));
   auto rrset = sample_rrset();
   auto rrsig = make_rrsig(rrset, Name::from_string("example.org"), key);
-  const auto& sig = std::get<RrsigRdata>(rrsig.rdata);
+  const RrsigRdata& sig = *std::get<Shared<RrsigRdata>>(rrsig.rdata);
   EXPECT_TRUE(verify_rrsig(rrset, sig, key));
   EXPECT_EQ(sig.type_covered, RRType::kA);
   EXPECT_EQ(sig.original_ttl.raw(), 300u);
@@ -35,7 +35,7 @@ TEST(DnssecTest, TamperedRdataFailsVerification) {
   RRset tampered(rrset.name(), rrset.rclass(), rrset.ttl());
   tampered.add(ARdata{Ipv4(66, 66, 66, 66)});
   EXPECT_FALSE(
-      verify_rrsig(tampered, std::get<RrsigRdata>(rrsig.rdata), key));
+      verify_rrsig(tampered, *std::get<Shared<RrsigRdata>>(rrsig.rdata), key));
 }
 
 TEST(DnssecTest, WrongKeyFailsVerification) {
@@ -43,7 +43,8 @@ TEST(DnssecTest, WrongKeyFailsVerification) {
   auto other = make_zone_key(Name::from_string("evil.example"));
   auto rrset = sample_rrset();
   auto rrsig = make_rrsig(rrset, Name::from_string("example.org"), key);
-  EXPECT_FALSE(verify_rrsig(rrset, std::get<RrsigRdata>(rrsig.rdata), other));
+  EXPECT_FALSE(
+      verify_rrsig(rrset, *std::get<Shared<RrsigRdata>>(rrsig.rdata), other));
 }
 
 TEST(DnssecTest, CountedDownTtlStillVerifies) {
@@ -53,7 +54,8 @@ TEST(DnssecTest, CountedDownTtlStillVerifies) {
   auto rrsig = make_rrsig(rrset, Name::from_string("example.org"), key);
   RRset counted = rrset;
   counted.set_ttl(dns::Ttl{17});  // as seen after cache countdown
-  EXPECT_TRUE(verify_rrsig(counted, std::get<RrsigRdata>(rrsig.rdata), key));
+  EXPECT_TRUE(
+      verify_rrsig(counted, *std::get<Shared<RrsigRdata>>(rrsig.rdata), key));
 }
 
 TEST(DnssecTest, SignZoneCoversAuthoritativeSetsOnly) {
@@ -95,8 +97,9 @@ TEST(DnssecTest, SignedAnswersCarryRrsig) {
   ASSERT_EQ(result.answers.size(), 2u);
   EXPECT_EQ(result.answers[0].type(), RRType::kA);
   EXPECT_EQ(result.answers[1].type(), RRType::kRRSIG);
-  EXPECT_EQ(std::get<RrsigRdata>(result.answers[1].rdata).type_covered,
-            RRType::kA);
+  EXPECT_EQ(
+      std::get<Shared<RrsigRdata>>(result.answers[1].rdata)->type_covered,
+      RRType::kA);
 }
 
 // ------------------------------------------------- validating resolver

@@ -68,6 +68,44 @@ TEST(RdataTest, TypeOfEachAlternative) {
   EXPECT_EQ(rdata_type(OptRdata{}), RRType::kOPT);
 }
 
+// SOA and RRSIG payloads live out of line, one block per payload that
+// every copy shares.  Payloads built separately with equal fields are
+// equal values and order by value, so an RRset keeps one of them.
+TEST(RdataTest, SharedPayloadsCompareByValue) {
+  const auto soa = [](std::uint32_t serial) {
+    SoaRdata fields;
+    fields.mname = Name::from_string("ns1.example");
+    fields.rname = Name::from_string("hostmaster.example");
+    fields.serial = serial;
+    return Rdata{fields};
+  };
+  const auto shared = [](const Rdata& rdata) {
+    return std::get<Shared<SoaRdata>>(rdata);
+  };
+  const Rdata first = soa(7);
+  const Rdata second = soa(7);
+  EXPECT_NE(&*shared(first), &*shared(second));
+  EXPECT_EQ(first, second);
+  EXPECT_LT(shared(soa(7)), shared(soa(8)));
+  const Rdata copy = first;
+  EXPECT_EQ(&*shared(copy), &*shared(first));
+
+  RRset set(Name::from_string("example"), RClass::kIN, Ttl{3600});
+  set.add(first);
+  set.add(second);
+  EXPECT_EQ(set.size(), 1u);
+  set.add(soa(8));
+  EXPECT_EQ(set.size(), 2u);
+
+  RrsigRdata sig;
+  sig.signer = Name::from_string("example");
+  sig.signature = "sig";
+  EXPECT_EQ(Rdata{sig}, Rdata{sig});
+  RrsigRdata other = sig;
+  other.signature = "gis";
+  EXPECT_NE(Rdata{sig}, Rdata{other});
+}
+
 TEST(RdataTest, PresentationFormats) {
   EXPECT_EQ(rdata_to_string(ARdata{Ipv4(1, 2, 3, 4)}), "1.2.3.4");
   EXPECT_EQ(rdata_to_string(NsRdata{Name::from_string("a.nic.cl")}),

@@ -134,13 +134,37 @@ TEST_F(SecondaryTest, RefreshOverrideSpeedsPolling) {
   EXPECT_GE(secondary.transfers(), 2u);
 }
 
+// bump_serial builds a new SOA payload.  Copies taken before it (a reply's
+// authority section, a secondary's transferred zone) share the old payload
+// and keep the old serial; the zone serves the new one.
+TEST_F(SecondaryTest, BumpSerialLeavesEarlierCopiesOnTheOldSerial) {
+  const auto serial_of = [](const dns::ResourceRecord& rr) {
+    return std::get<dns::Shared<dns::SoaRdata>>(rr.rdata)->serial;
+  };
+  const Name missing = Name::from_string("nx.shop");
+  Secondary secondary(world->simulation(), primary_zone, *secondary_server);
+  const dns::LookupResult reply = primary_zone->lookup(missing, RRType::kA);
+  ASSERT_EQ(reply.kind, dns::LookupResult::Kind::kNxDomain);
+  ASSERT_EQ(reply.authorities.size(), 1u);
+
+  ASSERT_TRUE(primary_zone->bump_serial());
+  EXPECT_EQ(serial_of(reply.authorities[0]), 1u);
+  EXPECT_EQ(secondary.serial(), 1u);
+  EXPECT_EQ(serial_of(*secondary.zone()->soa()), 1u);
+  EXPECT_EQ(serial_of(*primary_zone->soa()), 2u);
+  const dns::LookupResult fresh = primary_zone->lookup(missing, RRType::kA);
+  ASSERT_EQ(fresh.authorities.size(), 1u);
+  EXPECT_EQ(serial_of(fresh.authorities[0]), 2u);
+}
+
 TEST(ZoneSerialTest, BumpSerialIncrements) {
   dns::Zone zone{Name::from_string("shop")};
   EXPECT_FALSE(zone.bump_serial());  // no SOA yet
   zone.add(dns::make_soa(Name::from_string("shop"), dns::Ttl{3600},
                          Name::from_string("ns1.shop"), 41));
   EXPECT_TRUE(zone.bump_serial());
-  EXPECT_EQ(std::get<dns::SoaRdata>(zone.soa()->rdata).serial, 42u);
+  EXPECT_EQ(std::get<dns::Shared<dns::SoaRdata>>(zone.soa()->rdata)->serial,
+            42u);
 }
 
 }  // namespace
