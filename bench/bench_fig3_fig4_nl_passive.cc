@@ -64,9 +64,9 @@ int main(int argc, char** argv) {
   std::size_t n = report.min_interarrival_hours.count();
   if (n > 0) {
     std::size_t hits = 0;
-    for (double h : report.min_interarrival_hours.sorted_samples()) {
+    for (const auto& [h, count] : report.min_interarrival_hours.runs()) {
       double nearest = std::max(1.0, std::round(h));
-      if (std::abs(h - nearest) < 0.10 * nearest) ++hits;
+      if (std::abs(h - nearest) < 0.10 * nearest) hits += count;
     }
     near_multiple = static_cast<double>(hits) / static_cast<double>(n);
   }

@@ -266,8 +266,8 @@ inline std::vector<QuickMetric> run_quick_suite(double scale) {
 
 // ---------------------------------------------------------------------------
 // Experiment-suite runner (dnsttl_lab suite): schedules the independent
-// experiment binaries concurrently on a par::Pool and reprints their
-// captured outputs in a fixed order, so the suite's stdout is
+// experiment binaries concurrently through par::map_shards and reprints
+// their captured outputs in a fixed order, so the suite's stdout is
 // byte-identical at any --jobs value.
 // ---------------------------------------------------------------------------
 

@@ -15,8 +15,8 @@ using SourceFile = std::pair<std::string, std::string>;
 
 /// The full two-phase pipeline over in-memory sources.
 ///
-/// Phase 1 (per file, independent — this is what --jobs shards over the
-/// par:: pool): lex + index + intraprocedural rules + call-summary
+/// Phase 1 (per file, independent — this is what --jobs shards with
+/// par::map_shards): lex + index + intraprocedural rules + call-summary
 /// extraction.  Phase 2 (whole-repo, serial): link the summaries into a
 /// call graph, run the interprocedural dataflow rules, then audit every
 /// `lint:allow`/`analyze:allow` comment against the complete finding set

@@ -222,8 +222,8 @@ void rule_shared_mutable(const FileIndex& ix, const Sink& sink) {
     if (d.is_const) continue;
     sink.add("shared-mutable-in-shard", d.line,
              "`" + d.name + "` (" + d.type_text + ") has static storage and "
-             "is mutable: shards run this code concurrently on the par:: "
-             "pool, so it is shared state — a data race and a determinism "
+             "is mutable: shards run this code concurrently on par:: "
+             "threads, so it is shared state — a data race and a determinism "
              "leak; make it const, thread_local, or shard-local",
              d.type_text + " " + d.name);
   }

@@ -10,8 +10,8 @@
 namespace dnsttl::analysis {
 
 /// Per-function call summaries: the unit of the interprocedural engine.
-/// Phase 1 extracts one FileSummary per translation unit (shardable over
-/// the par:: pool — extraction is a pure function of the file text); phase
+/// Phase 1 extracts one FileSummary per translation unit (shardable with
+/// par::map_shards — extraction is a pure function of the file text); phase
 /// 2 links them into a whole-repo call graph (callgraph.h) and propagates
 /// taints through it (dataflow.h).  Everything here is plain data so the
 /// deterministic shard merge is a straight concatenation in file order.

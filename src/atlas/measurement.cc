@@ -2,6 +2,8 @@
 
 #include <optional>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "check/audit.h"
 #include "sim/timer_wheel.h"
@@ -248,23 +250,23 @@ std::size_t MeasurementRun::valid_count() const {
 }
 
 stats::Cdf MeasurementRun::ttl_cdf() const {
-  stats::Cdf cdf;
+  std::vector<double> ttls;
   for (const auto& sample : samples_) {
     if (!sample.timeout && sample.has_answer) {
-      cdf.add(static_cast<double>(sample.ttl.value()));
+      ttls.push_back(static_cast<double>(sample.ttl.value()));
     }
   }
-  return cdf;
+  return stats::Cdf(std::move(ttls));
 }
 
 stats::Cdf MeasurementRun::rtt_cdf_ms() const {
-  stats::Cdf cdf;
+  std::vector<double> rtts;
   for (const auto& sample : samples_) {
     if (!sample.timeout && sample.has_answer) {
-      cdf.add(sim::to_milliseconds(sample.rtt));
+      rtts.push_back(sim::to_milliseconds(sample.rtt));
     }
   }
-  return cdf;
+  return stats::Cdf(std::move(rtts));
 }
 
 stats::Cdf MeasurementRun::rtt_cdf_ms(net::Region region,
@@ -273,14 +275,14 @@ stats::Cdf MeasurementRun::rtt_cdf_ms(net::Region region,
   for (const auto& probe : platform.probes()) {
     probe_region[probe.id] = probe.ref.location.region;
   }
-  stats::Cdf cdf;
+  std::vector<double> rtts;
   for (const auto& sample : samples_) {
     if (!sample.timeout && sample.has_answer &&
         probe_region[sample.probe_id] == region) {
-      cdf.add(sim::to_milliseconds(sample.rtt));
+      rtts.push_back(sim::to_milliseconds(sample.rtt));
     }
   }
-  return cdf;
+  return stats::Cdf(std::move(rtts));
 }
 
 }  // namespace dnsttl::atlas

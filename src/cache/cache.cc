@@ -640,8 +640,8 @@ void Cache::clear() {
   entries_.clear();
   negatives_.clear();
   ns_links_.clear();
-  expiry_ = ExpiryHeap{};
-  negative_expiry_ = ExpiryHeap{};
+  expiry_.clear();
+  negative_expiry_.clear();
   if constexpr (check::kAuditEnabled) {
     validate();
   }

@@ -209,6 +209,8 @@ class Cache {
   /// Removes entries that expired before @p now (and past any stale window).
   std::size_t purge_expired(sim::Time now);
 
+  /// Drops every entry but keeps the tables' and expiry heaps' buffers, so
+  /// a flushed cache refilled to a similar size allocates nothing.
   void clear();
   std::size_t size() const noexcept { return entries_.size(); }
   std::size_t negative_size() const noexcept { return negatives_.size(); }

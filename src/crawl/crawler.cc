@@ -55,7 +55,7 @@ void tabulate_domain(const GeneratedDomain& domain,
     const std::size_t slot = TypeTallyTable::slot_of(record->type);
     auto& tally = report.by_type[record->type];
     ++tally.records;
-    partial.ttls[slot].add(record->ttl);
+    tally.ttl_cdf.add(static_cast<double>(record->ttl.value()));
     partial.uniques[slot].insert(record->value);
     const std::uint32_t bit = std::uint32_t{1} << slot;
     if (record->ttl == dns::Ttl{} && (ttl_zero_seen & bit) == 0) {
@@ -71,7 +71,6 @@ CrawlReport finalize_crawl(const std::string& list, std::size_t domains,
   report.list = list;
   report.domains = domains;
 
-  std::array<TtlTally, TypeTallyTable::kSlots.size()> ttls;
   std::array<DistinctStrings, TypeTallyTable::kSlots.size()> uniques;
   for (auto& partial : partials) {
     report.responsive += partial.report.responsive;
@@ -92,23 +91,18 @@ CrawlReport finalize_crawl(const std::string& list, std::size_t domains,
       auto& merged = report.by_type.slot(slot);
       merged.records += tally.records;
       merged.ttl_zero_domain_count += tally.ttl_zero_domain_count;
-      ttls[slot].merge(partial.ttls[slot]);
+      merged.ttl_cdf.merge(tally.ttl_cdf);
       uniques[slot].merge(partial.uniques[slot]);
       partial.uniques[slot] = DistinctStrings{};  // folded: free it now
     }
   }
-  // Count and free every distinct-value set before the CDFs take their
-  // samples, so the fold never holds both.
   for (std::size_t slot = 0; slot < TypeTallyTable::kSlots.size(); ++slot) {
     if (!report.by_type.slot_used(slot)) continue;
     report.by_type.slot(slot).unique_values = uniques[slot].size();
     if constexpr (check::kAuditEnabled) {
       uniques[slot].validate();
+      report.by_type.slot(slot).ttl_cdf.validate();
     }
-    uniques[slot] = DistinctStrings{};
-  }
-  for (std::size_t slot = 0; slot < TypeTallyTable::kSlots.size(); ++slot) {
-    ttls[slot].write_to(report.by_type.slot(slot).ttl_cdf);
   }
   return report;
 }

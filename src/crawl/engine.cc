@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <span>
 
+#include "check/audit.h"
 #include "core/world.h"
 #include "crawl/materialize.h"
 #include "dns/message.h"
@@ -56,11 +57,11 @@ void collapse_type(const GeneratedDomain& domain, dns::RRType type,
   }
 }
 
-/// Per-shard DMap accumulator: flat class counters plus one TTL tally per
+/// Per-shard DMap accumulator: flat class counters plus one TTL CDF per
 /// (class, type) cell, folded in shard order like the crawl partials.
 struct DmapPartial {
   std::array<std::size_t, kContentClasses> class_counts{};
-  std::array<TtlTally, kContentClasses * TypeTallyTable::kSlots.size()> ttls;
+  std::array<stats::Cdf, kContentClasses * TypeTallyTable::kSlots.size()> ttls;
 
   static std::size_t cell(ContentClass content, std::size_t slot) {
     return static_cast<std::size_t>(content) * TypeTallyTable::kSlots.size() +
@@ -77,7 +78,7 @@ void dmap_tabulate(const GeneratedDomain& domain,
   for (const HarvestedRecord* record : harvested) {
     dmap.ttls[DmapPartial::cell(domain.content,
                                 TypeTallyTable::slot_of(record->type))]
-        .add(record->ttl);
+        .add(static_cast<double>(record->ttl.value()));
   }
 }
 
@@ -94,20 +95,17 @@ DmapReport finalize_dmap(const std::vector<DmapPartial>& partials) {
 
   DmapReport report;
   for (std::size_t c = 0; c < kContentClasses; ++c) {
+    const auto content = static_cast<ContentClass>(c);
     if (merged.class_counts[c] != 0) {
-      report.class_counts[static_cast<ContentClass>(c)] =
-          merged.class_counts[c];
+      report.class_counts[content] = merged.class_counts[c];
     }
-  }
-  for (std::size_t c = 0; c < kContentClasses; ++c) {
     for (std::size_t slot = 0; slot < TypeTallyTable::kSlots.size(); ++slot) {
-      const auto& tally = merged.ttls[DmapPartial::cell(
-          static_cast<ContentClass>(c), slot)];
-      if (!tally.empty()) {
-        stats::Cdf cdf;
-        tally.write_to(cdf);
-        report.median_ttl_hours[{static_cast<ContentClass>(c),
-                                 TypeTallyTable::kSlots[slot]}] =
+      const auto& cdf = merged.ttls[DmapPartial::cell(content, slot)];
+      if constexpr (check::kAuditEnabled) {
+        cdf.validate();
+      }
+      if (!cdf.empty()) {
+        report.median_ttl_hours[{content, TypeTallyTable::kSlots[slot]}] =
             cdf.median() / 3600.0;
       }
     }

@@ -221,6 +221,7 @@ PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config) {
 
   std::set<std::uint32_t> single_ips;
   std::set<std::uint32_t> multi_ips;
+  std::vector<double> min_interarrival_hours;  // mostly distinct
   for (auto& [key, times] : group_times) {
     std::sort(times.begin(), times.end());
     ++report.groups;
@@ -246,9 +247,11 @@ PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config) {
       single_ips.insert(key.first);
     } else {
       multi_ips.insert(key.first);
-      report.min_interarrival_hours.add(sim::to_seconds(min_gap) / 3600.0);
+      min_interarrival_hours.push_back(sim::to_seconds(min_gap) / 3600.0);
     }
   }
+  report.min_interarrival_hours =
+      stats::Cdf(std::move(min_interarrival_hours));
 
   if (report.groups > 0) {
     report.single_fraction = static_cast<double>(report.single_query_groups) /

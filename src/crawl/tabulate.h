@@ -11,15 +11,14 @@
 
 namespace dnsttl::crawl {
 
-/// One slice's tallies before the fold: the report's counts plus, per
-/// record type, the TTL tally and the distinct values (values must survive
-/// the fold so cross-shard duplicates collapse exactly as in a serial
-/// crawl).  The bulk resolution engine and its nested test oracle both fold
-/// partials in shard order through finalize_crawl(), which is what makes
-/// their reports comparable field-for-field.
+/// One slice's tallies before the fold: the report's counts and per-type
+/// TTL CDFs plus, per record type, the distinct values (values must
+/// survive the fold so cross-shard duplicates collapse exactly as in a
+/// serial crawl).  The bulk resolution engine and its nested test oracle
+/// both fold partials in shard order through finalize_crawl(), which is
+/// what makes their reports comparable field-for-field.
 struct PartialCrawl {
-  CrawlReport report;  ///< counts only; the TTL samples stay in ttls
-  std::array<TtlTally, TypeTallyTable::kSlots.size()> ttls;
+  CrawlReport report;
   std::array<DistinctStrings, TypeTallyTable::kSlots.size()> uniques;
 };
 
@@ -34,9 +33,8 @@ void tabulate_domain(const GeneratedDomain& domain,
                      PartialCrawl& partial);
 
 /// Folds shard partials strictly in shard order into the final report:
-/// TTL tallies merge and are written into each type's CDF once, in
-/// ascending order, and distinct-value sets union so cross-shard
-/// duplicates collapse exactly as in a serial crawl.
+/// counts add, TTL CDFs merge run by run, and distinct-value sets union so
+/// cross-shard duplicates collapse exactly as in a serial crawl.
 CrawlReport finalize_crawl(const std::string& list, std::size_t domains,
                            std::vector<PartialCrawl> partials);
 

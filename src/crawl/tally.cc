@@ -122,32 +122,4 @@ void DistinctStrings::validate() const {
   check::count_audit();
 }
 
-void TtlTally::add_run(std::uint32_t seconds, std::size_t count) {
-  auto it = std::lower_bound(
-      runs_.begin(), runs_.end(), seconds,
-      [](const auto& run, std::uint32_t value) { return run.first < value; });
-  if (it != runs_.end() && it->first == seconds) {
-    it->second += count;
-  } else {
-    runs_.insert(it, {seconds, count});
-  }
-}
-
-void TtlTally::merge(const TtlTally& other) {
-  for (const auto& [seconds, count] : other.runs_) {
-    add_run(seconds, count);
-  }
-}
-
-void TtlTally::write_to(stats::Cdf& cdf) const {
-  std::size_t total = cdf.count();
-  for (const auto& run : runs_) {
-    total += run.second;
-  }
-  cdf.reserve(total);
-  for (const auto& [seconds, count] : runs_) {
-    cdf.add(static_cast<double>(seconds), count);
-  }
-}
-
 }  // namespace dnsttl::crawl

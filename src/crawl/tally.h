@@ -5,11 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
-
-#include "dns/types.h"
-#include "stats/cdf.h"
 
 namespace dnsttl::crawl {
 
@@ -50,26 +46,6 @@ class DistinctStrings {
   std::vector<Entry> entries_;        ///< members in insertion order
   std::vector<std::uint32_t> index_;  ///< entry number + 1; 0 = empty
   std::string arena_;                 ///< every member's bytes
-};
-
-/// Multiset of TTLs kept as (seconds, count) runs in ascending order.
-/// Crawled TTLs take a few dozen grid values, so tallying a record bumps a
-/// count instead of storing a sample, shard tallies merge run by run, and
-/// the result is written into a stats::Cdf already sorted.
-class TtlTally {
- public:
-  void add(dns::Ttl ttl) { add_run(ttl.value(), 1); }
-  void merge(const TtlTally& other);
-
-  bool empty() const noexcept { return runs_.empty(); }
-
-  /// Appends every tallied TTL, in seconds, to @p cdf in ascending order.
-  void write_to(stats::Cdf& cdf) const;
-
- private:
-  void add_run(std::uint32_t seconds, std::size_t count);
-
-  std::vector<std::pair<std::uint32_t, std::size_t>> runs_;
 };
 
 }  // namespace dnsttl::crawl

@@ -137,8 +137,12 @@ class NameTable {
     return true;
   }
 
+  /// Empties every slot but keeps the slot array, so refilling to a
+  /// similar size allocates nothing.
   void clear() {
-    slots_.clear();
+    for (Slot& slot : slots_) {
+      slot = Slot{};
+    }
     head_ = kNil;
     tail_ = kNil;
     size_ = 0;

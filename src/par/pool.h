@@ -2,14 +2,9 @@
 #define DNSTTL_PAR_POOL_H
 
 #include <array>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,44 +26,10 @@ std::size_t default_jobs() noexcept;
 /// items, clamped to [1, 16].
 std::size_t shard_count_for(std::size_t items) noexcept;
 
-/// A fixed-size worker pool with a strict-FIFO task queue.
-///
-/// Tasks are dequeued in submission order (which worker runs a given task
-/// is of course scheduling-dependent — determinism comes from
-/// parallel_for_shards / map_shards / map_grid, which assign work per shard
-/// and return results in shard-index order, not from the pool itself).
-class Pool {
- public:
-  /// Spawns @p workers threads (at least one).
-  explicit Pool(std::size_t workers);
-
-  /// Drains the queue, then joins every worker.
-  ~Pool();
-
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  /// Enqueues @p task; runs as soon as a worker frees up, FIFO.
-  void submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished running.
-  void wait_idle();
-
- private:
-  void worker_loop();
-
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable all_done_;
-  std::deque<std::function<void()>> queue_;
-  std::size_t running_ = 0;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
-
-/// Runs fn(shard) for every shard in [0, shards) on up to @p jobs worker
-/// threads.  `jobs <= 1` runs every shard inline on the calling thread, in
-/// index order, with no pool — the reference serial schedule.
+/// Runs fn(shard) for every shard in [0, shards) on min(jobs, shards)
+/// threads, which claim shard indices in ascending order.  `jobs <= 1`
+/// runs every shard inline on the calling thread, in index order — the
+/// reference serial schedule.
 ///
 /// Shards must be independent: they may not touch shared mutable state
 /// (give each shard its own World/Simulation/cache and merge afterwards).

@@ -3,49 +3,82 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <numeric>
 #include <stdexcept>
+
+#include "check/audit.h"
 
 namespace dnsttl::stats {
 
-Cdf::Cdf(std::vector<double> samples) : samples_(std::move(samples)) {
-  sorted_ = false;
-  ensure_sorted();
-}
+namespace {
 
-void Cdf::add(double sample) {
-  samples_.push_back(sample);
-  sorted_ = false;
+constexpr const char* kWhat = "stats::Cdf";
+
+}  // namespace
+
+Cdf::Cdf(std::vector<double> samples) : count_(samples.size()) {
+  std::sort(samples.begin(), samples.end());
+  for (double sample : samples) {
+    if (runs_.empty() || runs_.back().value != sample) {
+      runs_.push_back({sample, 0});
+    }
+    ++runs_.back().count;
+  }
 }
 
 void Cdf::add(double sample, std::size_t count) {
-  sorted_ = sorted_ && (samples_.empty() || samples_.back() <= sample);
-  samples_.insert(samples_.end(), count, sample);
+  if (count == 0) return;
+  count_ += count;
+  const auto it = std::lower_bound(
+      runs_.begin(), runs_.end(), sample,
+      [](const Run& run, double value) { return run.value < value; });
+  if (it != runs_.end() && it->value == sample) {
+    it->count += count;
+  } else {
+    runs_.insert(it, {sample, count});
+  }
 }
 
-void Cdf::ensure_sorted() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
+void Cdf::merge(const Cdf& other) {
+  for (const Run& run : other.runs_) {
+    add(run.value, run.count);
   }
+}
+
+double Cdf::at_rank(std::size_t rank) const {
+  auto run = runs_.begin();
+  for (; rank >= run->count; ++run) {
+    rank -= run->count;
+  }
+  return run->value;
+}
+
+double Cdf::fraction(double value, bool inclusive) const {
+  if (empty()) return 0.0;
+  std::size_t below = 0;
+  for (const Run& run : runs_) {
+    if (inclusive ? value < run.value : !(run.value < value)) break;
+    below += run.count;
+  }
+  return static_cast<double>(below) / static_cast<double>(count_);
 }
 
 double Cdf::min() const {
   if (empty()) throw std::logic_error("Cdf::min on empty distribution");
-  ensure_sorted();
-  return samples_.front();
+  return runs_.front().value;
 }
 
 double Cdf::max() const {
   if (empty()) throw std::logic_error("Cdf::max on empty distribution");
-  ensure_sorted();
-  return samples_.back();
+  return runs_.back().value;
 }
 
 double Cdf::mean() const {
   if (empty()) throw std::logic_error("Cdf::mean on empty distribution");
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
+  double sum = 0.0;
+  for (const Run& run : runs_) {
+    sum += run.value * static_cast<double>(run.count);
+  }
+  return sum / static_cast<double>(count_);
 }
 
 double Cdf::quantile(double q) const {
@@ -53,29 +86,12 @@ double Cdf::quantile(double q) const {
   if (q < 0.0 || q > 1.0) {
     throw std::invalid_argument("quantile must be in [0, 1]");
   }
-  ensure_sorted();
-  if (samples_.size() == 1) return samples_.front();
-  double position = q * static_cast<double>(samples_.size() - 1);
+  if (count_ == 1) return runs_.front().value;
+  double position = q * static_cast<double>(count_ - 1);
   std::size_t lo = static_cast<std::size_t>(position);
-  std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+  std::size_t hi = std::min(lo + 1, count_ - 1);
   double frac = position - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-double Cdf::fraction_at_most(double value) const {
-  if (empty()) return 0.0;
-  ensure_sorted();
-  auto it = std::upper_bound(samples_.begin(), samples_.end(), value);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
-double Cdf::fraction_below(double value) const {
-  if (empty()) return 0.0;
-  ensure_sorted();
-  auto it = std::lower_bound(samples_.begin(), samples_.end(), value);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
+  return at_rank(lo) * (1.0 - frac) + at_rank(hi) * frac;
 }
 
 double Cdf::fraction_equal(double value) const {
@@ -83,15 +99,13 @@ double Cdf::fraction_equal(double value) const {
 }
 
 std::vector<std::pair<double, double>> Cdf::curve() const {
-  ensure_sorted();
   std::vector<std::pair<double, double>> points;
-  const double n = static_cast<double>(samples_.size());
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    bool last_of_value =
-        (i + 1 == samples_.size()) || samples_[i + 1] != samples_[i];
-    if (last_of_value) {
-      points.emplace_back(samples_[i], static_cast<double>(i + 1) / n);
-    }
+  points.reserve(runs_.size());
+  const double n = static_cast<double>(count_);
+  std::size_t seen = 0;
+  for (const Run& run : runs_) {
+    seen += run.count;
+    points.emplace_back(run.value, static_cast<double>(seen) / n);
   }
   return points;
 }
@@ -109,16 +123,15 @@ std::string Cdf::render(const std::vector<double>& probe_points,
 
 std::string Cdf::sparkline(std::size_t buckets) const {
   if (empty() || buckets == 0) return "";
-  ensure_sorted();
   static const char* kLevels[] = {" ", ".", ":", "-", "=", "+", "*", "#"};
-  double lo = samples_.front();
-  double hi = samples_.back();
+  double lo = runs_.front().value;
+  double hi = runs_.back().value;
   if (hi <= lo) hi = lo + 1.0;
   std::vector<std::size_t> counts(buckets, 0);
-  for (double s : samples_) {
-    auto b = static_cast<std::size_t>((s - lo) / (hi - lo) *
+  for (const Run& run : runs_) {
+    auto b = static_cast<std::size_t>((run.value - lo) / (hi - lo) *
                                       static_cast<double>(buckets));
-    counts[std::min(b, buckets - 1)]++;
+    counts[std::min(b, buckets - 1)] += run.count;
   }
   std::size_t peak = *std::max_element(counts.begin(), counts.end());
   std::string out;
@@ -130,9 +143,19 @@ std::string Cdf::sparkline(std::size_t buckets) const {
   return out;
 }
 
-const std::vector<double>& Cdf::sorted_samples() const {
-  ensure_sorted();
-  return samples_;
+void Cdf::validate() const {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    DNSTTL_AUDIT_CHECK(kWhat, runs_[i].count >= 1,
+                       "run " + std::to_string(i) + " counts no sample");
+    DNSTTL_AUDIT_CHECK(kWhat, i == 0 || runs_[i - 1].value < runs_[i].value,
+                       "run " + std::to_string(i) + " does not ascend");
+    total += runs_[i].count;
+  }
+  DNSTTL_AUDIT_CHECK(kWhat, total == count_,
+                     "runs count " + std::to_string(total) + " samples, not " +
+                         std::to_string(count_));
+  check::count_audit();
 }
 
 std::string percentile_summary(const Cdf& cdf, const std::string& unit) {
@@ -150,19 +173,21 @@ double ks_statistic(const Cdf& a, const Cdf& b) {
   if (a.empty() || b.empty()) {
     throw std::logic_error("ks_statistic needs two non-empty distributions");
   }
-  const auto& sa = a.sorted_samples();
-  const auto& sb = b.sorted_samples();
-  double na = static_cast<double>(sa.size());
-  double nb = static_cast<double>(sb.size());
+  const auto& ra = a.runs();
+  const auto& rb = b.runs();
+  double na = static_cast<double>(a.count());
+  double nb = static_cast<double>(b.count());
   std::size_t ia = 0;
   std::size_t ib = 0;
+  std::size_t below_a = 0;  // samples of a at or below x
+  std::size_t below_b = 0;
   double best = 0.0;
-  while (ia < sa.size() && ib < sb.size()) {
-    double x = std::min(sa[ia], sb[ib]);
-    while (ia < sa.size() && sa[ia] <= x) ++ia;
-    while (ib < sb.size() && sb[ib] <= x) ++ib;
-    best = std::max(best, std::abs(static_cast<double>(ia) / na -
-                                   static_cast<double>(ib) / nb));
+  while (ia < ra.size() && ib < rb.size()) {
+    double x = std::min(ra[ia].value, rb[ib].value);
+    if (ra[ia].value <= x) below_a += ra[ia++].count;
+    if (rb[ib].value <= x) below_b += rb[ib++].count;
+    best = std::max(best, std::abs(static_cast<double>(below_a) / na -
+                                   static_cast<double>(below_b) / nb));
   }
   return best;
 }

@@ -1,13 +1,18 @@
-// Heap-allocation counts of hot paths that promise to allocate nothing.
-// This executable replaces the global operator new with a counting one, so
-// it links nothing else that would want its own.
+// Heap-allocation counts of hot paths that promise to allocate nothing,
+// and allocated bytes of structures that promise to grow with distinct
+// values only.  This executable replaces the global operator new with a
+// counting one, so it links nothing else that would want its own.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <new>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +20,7 @@
 #include "auth/auth_server.h"
 #include "cache/cache.h"
 #include "check/audit.h"
+#include "crawl/engine.h"
 #include "crawl/population_generator.h"
 #include "dns/message.h"
 #include "dns/rr.h"
@@ -26,6 +32,7 @@
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
 
 }  // namespace
 
@@ -39,6 +46,7 @@ std::atomic<std::size_t> g_allocations{0};
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* block = std::malloc(size == 0 ? 1 : size)) {
     return block;
   }
@@ -61,6 +69,13 @@ std::size_t allocations_during(F&& work) {
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   work();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+template <typename F>
+std::size_t bytes_allocated_during(F&& work) {
+  const std::size_t before = g_allocated_bytes.load(std::memory_order_relaxed);
+  work();
+  return g_allocated_bytes.load(std::memory_order_relaxed) - before;
 }
 
 TEST(AllocationTest, CounterSeesAllocations) {
@@ -199,6 +214,88 @@ TEST(AllocationTest, WarmCacheRefreshesThroughCompactionsAllocateNothing) {
   std::vector<dns::RRset> measured = refreshes();
   EXPECT_EQ(allocations_during([&] { insert_all(measured); }), kPinned);
   EXPECT_EQ(cache.size(), kKeys);
+}
+
+TEST(AllocationTest, RefillAfterClearAllocatesNothing) {
+  // Platform::flush_all empties every resolver cache between phases, and
+  // the next phase refills them to similar sizes.  clear() keeps the
+  // tables' slot arrays and the expiry heaps' buffers, so the refill
+  // reuses them.  DNSTTL_AUDIT builds validate the cache after every
+  // insert, and each audit allocates twice.
+  constexpr std::size_t kEntries = 1000;
+  constexpr std::size_t kPinned = check::kAuditEnabled ? 2 * kEntries : 0;
+  auto rrsets = [] {
+    std::vector<dns::RRset> sets;
+    for (std::size_t i = 0; i < kEntries; ++i) {
+      dns::RRset rrset(
+          dns::Name::from_string("r" + std::to_string(i) + ".test"),
+          dns::RClass::kIN, dns::kTtl1Hour);
+      rrset.add(dns::ARdata{dns::Ipv4(static_cast<std::uint32_t>(i))});
+      sets.push_back(std::move(rrset));
+    }
+    return sets;
+  };
+  cache::Cache cache;
+  auto insert_all = [&cache](std::vector<dns::RRset>& sets) {
+    for (dns::RRset& rrset : sets) {
+      EXPECT_TRUE(cache.insert(std::move(rrset),
+                               cache::Credibility::kAuthAnswer, sim::Time{}));
+    }
+  };
+  std::vector<dns::RRset> fill = rrsets();
+  insert_all(fill);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  std::vector<dns::RRset> refill = rrsets();
+  EXPECT_EQ(allocations_during([&] { insert_all(refill); }), kPinned);
+  EXPECT_EQ(cache.size(), kEntries);
+}
+
+TEST(AllocationTest, CrawlTtlCdfsHoldRunsNotSamples) {
+  // A crawl adds one TTL per harvested record to its type's CDF, and the
+  // TTLs fall on a few grid values, so each CDF holds one (value, count)
+  // run per distinct TTL.  A copy allocates what the CDF holds: at most
+  // one run per distinct TTL of its type in the list, where one double
+  // per sample would take 8 bytes a record.  The slots checked have
+  // records enough for that to exceed the bound.  crawl-memory-compare
+  // guards the whole crawl's peak.
+  sim::Rng rng(27);
+  std::size_t checked = 0;
+  for (const auto& params :
+       {crawl::alexa_params(3000), crawl::majestic_params(3000),
+        crawl::umbrella_params(3000), crawl::nl_params(5000),
+        crawl::root_params()}) {
+    const auto list_rng = rng.fork(std::hash<std::string>{}(params.name));
+    std::array<std::set<std::uint32_t>, crawl::TypeTallyTable::kSlots.size()>
+        ttls;
+    for (const auto& domain : crawl::generate_population(params, list_rng)) {
+      for (const auto& record : domain.records) {
+        ttls[crawl::TypeTallyTable::slot_of(record.type)].insert(
+            record.ttl.value());
+      }
+    }
+    crawl::EngineOptions options;
+    options.shard_count = 4;
+    const auto report = crawl::crawl_engine(params, list_rng, options).report;
+    for (std::size_t slot = 0; slot < ttls.size(); ++slot) {
+      const auto* tally =
+          report.by_type.find(crawl::TypeTallyTable::kSlots[slot]);
+      const std::size_t bound = ttls[slot].size() * sizeof(stats::Cdf::Run);
+      if (tally == nullptr || tally->records * sizeof(double) <= bound) {
+        continue;
+      }
+      ++checked;
+      const stats::Cdf& cdf = tally->ttl_cdf;
+      EXPECT_LE(bytes_allocated_during([&cdf] {
+                  const stats::Cdf copy = cdf;
+                  EXPECT_EQ(copy.runs(), cdf.runs());
+                }),
+                bound)
+          << params.name << " slot " << slot << ", " << tally->records
+          << " records";
+    }
+  }
+  EXPECT_GE(checked, 15u);
 }
 
 /// A root server delegating example.org (two nameservers, in-bailiwick

@@ -184,7 +184,7 @@ TEST(DistinctStringsTest, FinalizeAuditsTheFoldedSetsInAuditBuilds) {
   tabulate_all(population);
   const std::uint64_t audits = check::audit_stats().audits - before;
   if (check::kAuditEnabled) {
-    EXPECT_EQ(audits, 2u);  // one per record type tallied
+    EXPECT_EQ(audits, 4u);  // a set and a TTL CDF per record type tallied
   } else {
     EXPECT_EQ(audits, 0u);
   }

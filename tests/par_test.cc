@@ -1,6 +1,6 @@
 // Tests for the deterministic parallel execution layer (src/par) and the
-// sharded experiment harness built on it (src/core/sharded.h): pool FIFO
-// and exception semantics, map_shards / map_grid result order, Rng::fork
+// sharded experiment harness built on it (src/core/sharded.h): shard
+// exception semantics, map_shards / map_grid result order, Rng::fork
 // stream independence, and — the contract everything else rests on —
 // byte-identical experiment output at --jobs 1 and --jobs 4.
 
@@ -23,44 +23,6 @@
 
 namespace dnsttl {
 namespace {
-
-// ---------------------------------------------------------------------- Pool
-
-TEST(PoolTest, SingleWorkerRunsTasksInSubmissionOrder) {
-  std::vector<int> order;
-  {
-    par::Pool pool(1);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([i, &order] { order.push_back(i); });
-    }
-    pool.wait_idle();
-  }
-  ASSERT_EQ(order.size(), 64u);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-}
-
-TEST(PoolTest, WaitIdleBlocksUntilAllTasksFinish) {
-  par::Pool pool(4);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&done] { done.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 100);
-}
-
-TEST(PoolTest, DestructorDrainsQueue) {
-  std::atomic<int> done{0};
-  {
-    par::Pool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&done] { done.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(done.load(), 50);
-}
 
 // --------------------------------------------------- parallel_for_shards
 
@@ -290,7 +252,7 @@ void expect_same_report(const crawl::CrawlReport& a,
     EXPECT_EQ(tally.records, other.records);
     EXPECT_EQ(tally.unique_values, other.unique_values);
     EXPECT_EQ(tally.ttl_zero_domain_count, other.ttl_zero_domain_count);
-    EXPECT_EQ(tally.ttl_cdf.sorted_samples(), other.ttl_cdf.sorted_samples());
+    EXPECT_EQ(tally.ttl_cdf.runs(), other.ttl_cdf.runs());
   }
   EXPECT_EQ(a.bailiwick.responsive, b.bailiwick.responsive);
   EXPECT_EQ(a.bailiwick.respond_ns, b.bailiwick.respond_ns);

@@ -232,8 +232,8 @@ TEST(ParentChildTest, StreamingFoldMatchesMaterializedPopulation) {
       EXPECT_EQ(streamed.child_shorter, folded.child_shorter);
       EXPECT_EQ(streamed.equal, folded.equal);
       EXPECT_EQ(streamed.child_longer, folded.child_longer);
-      EXPECT_EQ(streamed.child_over_parent_ratio.sorted_samples(),
-                folded.child_over_parent_ratio.sorted_samples());
+      EXPECT_EQ(streamed.child_over_parent_ratio.runs(),
+                folded.child_over_parent_ratio.runs());
     }
   }
 }

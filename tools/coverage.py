@@ -19,6 +19,8 @@ subsystems this PR series hardens — fail the run when breached:
     src/cache      bounded eviction + snapshot codec (PR 10)
     src/dns        names, the shared hash table, zone and wire codec
     src/sim        event queue, timer wheel, time types and RNG streams
+    src/stats      the run-length CDF every figure reads, tables, series
+    src/par        shard threads, ordered results, lowest-failure rethrow
 
 Floors are deliberately per-subsystem, not global: a global number lets a
 well-covered hot path subsidize an untested one.
@@ -44,6 +46,8 @@ DEFAULT_FLOORS = {
     "src/cache": 93.0,
     "src/dns": 95.0,
     "src/sim": 96.0,
+    "src/stats": 98.0,
+    "src/par": 93.0,
 }
 
 
@@ -91,7 +95,8 @@ def main() -> int:
                         metavar="PREFIX=PCT", default=None,
                         help="per-subsystem line floor; repeatable "
                              "(default: src/net=92 src/resolver=96 "
-                             "src/cache=93 src/dns=95 src/sim=96)")
+                             "src/cache=93 src/dns=95 src/sim=96 "
+                             "src/stats=98 src/par=93)")
     parser.add_argument("--json", default=None,
                         help="also write per-file coverage JSON here")
     args = parser.parse_args()
