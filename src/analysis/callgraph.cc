@@ -34,8 +34,8 @@ const std::set<std::string>& output_callee_names() {
 
 const std::set<std::string>& shard_entry_names() {
   static const std::set<std::string> kShardEntries = {
-      "parallel_for_shards", "map_shards", "map_grid", "run_sharded_script",
-      "run_bailiwick_sharded"};
+      "parallel_for_shards", "fold_shards", "map_shards", "map_grid",
+      "run_sharded_script", "run_bailiwick_sharded"};
   return kShardEntries;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "check/audit.h"
 #include "crawl/tabulate.h"
@@ -65,42 +66,41 @@ void tabulate_domain(const GeneratedDomain& domain,
   }
 }
 
+void fold_partial(PartialCrawl& into, PartialCrawl& from) {
+  into.report.responsive += from.report.responsive;
+  auto& b = into.report.bailiwick;
+  const auto& fb = from.report.bailiwick;
+  b.responsive += fb.responsive;
+  b.cname += fb.cname;
+  b.soa += fb.soa;
+  b.respond_ns += fb.respond_ns;
+  b.out_only += fb.out_only;
+  b.in_only += fb.in_only;
+  b.mixed += fb.mixed;
+
+  for (std::size_t slot = 0; slot < TypeTallyTable::kSlots.size(); ++slot) {
+    if (!from.report.by_type.slot_used(slot)) continue;
+    const auto& tally = from.report.by_type.slot(slot);
+    into.report.by_type.mark_used(slot);
+    auto& merged = into.report.by_type.slot(slot);
+    merged.records += tally.records;
+    merged.ttl_zero_domain_count += tally.ttl_zero_domain_count;
+    merged.ttl_cdf.merge(tally.ttl_cdf);
+    into.uniques[slot].merge(from.uniques[slot]);
+    from.uniques[slot] = DistinctStrings{};  // folded: free it now
+  }
+}
+
 CrawlReport finalize_crawl(const std::string& list, std::size_t domains,
-                           std::vector<PartialCrawl> partials) {
-  CrawlReport report;
+                           PartialCrawl partial) {
+  CrawlReport report = std::move(partial.report);
   report.list = list;
   report.domains = domains;
-
-  std::array<DistinctStrings, TypeTallyTable::kSlots.size()> uniques;
-  for (auto& partial : partials) {
-    report.responsive += partial.report.responsive;
-    auto& b = report.bailiwick;
-    const auto& pb = partial.report.bailiwick;
-    b.responsive += pb.responsive;
-    b.cname += pb.cname;
-    b.soa += pb.soa;
-    b.respond_ns += pb.respond_ns;
-    b.out_only += pb.out_only;
-    b.in_only += pb.in_only;
-    b.mixed += pb.mixed;
-
-    for (std::size_t slot = 0; slot < TypeTallyTable::kSlots.size(); ++slot) {
-      if (!partial.report.by_type.slot_used(slot)) continue;
-      auto& tally = partial.report.by_type.slot(slot);
-      report.by_type.mark_used(slot);
-      auto& merged = report.by_type.slot(slot);
-      merged.records += tally.records;
-      merged.ttl_zero_domain_count += tally.ttl_zero_domain_count;
-      merged.ttl_cdf.merge(tally.ttl_cdf);
-      uniques[slot].merge(partial.uniques[slot]);
-      partial.uniques[slot] = DistinctStrings{};  // folded: free it now
-    }
-  }
   for (std::size_t slot = 0; slot < TypeTallyTable::kSlots.size(); ++slot) {
     if (!report.by_type.slot_used(slot)) continue;
-    report.by_type.slot(slot).unique_values = uniques[slot].size();
+    report.by_type.slot(slot).unique_values = partial.uniques[slot].size();
     if constexpr (check::kAuditEnabled) {
-      uniques[slot].validate();
+      partial.uniques[slot].validate();
       report.by_type.slot(slot).ttl_cdf.validate();
     }
   }

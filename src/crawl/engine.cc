@@ -82,17 +82,16 @@ void dmap_tabulate(const GeneratedDomain& domain,
   }
 }
 
-DmapReport finalize_dmap(const std::vector<DmapPartial>& partials) {
-  DmapPartial merged;
-  for (const auto& partial : partials) {
-    for (std::size_t c = 0; c < kContentClasses; ++c) {
-      merged.class_counts[c] += partial.class_counts[c];
-    }
-    for (std::size_t cell = 0; cell < merged.ttls.size(); ++cell) {
-      merged.ttls[cell].merge(partial.ttls[cell]);
-    }
+void fold_partial(DmapPartial& into, const DmapPartial& from) {
+  for (std::size_t c = 0; c < kContentClasses; ++c) {
+    into.class_counts[c] += from.class_counts[c];
   }
+  for (std::size_t cell = 0; cell < into.ttls.size(); ++cell) {
+    into.ttls[cell].merge(from.ttls[cell]);
+  }
+}
 
+DmapReport finalize_dmap(const DmapPartial& merged) {
   DmapReport report;
   for (std::size_t c = 0; c < kContentClasses; ++c) {
     const auto content = static_cast<ContentClass>(c);
@@ -113,7 +112,7 @@ DmapReport finalize_dmap(const std::vector<DmapPartial>& partials) {
   return report;
 }
 
-/// Everything one shard produced.
+/// Everything one shard produced, or every shard folded so far.
 struct ShardOut {
   PartialCrawl partial;
   DmapPartial dmap;
@@ -172,35 +171,31 @@ EngineResult crawl_engine(const ListParams& params, const sim::Rng& list_rng,
 
   const std::string suffix = list_suffix(params);
   const std::size_t chunk = (domains + shard_count - 1) / shard_count;
-  auto outs = par::map_shards(shard_count, options.jobs,
-                              [&](std::size_t shard) {
-                                const std::size_t begin =
-                                    std::min(shard * chunk, domains);
-                                const std::size_t end =
-                                    std::min(begin + chunk, domains);
-                                return run_shard(params, suffix, list_rng,
-                                                 begin, end,
-                                                 options.collect_content);
-                              });
+  ShardOut total;
+  par::fold_shards(
+      shard_count, options.jobs,
+      [&](std::size_t shard) {
+        const std::size_t begin = std::min(shard * chunk, domains);
+        const std::size_t end = std::min(begin + chunk, domains);
+        return run_shard(params, suffix, list_rng, begin, end,
+                         options.collect_content);
+      },
+      [&total](std::size_t, ShardOut&& out) {
+        fold_partial(total.partial, out.partial);
+        fold_partial(total.dmap, out.dmap);
+        total.queries += out.queries;
+      });
 
   EngineResult result;
-  std::vector<PartialCrawl> partials;
-  std::vector<DmapPartial> dmap_partials;
-  partials.reserve(outs.size());
-  for (auto& out : outs) {
-    result.stats.queries += out.queries;
-    partials.push_back(std::move(out.partial));
-    if (options.collect_content) {
-      dmap_partials.push_back(std::move(out.dmap));
-    }
-  }
-  result.report = finalize_crawl(params.name, domains, std::move(partials));
+  result.report =
+      finalize_crawl(params.name, domains, std::move(total.partial));
   result.stats.resolutions = domains;
+  result.stats.queries = total.queries;
   result.stats.steps = result.stats.queries + result.report.responsive;
   result.stats.in_flight_high_water = std::min<std::size_t>(domains, 1);
   result.stats.shards = shard_count;
   if (options.collect_content) {
-    result.dmap = finalize_dmap(dmap_partials);
+    result.dmap = finalize_dmap(total.dmap);
   }
   return result;
 }
@@ -296,12 +291,10 @@ NestedResult crawl_nested(const ListParams& params, const sim::Rng& list_rng,
     }
   }
 
-  std::vector<PartialCrawl> partials;
-  partials.push_back(std::move(partial));
   out.report =
-      finalize_crawl(params.name, population.size(), std::move(partials));
+      finalize_crawl(params.name, population.size(), std::move(partial));
   if (collect_content) {
-    out.dmap = finalize_dmap({std::move(dmap)});
+    out.dmap = finalize_dmap(dmap);
   }
   return out;
 }

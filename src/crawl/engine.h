@@ -43,9 +43,11 @@ struct EngineResult {
 /// range and walks it one domain at a time: generate into a recycled
 /// buffer, harvest the NS answer and then one record type per query,
 /// collapse, tabulate.  Domain @p i is drawn from `list_rng.fork(i)`, so
-/// any shard regenerates exactly its own slice; partial tallies fold in
-/// shard order through finalize_crawl().  Output is therefore a pure
-/// function of (params, list_rng, shard_count) — identical at any --jobs.
+/// any shard regenerates exactly its own slice; each shard's partial
+/// tallies fold into one accumulator in shard order as the shard lands
+/// (par::fold_shards, fold_partial()), and finalize_crawl() reports the
+/// result.  Output is therefore a pure function of (params, list_rng,
+/// shard_count) — identical at any --jobs.
 EngineResult crawl_engine(const ListParams& params, const sim::Rng& list_rng,
                           const EngineOptions& options = {});
 

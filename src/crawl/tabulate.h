@@ -4,7 +4,6 @@
 #include <array>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "crawl/crawler.h"
 #include "crawl/tally.h"
@@ -14,9 +13,9 @@ namespace dnsttl::crawl {
 /// One slice's tallies before the fold: the report's counts and per-type
 /// TTL CDFs plus, per record type, the distinct values (values must
 /// survive the fold so cross-shard duplicates collapse exactly as in a
-/// serial crawl).  The bulk resolution engine and its nested test oracle
-/// both fold partials in shard order through finalize_crawl(), which is
-/// what makes their reports comparable field-for-field.
+/// serial crawl).  The bulk resolution engine folds its shards' partials
+/// into one and its nested test oracle tabulates into one; both report it
+/// through finalize_crawl(), so their reports compare field-for-field.
 struct PartialCrawl {
   CrawlReport report;
   std::array<DistinctStrings, TypeTallyTable::kSlots.size()> uniques;
@@ -32,11 +31,16 @@ void tabulate_domain(const GeneratedDomain& domain,
                      std::span<const HarvestedRecord* const> harvested,
                      PartialCrawl& partial);
 
-/// Folds shard partials strictly in shard order into the final report:
-/// counts add, TTL CDFs merge run by run, and distinct-value sets union so
-/// cross-shard duplicates collapse exactly as in a serial crawl.
+/// Folds @p from into @p into: counts add, TTL CDFs merge run by run, and
+/// distinct-value sets union so cross-shard duplicates collapse exactly as
+/// in a serial crawl.  @p from's sets are freed as they fold, so only the
+/// union outlives the shard.
+void fold_partial(PartialCrawl& into, PartialCrawl& from);
+
+/// The report of one list whose slices are all folded into @p partial:
+/// each type's unique count is its set's size.
 CrawlReport finalize_crawl(const std::string& list, std::size_t domains,
-                           std::vector<PartialCrawl> partials);
+                           PartialCrawl partial);
 
 }  // namespace dnsttl::crawl
 

@@ -28,14 +28,14 @@ bool DistinctStrings::insert(std::string_view value) {
     return false;
   }
   index_[slot] = static_cast<std::uint32_t>(entries_.size() + 1);
-  entries_.push_back(Entry{hash, arena_.size(), value.size()});
+  entries_.push_back(Entry{hash, arena_.size()});
   arena_.append(value);
   return true;
 }
 
 void DistinctStrings::merge(const DistinctStrings& other) {
-  for (const Entry& entry : other.entries_) {
-    insert(other.bytes(entry));
+  for (std::size_t i = 0; i < other.entries_.size(); ++i) {
+    insert(other.bytes(i));
   }
 }
 
@@ -50,8 +50,7 @@ std::size_t DistinctStrings::probe(std::uint64_t hash,
     if (number == 0) {
       return slot;
     }
-    const Entry& entry = entries_[number - 1];
-    if (entry.hash == hash && bytes(entry) == value) {
+    if (entries_[number - 1].hash == hash && bytes(number - 1) == value) {
       return slot;
     }
   }
@@ -97,28 +96,33 @@ void DistinctStrings::validate() const {
   DNSTTL_AUDIT_CHECK(kWhat, occupied == entries_.size(),
                      std::to_string(occupied) + " occupied slots for " +
                          std::to_string(entries_.size()) + " members");
-  std::size_t offset = 0;
+  // Each length is the gap to the next member's offset, so the offsets
+  // must start at 0, never fall and stay inside the arena: the members lie
+  // back to back in insertion order.
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& entry = entries_[i];
-    DNSTTL_AUDIT_CHECK(kWhat, entry.offset == offset,
-                       "entry " + std::to_string(i) + " starts at byte " +
-                           std::to_string(entry.offset) + ", not " +
-                           std::to_string(offset));
-    offset += entry.length;
-    DNSTTL_AUDIT_CHECK(kWhat, offset <= arena_.size(),
-                       "entry " + std::to_string(i) + " ends past the arena");
-    DNSTTL_AUDIT_CHECK(kWhat, entry.hash == hash_of(bytes(entry)),
-                       "stored hash disagrees for \"" +
-                           std::string(bytes(entry)) + "\"");
+    const std::size_t end = i + 1 < entries_.size() ? entries_[i + 1].offset
+                                                    : arena_.size();
+    DNSTTL_AUDIT_CHECK(kWhat,
+                       (i > 0 || entry.offset == 0) && entry.offset <= end &&
+                           end <= arena_.size(),
+                       "entry " + std::to_string(i) + " spans bytes [" +
+                           std::to_string(entry.offset) + ", " +
+                           std::to_string(end) + ") of " +
+                           std::to_string(arena_.size()));
+    const std::string_view value = bytes(i);
+    DNSTTL_AUDIT_CHECK(kWhat, entry.hash == hash_of(value),
+                       "stored hash disagrees for \"" + std::string(value) +
+                           "\"");
     // Reachable from its home slot, and the first member with its bytes:
     // a duplicate would be shadowed by the earlier copy on the probe path.
-    DNSTTL_AUDIT_CHECK(kWhat, index_[probe(entry.hash, bytes(entry))] == i + 1,
-                       "\"" + std::string(bytes(entry)) +
+    DNSTTL_AUDIT_CHECK(kWhat, index_[probe(entry.hash, value)] == i + 1,
+                       "\"" + std::string(value) +
                            "\" is unreachable or a duplicate");
   }
-  DNSTTL_AUDIT_CHECK(kWhat, offset == arena_.size(),
+  DNSTTL_AUDIT_CHECK(kWhat, !entries_.empty() || arena_.empty(),
                      "arena holds " + std::to_string(arena_.size()) +
-                         " bytes, members " + std::to_string(offset));
+                         " bytes and no member");
   check::count_audit();
 }
 

@@ -10,11 +10,12 @@
 namespace dnsttl::crawl {
 
 /// Insert-only set of distinct strings: the unique-value count behind
-/// Table 5's ratios.  Members' bytes live back to back in one arena and an
-/// open-addressing index (linear probing, load at most 3/4) holds entry
-/// numbers, so a member costs its bytes plus a fixed-size entry instead of
-/// a node and a string.  A hash match falls back to a byte compare, so the
-/// count is exact.
+/// Table 5's ratios.  Members' bytes live back to back in one arena, in
+/// insertion order, and an open-addressing index (linear probing, load at
+/// most 3/4) holds entry numbers, so a member costs its bytes plus a
+/// 16-byte entry instead of a node and a string.  An entry keeps its hash
+/// and first byte; its length is the gap to the next member's first byte.
+/// A hash match falls back to a byte compare, so the count is exact.
 class DistinctStrings {
  public:
   /// Adds @p value; true when it was not yet a member.
@@ -33,11 +34,16 @@ class DistinctStrings {
   struct Entry {
     std::uint64_t hash = 0;
     std::size_t offset = 0;  ///< first byte in arena_
-    std::size_t length = 0;
   };
+  static_assert(sizeof(Entry) == 16);
 
-  std::string_view bytes(const Entry& entry) const {
-    return {arena_.data() + entry.offset, entry.length};
+  /// Member @p number's bytes: up to the next member's, or the arena's end.
+  std::string_view bytes(std::size_t number) const {
+    const std::size_t begin = entries_[number].offset;
+    const std::size_t end = number + 1 < entries_.size()
+                                ? entries_[number + 1].offset
+                                : arena_.size();
+    return {arena_.data() + begin, end - begin};
   }
   /// Index slot holding @p value's entry, or the empty slot it would take.
   std::size_t probe(std::uint64_t hash, std::string_view value) const;

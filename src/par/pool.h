@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -21,7 +22,7 @@ std::size_t default_jobs() noexcept;
 ///
 /// The shard count is a pure function of the WORKLOAD, never of the
 /// machine: the same items always produce the same shards, so per-shard
-/// RNG streams (`Rng::fork(shard)`) and the ordered merge yield
+/// RNG streams (`Rng::fork(shard)`) and the ordered fold yield
 /// byte-identical output at any `--jobs N`.  Roughly one shard per 256
 /// items, clamped to [1, 16].
 std::size_t shard_count_for(std::size_t items) noexcept;
@@ -39,20 +40,56 @@ std::size_t shard_count_for(std::size_t items) noexcept;
 void parallel_for_shards(std::size_t shards, std::size_t jobs,
                          const std::function<void(std::size_t)>& fn);
 
+/// Deterministic streaming fold: runs map(shard) for every shard (see
+/// parallel_for_shards) and fold(shard, result) once per shard in shard
+/// order, as soon as every lower shard is folded.  At `jobs <= 1` each
+/// shard is mapped and folded before the next starts; otherwise the worker
+/// that finishes the lowest unfolded shard folds it and every finished
+/// shard after it, one fold at a time under a lock, so only results that
+/// finished ahead of a slower lower shard wait.  A failing map or fold
+/// stops folding at its index; every shard still runs, and the
+/// lowest-indexed failure is rethrown.
+template <typename MapFn, typename FoldFn>
+void fold_shards(std::size_t shards, std::size_t jobs, MapFn map,
+                 FoldFn fold) {
+  using R = decltype(map(std::size_t{}));
+  std::vector<std::optional<R>> ahead(shards);  // mapped, not yet folded
+  std::mutex mutex;
+  std::size_t next = 0;  // the lowest unfolded shard; a map's throw pins it
+  parallel_for_shards(shards, jobs, [&](std::size_t shard) {
+    R result = map(shard);
+    std::lock_guard lock(mutex);
+    if (shard != next) {
+      ahead[shard].emplace(std::move(result));
+      return;
+    }
+    // A fold's throw leaves through this shard's call, and every shard up
+    // to the failing one mapped cleanly, so it is the lowest failure.
+    try {
+      fold(shard, std::move(result));
+      while (++next < shards && ahead[next]) {
+        fold(next, std::move(*ahead[next]));
+        ahead[next].reset();
+      }
+    } catch (...) {
+      next = shards;  // fold nothing more
+      throw;
+    }
+  });
+}
+
 /// Deterministic parallel map: runs map(shard) for each shard (see
-/// parallel_for_shards) and returns the results indexed by shard.
+/// fold_shards) and returns the results indexed by shard.
 template <typename MapFn>
 auto map_shards(std::size_t shards, std::size_t jobs, MapFn map)
     -> std::vector<decltype(map(std::size_t{}))> {
   using R = decltype(map(std::size_t{}));
-  std::vector<std::optional<R>> slots(shards);
-  parallel_for_shards(shards, jobs,
-                      [&](std::size_t shard) { slots[shard].emplace(map(shard)); });
   std::vector<R> results;
   results.reserve(shards);
-  for (auto& slot : slots) {
-    results.push_back(std::move(*slot));
-  }
+  fold_shards(shards, jobs, std::move(map),
+              [&results](std::size_t, R&& result) {
+                results.push_back(std::move(result));
+              });
   return results;
 }
 

@@ -15,19 +15,22 @@
 namespace dnsttl::crawl {
 namespace {
 
-// Folds hand-built domains through the per-domain tabulation step, each
-// harvesting exactly its own record list, in one partial.
+// Tabulates a hand-built domain that harvests exactly its own record list.
+void tabulate_own_records(const GeneratedDomain& domain,
+                          PartialCrawl& partial) {
+  std::vector<const HarvestedRecord*> harvest;
+  for (const auto& record : domain.records) harvest.push_back(&record);
+  tabulate_domain(domain, harvest, partial);
+}
+
+// Folds hand-built domains through the per-domain tabulation step in one
+// partial.
 CrawlReport tabulate_all(const std::vector<GeneratedDomain>& population) {
   PartialCrawl partial;
-  std::vector<const HarvestedRecord*> harvest;
   for (const auto& domain : population) {
-    harvest.clear();
-    for (const auto& record : domain.records) harvest.push_back(&record);
-    tabulate_domain(domain, harvest, partial);
+    tabulate_own_records(domain, partial);
   }
-  std::vector<PartialCrawl> partials;
-  partials.push_back(std::move(partial));
-  return finalize_crawl("test", population.size(), std::move(partials));
+  return finalize_crawl("test", population.size(), std::move(partial));
 }
 
 TEST(PopulationGeneratorTest, GeneratesRequestedCount) {
@@ -229,6 +232,29 @@ TEST(CrawlerTest, TabulatesCountsAndUniques) {
   EXPECT_EQ(report.by_type.at(dns::RRType::kA).ttl_zero_domain_count, 1u);
   EXPECT_EQ(report.bailiwick.respond_ns, 2u);
   EXPECT_EQ(report.bailiwick.out_only, 2u);
+}
+
+TEST(CrawlerTest, FoldPartialUnionsTheSetsAndFreesTheFoldedOnes) {
+  GeneratedDomain a;
+  a.records = {{dns::RRType::kNS, dns::Ttl{3600}, "ns1.shared.example"},
+               {dns::RRType::kA, dns::Ttl{300}, "ip-1"}};
+  GeneratedDomain b;
+  b.records = {{dns::RRType::kNS, dns::Ttl{7200}, "ns1.shared.example"}};
+  PartialCrawl into;
+  PartialCrawl from;
+  tabulate_own_records(a, into);
+  tabulate_own_records(b, from);
+  fold_partial(into, from);
+  for (const auto& set : from.uniques) {
+    EXPECT_EQ(set.size(), 0u);
+  }
+  auto report = finalize_crawl("test", 2, std::move(into));
+  EXPECT_EQ(report.responsive, 2u);
+  const auto& ns = report.by_type.at(dns::RRType::kNS);
+  EXPECT_EQ(ns.records, 2u);
+  EXPECT_EQ(ns.unique_values, 1u);
+  EXPECT_EQ(ns.ttl_cdf.count(), 2u);
+  EXPECT_EQ(report.by_type.at(dns::RRType::kA).unique_values, 1u);
 }
 
 TEST(CrawlerTest, UnresponsiveAndCnameSoaDomainsClassified) {

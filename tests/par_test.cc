@@ -1,12 +1,15 @@
 // Tests for the deterministic parallel execution layer (src/par) and the
 // sharded experiment harness built on it (src/core/sharded.h): shard
-// exception semantics, map_shards / map_grid result order, Rng::fork
+// exception semantics, fold_shards' fold order and bound, map_shards /
+// map_grid result order, Rng::fork
 // stream independence, and — the contract everything else rests on —
 // byte-identical experiment output at --jobs 1 and --jobs 4.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <latch>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -64,6 +67,97 @@ TEST(ParallelForShardsTest, MapShardsReturnsResultsInShardOrder) {
   ASSERT_EQ(results.size(), 12u);
   for (std::size_t shard = 0; shard < 12; ++shard) {
     EXPECT_EQ(results[shard], shard * 10);
+  }
+}
+
+// ------------------------------------------------------------ fold_shards
+
+TEST(FoldShardsTest, FoldsInShardOrderWhenShardsFinishOutOfOrder) {
+  constexpr std::size_t kShards = 12;
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    // At jobs > 1 shard 0 finishes after the last shard: it waits until
+    // that shard, claimed after every other one, has finished.
+    std::latch last_shard_ran(1);
+    std::atomic<std::size_t> finished{0};
+    std::vector<std::size_t> finish_rank(kShards);
+    std::vector<std::size_t> folds;  // fold_shards serializes the folds
+    par::fold_shards(
+        kShards, jobs,
+        [&](std::size_t shard) {
+          if (jobs > 1 && shard == 0) last_shard_ran.wait();
+          finish_rank[shard] = finished.fetch_add(1);
+          if (shard == kShards - 1) last_shard_ran.count_down();
+          return shard * 10;
+        },
+        [&](std::size_t shard, std::size_t&& result) {
+          EXPECT_EQ(result, shard * 10);
+          folds.push_back(shard);
+        });
+    std::vector<std::size_t> in_order(kShards);
+    for (std::size_t shard = 0; shard < kShards; ++shard) {
+      in_order[shard] = shard;
+    }
+    EXPECT_EQ(folds, in_order) << "jobs " << jobs;
+    EXPECT_EQ(finish_rank[0] > finish_rank[kShards - 1], jobs > 1)
+        << "jobs " << jobs;
+  }
+}
+
+/// A shard result that counts how many of its kind are alive.
+struct LiveResult {
+  static inline std::atomic<int> live{0};
+  LiveResult() { ++live; }
+  LiveResult(LiveResult&&) noexcept { ++live; }
+  LiveResult(const LiveResult&) = delete;
+  LiveResult& operator=(const LiveResult&) = delete;
+  ~LiveResult() { --live; }
+};
+
+TEST(FoldShardsTest, HoldsOneUnfoldedResultAtJobs1) {
+  int most_alive = 0;
+  int folds = 0;
+  par::fold_shards(
+      16, 1,
+      [&](std::size_t) {
+        // Every earlier result is folded and gone before the next map.
+        EXPECT_EQ(LiveResult::live.load(), 0);
+        return LiveResult{};
+      },
+      [&](std::size_t, LiveResult&&) {
+        most_alive = std::max(most_alive, LiveResult::live.load());
+        ++folds;
+      });
+  EXPECT_EQ(folds, 16);
+  EXPECT_EQ(most_alive, 1);
+  EXPECT_EQ(LiveResult::live.load(), 0);
+}
+
+TEST(FoldShardsTest, AFailureStopsTheFoldAndTheLowestIsRethrown) {
+  constexpr std::size_t kShards = 8;
+  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    std::vector<std::atomic<int>> mapped(kShards);
+    std::vector<int> folded(kShards, 0);  // fold_shards serializes the folds
+    try {
+      par::fold_shards(
+          kShards, jobs,
+          [&](std::size_t shard) {
+            mapped[shard].fetch_add(1);
+            if (shard == 5) throw std::runtime_error("map 5");
+            return shard;
+          },
+          [&](std::size_t shard, std::size_t&&) {
+            ++folded[shard];
+            if (shard == 3) throw std::runtime_error("fold 3");
+          });
+      FAIL() << "expected a rethrow at jobs " << jobs;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "fold 3") << "jobs " << jobs;
+    }
+    for (std::size_t shard = 0; shard < kShards; ++shard) {
+      EXPECT_EQ(mapped[shard].load(), 1) << "shard " << shard;  // all ran
+      EXPECT_EQ(folded[shard], shard <= 3 ? 1 : 0)
+          << "shard " << shard << " jobs " << jobs;
+    }
   }
 }
 
