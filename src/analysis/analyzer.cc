@@ -10,7 +10,6 @@
 #include "analysis/dataflow.h"
 #include "analysis/index.h"
 #include "analysis/rules.h"
-#include "par/pool.h"
 
 namespace dnsttl::analysis {
 namespace {
@@ -25,23 +24,6 @@ std::string slashes(std::string path) {
 bool source_extension(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".cc" || ext == ".h";
-}
-
-/// Phase-1 output for one file: intraprocedural findings (visible and
-/// allow-silenced) plus the call summary phase 2 links.
-struct FileResult {
-  Findings findings;
-  Findings suppressed;
-  FileSummary summary;
-};
-
-FileResult analyze_one(const std::string& rel, const std::string& source) {
-  FileResult out;
-  FileIndex index(rel, source);
-  const std::string rel_slashes = slashes(rel);
-  out.findings = run_rules(index, rel_slashes, &out.suppressed);
-  out.summary = summarize_file(index, rel_slashes);
-  return out;
 }
 
 /// Suppression hygiene, after phase 2 so an allow justified by an
@@ -88,44 +70,22 @@ void audit_suppressions(const std::vector<FileSummary>& summaries,
 
 }  // namespace
 
-Findings analyze_sources(const std::vector<SourceFile>& sources,
-                         std::size_t jobs) {
-  // Phase 1: per-file, sharded over the pool.  The shard split is a pure
-  // function of the workload (shard_count_for), never of `jobs`, and the
-  // merge walks shards in index order — so any jobs value produces the
-  // same findings in the same order.
-  const std::size_t shards = par::shard_count_for(sources.size());
-  const auto shard_results =
-      par::map_shards(shards, jobs, [&](std::size_t shard) {
-        std::vector<FileResult> block;
-        for (std::size_t i = shard; i < sources.size(); i += shards) {
-          block.push_back(analyze_one(sources[i].first, sources[i].second));
-        }
-        return block;
-      });
-
-  // Stitch back into file order: shard s holds files s, s+shards, ...
-  std::vector<const FileResult*> per_file(sources.size(), nullptr);
-  for (std::size_t s = 0; s < shard_results.size(); ++s) {
-    std::size_t i = s;
-    for (const FileResult& r : shard_results[s]) {
-      per_file[i] = &r;
-      i += shards;
-    }
-  }
-
+Findings analyze_sources(const std::vector<SourceFile>& sources) {
+  // Phase 1: per file, in file order.  `suppressed` collects the findings
+  // allow comments silenced, for the stale-suppression audit.
   Findings visible;
-  Findings would_fire;  // visible + suppressed, for the stale audit
+  Findings suppressed;
   std::vector<FileSummary> summaries;
   summaries.reserve(sources.size());
-  for (const FileResult* r : per_file) {
-    visible.insert(visible.end(), r->findings.begin(), r->findings.end());
-    would_fire.insert(would_fire.end(), r->findings.begin(),
-                      r->findings.end());
-    would_fire.insert(would_fire.end(), r->suppressed.begin(),
-                      r->suppressed.end());
-    summaries.push_back(r->summary);
+  for (const auto& [rel, source] : sources) {
+    const FileIndex index(rel, source);
+    const std::string rel_slashes = slashes(rel);
+    const Findings found = run_rules(index, rel_slashes, &suppressed);
+    visible.insert(visible.end(), found.begin(), found.end());
+    summaries.push_back(summarize_file(index, rel_slashes));
   }
+  Findings would_fire = visible;  // visible + suppressed, for the audit
+  would_fire.insert(would_fire.end(), suppressed.begin(), suppressed.end());
 
   // Phase 2: whole-repo call graph + interprocedural dataflow (serial; the
   // graph needs every summary).
@@ -173,8 +133,7 @@ std::vector<std::string> collect_sources(const std::string& root,
 }
 
 Findings analyze_paths(const std::string& root,
-                       const std::vector<std::string>& rel_paths,
-                       std::size_t jobs) {
+                       const std::vector<std::string>& rel_paths) {
   Findings io_errors;
   std::vector<SourceFile> sources;
   sources.reserve(rel_paths.size());
@@ -190,7 +149,7 @@ Findings analyze_paths(const std::string& root,
     buffer << in.rdbuf();
     sources.emplace_back(rel, buffer.str());
   }
-  Findings all = analyze_sources(sources, jobs);
+  Findings all = analyze_sources(sources);
   all.insert(all.end(), io_errors.begin(), io_errors.end());
   return all;
 }

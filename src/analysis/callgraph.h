@@ -69,8 +69,7 @@ std::set<std::size_t> shard_body_opens(const FileIndex& ix);
 // ---------------------------------------------------- summary extraction
 
 /// Extracts the per-TU call summaries for one indexed file.  Pure function
-/// of the file text — safe to shard with par::map_shards; the deterministic
-/// merge is concatenation in sorted-file order.
+/// of the file text; phase 2 reads them in sorted-file order.
 FileSummary summarize_file(const FileIndex& ix, const std::string& rel_path);
 
 // ------------------------------------------------------------ call graph

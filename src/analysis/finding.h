@@ -8,8 +8,7 @@
 namespace dnsttl::analysis {
 
 /// One rule violation.  `excerpt` is a short normalized snippet of the
-/// offending tokens; baseline matching keys on (rule, file, excerpt) so
-/// unrelated edits that shift line numbers do not resurrect old findings.
+/// offending tokens, carried into the JSON report beside the line.
 struct Finding {
   std::string rule;
   std::string file;  // repo-relative, forward slashes
@@ -17,7 +16,6 @@ struct Finding {
   std::string message;
   std::string excerpt;
 
-  std::string key() const { return rule + "\x1f" + file + "\x1f" + excerpt; }
   std::string to_string() const {
     return file + ":" + std::to_string(line) + ": [" + rule + "] " + message;
   }

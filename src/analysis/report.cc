@@ -1,10 +1,6 @@
 #include "analysis/report.h"
 
 #include <algorithm>
-#include <fstream>
-#include <map>
-
-#include "analysis/rules.h"
 
 namespace dnsttl::analysis {
 namespace {
@@ -43,120 +39,6 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-// ------------------------------------------------- minimal JSON reader
-// Just enough JSON for baseline files: objects, arrays, strings, integers,
-// bools/null.  No external dependency, fully deterministic error strings.
-
-struct Reader {
-  const std::string& text;
-  std::size_t pos = 0;
-  std::string error;
-
-  bool fail(const std::string& why) {
-    if (error.empty()) {
-      error = why + " at offset " + std::to_string(pos);
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return fail(std::string("expected '") + c + "'");
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-  bool string(std::string* out) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != '"') return fail("expected string");
-    ++pos;
-    out->clear();
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\' && pos < text.size()) {
-        char e = text[pos++];
-        switch (e) {
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          case 'u': {
-            // \u00XX only (our writer emits nothing above); decode low byte.
-            if (pos + 4 > text.size()) return fail("bad \\u escape");
-            unsigned value = 0;
-            for (int k = 0; k < 4; ++k) {
-              char h = text[pos++];
-              value <<= 4;
-              if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') value |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') value |= static_cast<unsigned>(h - 'A' + 10);
-              else return fail("bad \\u escape");
-            }
-            out->push_back(static_cast<char>(value & 0xff));
-            break;
-          }
-          default: out->push_back(e);
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (pos >= text.size()) return fail("unterminated string");
-    ++pos;  // closing quote
-    return true;
-  }
-  // Skips any JSON value (used for keys we do not care about).
-  bool skip_value() {
-    skip_ws();
-    if (pos >= text.size()) return fail("unexpected end");
-    char c = text[pos];
-    if (c == '"') {
-      std::string ignored;
-      return string(&ignored);
-    }
-    if (c == '{' || c == '[') {
-      char open = c;
-      char close = (c == '{') ? '}' : ']';
-      int depth = 0;
-      bool in_str = false;
-      while (pos < text.size()) {
-        char d = text[pos];
-        if (in_str) {
-          if (d == '\\') ++pos;
-          else if (d == '"') in_str = false;
-        } else if (d == '"') {
-          in_str = true;
-        } else if (d == open) {
-          ++depth;
-        } else if (d == close) {
-          --depth;
-          if (depth == 0) {
-            ++pos;
-            return true;
-          }
-        }
-        ++pos;
-      }
-      return fail("unterminated value");
-    }
-    while (pos < text.size() && text[pos] != ',' && text[pos] != '}' &&
-           text[pos] != ']') {
-      ++pos;
-    }
-    return true;
-  }
-};
-
 }  // namespace
 
 std::string findings_to_json(const Findings& findings) {
@@ -179,187 +61,6 @@ std::string findings_to_json(const Findings& findings) {
   }
   out += sorted.empty() ? "]\n}\n" : "\n  ]\n}\n";
   return out;
-}
-
-bool baseline_from_json(const std::string& text, Findings* out,
-                        std::string* error) {
-  out->clear();
-  Reader r{text, 0, {}};
-  if (!r.consume('{')) {
-    *error = r.error;
-    return false;
-  }
-  bool found_findings = false;
-  while (!r.peek('}')) {
-    std::string key;
-    if (!r.string(&key) || !r.consume(':')) {
-      *error = r.error;
-      return false;
-    }
-    if (key != "findings") {
-      if (!r.skip_value()) {
-        *error = r.error;
-        return false;
-      }
-    } else {
-      found_findings = true;
-      if (!r.consume('[')) {
-        *error = r.error;
-        return false;
-      }
-      while (!r.peek(']')) {
-        if (!r.consume('{')) {
-          *error = r.error;
-          return false;
-        }
-        Finding f;
-        while (!r.peek('}')) {
-          std::string field;
-          if (!r.string(&field) || !r.consume(':')) {
-            *error = r.error;
-            return false;
-          }
-          if (field == "rule") {
-            if (!r.string(&f.rule)) { *error = r.error; return false; }
-          } else if (field == "file") {
-            if (!r.string(&f.file)) { *error = r.error; return false; }
-          } else if (field == "excerpt") {
-            if (!r.string(&f.excerpt)) { *error = r.error; return false; }
-          } else if (field == "message") {
-            if (!r.string(&f.message)) { *error = r.error; return false; }
-          } else if (field == "line") {
-            r.skip_ws();
-            std::size_t value = 0;
-            while (r.pos < text.size() && text[r.pos] >= '0' &&
-                   text[r.pos] <= '9') {
-              value = value * 10 + static_cast<std::size_t>(text[r.pos] - '0');
-              ++r.pos;
-            }
-            f.line = value;
-          } else {
-            if (!r.skip_value()) { *error = r.error; return false; }
-          }
-          if (!r.peek('}') && !r.consume(',')) {
-            *error = r.error;
-            return false;
-          }
-        }
-        r.consume('}');
-        if (f.rule.empty() || f.file.empty()) {
-          *error = "baseline entry missing rule/file";
-          return false;
-        }
-        out->push_back(std::move(f));
-        if (!r.peek(']') && !r.consume(',')) {
-          *error = r.error;
-          return false;
-        }
-      }
-      r.consume(']');
-    }
-    if (!r.peek('}') && !r.consume(',')) {
-      *error = r.error;
-      return false;
-    }
-  }
-  if (!found_findings) {
-    *error = "baseline has no \"findings\" array";
-    return false;
-  }
-  return true;
-}
-
-BaselineDiff diff_against_baseline(const Findings& current,
-                                   const Findings& baseline) {
-  std::map<std::string, std::size_t> budget;
-  for (const Finding& f : baseline) {
-    ++budget[f.key()];
-  }
-  BaselineDiff diff;
-  for (const Finding& f : current) {
-    auto it = budget.find(f.key());
-    if (it != budget.end() && it->second > 0) {
-      --it->second;
-      ++diff.matched;
-    } else {
-      diff.fresh.push_back(f);
-    }
-  }
-  for (const auto& [key, remaining] : budget) {
-    diff.stale_count += remaining;
-  }
-  return diff;
-}
-
-std::string findings_to_sarif(const Findings& findings) {
-  Findings sorted = findings;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Finding& a, const Finding& b) {
-                     if (a.file != b.file) return a.file < b.file;
-                     if (a.line != b.line) return a.line < b.line;
-                     return a.rule < b.rule;
-                   });
-  std::string out =
-      "{\n"
-      "  \"$schema\": "
-      "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      "  \"version\": \"2.1.0\",\n"
-      "  \"runs\": [\n"
-      "    {\n"
-      "      \"tool\": {\n"
-      "        \"driver\": {\n"
-      "          \"name\": \"dnsttl_analyze\",\n"
-      "          \"informationUri\": "
-      "\"docs/architecture.md\",\n"
-      "          \"rules\": [";
-  const auto& infos = rule_infos();
-  for (std::size_t i = 0; i < infos.size(); ++i) {
-    out += (i == 0 ? "\n" : ",\n");
-    out += "            {\"id\": \"" + escape(infos[i].name) +
-           "\", \"shortDescription\": {\"text\": \"" +
-           escape(infos[i].summary) +
-           "\"}, \"properties\": {\"contract\": \"" +
-           escape(infos[i].contract) + "\"}}";
-  }
-  out += infos.empty() ? "]\n" : "\n          ]\n";
-  out +=
-      "        }\n"
-      "      },\n"
-      "      \"results\": [";
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const Finding& f = sorted[i];
-    out += (i == 0 ? "\n" : ",\n");
-    out += "        {\"ruleId\": \"" + escape(f.rule) +
-           "\", \"level\": \"error\", \"message\": {\"text\": \"" +
-           escape(f.message) +
-           "\"}, \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \"" +
-           escape(f.file) + "\"}, \"region\": {\"startLine\": " +
-           std::to_string(f.line == 0 ? 1 : f.line) + "}}}]}";
-  }
-  out += sorted.empty() ? "]\n" : "\n      ]\n";
-  out +=
-      "    }\n"
-      "  ]\n"
-      "}\n";
-  return out;
-}
-
-bool update_baseline_file(const std::string& path, const Findings& findings,
-                          std::string* error) {
-  std::ofstream out(path, std::ios::out | std::ios::binary |
-                              std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "could not open for writing: " + path;
-    return false;
-  }
-  out << findings_to_json(findings);
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write failed: " + path;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace dnsttl::analysis

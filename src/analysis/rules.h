@@ -9,8 +9,8 @@
 
 namespace dnsttl::analysis {
 
-/// Rule metadata for --list-rules, the SARIF report and the fixture
-/// corpus completeness test.
+/// Rule metadata for --list-rules and the fixture corpus completeness
+/// test.
 struct RuleInfo {
   const char* name;
   const char* contract;  // which repo contract the rule enforces

@@ -762,11 +762,24 @@ void RecursiveResolver::resolve_iterative(const dns::Question& question,
   net::MessageLease response(network_);
 
   for (int iteration = 0; iteration < kMaxIterations; ++iteration) {
-    // A sub-question may be answerable from data cached moments ago.
-    if ((iteration > 0 || ctx.depth > 0) &&
-        answer_from_cache(current, now + ctx.elapsed, chain)) {
-      positive_response(question, out);
-      return;
+    // A sub-question may be answerable from data cached moments ago,
+    // including a negative answer: an NXDOMAIN or NODATA it cached at an
+    // earlier step ends the lookup as the wire answer did.
+    if (iteration > 0 || ctx.depth > 0) {
+      const sim::Time t = now + ctx.elapsed;
+      if (answer_from_cache(current, t, chain)) {
+        positive_response(question, out);
+        return;
+      }
+      if (const auto negative =
+              cache_.lookup_negative(current.qname, current.qtype, t)) {
+        if (negative->rcode == dns::Rcode::kNXDomain) {
+          reply(out, question, dns::Rcode::kNXDomain);
+        } else {
+          positive_response(question, out);
+        }
+        return;
+      }
     }
 
     const dns::Name zone = find_servers(current.qname, now, ctx, servers);

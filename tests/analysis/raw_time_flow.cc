@@ -19,6 +19,7 @@ void configure(sim::TimerWheel& wheel) {
   std::uint64_t lease = 30'000'000;
   relay(wheel, lease);            // expect: raw-time-flow
   arm_refresh(wheel, 1'500'000);  // expect: raw-time-flow
+  arm_refresh(wheel, lease);      // expect: raw-time-flow
 }
 
 }  // namespace dnsttl::core

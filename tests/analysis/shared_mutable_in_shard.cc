@@ -1,7 +1,7 @@
 // analyze-as: src/core/fixture.cc
 // True positives: static-storage mutable state is shared across par::
-// shards, and static SoA-pool aliases dangle across shard rebuilds even
-// when const.
+// shards, and static SoA-pool and timer-wheel aliases dangle across shard
+// rebuilds even when const.
 
 namespace dnsttl::core {
 
@@ -16,6 +16,8 @@ int pool_alias(const atlas::VpPool& pool) {
   static const atlas::VpPool* last = nullptr;  // expect: shared-mutable-in-shard
   return last == &pool ? 1 : 0;
 }
+
+const sim::TimerWheel& g_wheel = instance();  // expect: shared-mutable-in-shard
 
 // True negatives: immutable tables, thread-local scratch, locals.
 constexpr int kShardFanout = 8;

@@ -1,8 +1,8 @@
 // analyze-as: src/core/stale_suppression.cc
 // Suppression hygiene: an allow comment whose rule no longer fires on the
 // covered line is itself flagged, and so is one naming no rule at all (a
-// misspelled rule never fires); a suppression that still earns its keep
-// is not.
+// misspelled rule never fires, and the rule it meant is not silenced); a
+// suppression that still earns its keep is not.
 
 namespace dnsttl::core {
 
@@ -17,5 +17,8 @@ inline int other() { return 7; }
 
 // lint:allow(raw-new) the caller adopts the block into a unique_ptr
 inline int* adopt() { return new int(7); }
+
+// lint:allow(raw-news) misspelled rule name  // expect: stale-suppression
+inline int* misspelled() { return new int(1); }  // expect: raw-new
 
 }  // namespace dnsttl::core

@@ -8,6 +8,7 @@
 // corpus-completeness test fails if some registered rule has no firing
 // fixture, so new rules cannot land untested.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -22,8 +23,6 @@
 #include "analysis/index.h"
 #include "analysis/report.h"
 #include "analysis/rules.h"
-#include "analysis/selftest.h"
-#include "par/pool.h"
 
 namespace {
 
@@ -126,12 +125,6 @@ TEST(AnalysisFixtures, CorpusExercisesEveryRule) {
         << "rule `" << info.name
         << "` has no true-positive fixture in tests/analysis/";
   }
-}
-
-TEST(AnalysisFixtures, SelftestIsGreen) {
-  std::ostringstream out;
-  const int failures = dnsttl::analysis::selftest(out);
-  EXPECT_EQ(failures, 0) << out.str();
 }
 
 // ----------------------------------------------------------------------
@@ -264,65 +257,26 @@ TEST(AnalysisInterprocedural, TaintPropagationStopsAtTheDepthCap) {
 }
 
 // ----------------------------------------------------------------------
-// Baseline and sharding plumbing.
+// The --json report: the analyzer's one output format, which CI tallies.
 
-TEST(AnalysisBaseline, UpdateBaselineRoundTrips) {
-  Findings current;
-  current.push_back(
-      {"wall-clock", "src/core/x.cc", 12, "message one", "time(nullptr)"});
-  current.push_back(
-      {"rng-escape", "src/core/y.cc", 3, "message two", "spin(rng)"});
-
-  const fs::path path =
-      fs::temp_directory_path() / "dnsttl_baseline_roundtrip.json";
-  std::string error;
-  ASSERT_TRUE(
-      dnsttl::analysis::update_baseline_file(path.string(), current, &error))
-      << error;
-
-  std::ifstream in(path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  Findings reloaded;
-  ASSERT_TRUE(
-      dnsttl::analysis::baseline_from_json(buffer.str(), &reloaded, &error))
-      << error;
-
-  const auto diff = dnsttl::analysis::diff_against_baseline(current, reloaded);
-  EXPECT_TRUE(diff.fresh.empty());
-  EXPECT_EQ(diff.matched, current.size());
-  EXPECT_EQ(diff.stale_count, 0u);
-  fs::remove(path);
-
-  // IO failure is reported, not swallowed.
-  EXPECT_FALSE(dnsttl::analysis::update_baseline_file(
-      (fs::temp_directory_path() / "no-such-dir" / "b.json").string(), current,
-      &error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(AnalysisSharding, RealRepoReportIsIdenticalAcrossJobCounts) {
-  // The acceptance bar for --jobs: the report over this repo's own sources
-  // is byte-identical serial, at a fixed worker count, and at whatever the
-  // host advertises.  The shard split is a pure function of the workload,
-  // so this holds on any machine.
-  std::string error;
-  const std::vector<std::string> sources = dnsttl::analysis::collect_sources(
-      DNSTTL_REPO_ROOT, {"src", "tools"}, &error);
-  ASSERT_TRUE(error.empty()) << error;
-  ASSERT_FALSE(sources.empty());
-
-  const Findings serial =
-      dnsttl::analysis::analyze_paths(DNSTTL_REPO_ROOT, sources, 1);
-  const Findings four =
-      dnsttl::analysis::analyze_paths(DNSTTL_REPO_ROOT, sources, 4);
-  const Findings host = dnsttl::analysis::analyze_paths(
-      DNSTTL_REPO_ROOT, sources, dnsttl::par::hardware_jobs());
-
-  EXPECT_EQ(dnsttl::analysis::findings_to_json(serial),
-            dnsttl::analysis::findings_to_json(four));
-  EXPECT_EQ(dnsttl::analysis::findings_to_json(serial),
-            dnsttl::analysis::findings_to_json(host));
+TEST(AnalysisReport, JsonIsOrderedByFileLineRuleAndEscaped) {
+  const Findings findings = {
+      {"wall-clock", "src/core/b.cc", 9, "reads \"now\"", "time(nullptr)"},
+      {"raw-new", "src/core/a.cc", 12, "tab\there", "new\x01int"},
+      {"rng-raw-source", "src/core/b.cc", 9, "a\\b\nc", "rand()"},
+  };
+  EXPECT_EQ(
+      dnsttl::analysis::findings_to_json(findings),
+      "{\n  \"version\": 1,\n  \"count\": 3,\n  \"findings\": [\n"
+      "    {\"rule\": \"raw-new\", \"file\": \"src/core/a.cc\", \"line\": 12, "
+      "\"excerpt\": \"new\\u0001int\", \"message\": \"tab\\there\"},\n"
+      "    {\"rule\": \"rng-raw-source\", \"file\": \"src/core/b.cc\", "
+      "\"line\": 9, \"excerpt\": \"rand()\", \"message\": \"a\\\\b\\nc\"},\n"
+      "    {\"rule\": \"wall-clock\", \"file\": \"src/core/b.cc\", \"line\": 9, "
+      "\"excerpt\": \"time(nullptr)\", \"message\": \"reads \\\"now\\\"\"}\n"
+      "  ]\n}\n");
+  EXPECT_EQ(dnsttl::analysis::findings_to_json({}),
+            "{\n  \"version\": 1,\n  \"count\": 0,\n  \"findings\": []\n}\n");
 }
 
 }  // namespace

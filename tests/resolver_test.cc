@@ -100,6 +100,32 @@ class ResolverTest : public ::testing::Test {
     return address;
   }
 
+  /// Delegates `test` from the root to ns.other, out of bailiwick and
+  /// without glue.  The `other` zone, on @p other_server, holds only an
+  /// AAAA for ns.other when @p with_aaaa and nothing at that name
+  /// otherwise, so the NS-address lookup gets NODATA or NXDOMAIN.
+  void delegate_test_to_ns_other(auth::AuthServer& other_server,
+                                 bool with_aaaa) {
+    const Name other = Name::from_string("other");
+    const Name other_ns = Name::from_string("ns1.other");
+    auto other_zone = std::make_shared<dns::Zone>(other);
+    other_zone->add(dns::make_soa(other, dns::Ttl{300}, other_ns, 1));
+    other_zone->add(dns::make_ns(other, dns::Ttl{300}, other_ns));
+    other_server.add_zone(other_zone);
+    const net::Address other_addr =
+        network->attach(other_server, net::Location{net::Region::kEU});
+    other_zone->add(dns::make_a(other_ns, dns::Ttl{300}, other_addr));
+    if (with_aaaa) {
+      other_zone->add(dns::make_aaaa(Name::from_string("ns.other"),
+                                     dns::Ttl{300},
+                                     dns::Ipv6::from_string("2001:db8::53")));
+    }
+    root_zone->add(dns::make_ns(other, dns::Ttl{172800}, other_ns));
+    root_zone->add(dns::make_a(other_ns, dns::Ttl{172800}, other_addr));
+    root_zone->add(dns::make_ns(Name::from_string("test"), dns::Ttl{172800},
+                                Name::from_string("ns.other")));
+  }
+
   /// Child-centric, and trusting glue, so the scripted server sees only
   /// the client's question.
   std::unique_ptr<RecursiveResolver> make_scripted_client() {
@@ -309,25 +335,10 @@ TEST_F(ResolverTest, AnswerMatchingNeitherQuestionNorCnameIsLame) {
 }
 
 TEST_F(ResolverTest, NsTargetWithoutAnARecordGivesNoServer) {
-  // `test` is delegated to ns.other, out of bailiwick and without glue,
-  // and the `other` zone holds only an AAAA for it.  The NS-address lookup
-  // ends in NOERROR with no A record, so `test` has no server.
-  const Name other = Name::from_string("other");
-  const Name other_ns = Name::from_string("ns1.other");
-  auto other_zone = std::make_shared<dns::Zone>(other);
-  other_zone->add(dns::make_soa(other, dns::Ttl{300}, other_ns, 1));
-  other_zone->add(dns::make_ns(other, dns::Ttl{300}, other_ns));
+  // The NS-address lookup ends in NOERROR with no A record, so `test` has
+  // no server.
   auth::AuthServer other_server{"ns1.other"};
-  other_server.add_zone(other_zone);
-  const net::Address other_addr =
-      network->attach(other_server, net::Location{net::Region::kEU});
-  other_zone->add(dns::make_a(other_ns, dns::Ttl{300}, other_addr));
-  other_zone->add(dns::make_aaaa(Name::from_string("ns.other"), dns::Ttl{300},
-                                 dns::Ipv6::from_string("2001:db8::53")));
-  root_zone->add(dns::make_ns(other, dns::Ttl{172800}, other_ns));
-  root_zone->add(dns::make_a(other_ns, dns::Ttl{172800}, other_addr));
-  root_zone->add(dns::make_ns(Name::from_string("test"), dns::Ttl{172800},
-                              Name::from_string("ns.other")));
+  delegate_test_to_ns_other(other_server, /*with_aaaa=*/true);
 
   auto resolver = make_resolver(child_centric_config());
   auto result = resolver->resolve(
@@ -335,7 +346,11 @@ TEST_F(ResolverTest, NsTargetWithoutAnARecordGivesNoServer) {
                     dns::RClass::kIN},
       sim::Time{});
   EXPECT_EQ(result.response.flags.rcode, dns::Rcode::kServFail);
-  EXPECT_GE(other_server.queries_answered(), 1u);
+  // `other` is asked for ns.other A once: every later referral step reads
+  // the cached NODATA.  The remaining upstream queries are the referral
+  // loop falling back to the root until the iteration cap.
+  EXPECT_EQ(other_server.queries_answered(), 1u);
+  EXPECT_EQ(result.upstream_queries, 26);
   // The lookup's NODATA answer is cached, and no address ever was.
   EXPECT_TRUE(resolver->cache()
                   .lookup_negative(Name::from_string("ns.other"), RRType::kA,
@@ -345,6 +360,26 @@ TEST_F(ResolverTest, NsTargetWithoutAnARecordGivesNoServer) {
                    .peek(Name::from_string("ns.other"), RRType::kA,
                          sim::Time{})
                    .has_value());
+}
+
+TEST_F(ResolverTest, NsTargetThatDoesNotExistIsAskedForOnce) {
+  // The NS-address lookup ends in NXDOMAIN; every later referral step
+  // reads the cached NXDOMAIN instead of asking `other` again.
+  auth::AuthServer other_server{"ns1.other"};
+  delegate_test_to_ns_other(other_server, /*with_aaaa=*/false);
+
+  auto resolver = make_resolver(child_centric_config());
+  auto result = resolver->resolve(
+      dns::Question{Name::from_string("www.test"), RRType::kA,
+                    dns::RClass::kIN},
+      sim::Time{});
+  EXPECT_EQ(result.response.flags.rcode, dns::Rcode::kServFail);
+  EXPECT_EQ(other_server.queries_answered(), 1u);
+  EXPECT_EQ(result.upstream_queries, 26);
+  const auto negative = resolver->cache().lookup_negative(
+      Name::from_string("ns.other"), RRType::kA, sim::Time{});
+  ASSERT_TRUE(negative.has_value());
+  EXPECT_EQ(negative->rcode, dns::Rcode::kNXDomain);
 }
 
 TEST_F(ResolverTest, ReferralChainLongerThanMaxIterationsIsServfail) {

@@ -21,6 +21,7 @@ subsystems this PR series hardens — fail the run when breached:
     src/sim        event queue, timer wheel, time types and RNG streams
     src/stats      the run-length CDF every figure reads, tables, series
     src/par        shard threads, ordered results, lowest-failure rethrow
+    src/analysis   the contract analyzer: lexer, index, rules, dataflow
 
 Floors are deliberately per-subsystem, not global: a global number lets a
 well-covered hot path subsidize an untested one.
@@ -48,6 +49,7 @@ DEFAULT_FLOORS = {
     "src/sim": 96.0,
     "src/stats": 98.0,
     "src/par": 93.0,
+    "src/analysis": 96.0,
 }
 
 
@@ -96,7 +98,7 @@ def main() -> int:
                         help="per-subsystem line floor; repeatable "
                              "(default: src/net=92 src/resolver=96 "
                              "src/cache=93 src/dns=95 src/sim=96 "
-                             "src/stats=98 src/par=93)")
+                             "src/stats=98 src/par=93 src/analysis=96)")
     parser.add_argument("--json", default=None,
                         help="also write per-file coverage JSON here")
     args = parser.parse_args()

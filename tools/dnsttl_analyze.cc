@@ -8,55 +8,32 @@
 //
 // Usage:
 //   dnsttl_analyze [--root DIR] [paths...]      analyze (default: src)
-//                  [--baseline FILE]            fail only on NEW findings
-//                  [--write-baseline FILE]      snapshot current findings
 //                  [--json FILE|-]              machine-readable findings
-//                  [--sarif FILE|-]             SARIF 2.1.0 (CI annotations)
-//                  [--jobs N]                   phase-1 worker threads
-//                  [--selftest]                 embedded rule-engine selftest
 //                  [--list-rules]               rule/contract table
 //
-// Exit codes: 0 clean (or all findings matched the baseline), 1 new
-// findings (or selftest failures), 2 usage / IO error.
+// Exit codes: 0 no findings, 1 any finding, 2 usage / IO error.  A finding
+// accepted on purpose carries a justified allow comment (docs/architecture.md
+// §Static analysis), which the stale- and bare-suppression audits keep
+// honest.
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/report.h"
 #include "analysis/rules.h"
-#include "analysis/selftest.h"
-#include "par/pool.h"
 
 namespace {
 
-using dnsttl::analysis::BaselineDiff;
 using dnsttl::analysis::Finding;
 using dnsttl::analysis::Findings;
 
 int usage(std::ostream& out, int code) {
-  out << "usage: dnsttl_analyze [--root DIR] [paths...] [--baseline FILE]\n"
-         "                      [--write-baseline FILE]\n"
-         "                      [--json FILE|-] [--sarif FILE|-] [--jobs N]\n"
-         "                      [--selftest] [--list-rules]\n";
+  out << "usage: dnsttl_analyze [--root DIR] [paths...] [--json FILE|-]\n"
+         "                      [--list-rules]\n";
   return code;
-}
-
-bool read_file(const std::string& path, std::string* out, std::string* error) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  if (!in) {
-    *error = "cannot read " + path;
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
 }
 
 bool write_file(const std::string& path, const std::string& text,
@@ -74,12 +51,7 @@ bool write_file(const std::string& path, const std::string& text,
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string baseline_path;
-  std::string write_baseline_path;
   std::string json_path;
-  std::string sarif_path;
-  std::size_t jobs = dnsttl::par::default_jobs();
-  bool run_selftest = false;
   bool list_rules = false;
   std::vector<std::string> paths;
 
@@ -96,34 +68,10 @@ int main(int argc, char** argv) {
       const char* v = next("--root");
       if (v == nullptr) return usage(std::cerr, 2);
       root = v;
-    } else if (arg == "--baseline") {
-      const char* v = next("--baseline");
-      if (v == nullptr) return usage(std::cerr, 2);
-      baseline_path = v;
-    } else if (arg == "--write-baseline") {
-      const char* v = next("--write-baseline");
-      if (v == nullptr) return usage(std::cerr, 2);
-      write_baseline_path = v;
     } else if (arg == "--json") {
       const char* v = next("--json");
       if (v == nullptr) return usage(std::cerr, 2);
       json_path = v;
-    } else if (arg == "--sarif") {
-      const char* v = next("--sarif");
-      if (v == nullptr) return usage(std::cerr, 2);
-      sarif_path = v;
-    } else if (arg == "--jobs") {
-      const char* v = next("--jobs");
-      if (v == nullptr) return usage(std::cerr, 2);
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < 1) {
-        std::cerr << "dnsttl_analyze: --jobs needs a positive integer\n";
-        return usage(std::cerr, 2);
-      }
-      jobs = static_cast<std::size_t>(parsed);
-    } else if (arg == "--selftest") {
-      run_selftest = true;
     } else if (arg == "--list-rules") {
       list_rules = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -143,10 +91,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (run_selftest) {
-    const int failures = dnsttl::analysis::selftest(std::cout);
-    return failures == 0 ? 0 : 1;
-  }
 
   if (paths.empty()) paths.push_back("src");
   std::string error;
@@ -161,8 +105,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const Findings findings =
-      dnsttl::analysis::analyze_paths(root, sources, jobs);
+  const Findings findings = dnsttl::analysis::analyze_paths(root, sources);
 
   if (!json_path.empty()) {
     const std::string json = dnsttl::analysis::findings_to_json(findings);
@@ -173,48 +116,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!sarif_path.empty()) {
-    const std::string sarif = dnsttl::analysis::findings_to_sarif(findings);
-    if (sarif_path == "-") {
-      std::cout << sarif;
-    } else if (!write_file(sarif_path, sarif, &error)) {
-      std::cerr << "dnsttl_analyze: " << error << "\n";
-      return 2;
-    }
-  }
-  if (!write_baseline_path.empty()) {
-    if (!dnsttl::analysis::update_baseline_file(write_baseline_path, findings,
-                                                &error)) {
-      std::cerr << "dnsttl_analyze: " << error << "\n";
-      return 2;
-    }
-    std::cout << "dnsttl_analyze: wrote baseline (" << findings.size()
-              << " findings) to " << write_baseline_path << "\n";
-    return 0;
-  }
 
-  Findings baseline;
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_file(baseline_path, &text, &error) ||
-        !dnsttl::analysis::baseline_from_json(text, &baseline, &error)) {
-      std::cerr << "dnsttl_analyze: bad baseline: " << error << "\n";
-      return 2;
-    }
-  }
-
-  const BaselineDiff diff =
-      dnsttl::analysis::diff_against_baseline(findings, baseline);
-  for (const Finding& f : diff.fresh) {
+  for (const Finding& f : findings) {
     std::cerr << f.to_string() << "\n";
   }
   std::cout << "dnsttl_analyze: " << sources.size() << " files, "
-            << findings.size() << " finding(s), " << diff.fresh.size()
-            << " new vs baseline (" << diff.matched << " matched";
-  if (diff.stale_count > 0) {
-    std::cout << ", " << diff.stale_count
-              << " stale baseline entr(ies) — consider --write-baseline";
-  }
-  std::cout << ")\n";
-  return diff.fresh.empty() ? 0 : 1;
+            << findings.size() << " finding(s)\n";
+  return findings.empty() ? 0 : 1;
 }
