@@ -151,7 +151,10 @@ class Cache {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t expired = 0;      ///< misses caused by TTL expiry
+    /// Misses that found an expired entry.  An entry purge_expired()
+    /// dropped is gone, so a later lookup of its key counts as a plain
+    /// miss, here and in ns_linked_drops alike.
+    std::uint64_t expired = 0;
     std::uint64_t ns_linked_drops = 0;  ///< glue dropped due to expired NS
     // lint:allow(raw-time-param) event counter, not a time quantity
     std::uint64_t stale_serves = 0;
@@ -207,6 +210,10 @@ class Cache {
   bool evict(const dns::Name& name, dns::RRType type);
 
   /// Removes entries that expired before @p now (and past any stale window).
+  /// In an unbounded cache whose later calls all run at @p now or after,
+  /// no later lookup, peek, lookup_negative or insert result changes; only
+  /// the expired, ns_linked_drops and high_water counters do
+  /// (docs/architecture.md §Bounded cache).
   std::size_t purge_expired(sim::Time now);
 
   /// Drops every entry but keeps the tables' and expiry heaps' buffers, so

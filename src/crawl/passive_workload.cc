@@ -62,8 +62,17 @@ class DemandPool {
     }
   }
 
-  /// Sends one resolver's next client query and draws its next arrival.
-  /// The reply is discarded: the study reads the authoritative logs.
+  /// Drops the resolver's expired cache entries, sends its next client
+  /// query and draws its next arrival.  The reply is discarded: the study
+  /// reads the authoritative logs.
+  ///
+  /// The purge changes no output.  entry.at is the simulation clock, and
+  /// no later call on this resolver runs at an earlier time: the wheel
+  /// fires in (time, seq) order, only the pool queries these resolvers,
+  /// and a resolution never runs before its start.  An entry due by then
+  /// (past its serve-stale window, for a positive one) can answer no later
+  /// lookup or peek.  Without it every fresh name's NXDOMAIN would stay
+  /// cached to the end of the run.
   void fire(const sim::TimerWheel::Entry& entry) {
     const auto index = static_cast<std::size_t>(entry.payload);
     DNSTTL_AUDIT_CHECK("crawl::DemandPool", index < size(),
@@ -72,6 +81,7 @@ class DemandPool {
         dns::Name::from_string("u" + std::to_string(counters_[index]++) +
                                "-r" + std::to_string(index) + ".nl"),
         dns::RRType::kA, dns::RClass::kIN};
+    resolvers_[index]->cache().purge_expired(entry.at);
     net::MessageLease reply(network_);
     resolvers_[index]->resolve(question, entry.at, *reply);
     ++client_queries_;
@@ -163,45 +173,44 @@ PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config) {
   world.delegate(*world.root_zone(), nl, servers, kParentGlueTtl,
                  kParentGlueTtl);
 
-  // The resolver population generating demand.
-  sim::Rng rng = world.rng().fork(0x9a551e);
-  auto population = resolver::ResolverPopulation::build(
-      world.network(), world.hints(), world.root_zone(),
-      resolver::paper_profiles(), config.resolver_count,
-      resolver::atlas_region_weights(), rng);
-
   PassiveReport report;
+  {
+    // The resolver population generating demand.  It and its pool live in
+    // this block alone, so their caches are freed before the analysis
+    // below allocates.
+    sim::Rng rng = world.rng().fork(0x9a551e);
+    auto population = resolver::ResolverPopulation::build(
+        world.network(), world.hints(), world.root_zone(),
+        resolver::paper_profiles(), config.resolver_count,
+        resolver::atlas_region_weights(), rng);
 
-  // Poisson demand per resolver, rate Pareto-distributed across resolvers,
-  // held in a SoA pool driven by the cohort timer wheel: one pending
-  // arrival per resolver, no heap node or closure per event.
-  auto& simulation = world.simulation();
-  DemandPool pool(simulation, world.network(), rng.fork(0xdeaadd),
-                  sim::at(config.duration));
-  for (auto& member : population.members()) {
-    double per_day =
-        std::min(config.demand_cap_per_day,
-                 rng.pareto(kDemandXmPerDay, kDemandAlpha));
-    pool.add(member.resolver.get(), 86400.0 / per_day);
+    // Poisson demand per resolver, rate Pareto-distributed across
+    // resolvers, held in a SoA pool driven by the cohort timer wheel: one
+    // pending arrival per resolver, no heap node or closure per event.
+    auto& simulation = world.simulation();
+    DemandPool pool(simulation, world.network(), rng.fork(0xdeaadd),
+                    sim::at(config.duration));
+    for (auto& member : population.members()) {
+      double per_day =
+          std::min(config.demand_cap_per_day,
+                   rng.pareto(kDemandXmPerDay, kDemandAlpha));
+      pool.add(member.resolver.get(), 86400.0 / per_day);
+    }
+
+    const std::size_t audit_hook =
+        simulation.add_audit_hook([&pool] { pool.validate(); });
+    pool.seed_arrivals();
+    simulation.run_until(
+        sim::at(config.duration), pool.wheel(),
+        [&pool](const sim::TimerWheel::Entry& entry) { pool.fire(entry); });
+    simulation.remove_audit_hook(audit_hook);
+    report.client_queries = pool.client_queries();
   }
-
-  const std::size_t audit_hook =
-      simulation.add_audit_hook([&pool] { pool.validate(); });
-  pool.seed_arrivals();
-  simulation.run_until(
-      sim::at(config.duration), pool.wheel(),
-      [&pool](const sim::TimerWheel::Entry& entry) { pool.fire(entry); });
-  simulation.remove_audit_hook(audit_hook);
-  report.client_queries = pool.client_queries();
 
   // ENTRADA-style analysis over the two observed servers: group queries
-  // for the four nameserver address records by (source, qname).
-  std::set<std::string> ns_names;
-  for (const auto& [ns_name, address] : servers) {
-    ns_names.insert(ns_name.to_string());
-  }
-
-  std::map<std::pair<std::uint32_t, std::string>, std::vector<sim::Time>>
+  // for the four nameserver address records by (source, nameserver).  No
+  // fold below depends on the groups' order.
+  std::map<std::pair<std::uint32_t, std::size_t>, std::vector<sim::Time>>
       group_times;
   std::set<std::uint32_t> sources;
   for (const auto& ident : observed) {
@@ -209,11 +218,16 @@ PassiveReport run_passive_nl(core::World& world, const PassiveConfig& config) {
     for (const auto& entry : log.entries()) {
       ++report.logged_queries;
       sources.insert(entry.client.value());
-      std::string qname = entry.qname.to_string();
-      if ((entry.qtype == dns::RRType::kA ||
-           entry.qtype == dns::RRType::kAAAA) &&
-          ns_names.contains(qname)) {
-        group_times[{entry.client.value(), qname}].push_back(entry.time);
+      if (entry.qtype != dns::RRType::kA &&
+          entry.qtype != dns::RRType::kAAAA) {
+        continue;
+      }
+      const auto ns = std::find_if(
+          servers.begin(), servers.end(),
+          [&entry](const auto& server) { return server.first == entry.qname; });
+      if (ns != servers.end()) {
+        const auto ns_index = static_cast<std::size_t>(ns - servers.begin());
+        group_times[{entry.client.value(), ns_index}].push_back(entry.time);
       }
     }
   }

@@ -251,6 +251,52 @@ TEST(AllocationTest, RefillAfterClearAllocatesNothing) {
   EXPECT_EQ(cache.size(), kEntries);
 }
 
+TEST(AllocationTest, PurgingDueEntriesAllocatesNothing) {
+  // The §3.4 demand pool purges a resolver's cache before every client
+  // query.  Dropping due entries only frees: the NS set, the glue linked
+  // to it (releasing the link, whose owner is a long name with its own
+  // block), plain answers and negatives.  DNSTTL_AUDIT builds validate the
+  // cache after the purge, which allocates three times while both tables
+  // keep live entries.
+  constexpr std::size_t kDue = 40;
+  constexpr std::size_t kLive = 10;
+  constexpr std::size_t kPinned = check::kAuditEnabled ? 3 : 0;
+  const dns::Name zone = name_of_octets(dns::Name::kInlineCapacity + 1);
+  cache::Cache cache;
+  dns::RRset ns(zone, dns::RClass::kIN, dns::Ttl{60});
+  ns.add(dns::NsRdata{zone.prepend("ns1")});
+  ASSERT_TRUE(cache.insert(std::move(ns), cache::Credibility::kGlue,
+                           sim::Time{}));
+  for (int i = 1; i <= 2; ++i) {
+    dns::RRset glue(zone.prepend("ns" + std::to_string(i)), dns::RClass::kIN,
+                    dns::Ttl{30});
+    glue.add(dns::ARdata{dns::Ipv4(static_cast<std::uint32_t>(i))});
+    ASSERT_TRUE(cache.insert(std::move(glue), cache::Credibility::kGlue,
+                             sim::Time{}, zone));
+  }
+  ASSERT_EQ(cache.linked_ns_owners(), 1u);
+  for (std::size_t i = 0; i < kDue + kLive; ++i) {
+    const dns::Ttl ttl = i < kDue ? dns::Ttl{10} : dns::kTtl1Hour;
+    dns::RRset rrset(dns::Name::from_string("a" + std::to_string(i) + ".test"),
+                     dns::RClass::kIN, ttl);
+    rrset.add(dns::ARdata{dns::Ipv4(static_cast<std::uint32_t>(i))});
+    ASSERT_TRUE(cache.insert(std::move(rrset),
+                             cache::Credibility::kAuthAnswer, sim::Time{}));
+    cache.insert_negative(
+        dns::Name::from_string("n" + std::to_string(i) + ".test"),
+        dns::RRType::kA, dns::Rcode::kNXDomain, ttl, sim::Time{});
+  }
+  std::size_t removed = 0;
+  EXPECT_EQ(allocations_during([&] {
+              removed = cache.purge_expired(sim::at(120 * sim::kSecond));
+            }),
+            kPinned);
+  EXPECT_EQ(removed, 3 + 2 * kDue);
+  EXPECT_EQ(cache.linked_ns_owners(), 0u);
+  EXPECT_EQ(cache.size(), kLive);
+  EXPECT_EQ(cache.negative_size(), kLive);
+}
+
 TEST(AllocationTest, CrawlTtlCdfsHoldRunsNotSamples) {
   // A crawl adds one TTL per harvested record to its type's CDF, and the
   // TTLs fall on a few grid values, so each CDF holds one (value, count)

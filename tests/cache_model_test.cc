@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -996,6 +997,167 @@ TEST(CacheModelTest, SharedProbeChainTracesMatchOracles) {
     config.policy = policy;
     SCOPED_TRACE(std::string(to_string(policy)));
     run_bounded_trace(config, 702, keys);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Purging on a lower-bound clock.  A caller may purge at a time no later
+// call undercuts: the §3.4 demand pool purges each resolver's cache at the
+// start of its next client query.  Entries due by then answer no later
+// read, so two caches driven by one trace, one of them purged at the clock
+// before every client step, must agree on every read, every insert result
+// and the final dump().  Each operation runs at the clock plus 0-5 s, as a
+// resolution's sub-queries do.  Only the counters of reads that found a
+// due entry (expired, ns_linked_drops: a plain miss once the entry is
+// gone) and the resident peak (high_water) may differ.
+
+/// Every field of a lookup or peek result a caller can read.
+std::string describe(const std::optional<CacheHit>& hit) {
+  if (!hit) {
+    return "miss";
+  }
+  std::string out = "ttl=" + std::to_string(hit->ttl.value()) + " " +
+                    std::string(to_string(hit->credibility)) +
+                    " original=" + std::to_string(hit->original_ttl.value()) +
+                    (hit->stale ? " stale_for=" : " live ") +
+                    std::to_string(hit->stale_for.count()) + " " +
+                    hit->rrset().name().to_string() + " " +
+                    std::to_string(hit->rrset().ttl().value());
+  for (const dns::Rdata& rdata : hit->rrset().rdatas()) {
+    out += " " + dns::rdata_to_string(rdata);
+  }
+  return out;
+}
+
+std::string describe(const std::optional<NegativeHit>& hit) {
+  return hit ? std::string(dns::to_string(hit->rcode)) + " " +
+                   std::to_string(hit->remaining.value())
+             : "miss";
+}
+
+/// Runs one trace over NS sets, glue linked to them and plain names.
+/// Returns how many entries the purges dropped.
+std::size_t run_lower_bound_purge_trace(const Cache::Config& config,
+                                        std::uint64_t seed) {
+  struct Key {
+    dns::Name name;
+    dns::RRType type;
+    std::optional<dns::Name> link;  ///< NS owner for glue
+  };
+  std::vector<Key> keys;
+  for (int z = 0; z < 3; ++z) {
+    const dns::Name zone =
+        dns::Name::from_string("z" + std::to_string(z) + ".purge.example");
+    keys.push_back(Key{zone, dns::RRType::kNS, std::nullopt});
+    for (int i = 1; i <= 2; ++i) {
+      keys.push_back(
+          Key{zone.prepend("ns" + std::to_string(i)), dns::RRType::kA, zone});
+    }
+  }
+  for (const dns::Name& name : name_pool("p", "purge", 12, 3)) {
+    keys.push_back(Key{name, dns::RRType::kA, std::nullopt});
+  }
+  constexpr Credibility kCredibilities[] = {
+      Credibility::kAdditional, Credibility::kGlue,
+      Credibility::kNonAuthAnswer, Credibility::kAuthAnswer};
+
+  Cache plain(config);
+  Cache purged(config);
+  sim::Rng rng(seed);
+  sim::Time clock{};
+  std::uint32_t value = 0;
+  std::size_t dropped = 0;
+  for (int step = 0; step < 1500; ++step) {
+    clock += sim::seconds(static_cast<std::int64_t>(rng.uniform_int(0, 3)));
+    dropped += purged.purge_expired(clock);
+    const std::uint64_t ops = rng.uniform_int(1, 4);
+    for (std::uint64_t op = 0; op < ops; ++op) {
+      const sim::Time now =
+          clock + sim::milliseconds(
+                      static_cast<std::int64_t>(rng.uniform_int(0, 10)) * 500);
+      const Key& key = keys[rng.uniform_int(0, keys.size() - 1)];
+      const std::string where = "step " + std::to_string(step) + " at " +
+                                std::to_string(now.since_epoch().count()) +
+                                " " + key.name.to_string();
+      const double action = rng.uniform();
+      if (action < 0.35) {
+        const auto ttl = dns::Ttl::of_seconds(
+            static_cast<std::int64_t>(rng.uniform_int(0, 40)));
+        const Credibility credibility =
+            kCredibilities[rng.uniform_int(0, std::size(kCredibilities) - 1)];
+        const dns::RRset rrset = key.type == dns::RRType::kNS
+                                     ? make_ns_rrset(key.name, ttl)
+                                     : make_rrset(key.name, ttl, value++);
+        const std::optional<dns::Name> link =
+            key.link && rng.chance(0.8) ? key.link : std::nullopt;
+        const bool stored = plain.insert(rrset, credibility, now, link);
+        EXPECT_EQ(stored, purged.insert(rrset, credibility, now, link))
+            << "insert, " << where;
+      } else if (action < 0.45) {
+        const dns::Rcode rcode =
+            rng.chance(0.5) ? dns::Rcode::kNXDomain : dns::Rcode::kNoError;
+        const auto ttl = dns::Ttl::of_seconds(
+            static_cast<std::int64_t>(rng.uniform_int(0, 20)));
+        plain.insert_negative(key.name, key.type, rcode, ttl, now);
+        purged.insert_negative(key.name, key.type, rcode, ttl, now);
+      } else if (action < 0.75) {
+        const bool allow_stale = rng.chance(0.5);
+        const std::string hit =
+            describe(plain.lookup(key.name, key.type, now, allow_stale));
+        EXPECT_EQ(hit,
+                  describe(purged.lookup(key.name, key.type, now, allow_stale)))
+            << "lookup, " << where;
+      } else if (action < 0.88) {
+        EXPECT_EQ(describe(plain.peek(key.name, key.type, now)),
+                  describe(purged.peek(key.name, key.type, now)))
+            << "peek, " << where;
+      } else {
+        const std::string hit =
+            describe(plain.lookup_negative(key.name, key.type, now));
+        EXPECT_EQ(hit, describe(purged.lookup_negative(key.name, key.type, now)))
+            << "negative lookup, " << where;
+      }
+    }
+  }
+  EXPECT_EQ(plain.dump(clock), purged.dump(clock));
+  EXPECT_EQ(plain.tick(), purged.tick());
+
+  const Cache::Stats& a = plain.stats();
+  const Cache::Stats& b = purged.stats();
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.stale_serves, b.stale_serves);
+  EXPECT_EQ(a.resurrections, b.resurrections);
+  EXPECT_EQ(a.inserts, b.inserts);
+  EXPECT_EQ(a.downgrades_refused, b.downgrades_refused);
+  EXPECT_EQ(a.capacity_evictions, b.capacity_evictions);
+  EXPECT_EQ(a.evicted_positive, b.evicted_positive);
+  EXPECT_EQ(a.evicted_negative, b.evicted_negative);
+  // The reads that found a due entry in the plain cache miss outright in
+  // the purged one, so the trace did read purged keys.
+  EXPECT_GT(a.expired + a.ns_linked_drops, b.expired + b.ns_linked_drops);
+  EXPECT_LE(b.high_water, a.high_water);
+  return dropped;
+}
+
+TEST(CacheModelTest, PurgeAtALowerBoundClockChangesNoLaterRead) {
+  Cache::Config stale;
+  stale.serve_stale = true;
+  stale.stale_window = 20 * sim::kSecond;
+  Cache::Config keep_live;
+  keep_live.replace_same_credibility = false;
+  Cache::Config parent_centric;
+  parent_centric.prefer_parent_delegation = true;
+  const std::pair<const char*, Cache::Config> configs[] = {
+      {"default", Cache::Config{}},
+      {"serve-stale", stale},
+      {"keep live same-credibility data", keep_live},
+      {"prefer parent delegation", parent_centric}};
+  for (const auto& [label, config] : configs) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(std::string(label) + ", seed " + std::to_string(seed));
+      EXPECT_GT(run_lower_bound_purge_trace(config, seed), 0u);
+    }
   }
 }
 

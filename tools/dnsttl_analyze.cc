@@ -11,6 +11,9 @@
 //                  [--json FILE|-]              machine-readable findings
 //                  [--list-rules]               rule/contract table
 //
+// Findings and the summary line go to stderr, so `--json -` prints one JSON
+// document on stdout.
+//
 // Exit codes: 0 no findings, 1 any finding, 2 usage / IO error.  A finding
 // accepted on purpose carries a justified allow comment (docs/architecture.md
 // §Static analysis), which the stale- and bare-suppression audits keep
@@ -120,7 +123,7 @@ int main(int argc, char** argv) {
   for (const Finding& f : findings) {
     std::cerr << f.to_string() << "\n";
   }
-  std::cout << "dnsttl_analyze: " << sources.size() << " files, "
+  std::cerr << "dnsttl_analyze: " << sources.size() << " files, "
             << findings.size() << " finding(s)\n";
   return findings.empty() ? 0 : 1;
 }
